@@ -5,13 +5,23 @@
 
 GO ?= go
 
-.PHONY: all build test vet race verify verify-race verify-shard bench bench-smoke diff-smoke subscribe-smoke correlate-smoke loadgen-smoke fuzz fuzz-smoke
+.PHONY: all build test vet race verify verify-race verify-shard bench bench-smoke bench-contract diff-smoke subscribe-smoke correlate-smoke loadgen-smoke fuzz fuzz-smoke
 
 # Every test invocation gets a hard wall-clock budget (a wedged-shard or
 # crash-recovery bug must fail the gate, not hang it) and a shuffled
 # execution order, so accidental inter-test ordering dependencies
 # surface in CI instead of in the field.
 TEST_TIMEOUT ?= 10m
+
+# run-tests: $(call run-tests,<go test flags>,<-run pattern>,<packages>).
+# `go test -run` exits 0 when its pattern matches nothing, so a renamed
+# test would silently drop out of its gate; here a package with no
+# matching test fails the target.
+define run-tests
+	@log=$$(mktemp); $(GO) test $(1) -run '$(2)' $(3) >$$log 2>&1; status=$$?; cat $$log; \
+	if grep -q 'no tests to run' $$log; then echo "FAIL: -run '$(2)' matches no test in a package above"; status=1; fi; \
+	rm -f $$log; exit $$status
+endef
 
 all: verify
 
@@ -35,16 +45,18 @@ race:
 verify-race:
 	$(GO) test -race -count=1 -shuffle=on -timeout $(TEST_TIMEOUT) ./internal/store/... ./internal/query/... ./cmd/logstudy/...
 
-# Focused race pass over the sharded store's failure envelope: the
+# Focused race pass over the cluster's failure envelope: the
 # scatter-gather router, circuit breakers, per-shard kill/recovery
-# windows, and the fault-injection layer that drives them, plus the
-# sharded HTTP differential and backpressure tests. -count=1 so the
-# crash-window and breaker state machines re-execute every run.
+# windows, and the fault-injection layer that drives them, plus the HTTP
+# differentials over every on-disk layout and shard count, the degraded
+# (partial / 503) answers, the on-disk-shape open rules, and the
+# backpressure tests. -count=1 so the crash-window and breaker state
+# machines re-execute every run.
 verify-shard:
 	$(GO) test -race -count=1 -shuffle=on -timeout $(TEST_TIMEOUT) ./internal/shard/... ./internal/faultinject/...
-	$(GO) test -race -count=1 -timeout $(TEST_TIMEOUT) -run 'Sharded' ./cmd/logstudy/
+	$(call run-tests,-race -count=1 -timeout $(TEST_TIMEOUT),MatchesBatchPipeline|QueryEndpoint|ShardedAggregate|PartialResult|NoShardAnswered|OnDiskShape|NoShardOpens|ServedInPlace|Backpressure429|NoGoroutines,./cmd/logstudy/)
 
-verify: build vet race bench-smoke diff-smoke subscribe-smoke correlate-smoke loadgen-smoke fuzz-smoke
+verify: build vet race bench-smoke bench-contract diff-smoke subscribe-smoke correlate-smoke loadgen-smoke fuzz-smoke
 
 # Standing-query gate: the incremental-vs-rescan differential suites
 # (registry and cluster, every mutation class, shard counts 1/2/4/7),
@@ -53,25 +65,26 @@ verify: build vet race bench-smoke diff-smoke subscribe-smoke correlate-smoke lo
 # delivered at most once). -race because the registry sits on the store
 # mutation stream; -count=1 so the fenced re-baseline paths re-execute.
 subscribe-smoke:
-	$(GO) test -race -count=1 -timeout $(TEST_TIMEOUT) -run 'Standing|Registry|Subscribe' ./internal/query/ ./internal/shard/ ./cmd/logstudy/
+	$(call run-tests,-race -count=1 -timeout $(TEST_TIMEOUT),Standing|Registry|Subscribe,./internal/query/ ./internal/shard/ ./cmd/logstudy/)
 
 # Correlation-mining gate: the incremental-vs-batch miner differentials
 # (every mutation class, warm starts, cluster shard counts 1/2/4/7) and
-# the /api/correlations + /api/predict HTTP smoke, including the
-# sharded-equals-single prediction purity check and the bounded-limit
-# contract. -race because the miner sits on the store mutation stream;
+# the /api/correlations + /api/predict HTTP smoke across layouts,
+# including the served-equals-batch prediction purity check and the
+# bounded-limit contract. -race because the miner sits on the store mutation stream;
 # -count=1 so the Seq-fenced baseline paths re-execute every run.
 correlate-smoke:
 	$(GO) test -race -count=1 -timeout $(TEST_TIMEOUT) ./internal/correlate/
-	$(GO) test -race -count=1 -timeout $(TEST_TIMEOUT) -run 'ClusterCorrelate|ClusterPrediction' ./internal/shard/
-	$(GO) test -race -count=1 -timeout $(TEST_TIMEOUT) -run 'Correlations|Predict|ListLimit|SubscriptionsLimit' ./cmd/logstudy/
+	$(call run-tests,-race -count=1 -timeout $(TEST_TIMEOUT),ClusterCorrelate|ClusterPrediction,./internal/shard/)
+	$(call run-tests,-race -count=1 -timeout $(TEST_TIMEOUT),Correlations|Predict|ListLimit|SubscriptionsLimit,./cmd/logstudy/)
 
 # Columnar-vs-decode differential smoke: the zero-materialization
 # aggregate path must answer byte-identically to the row-decode path at
-# the store, library, HTTP, and sharded layers (see DESIGN.md §11).
+# the store, library, and HTTP layers, every layout and shard count (see
+# DESIGN.md §11), and a sealed segment identically to the tail it was.
 # -count=1 so the differential matrices re-execute every run.
 diff-smoke:
-	$(GO) test -count=1 -timeout $(TEST_TIMEOUT) -run 'Columnar|ScanColumns|BodyFilter|DecodeReference|Unmap' ./internal/store/ ./internal/query/ ./cmd/logstudy/
+	$(call run-tests,-count=1 -timeout $(TEST_TIMEOUT),Columnar|ScanColumns|BodyFilter|DecodeReference|Unmap|SealedEqualsTail,./internal/store/ ./internal/query/ ./cmd/logstudy/)
 
 # Full stage-by-stage benchmark ledger (records/sec, allocs/record,
 # serial-vs-parallel speedup per stage). Writes BENCH_pipeline.json at
@@ -86,18 +99,26 @@ bench:
 bench-smoke:
 	$(GO) run ./cmd/logstudy bench -system liberty -scale 0.0001 -iters 1 -o $(if $(TMPDIR),$(TMPDIR),/tmp)/BENCH_smoke.json
 
+# benchmark/ is its own module, so root `go build ./...` never compiles
+# it, yet it imports internal/{shard,store,query,correlate}: vet and
+# unit-test it here so a refactor of those packages that breaks the
+# harness fails in this gate, not in the benchmark driver.
+bench-contract:
+	$(GO) -C benchmark vet ./...
+	$(GO) -C benchmark test ./...
+
 # Load-harness gate: plan determinism, the graphite connector's
 # paused-sink/drop/backoff contract, and the serve-tier-under-load
-# regression trio (SSE exempt from request deadlines, uniform
-# drain-rate-derived 429 retry contract on both store shapes, graceful
-# drain-and-seal with acked batches durable), ending with the loadgen
-# CLI end-to-end against a self-hosted 4-shard serve writing the
-# ledger's load_reports section. Race on — the harness, the pump, and
-# the admission queue are all concurrency; -count=1 so the kill and
+# regression trio (SSE exempt from request deadlines, drain-rate-derived
+# 429 retry contract on every layout, graceful drain-and-seal with acked
+# batches durable), ending with the loadgen CLI end-to-end against a
+# self-hosted 4-shard serve writing the ledger's load_reports section.
+# Race on — the harness, the pump, and the shard queues are all
+# concurrency; -count=1 so the kill and
 # backpressure state machines re-execute every run.
 loadgen-smoke:
 	$(GO) test -race -count=1 -timeout $(TEST_TIMEOUT) ./internal/loadgen/ ./internal/connectors/...
-	$(GO) test -race -count=1 -timeout $(TEST_TIMEOUT) -run 'Loadgen|RequestDeadline|SSESurvives|Backpressure429|RetryAfter|GracefulShutdown|Graphite' ./cmd/logstudy/
+	$(call run-tests,-race -count=1 -timeout $(TEST_TIMEOUT),Loadgen|RequestDeadline|SSESurvives|Backpressure429|RetryAfter|GracefulShutdown|Graphite,./cmd/logstudy/)
 
 # Short exploratory fuzz of every parser and the streaming framer
 # (native Go fuzzing; seed corpora always run under plain `make test`).

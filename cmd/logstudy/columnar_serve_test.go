@@ -1,42 +1,21 @@
 package main
 
 import (
-	"io"
-	"net/http"
-	"net/http/httptest"
 	"net/url"
 	"testing"
 	"time"
 
+	"whatsupersay/internal/logrec"
 	"whatsupersay/internal/shard"
 	"whatsupersay/internal/store"
 )
 
-// HTTP-layer columnar differential: the /api/aggregate bytes a
-// columnar-backed server produces must equal the bytes a row-decode
-// server produces over the same store, for every filter the API can
-// express — including the body predicate, where both sides take the
-// decode path. The sharded variant pins the scatter-gather tier (whose
-// per-shard engines choose their own path) against a single decode
-// reference.
-
-// getRaw fetches a URL and returns the exact response bytes.
-func getRaw(t *testing.T, rawURL string) []byte {
-	t.Helper()
-	resp, err := http.Get(rawURL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET %s: %d: %s", rawURL, resp.StatusCode, body)
-	}
-	return body
-}
+// HTTP-layer columnar differential: the /api/aggregate answer of the
+// served cluster (whose per-shard engines use the columnar path wherever
+// the filter allows) must equal, byte for byte, what the row-decode
+// reference — an in-process query.Engine{DisableColumnar: true} —
+// computes over the same records, for every filter the API can express,
+// including the body predicate, where both sides take the decode path.
 
 // columnarParams is the query matrix for the HTTP differentials. The
 // body= cases exercise the decode fallback end to end.
@@ -57,42 +36,32 @@ func columnarParams(entries []store.Entry) []url.Values {
 	}
 }
 
-// TestAggregateColumnarMatchesDecodeOverHTTP serves one store through
-// two API handlers — columnar allowed and columnar disabled — and pins
-// their /api/aggregate responses byte-equal.
+// TestAggregateColumnarMatchesDecodeOverHTTP serves a multi-segment
+// store directory in place and pins every answer to the decode
+// reference taken from that very directory, scan accounting included:
+// columnar and decode walk the same segments.
 func TestAggregateColumnarMatchesDecodeOverHTTP(t *testing.T) {
-	s := newTestStudy(t)
-	entries := store.FromAlerts(s.Alerts, s.Filtered)
-	st, err := store.Create(t.TempDir(), s.System, store.Options{FlushEvery: len(entries)/3 + 1})
+	entries := studyEntries(t)
+	dir := t.TempDir()
+	st, err := store.Create(dir, logrec.Liberty, store.Options{FlushEvery: len(entries)/3 + 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { st.Close() })
 	if err := st.Append(entries...); err != nil {
 		t.Fatal(err)
 	}
-
-	columnar := httptest.NewServer(newTestAPI(t, st, apiOptions{}))
-	t.Cleanup(columnar.Close)
-	decode := httptest.NewServer(newTestAPI(t, st, apiOptions{DisableColumnar: true}))
-	t.Cleanup(decode.Close)
-
-	for _, p := range columnarParams(entries) {
-		q := p.Encode()
-		got := getRaw(t, columnar.URL+"/api/aggregate?"+q)
-		want := getRaw(t, decode.URL+"/api/aggregate?"+q)
-		if string(got) != string(want) {
-			t.Errorf("%q: columnar response diverges from decode\ncolumnar: %s\ndecode:   %s", q, got, want)
-		}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
 	}
+	checkServedInPlace(t, dir, columnarParams(entries))
 }
 
 // TestBodyFilterOverHTTP checks the body predicate against the linear
 // reference: the filtered total must equal a direct count over the
 // entries, and must be a strict subset when the substring is selective.
 func TestBodyFilterOverHTTP(t *testing.T) {
-	s := newTestStudy(t)
-	srv, entries := newTestServer(t, s)
+	entries := studyEntries(t)
+	srv, _ := newTestServer(t, flat, entries, shard.Options{})
 
 	// Pick a substring that matches some but not all bodies.
 	needle := entries[0].Record.Body
@@ -122,40 +91,40 @@ func TestBodyFilterOverHTTP(t *testing.T) {
 	}
 }
 
-// TestShardedAggregateMatchesDecodeReference is the sharded columnar
-// differential: {1, 2, 4, 7} shards (whose engines use the columnar
-// path where their backends allow it) against a single-store reference
-// forced through row decode — byte equality of the aggregate for every
-// query shape, body fallback included.
+// TestShardedAggregateMatchesDecodeReference is the columnar differential
+// across layouts and shard counts, against the decode reference over one
+// in-process store holding the same entries — byte equality of the
+// aggregate for every query shape, body fallback included.
 func TestShardedAggregateMatchesDecodeReference(t *testing.T) {
-	s := newTestStudy(t)
-	entries := store.FromAlerts(s.Alerts, s.Filtered)
-	st, err := store.Create(t.TempDir(), s.System, store.Options{FlushEvery: len(entries)/3 + 1})
+	entries := studyEntries(t)
+	st, err := store.Create(t.TempDir(), logrec.Liberty, store.Options{FlushEvery: len(entries)/3 + 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { st.Close() })
+	defer st.Close()
 	if err := st.Append(entries...); err != nil {
 		t.Fatal(err)
 	}
-	decode := httptest.NewServer(newTestAPI(t, st, apiOptions{DisableColumnar: true}))
-	t.Cleanup(decode.Close)
+	params := columnarParams(entries)
+	want := make([]string, len(params))
+	for i, p := range params {
+		_, want[i], _ = decodeAggregate(t, st, p)
+	}
 
-	for _, n := range []int{1, 2, 4, 7} {
-		srv, _ := newShardTestServer(t, entries, n, shard.Options{})
-		for _, p := range columnarParams(entries) {
-			q := p.Encode()
-			var want shardAggResponse
-			getJSON(t, decode.URL+"/api/aggregate?"+q, &want)
-			var got shardAggResponse
-			getJSON(t, srv.URL+"/api/aggregate?"+q, &got)
-			if got.Partial {
-				t.Fatalf("%d shards, %q: partial answer on a healthy cluster", n, q)
+	for _, l := range layouts {
+		t.Run(l.name, func(t *testing.T) {
+			srv, _ := newTestServer(t, l, entries, shard.Options{})
+			for i, p := range params {
+				var got aggResponse
+				getJSON(t, srv.URL+"/api/aggregate?"+p.Encode(), &got)
+				if got.Partial {
+					t.Fatalf("%q: partial answer on a healthy cluster", p.Encode())
+				}
+				if string(got.Aggregate) != want[i] {
+					t.Errorf("%q: served aggregate diverges from decode reference\nserved: %s\ndecode: %s",
+						p.Encode(), got.Aggregate, want[i])
+				}
 			}
-			if string(got.Aggregate) != string(want.Aggregate) {
-				t.Errorf("%d shards, %q: sharded aggregate diverges from decode reference\nsharded: %s\ndecode:  %s",
-					n, q, got.Aggregate, want.Aggregate)
-			}
-		}
+		})
 	}
 }

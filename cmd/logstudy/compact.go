@@ -33,7 +33,7 @@ func runCompact(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	reportOpen(w, st, rep)
+	reportOpen(w, st.System().ShortName()+" store", rep)
 	before := len(st.Segments())
 
 	start := time.Now()
@@ -62,12 +62,11 @@ func runCompact(args []string, w io.Writer) error {
 
 // reportOpen prints the open report's anomalies — the shared accounting
 // the serve and compact subcommands both surface.
-func reportOpen(w io.Writer, st *store.Store, rep *store.OpenReport) {
+func reportOpen(w io.Writer, what string, rep *store.OpenReport) {
 	if rep == nil {
 		return
 	}
-	fmt.Fprintf(w, "opened %s store: %d segments, %d tail entries\n",
-		st.System().ShortName(), rep.Segments, rep.TailEntries)
+	fmt.Fprintf(w, "opened %s: %d segments, %d tail entries\n", what, rep.Segments, rep.TailEntries)
 	for name, reason := range rep.CorruptSegments {
 		fmt.Fprintf(w, "  quarantined %s: %s\n", name, reason)
 	}

@@ -4,43 +4,32 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"net/url"
 	"strings"
 	"testing"
 
-	"whatsupersay/internal/logrec"
+	"whatsupersay/internal/shard"
 	"whatsupersay/internal/store"
 )
 
-// TestAggregateByteIdenticalAcrossCompactionAndCache is the PR's
-// acceptance differential: for a battery of filters, the /api/aggregate
-// "aggregate" payload is byte-identical (a) before compaction, (b)
-// after compaction, and (c) on a cache hit — compaction and the cache
-// are pure optimizations, never semantics changes. The "stats" side
-// channel legitimately reflects the storage layout (fewer, larger
-// segments after a merge), so it is pinned only between a
-// post-compaction miss and its cache hit, where the store is unchanged
-// and the full body must match to the byte.
+// TestAggregateByteIdenticalAcrossCompactionAndCache: for a battery of
+// filters, the /api/aggregate "aggregate" payload is byte-identical (a)
+// before compaction, (b) after the directory a default serve left behind
+// was compacted offline and served again, and (c) on a cache hit —
+// compaction and the cache are pure optimizations, never semantics
+// changes. The "stats" side channel legitimately reflects the storage
+// layout (fewer, larger segments after a merge), so it is pinned only
+// between a post-compaction miss and its cache hit, where the store is
+// unchanged and the full body must match to the byte.
 func TestAggregateByteIdenticalAcrossCompactionAndCache(t *testing.T) {
-	s := newTestStudy(t)
-	entries := store.FromAlerts(s.Alerts, s.Filtered)
-	st, err := store.Create(t.TempDir(), logrec.Liberty, store.Options{FlushEvery: len(entries)/6 + 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	if err := st.Append(entries...); err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(newTestAPI(t, st, apiOptions{CacheSize: 32}))
-	defer srv.Close()
+	entries := studyEntries(t)
+	dir := t.TempDir()
 
 	// get returns the full response body and the raw bytes of its
 	// "aggregate" field.
-	get := func(params url.Values) (body, agg string) {
+	get := func(base string, params url.Values) (body, agg string) {
 		t.Helper()
-		resp, err := http.Get(srv.URL + "/api/aggregate?" + params.Encode())
+		resp, err := http.Get(base + "/api/aggregate?" + params.Encode())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,35 +47,49 @@ func TestAggregateByteIdenticalAcrossCompactionAndCache(t *testing.T) {
 		return string(raw), string(fields.Aggregate)
 	}
 
-	kept := "true"
 	batteries := []url.Values{
 		{},
 		{"category": {entries[0].Category}},
-		{"kept": {kept}},
+		{"kept": {"true"}},
 		{"topk": {"3"}, "quantiles": {"0.5,0.95"}},
 		{"source": {entries[0].Record.Source}},
 	}
 
+	c := flat.create(t, dir, shard.Options{Store: store.Options{FlushEvery: len(entries)/6 + 1}})
+	if _, err := c.Append(entries); err != nil {
+		t.Fatal(err)
+	}
+	srv := serveCluster(t, c, apiOptions{})
 	before := make([]string, len(batteries))
 	for i, p := range batteries {
-		_, before[i] = get(p)
+		_, before[i] = get(srv.URL, p)
+	}
+	segsBefore := c.Health()[0].Segments
+	srv.Close()
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
 	}
 
-	segsBefore := len(st.Segments())
-	cst, err := st.Compact()
+	var out strings.Builder
+	if err := run([]string{"compact", "-dir", dir}, &out); err != nil || !strings.Contains(out.String(), "compacted") {
+		t.Fatalf("compact over the served directory: %v: %s", err, out.String())
+	}
+
+	c, _, err := shard.Open(dir, shard.Options{CacheSize: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cst.Compactions == 0 || len(st.Segments()) >= segsBefore {
-		t.Fatalf("compaction did not restructure the store: %+v", cst)
+	t.Cleanup(func() { c.Close() })
+	if got := c.Health()[0].Segments; got >= segsBefore {
+		t.Fatalf("compaction did not restructure the store: %d segments, then %d", segsBefore, got)
 	}
-
+	srv = serveCluster(t, c, apiOptions{})
 	for i, p := range batteries {
-		missBody, afterCompact := get(p) // fresh fingerprint: recomputed from the merged layout
+		missBody, afterCompact := get(srv.URL, p) // recomputed from the merged layout
 		if afterCompact != before[i] {
 			t.Errorf("battery %d: aggregate changed across compaction\nbefore: %s\nafter:  %s", i, before[i], afterCompact)
 		}
-		hitBody, cacheHit := get(p) // unchanged store: served from the cache
+		hitBody, cacheHit := get(srv.URL, p) // unchanged store: served from the cache
 		if cacheHit != before[i] {
 			t.Errorf("battery %d: cache hit aggregate diverges\nmiss: %s\nhit:  %s", i, before[i], cacheHit)
 		}
@@ -94,19 +97,17 @@ func TestAggregateByteIdenticalAcrossCompactionAndCache(t *testing.T) {
 			t.Errorf("battery %d: cached full body (stats included) diverges from its miss\nmiss: %s\nhit:  %s", i, missBody, hitBody)
 		}
 	}
+	if hits, misses := c.CacheStats(); hits != int64(len(batteries)) || misses != int64(len(batteries)) {
+		t.Errorf("cache saw %d hits, %d misses; want %d of each", hits, misses, len(batteries))
+	}
 }
 
 // TestIngestBodyLimitReturns413 pins the -max-body contract: an
 // oversized POST /api/ingest is rejected with 413 and a JSON error, and
 // nothing from it reaches the store.
 func TestIngestBodyLimitReturns413(t *testing.T) {
-	st, err := store.Create(t.TempDir(), logrec.Liberty, store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	srv := httptest.NewServer(newTestAPI(t, st, apiOptions{MaxBody: 512}))
-	defer srv.Close()
+	c := flat.create(t, t.TempDir(), shard.Options{})
+	srv := serveCluster(t, c, apiOptions{MaxBody: 512})
 
 	big := strings.Repeat("x", 2048)
 	resp, err := http.Post(srv.URL+"/api/ingest", "text/plain", strings.NewReader(big))
@@ -124,8 +125,8 @@ func TestIngestBodyLimitReturns413(t *testing.T) {
 	if err := json.Unmarshal(body, &e); err != nil || e.Error == "" {
 		t.Fatalf("413 body is not a JSON error: %s", body)
 	}
-	if st.Len() != 0 {
-		t.Fatalf("rejected body reached the store: %d entries", st.Len())
+	if c.Len() != 0 {
+		t.Fatalf("rejected body reached the store: %d entries", c.Len())
 	}
 
 	// A body under the cap still works end to end.

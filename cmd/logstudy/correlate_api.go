@@ -1,7 +1,6 @@
 package main
 
-// Correlation-mining and live-prediction endpoints, mounted by both the
-// single-store api and the sharded shardAPI:
+// Correlation-mining and live-prediction endpoints:
 //
 //	GET /api/correlations  the weighted event-correlation graph the
 //	                       online miner maintains off the mutation
@@ -12,9 +11,9 @@ package main
 //	                       over the mined graph and baseline predictors
 //
 // Responses are views over miner state — serving them never rescans the
-// store. Under -shards N the graph is the merged cluster view: per-shard
-// timestamp columns unioned and edges recomputed, so cross-shard
-// precedence pairs are counted exactly (see internal/shard).
+// store. The graph is the merged cluster view: per-shard timestamp
+// columns unioned and edges recomputed, so cross-shard precedence pairs
+// are counted exactly (see internal/shard).
 //
 // Both endpoints carry a "settled" field: false while a baseline scan
 // or compaction/retention re-baseline is still installing, so clients
@@ -27,7 +26,6 @@ import (
 	"strconv"
 
 	"whatsupersay/internal/correlate"
-	"whatsupersay/internal/shard"
 )
 
 // List-endpoint response bounds (satellite: /api/subscriptions shares
@@ -53,58 +51,13 @@ func parseBoundedLimit(q url.Values) (int, error) {
 	return limit, nil
 }
 
-// correlateBackend abstracts the two correlation tiers — a single-store
-// miner or a sharded cluster's merged view — behind the surface the
-// HTTP handlers need.
-type correlateBackend interface {
-	CorrelationGraph() correlate.Graph
-	PredictionReport() correlate.PredictionReport
-	CorrelateSettled() bool
-}
-
-// minerCorrelate adapts a single-store miner and its live service.
-type minerCorrelate struct {
-	m    *correlate.Miner
-	live *correlate.LiveService
-}
-
-func (b minerCorrelate) CorrelationGraph() correlate.Graph { return b.m.Snapshot() }
-
-func (b minerCorrelate) PredictionReport() correlate.PredictionReport { return b.live.Report() }
-
-func (b minerCorrelate) CorrelateSettled() bool { return b.m.Settled() }
-
-// clusterCorrelateBackend adapts a sharded cluster.
-type clusterCorrelateBackend struct {
-	c    *shard.Cluster
-	opts correlate.PredictOptions
-}
-
-func (b clusterCorrelateBackend) CorrelationGraph() correlate.Graph { return b.c.CorrelationGraph() }
-
-func (b clusterCorrelateBackend) PredictionReport() correlate.PredictionReport {
-	return b.c.PredictionReport(b.opts)
-}
-
-func (b clusterCorrelateBackend) CorrelateSettled() bool { return b.c.CorrelateSettled() }
-
-// correlAPI mounts the correlation endpoints over one backend.
-type correlAPI struct {
-	b correlateBackend
-}
-
-func (ca *correlAPI) register(mux *http.ServeMux) {
-	mux.HandleFunc("/api/correlations", instrument("/api/correlations", ca.handleCorrelations))
-	mux.HandleFunc("/api/predict", instrument("/api/predict", ca.handlePredict))
-}
-
 // handleCorrelations serves the correlation graph. Query parameters:
 //
 //	limit           max nodes and max edges returned (default 100, max 1000)
 //	min_support     drop edges with fewer co-occurrence pairs
 //	min_confidence  drop edges below this P(target | source)
 //	node            keep only edges touching this node (neighborhood view)
-func (ca *correlAPI) handleCorrelations(w http.ResponseWriter, r *http.Request) {
+func (a *shardAPI) handleCorrelations(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		httpError(w, http.StatusMethodNotAllowed, "use GET")
 		return
@@ -130,7 +83,7 @@ func (ca *correlAPI) handleCorrelations(w http.ResponseWriter, r *http.Request) 
 		}
 	}
 
-	g := ca.b.CorrelationGraph()
+	g := a.c.CorrelationGraph()
 	edges := correlate.FilterEdges(g.Edges, int64(minSupport), minConfidence, q.Get("node"))
 	nodeCount, edgeCount := len(g.Nodes), len(edges)
 	nodes := g.Nodes
@@ -144,7 +97,7 @@ func (ca *correlAPI) handleCorrelations(w http.ResponseWriter, r *http.Request) 
 		"window_ns":  g.Window,
 		"node_mode":  g.NodeMode,
 		"events":     g.Events,
-		"settled":    ca.b.CorrelateSettled(),
+		"settled":    a.c.CorrelateSettled(),
 		"node_count": nodeCount,
 		"nodes":      nodes,
 		"edge_count": edgeCount,
@@ -156,7 +109,7 @@ func (ca *correlAPI) handleCorrelations(w http.ResponseWriter, r *http.Request) 
 // handlePredict serves the live failure-prediction view: the warnings
 // active in the horizon ending at the newest event, and the
 // per-category champion scoreboard. limit bounds both lists.
-func (ca *correlAPI) handlePredict(w http.ResponseWriter, r *http.Request) {
+func (a *shardAPI) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		httpError(w, http.StatusMethodNotAllowed, "use GET")
 		return
@@ -166,7 +119,7 @@ func (ca *correlAPI) handlePredict(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	rep := ca.b.PredictionReport()
+	rep := a.c.PredictionReport(a.opts.Predict)
 	scoreCount, warnCount := len(rep.Scoreboard), len(rep.Warnings)
 	scoreboard := rep.Scoreboard
 	if len(scoreboard) > limit {
@@ -181,7 +134,7 @@ func (ca *correlAPI) handlePredict(w http.ResponseWriter, r *http.Request) {
 		"horizon_ns":       rep.Horizon,
 		"events":           rep.Events,
 		"categories":       rep.Categories,
-		"settled":          ca.b.CorrelateSettled(),
+		"settled":          a.c.CorrelateSettled(),
 		"scoreboard_count": scoreCount,
 		"scoreboard":       scoreboard,
 		"warning_count":    warnCount,

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"reflect"
 	"testing"
 	"time"
@@ -17,11 +16,10 @@ import (
 
 // The HTTP-level correlation differential: GET /api/correlations must
 // serve a graph byte-identical to a from-scratch batch mine over the
-// same entries — through the single-store miner and through the merged
-// cluster view at shard counts {1, 2, 4, 7} — and GET /api/predict must
-// serve the identical report through both tiers (it is a pure function
-// of the merged columns). Plus the response-bounding contract: limit
-// defaults, caps, and 400s shared with /api/subscriptions.
+// same entries, and GET /api/predict the report a batch evaluation of
+// those entries produces (it is a pure function of the merged columns),
+// on every layout and shard count. Plus the response-bounding contract:
+// limit defaults, caps, and 400s shared with /api/subscriptions.
 
 // correlationsBody is the wire form of GET /api/correlations.
 type correlationsBody struct {
@@ -98,108 +96,79 @@ func correlateServeEntries(n int) []store.Entry {
 	return out
 }
 
-func TestCorrelationsEndpointSingleStore(t *testing.T) {
-	entries := correlateServeEntries(60)
-	st, err := store.Create(t.TempDir(), logrec.Liberty, store.Options{FlushEvery: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { st.Close() })
-	if err := st.Append(entries...); err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(newTestAPI(t, st, apiOptions{}))
-	t.Cleanup(srv.Close)
+func TestCorrelationsEndpoint(t *testing.T) {
+	all := correlateServeEntries(80)
+	for _, l := range layouts {
+		t.Run(l.name, func(t *testing.T) {
+			srv, c := newTestServer(t, l, all[:60], shard.Options{Store: store.Options{FlushEvery: 7}})
+			checkCorrelationsDifferential(t, srv.URL, all[:60])
 
-	checkCorrelationsDifferential(t, srv.URL, entries)
-
-	// Ingest-path appends reach the miner through the observer too:
-	// append more and re-check.
-	if err := st.Append(correlateServeEntries(80)[60:]...); err != nil {
-		t.Fatal(err)
-	}
-	checkCorrelationsDifferential(t, srv.URL, correlateServeEntries(80))
-
-	// Neighborhood + threshold filters apply server-side.
-	var filtered correlationsBody
-	getJSON(t, srv.URL+"/api/correlations?node=GM_LANAI&min_support=1&min_confidence=0.1", &filtered)
-	full := correlate.MineEntries(correlate.Config{}, correlateServeEntries(80))
-	wantEdges := correlate.FilterEdges(full.Edges, 1, 0.1, "GM_LANAI")
-	ge, _ := json.Marshal(filtered.Edges)
-	we, _ := json.Marshal(wantEdges)
-	if string(ge) != string(we) {
-		t.Fatalf("filtered edges diverge\nserved: %s\nbatch:  %s", ge, we)
-	}
-}
-
-func TestCorrelationsEndpointSharded(t *testing.T) {
-	entries := correlateServeEntries(60)
-	for _, shards := range []int{1, 2, 4, 7} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			c, _, err := shard.Create(t.TempDir(), logrec.Liberty, shards, shard.Options{
-				Store: store.Options{FlushEvery: 7},
-			})
-			if err != nil {
+			// Later appends reach the miners through the observers too:
+			// append more and re-check.
+			if _, err := c.Append(all[60:]); err != nil {
 				t.Fatal(err)
 			}
-			t.Cleanup(func() { c.Close() })
-			if _, err := c.Append(entries); err != nil {
-				t.Fatal(err)
+			checkCorrelationsDifferential(t, srv.URL, all)
+
+			// Neighborhood + threshold filters apply server-side.
+			var filtered correlationsBody
+			getJSON(t, srv.URL+"/api/correlations?node=GM_LANAI&min_support=1&min_confidence=0.1", &filtered)
+			full := correlate.MineEntries(correlate.Config{}, all)
+			wantEdges := correlate.FilterEdges(full.Edges, 1, 0.1, "GM_LANAI")
+			ge, _ := json.Marshal(filtered.Edges)
+			we, _ := json.Marshal(wantEdges)
+			if string(ge) != string(we) {
+				t.Fatalf("filtered edges diverge\nserved: %s\nbatch:  %s", ge, we)
 			}
-			srv := httptest.NewServer(newShardAPI(c, apiOptions{}))
-			t.Cleanup(srv.Close)
-			checkCorrelationsDifferential(t, srv.URL, entries)
 		})
 	}
 }
 
-// TestPredictEndpointShardedMatchesSingle: /api/predict is a pure
-// function of the merged columns, so the sharded response must equal
-// the single-store response over the same entries, at every shard
-// count.
-func TestPredictEndpointShardedMatchesSingle(t *testing.T) {
+// TestPredictEndpointMatchesBatch: /api/predict is a pure function of
+// the merged columns, so on every layout the served report must equal
+// the batch evaluation (correlate.PredictStore) over one in-process
+// store holding the same entries.
+func TestPredictEndpointMatchesBatch(t *testing.T) {
 	entries := correlateServeEntries(90)
 
 	st, err := store.Create(t.TempDir(), logrec.Liberty, store.Options{FlushEvery: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { st.Close() })
+	defer st.Close()
 	if err := st.Append(entries...); err != nil {
 		t.Fatal(err)
 	}
-	single := httptest.NewServer(newTestAPI(t, st, apiOptions{}))
-	t.Cleanup(single.Close)
-	want := getPredictSettled(t, single.URL)
-	if want["events"].(float64) == 0 {
-		t.Fatalf("single-store predict report is empty: %v", want)
+	rep, err := correlate.PredictStore(st, correlate.Config{}, correlate.PredictOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Events == 0 || len(rep.Scoreboard) == 0 {
+		t.Fatalf("batch predict report is empty: %+v", rep)
+	}
+	// The wire form of a report that fits under the limit.
+	raw, _ := json.Marshal(map[string]any{
+		"as_of": rep.AsOf, "horizon_ns": rep.Horizon, "events": rep.Events, "categories": rep.Categories,
+		"scoreboard_count": len(rep.Scoreboard), "scoreboard": rep.Scoreboard,
+		"warning_count": len(rep.Warnings), "warnings": rep.Warnings, "truncated": false,
+	})
+	var want map[string]any
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
 	}
 
-	for _, shards := range []int{1, 2, 4, 7} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			c, _, err := shard.Create(t.TempDir(), logrec.Liberty, shards, shard.Options{
-				Store: store.Options{FlushEvery: 1000},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { c.Close() })
-			if _, err := c.Append(entries); err != nil {
-				t.Fatal(err)
-			}
-			srv := httptest.NewServer(newShardAPI(c, apiOptions{}))
-			t.Cleanup(srv.Close)
-			got := getPredictSettled(t, srv.URL)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("sharded predict diverges from single store\nsharded: %v\nsingle:  %v", got, want)
+	for _, l := range layouts {
+		t.Run(l.name, func(t *testing.T) {
+			srv, _ := newTestServer(t, l, entries, shard.Options{Store: store.Options{FlushEvery: 1000}})
+			if got := getPredictSettled(t, srv.URL); !reflect.DeepEqual(got, want) {
+				t.Fatalf("served predict diverges from the batch evaluation\nserved: %v\nbatch:  %v", got, want)
 			}
 		})
 	}
 }
 
 // getPredictSettled polls /api/predict until settled, then returns the
-// body with the settled flag dropped (it is the only legal difference
-// between tiers).
+// body with the settled flag dropped (a batch evaluation has none).
 func getPredictSettled(t *testing.T, baseURL string) map[string]any {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -220,13 +189,7 @@ func getPredictSettled(t *testing.T, baseURL string) map[string]any {
 // TestListLimitValidation pins the response-bounding contract on the
 // three list endpoints: default limit, hard max, and 400 on garbage.
 func TestListLimitValidation(t *testing.T) {
-	st, err := store.Create(t.TempDir(), logrec.Liberty, store.Options{FlushEvery: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { st.Close() })
-	srv := httptest.NewServer(newTestAPI(t, st, apiOptions{}))
-	t.Cleanup(srv.Close)
+	srv, _ := newTestServer(t, flat, nil, shard.Options{Store: store.Options{FlushEvery: 1000}})
 
 	for _, path := range []string{"/api/correlations", "/api/predict", "/api/subscriptions"} {
 		for _, bad := range []string{"0", "-1", "abc", "1001", "1.5", ""} {
@@ -273,13 +236,7 @@ func TestListLimitValidation(t *testing.T) {
 // TestSubscriptionsLimitTruncates: the listing clips at limit and says
 // so, while count keeps the full population.
 func TestSubscriptionsLimitTruncates(t *testing.T) {
-	st, err := store.Create(t.TempDir(), logrec.Liberty, store.Options{FlushEvery: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { st.Close() })
-	srv := httptest.NewServer(newTestAPI(t, st, apiOptions{}))
-	t.Cleanup(srv.Close)
+	srv, _ := newTestServer(t, flat, nil, shard.Options{Store: store.Options{FlushEvery: 1000}})
 
 	for i := 0; i < 3; i++ {
 		postSubscribe(t, srv.URL, subscribeRequest{Threshold: 100 + i})
@@ -302,17 +259,7 @@ func TestSubscriptionsLimitTruncates(t *testing.T) {
 // TestCorrelationsTruncation: a limit smaller than the graph clips both
 // lists and flags it, without disturbing the counts.
 func TestCorrelationsTruncation(t *testing.T) {
-	entries := correlateServeEntries(60)
-	st, err := store.Create(t.TempDir(), logrec.Liberty, store.Options{FlushEvery: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { st.Close() })
-	if err := st.Append(entries...); err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(newTestAPI(t, st, apiOptions{}))
-	t.Cleanup(srv.Close)
+	srv, _ := newTestServer(t, flat, correlateServeEntries(60), shard.Options{Store: store.Options{FlushEvery: 1000}})
 
 	full := getCorrelationsSettled(t, srv.URL)
 	if full.EdgeCount < 2 {

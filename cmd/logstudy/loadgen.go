@@ -32,7 +32,7 @@ func runLoadgen(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("loadgen", flag.ContinueOnError)
 	target := fs.String("target", "", "base URL of a running serve endpoint (default: self-host one)")
 	dir := fs.String("dir", "", "store directory for the self-hosted server (default: a temp dir, removed at exit)")
-	shards := fs.Int("shards", 0, "self-host a sharded cluster with this many shards (0 = single store)")
+	shards := fs.Int("shards", 0, "shard count of the self-hosted store (default 1)")
 	sysName := fs.String("system", "liberty", "system whose synthetic log seeds the load")
 	ingesters := fs.Int("ingesters", 8, "closed-loop ingest workers (K)")
 	queriers := fs.Int("queriers", 4, "concurrent query workers (M)")
@@ -110,8 +110,8 @@ func runLoadgen(args []string, w io.Writer) error {
 		case err := <-serveDone:
 			return fmt.Errorf("loadgen: self-hosted server died: %w", err)
 		}
-		nShards = *shards
-		fmt.Fprintf(w, "self-hosted %s on %s (shards=%d, dir=%s)\n", *sysName, base, *shards, d)
+		nShards = max(*shards, 1)
+		fmt.Fprintf(w, "self-hosted %s on %s (shards=%d, dir=%s)\n", *sysName, base, nShards, d)
 	} else {
 		nShards, err = probeShards(base, *reqTimeout)
 		if err != nil {
@@ -145,8 +145,7 @@ func runLoadgen(args []string, w io.Writer) error {
 	return nil
 }
 
-// probeShards asks the target's /healthz how many shards it fronts
-// (absent field = single store).
+// probeShards asks the target's /healthz how many shards it fronts.
 func probeShards(base string, timeout time.Duration) (int, error) {
 	client := &http.Client{Timeout: timeout}
 	resp, err := client.Get(base + "/healthz")
@@ -211,7 +210,8 @@ func latencyMS(q map[string]float64, label string) string {
 // the ledger if absent and preserving every other section. Reports for
 // the same (system, shards, fingerprint, worker shape) are replaced
 // rather than duplicated, so repeated runs converge to one row per
-// configuration.
+// configuration. Rows written before every store was a cluster recorded a
+// single store as shards 0; they are read as the one-shard rows they are.
 func upsertLoadReport(path string, rep *loadgen.Report) error {
 	led, err := bench.ReadJSON(path)
 	if os.IsNotExist(err) {
@@ -228,6 +228,7 @@ func upsertLoadReport(path string, rep *loadgen.Report) error {
 	}
 	kept := led.LoadReports[:0]
 	for _, r := range led.LoadReports {
+		r.Shards = max(r.Shards, 1)
 		if !same(r) {
 			kept = append(kept, r)
 		}

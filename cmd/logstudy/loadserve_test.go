@@ -2,11 +2,9 @@ package main
 
 import (
 	"bufio"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -16,16 +14,12 @@ import (
 	"testing"
 	"time"
 
-	"whatsupersay/internal/cluster"
 	"whatsupersay/internal/connectors/graphite"
 	"whatsupersay/internal/faultinject/shardfault"
-	"whatsupersay/internal/filter"
-	"whatsupersay/internal/ingest"
 	"whatsupersay/internal/logrec"
 	"whatsupersay/internal/shard"
 	"whatsupersay/internal/simulate"
 	"whatsupersay/internal/store"
-	"whatsupersay/internal/tag"
 )
 
 // --- satellite 1: the request-timeout deadline must exempt SSE ---
@@ -66,18 +60,12 @@ func TestRequestDeadlineMiddleware(t *testing.T) {
 // and the server's WriteTimeout. Pre-fix (no SSE exemption in the
 // deadline wrapper) the stream dies at the first deadline window.
 func TestSSESurvivesRequestTimeout(t *testing.T) {
-	study := newTestStudy(t)
-	entries := store.FromAlerts(study.Alerts, study.Filtered)
-	st, err := store.Create(t.TempDir(), logrec.Liberty, store.Options{FlushEvery: 1 << 30})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { st.Close() })
-	if err := st.Append(entries...); err != nil {
+	c := flat.create(t, t.TempDir(), shard.Options{Store: store.Options{FlushEvery: 1 << 30}})
+	if _, err := c.Append(studyEntries(t)); err != nil {
 		t.Fatal(err)
 	}
 	reqTimeout := 150 * time.Millisecond
-	handler := newTestAPI(t, st, apiOptions{
+	handler, _ := newShardAPI(c, apiOptions{
 		RequestTimeout: reqTimeout,
 		SSEHeartbeat:   30 * time.Millisecond,
 	})
@@ -87,22 +75,7 @@ func TestSSESurvivesRequestTimeout(t *testing.T) {
 	t.Cleanup(srv.Close)
 
 	// A never-firing subscription to stream against.
-	resp, err := http.Post(srv.URL+"/api/subscribe", "application/json",
-		strings.NewReader(`{"threshold": 1000000}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sub struct {
-		ID string `json:"id"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&sub); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if sub.ID == "" {
-		t.Fatal("subscribe returned no id")
-	}
-
+	sub := postSubscribe(t, srv.URL, subscribeRequest{Threshold: 1000000})
 	stream, err := http.Get(srv.URL + "/api/subscribe/" + sub.ID + "/events")
 	if err != nil {
 		t.Fatal(err)
@@ -153,170 +126,136 @@ func TestSSESurvivesRequestTimeout(t *testing.T) {
 
 // --- satellite 2: uniform 429 retry contract ---
 
-// TestSingleStoreIngestBackpressure429 is the satellite-2 regression
-// for the single-store path: a full admission queue must produce the
-// same 429 contract the sharded tier has — Retry-After (integer
-// seconds, never 0) plus rejected_sources — instead of queueing
-// unboundedly. Pre-fix the single-store path had no admission control
-// and never 429'd, so this test fails there.
-func TestSingleStoreIngestBackpressure429(t *testing.T) {
-	st, err := store.Create(t.TempDir(), logrec.Liberty, store.Options{FlushEvery: 1 << 30})
-	if err != nil {
-		t.Fatal(err)
+// fillQueues parks one copy of body in the worker, then one in the
+// depth-1 queue, of every shard body routes to, and returns the channel
+// the two parked posts report their statuses on. Async, so the test
+// goroutine never waits on a response a wedged shard holds hostage (and
+// no t.Fatal off it — statuses are checked after).
+func fillQueues(t *testing.T, c *shard.Cluster, baseURL, body string) (parked <-chan int, touched map[int]bool) {
+	t.Helper()
+	touched = map[int]bool{}
+	for _, en := range clientPipeline(t, body) {
+		touched[shard.ShardFor(en.Record.Source, c.NumShards())] = true
 	}
-	t.Cleanup(func() { st.Close() })
-
-	gate := make(chan struct{})
-	entered := make(chan struct{}, 8)
-	handler := newTestAPI(t, st, apiOptions{
-		IngestQueueDepth: 1,
-		ingestApplyHook: func() {
-			entered <- struct{}{}
-			<-gate
-		},
-	})
-	srv := httptest.NewServer(handler)
-	t.Cleanup(srv.Close)
-
-	body := ingestTestBody(t)
-	type ingestResult struct {
-		status     int
-		retryAfter string
-		body       []byte
-	}
-	res := make(chan ingestResult, 8)
-	doPost := func() {
-		resp, err := http.Post(srv.URL+"/api/ingest", "text/plain", strings.NewReader(body))
-		if err != nil {
-			res <- ingestResult{status: -1}
-			return
-		}
-		b, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		res <- ingestResult{resp.StatusCode, resp.Header.Get("Retry-After"), b}
-	}
-
-	// First post wedges in the worker; then five contenders race for the
-	// one queue slot. Exactly one wins (and blocks behind the gate with
-	// the first), the other four must bounce with the 429 contract —
-	// whichever ones they are. Everything is async so the test goroutine
-	// never waits on a response the gate is holding hostage.
-	go doPost()
-	select {
-	case <-entered:
-	case <-time.After(10 * time.Second):
-		t.Fatal("worker never picked the first batch up")
-	}
-	for i := 0; i < 5; i++ {
-		go doPost()
-	}
-	var rejected []ingestResult
-	timeout := time.After(10 * time.Second)
-	for len(rejected) < 4 {
-		select {
-		case r := <-res:
-			if r.status != http.StatusTooManyRequests {
-				t.Fatalf("status %d before the gate opened (want only 429s): %s", r.status, r.body)
-			}
-			rejected = append(rejected, r)
-		case <-timeout:
-			t.Fatalf("admission queue never overflowed: %d/4 rejections", len(rejected))
-		}
-	}
-	for _, r := range rejected {
-		secs, err := strconv.Atoi(r.retryAfter)
-		if err != nil || secs < 1 {
-			t.Fatalf("Retry-After = %q, want integer seconds >= 1", r.retryAfter)
-		}
-		var rej shardIngestResponse
-		if err := json.Unmarshal(r.body, &rej); err != nil {
-			t.Fatal(err)
-		}
-		if len(rej.RejectedSources[0]) == 0 {
-			t.Fatalf("single-store 429 without rejected_sources: %s", r.body)
-		}
-		if rej.Rejected[0] == 0 {
-			t.Fatalf("single-store 429 without rejected count: %s", r.body)
-		}
-	}
-
-	// Release the drain: the two admitted batches land, and a retry of a
-	// bounced batch succeeds.
-	close(gate)
-	for ok := 0; ok < 2; {
-		select {
-		case r := <-res:
-			if r.status != http.StatusOK {
-				t.Fatalf("admitted post finished with %d: %s", r.status, r.body)
-			}
-			ok++
-		case <-time.After(10 * time.Second):
-			t.Fatal("admitted batches never completed after release")
-		}
-	}
-	resp, err := http.Post(srv.URL+"/api/ingest", "text/plain", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("post-release retry: %d", resp.StatusCode)
-	}
-}
-
-// TestShardedRetryAfterTracksDrainRate is the satellite-2 regression
-// for the sharded path: Retry-After must reflect the measured queue
-// drain rate, not a fixed constant. With a ~1.2s-per-batch backend and
-// two batches pending, an honest hint is >= 2 seconds; the pre-fix code
-// always returned the configured default (1).
-func TestShardedRetryAfterTracksDrainRate(t *testing.T) {
-	body := ingestTestBody(t)
-	root := t.TempDir()
-	open, faulty := faultyOpenStore(root)
-	c, _, err := shard.Create(root, logrec.Liberty, 1, shard.Options{
-		Store:      store.Options{FlushEvery: 1 << 30},
-		OpenStore:  open,
-		QueueDepth: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	srv := httptest.NewServer(newShardAPI(c, apiOptions{}))
-	defer srv.Close()
-
-	const delay = 1200 * time.Millisecond
-	faulty(0).SetFaults(shardfault.StoreFaults{AppendDelay: delay})
-
-	// Seed the drain EWMA: one slow batch, synchronously.
-	postLines(t, srv.URL, body, http.StatusOK)
-
-	// Park one batch in the worker and one in the queue.
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
+	statuses := make(chan int, 2)
+	for queued := 0; queued < 2; queued++ {
 		go func() {
-			defer wg.Done()
-			resp, err := http.Post(srv.URL+"/api/ingest", "text/plain", strings.NewReader(body))
+			resp, err := http.Post(baseURL+"/api/ingest", "text/plain", strings.NewReader(body))
 			if err != nil {
+				statuses <- -1
 				return
 			}
 			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
+			statuses <- resp.StatusCode
 		}()
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		h := c.Health()[0]
-		if h.Inflight == 1 && h.QueueDepth == 1 {
-			break
+		deadline := time.Now().Add(10 * time.Second)
+		for full := false; !full; time.Sleep(time.Millisecond) {
+			full = true
+			for _, h := range c.Health() {
+				full = full && (!touched[h.ID] || (h.Inflight == 1 && h.QueueDepth == queued))
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("queues never filled: %+v", c.Health())
+			}
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("queue never filled: %+v", c.Health())
-		}
-		time.Sleep(time.Millisecond)
 	}
+	return statuses, touched
+}
+
+// TestIngestBackpressure429 pins the admission contract on every layout:
+// with each shard's appends wedged behind a hold and its worker and
+// depth-1 queue occupied, the next post bounces at once with 429 +
+// Retry-After (integer seconds, never 0) and a body naming, per rejected
+// shard, the bounced count and sources — the retry unit is those
+// sources' records, never the whole batch (healthy shards' slices are
+// already durable and would duplicate on replay). Releasing the hold
+// drains everything and a retry lands.
+func TestIngestBackpressure429(t *testing.T) {
+	body := ingestTestBody(t)
+	for _, l := range layouts {
+		t.Run(l.name, func(t *testing.T) {
+			open, setFaults := faultyOpenStore()
+			c := l.create(t, t.TempDir(), shard.Options{
+				Store:      store.Options{FlushEvery: 1 << 30},
+				OpenStore:  open,
+				QueueDepth: 1,
+				RetryAfter: 2 * time.Second,
+			})
+			srv := serveCluster(t, c, apiOptions{})
+			hold := make(chan struct{})
+			setFaults(shardfault.StoreFaults{AppendHold: hold})
+			parked, touched := fillQueues(t, c, srv.URL, body)
+
+			// The third post is rejected immediately — backpressure, not a hang.
+			resp, err := http.Post(srv.URL+"/api/ingest", "text/plain", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusTooManyRequests {
+				t.Fatalf("overflow post: %d: %s", resp.StatusCode, raw)
+			}
+			// No batch has drained yet, so the hint is the configured fallback.
+			if ra := resp.Header.Get("Retry-After"); ra != "2" {
+				t.Fatalf("Retry-After = %q, want \"2\"", ra)
+			}
+			var rej ingestResponse
+			if err := json.Unmarshal(raw, &rej); err != nil {
+				t.Fatal(err)
+			}
+			if len(rej.Rejected) != len(touched) || rej.Appended != 0 {
+				t.Fatalf("429 detail %+v, want all %d touched shards rejecting", rej, len(touched))
+			}
+			for id := range touched {
+				if rej.Rejected[id] == 0 || len(rej.RejectedSources[id]) == 0 {
+					t.Fatalf("429 without rejected count or rejected_sources for shard %d: %s", id, raw)
+				}
+			}
+
+			close(hold)
+			for i := 0; i < 2; i++ {
+				select {
+				case status := <-parked:
+					if status != http.StatusOK {
+						t.Errorf("parked post finished with %d, want 200", status)
+					}
+				case <-time.After(10 * time.Second):
+					t.Fatal("parked posts never completed after release")
+				}
+			}
+			if !c.WaitQueuesIdle(10 * time.Second) {
+				t.Fatal("queues never drained after release")
+			}
+			before := c.Len()
+			postLines(t, srv.URL, body, http.StatusOK)
+			if c.Len() <= before || before == 0 {
+				t.Fatalf("held ingests or the retry never landed: %d then %d entries", before, c.Len())
+			}
+		})
+	}
+}
+
+// TestRetryAfterTracksDrainRate: Retry-After must reflect the measured
+// queue drain rate, not a fixed constant. With a ~1.2s-per-batch backend
+// and two batches pending, an honest hint is >= 2 seconds; a fixed
+// default would say 1.
+func TestRetryAfterTracksDrainRate(t *testing.T) {
+	body := ingestTestBody(t)
+	open, setFaults := faultyOpenStore()
+	c := flat.create(t, t.TempDir(), shard.Options{
+		Store:      store.Options{FlushEvery: 1 << 30},
+		OpenStore:  open,
+		QueueDepth: 1,
+	})
+	srv := serveCluster(t, c, apiOptions{})
+	setFaults(shardfault.StoreFaults{AppendDelay: 1200 * time.Millisecond})
+
+	// Seed the drain EWMA with one slow batch, synchronously; then occupy
+	// the worker and the queue.
+	postLines(t, srv.URL, body, http.StatusOK)
+	parked, _ := fillQueues(t, c, srv.URL, body)
 
 	resp, err := http.Post(srv.URL+"/api/ingest", "text/plain", strings.NewReader(body))
 	if err != nil {
@@ -324,22 +263,14 @@ func TestShardedRetryAfterTracksDrainRate(t *testing.T) {
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
-	wg.Wait()
+	<-parked
+	<-parked
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("overflow post: %d", resp.StatusCode)
 	}
 	ra := resp.Header.Get("Retry-After")
-	secs, err := strconv.Atoi(ra)
-	if err != nil {
-		t.Fatalf("Retry-After %q is not integer seconds", ra)
-	}
-	// Two pending batches at ~1.2s each: an honest hint is >= 2s. The
-	// pre-fix fixed default was 1.
-	if secs < 2 {
-		t.Fatalf("Retry-After = %d, want >= 2 (drain-rate derived)", secs)
-	}
-	if secs > 60 {
-		t.Fatalf("Retry-After = %d, beyond the clamp", secs)
+	if secs, err := strconv.Atoi(ra); err != nil || secs < 2 || secs > 60 {
+		t.Fatalf("Retry-After = %q, want integer seconds in [2, 60] (drain-rate derived, clamped)", ra)
 	}
 }
 
@@ -365,33 +296,10 @@ func TestRetryAfterEstimateNeverZero(t *testing.T) {
 
 // --- satellite 3: graceful shutdown under load ---
 
-// ackedBatch is one client-side record of a 200-acked ingest body.
-type ackedBatch struct {
-	body string
-}
-
 // entryKey is the Seq-independent identity used to compare acked
 // batches against a reopened store.
 func entryKey(en store.Entry) string {
 	return fmt.Sprintf("%d|%s|%s|%s|%t", en.Record.Time.UnixNano(), en.Record.Source, en.Category, en.Record.Body, en.Kept)
-}
-
-// clientPipeline replays a raw body through the exact stages the server
-// runs, yielding the entries a 200 ack promised were appended.
-func clientPipeline(t *testing.T, body string) []store.Entry {
-	t.Helper()
-	m, err := cluster.New(logrec.Liberty)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs, _, err := ingest.ReadAll(strings.NewReader(body), logrec.Liberty, m.LogStart)
-	if err != nil {
-		t.Fatal(err)
-	}
-	alerts := tag.NewTagger(logrec.Liberty).TagAll(recs)
-	tag.SortAlerts(alerts)
-	filtered := filter.Simultaneous{T: filter.DefaultThreshold}.Filter(alerts)
-	return store.FromAlerts(alerts, filtered)
 }
 
 // TestGracefulShutdownUnderLoad is the satellite-3 kill test: SIGTERM
@@ -402,46 +310,16 @@ func clientPipeline(t *testing.T, body string) []store.Entry {
 // 200-acked batch durable in the reopened store.
 func TestGracefulShutdownUnderLoad(t *testing.T) {
 	dir := t.TempDir()
-	b, err := openServeBackend(serveBackendConfig{
+	base, _, stop := startServe(t, serveBackendConfig{
 		Dir:       dir,
 		SysName:   "liberty",
 		StoreOpts: store.Options{FlushEvery: 1 << 30},
-	}, io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	ready := make(chan net.Addr, 1)
-	errc := make(chan error, 1)
-	go func() {
-		errc <- serveAndWait(ctx, b, "127.0.0.1:0", 0, 5*time.Second, io.Discard,
-			func(a net.Addr) { ready <- a })
-	}()
-	var base string
-	select {
-	case a := <-ready:
-		base = "http://" + a.String()
-	case err := <-errc:
-		t.Fatalf("server died before ready: %v", err)
-	}
+	})
 
 	// An SSE subscriber — the connection that wedged pre-fix shutdown.
-	resp, err := http.Post(base+"/api/subscribe", "application/json",
-		strings.NewReader(`{"threshold": 1000000}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sub struct {
-		ID string `json:"id"`
-	}
-	json.NewDecoder(resp.Body).Decode(&sub)
-	resp.Body.Close()
-	stream, err := http.Get(base + "/api/subscribe/" + sub.ID + "/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stream.Body.Close()
+	sub := postSubscribe(t, base, subscribeRequest{Threshold: 1000000})
+	stream := openSSE(t, base+"/api/subscribe/"+sub.ID+"/events")
+	defer stream.close()
 
 	// Concurrent ingesters: each pulls distinct batches and logs what
 	// the server acked with a 200.
@@ -457,7 +335,7 @@ func TestGracefulShutdownUnderLoad(t *testing.T) {
 	}
 	var next atomic.Int64
 	var mu sync.Mutex
-	var acked []ackedBatch
+	var acked []string // bodies the server answered 200 to
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -476,7 +354,7 @@ func TestGracefulShutdownUnderLoad(t *testing.T) {
 				resp.Body.Close()
 				if resp.StatusCode == http.StatusOK {
 					mu.Lock()
-					acked = append(acked, ackedBatch{body: batches[i]})
+					acked = append(acked, batches[i])
 					mu.Unlock()
 				}
 			}
@@ -486,13 +364,7 @@ func TestGracefulShutdownUnderLoad(t *testing.T) {
 	// Let load build, then pull the plug mid-flight.
 	time.Sleep(250 * time.Millisecond)
 	shutStart := time.Now()
-	cancel()
-	var serveErr error
-	select {
-	case serveErr = <-errc:
-	case <-time.After(10 * time.Second):
-		t.Fatal("serveAndWait never returned")
-	}
+	serveErr := stop()
 	shutDur := time.Since(shutStart)
 	wg.Wait()
 	if serveErr != nil {
@@ -509,8 +381,9 @@ func TestGracefulShutdownUnderLoad(t *testing.T) {
 		t.Fatal("no batches were acked before shutdown; test proves nothing")
 	}
 
-	// Replay the client-side success log against the reopened store:
-	// every acked entry must be there.
+	// Replay the client-side success log against the directory reopened
+	// as the plain store a default serve leaves behind: every acked entry
+	// must be there.
 	st, _, err := store.Open(dir, store.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -524,8 +397,8 @@ func TestGracefulShutdownUnderLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := map[string]int{}
-	for _, ab := range acked {
-		for _, en := range clientPipeline(t, ab.body) {
+	for _, body := range acked {
+		for _, en := range clientPipeline(t, body) {
 			want[entryKey(en)]++
 		}
 	}
@@ -550,26 +423,14 @@ func TestServeGraphitePausedSinkNoStall(t *testing.T) {
 	}
 	defer sink.Close()
 
-	b, err := openServeBackend(serveBackendConfig{
+	base, b, stop := startServe(t, serveBackendConfig{
 		Dir:            t.TempDir(),
 		SysName:        "liberty",
 		StoreOpts:      store.Options{FlushEvery: 1 << 30},
 		GraphiteAddr:   sink.Addr(),
 		GraphiteEvery:  20 * time.Millisecond,
 		GraphitePrefix: "logstudy",
-	}, io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	ready := make(chan net.Addr, 1)
-	errc := make(chan error, 1)
-	go func() {
-		errc <- serveAndWait(ctx, b, "127.0.0.1:0", 0, 5*time.Second, io.Discard,
-			func(a net.Addr) { ready <- a })
-	}()
-	base := "http://" + (<-ready).String()
+	})
 
 	body := ingestTestBody(t)
 	post := func() time.Duration {
@@ -640,13 +501,7 @@ func TestServeGraphitePausedSinkNoStall(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 
-	cancel()
-	select {
-	case err := <-errc:
-		if err != nil {
-			t.Fatalf("shutdown with graphite attached: %v", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("shutdown wedged behind the paused-then-resumed sink")
+	if err := stop(); err != nil {
+		t.Fatalf("shutdown with graphite attached: %v", err)
 	}
 }

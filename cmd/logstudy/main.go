@@ -18,7 +18,7 @@
 //	logstudy rules [-system NAME] [-export]
 //	logstudy bench [-system NAME|all] [-scale S] [-seed N] [-iters N] [-workers N] [-o FILE]
 //	logstudy build-store -dir DIR [-system NAME] [-scale S] [-seed N] [-in FILE] [-compact]
-//	logstudy serve -dir DIR [-addr ADDR] [-system NAME] [-max-body N] [-cache N] [-compact-every D] [-retention D] [-graphite ADDR]
+//	logstudy serve -dir DIR [-addr ADDR] [-system NAME] [-shards N] [-max-body N] [-cache N] [-compact-every D] [-retention D] [-graphite ADDR]
 //	logstudy loadgen [-target URL | -shards N] [-system NAME] [-ingesters K] [-queriers M] [-ramp-steps N] [-o FILE]
 //	logstudy compact -dir DIR [-target N] [-retention D]
 //	logstudy correlate -dir DIR [-window D] [-nodes MODE] [-min-support N] [-min-confidence P] [-top N] [-json] [-predict]

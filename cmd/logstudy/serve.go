@@ -3,11 +3,9 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"net/url"
 	"os"
@@ -17,15 +15,11 @@ import (
 	"syscall"
 	"time"
 
-	"whatsupersay/internal/cluster"
 	"whatsupersay/internal/correlate"
-	"whatsupersay/internal/filter"
-	"whatsupersay/internal/ingest"
 	"whatsupersay/internal/logrec"
 	"whatsupersay/internal/obs"
 	"whatsupersay/internal/query"
 	"whatsupersay/internal/store"
-	"whatsupersay/internal/tag"
 )
 
 // runServe answers alert queries out of a store built by `build-store`
@@ -35,14 +29,16 @@ import (
 //
 //	GET  /api/query      matching entries (filter params + limit)
 //	GET  /api/aggregate  the standard aggregation over the match
-//	GET  /api/segments   the store's sealed-segment inventory
+//	GET  /api/segments   every shard's sealed-segment inventory
+//	GET  /api/shards     every shard's breaker, queue and store state
 //	POST /api/ingest     raw log lines -> tag -> filter -> append
-//	GET  /healthz        liveness
+//	GET  /healthz        liveness and the shard count
 //
-// With -shards N the same API fronts a sharded cluster (internal/shard)
-// instead of one store: ingest routes by source hash, queries
-// scatter-gather with per-shard breakers and deadlines, responses carry
-// coverage metadata, and GET /api/shards reports per-shard health.
+// The store is always a cluster (internal/shard) of one or more shards:
+// ingest routes by source hash, queries scatter-gather with per-shard
+// breakers and deadlines, and responses carry coverage metadata. A
+// one-shard cluster is a plain store directory, so what `build-store`
+// wrote is served in place.
 func runServe(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	dir := fs.String("dir", "", "store directory (required)")
@@ -55,7 +51,7 @@ func runServe(args []string, w io.Writer) error {
 	compactEvery := fs.Duration("compact-every", 0, "run retention + compaction in the background on this interval (0 = never)")
 	compactTarget := fs.Int("compact-target", 0, "merged-segment size goal, in entries (default 4x flush-every)")
 	retention := fs.Duration("retention", 0, "drop segments older than this horizon before the newest record (0 = keep everything)")
-	shards := fs.Int("shards", 0, "serve a sharded cluster with N shards (0 = single store; existing clusters use their on-disk shape)")
+	shards := fs.Int("shards", 0, "shard count when creating the store (default 1); an existing directory keeps its on-disk shape, and naming another is a usage error")
 	reqTimeout := fs.Duration("request-timeout", 30*time.Second, "per-request deadline on query/aggregate handlers (0 = none)")
 	shutdownGrace := fs.Duration("shutdown-grace", defaultShutdownGrace, "budget for draining in-flight requests on SIGTERM")
 	corrWindow := fs.Duration("correlate-window", correlate.DefaultWindow, "co-occurrence window for the online correlation miner")
@@ -88,7 +84,6 @@ func runServe(args []string, w io.Writer) error {
 			MaxBody: *maxBody, CacheSize: *cacheSize, RequestTimeout: *reqTimeout,
 			Correlate: correlate.Config{Window: *corrWindow, NodeMode: nodeMode},
 		},
-		CacheSize:      *cacheSize,
 		GraphiteAddr:   *graphiteAddr,
 		GraphiteEvery:  *graphiteEvery,
 		GraphitePrefix: *graphitePrefix,
@@ -125,44 +120,21 @@ type apiOptions struct {
 	// MaxBody caps POST /api/ingest bodies in bytes (defaultMaxBody
 	// when zero; negative disables the cap — tests only).
 	MaxBody int64
-	// CacheSize enables the aggregate-result cache with this many
-	// entries (0 disables it).
+	// CacheSize enables the cluster's aggregate-result cache with this
+	// many entries (0 disables it).
 	CacheSize int
 	// RequestTimeout bounds each query/aggregate handler: the request
 	// context gets this deadline and the scan aborts cooperatively when
 	// it passes (0 = no per-request deadline).
 	RequestTimeout time.Duration
-	// DisableColumnar forces the engine's row-decode aggregate path —
-	// the reference side of the columnar differential tests.
-	DisableColumnar bool
 	// Correlate configures the online correlation miner behind
 	// /api/correlations (zero value = defaults).
 	Correlate correlate.Config
-	// CorrelateArtifact is where the miner persists its graph for warm
-	// starts (empty disables persistence — tests).
-	CorrelateArtifact string
 	// Predict tunes the /api/predict evaluation (zero value = defaults).
 	Predict correlate.PredictOptions
-	// IngestQueueDepth bounds the single-store ingest admission queue
-	// (default defaultIngestQueueDepth). Overflow is rejected with 429 +
-	// Retry-After, matching the sharded tier's contract.
-	IngestQueueDepth int
 	// SSEHeartbeat overrides the SSE comment-heartbeat cadence (default
 	// sseHeartbeat; tests shrink it to cross deadline windows quickly).
 	SSEHeartbeat time.Duration
-	// ingestApplyHook, when set, runs inside the ingest queue's worker
-	// just before each batch applies — a test seam to wedge or slow the
-	// drain without faulting the store.
-	ingestApplyHook func()
-}
-
-// requestContext applies the configured per-request deadline to an
-// incoming request's context.
-func (o apiOptions) requestContext(r *http.Request) (context.Context, context.CancelFunc) {
-	if o.RequestTimeout <= 0 {
-		return r.Context(), func() {}
-	}
-	return context.WithTimeout(r.Context(), o.RequestTimeout)
 }
 
 // isSSERequest recognizes GET /api/subscribe/{id}/events — the one
@@ -194,109 +166,6 @@ func (o apiOptions) withRequestDeadlines(h http.Handler) http.Handler {
 	})
 }
 
-// api serves one store. Handlers are pure views over the store and the
-// query engine, so the differential tests can drive them through
-// httptest against the batch pipeline's answers.
-type api struct {
-	st   *store.Store
-	eng  *query.Engine
-	opts apiOptions
-	q    *ingestQueue
-}
-
-// apiServer is the single-store handler plus the push tier behind it:
-// the standing-query registry and the correlation miner, both fed by
-// the store's (single, multiplexed) mutation observer.
-type apiServer struct {
-	http.Handler
-	st    *store.Store
-	reg   *query.Registry
-	miner *correlate.Miner
-	q     *ingestQueue
-	hub   *pushHub
-}
-
-// Close shuts the push tier down in warm-start-preserving order: first
-// drain the ingest admission queue (every batch a client got a 200 for
-// must reach the wal before anything seals — the durability ordering
-// the loadgen kill test pins), then seal the tail while the miner still
-// observes (so the persisted artifact's fingerprint matches the store a
-// reopen will see), detach the observer, close the miner (final
-// artifact save), then the registry. The store stays open — the caller
-// owns it, and its own Close's seal finds an empty tail, a no-op that
-// leaves the fingerprint stable.
-func (a *apiServer) Close() error {
-	a.q.close()
-	err := a.st.Seal()
-	a.st.SetObserver(nil)
-	a.miner.Close()
-	a.reg.Close()
-	return err
-}
-
-// BeginShutdown tells long-lived push streams (SSE) to finish so the
-// HTTP server's graceful Shutdown can complete; request/response
-// traffic is unaffected.
-func (a *apiServer) BeginShutdown() { a.hub.beginShutdown() }
-
-// newAPI builds the HTTP handler for one open store, including the
-// standing-query subscription endpoints (a registry observes the
-// store's mutation stream and its fires flow into a push hub) and the
-// correlation miner behind /api/correlations and /api/predict. The
-// error is the miner's baseline scan failing. Call Close before
-// closing the store.
-func newAPI(st *store.Store, opts apiOptions) (*apiServer, error) {
-	eng := &query.Engine{Store: st, DisableColumnar: opts.DisableColumnar}
-	if opts.CacheSize > 0 {
-		eng.EnableCache(opts.CacheSize)
-	}
-	if opts.MaxBody == 0 {
-		opts.MaxBody = defaultMaxBody
-	}
-	a := &api{st: st, eng: eng, opts: opts}
-	a.q = newIngestQueue(opts.IngestQueueDepth, 0, func(entries []store.Entry) error {
-		return st.Append(entries...)
-	}, opts.ingestApplyHook)
-	mux := http.NewServeMux()
-	mux.HandleFunc("/api/query", instrument("/api/query", a.handleQuery))
-	mux.HandleFunc("/api/aggregate", instrument("/api/aggregate", a.handleAggregate))
-	mux.HandleFunc("/api/segments", instrument("/api/segments", a.handleSegments))
-	mux.HandleFunc("/api/ingest", instrument("/api/ingest", a.handleIngest))
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprintln(w, `{"ok":true}`)
-	})
-
-	reg := query.NewRegistry(st)
-	miner := correlate.NewMiner(st, opts.Correlate, opts.CorrelateArtifact)
-	// One observer per store: fan the stream out to both consumers.
-	st.SetObserver(func(mu store.Mutation) {
-		reg.OnMutation(mu)
-		miner.OnMutation(mu)
-	})
-	if err := miner.Init(); err != nil {
-		st.SetObserver(nil)
-		miner.Close()
-		reg.Close()
-		return nil, fmt.Errorf("correlate init: %w", err)
-	}
-	hub := newPushHub()
-	reg.SetNotify(func(ev query.StandingEvent) {
-		hub.dispatch(subEvent{
-			SubscriptionID: ev.SubscriptionID,
-			Seq:            ev.Seq,
-			Threshold:      ev.Threshold,
-			Total:          ev.Total,
-			Aggregate:      ev.Aggregate,
-		})
-	})
-	sub := &subAPI{b: registryStanding{reg: reg, sys: st.System()}, hub: hub, opts: opts}
-	sub.register(mux)
-	ca := &correlAPI{b: minerCorrelate{m: miner, live: correlate.NewLiveService(miner, opts.Predict)}}
-	ca.register(mux)
-	return &apiServer{Handler: opts.withRequestDeadlines(mux), st: st, reg: reg, miner: miner, q: a.q, hub: hub}, nil
-}
-
 // instrument wraps a handler with per-path request latency and count
 // metrics on the process registry, so `-http` exposes serve telemetry
 // next to the pipeline stages.
@@ -311,25 +180,16 @@ func instrument(path string, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// timeoutStatus maps a handler error to its status: a scan that hit the
-// per-request deadline is the server refusing to spend more, 503; any
-// other engine failure is a plain 500.
-func timeoutStatus(err error) int {
-	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-		return http.StatusServiceUnavailable
-	}
-	return http.StatusInternalServerError
-}
-
 // httpError reports an error as a JSON body with the given status.
 func httpError(w http.ResponseWriter, status int, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
+	writeJSONStatus(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
+func writeJSON(w http.ResponseWriter, v any) { writeJSONStatus(w, http.StatusOK, v) }
+
+func writeJSONStatus(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(v)
 }
 
@@ -337,8 +197,7 @@ func writeJSON(w http.ResponseWriter, v any) {
 // from/to (RFC 3339), source/category/severity (comma-separated), kept,
 // body (substring-of-message predicate; such filters take the row-
 // decode path, see DESIGN.md §11) — for a store of the given system
-// (severities parse on its native scale). Both the single-store and the
-// sharded API share it.
+// (severities parse on its native scale).
 func parseFilter(sys logrec.System, q url.Values) (store.Filter, error) {
 	var f store.Filter
 	var err error
@@ -373,7 +232,7 @@ func parseFilter(sys logrec.System, q url.Values) (store.Filter, error) {
 }
 
 // parseAggregateOptions reads the topk/quantiles parameters shared by
-// both aggregate handlers.
+// /api/aggregate and POST /api/subscribe.
 func parseAggregateOptions(q url.Values) (query.AggregateOptions, error) {
 	var opts query.AggregateOptions
 	var err error
@@ -460,164 +319,4 @@ func toEntryJSON(en store.Entry) entryJSON {
 		Body:     en.Record.Body,
 		Kept:     en.Kept,
 	}
-}
-
-// handleQuery returns the matching entries in canonical order.
-func (a *api) handleQuery(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
-	q := r.URL.Query()
-	f, err := parseFilter(a.st.System(), q)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	limit, err := parseLimit(q)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	ctx, cancel := a.opts.requestContext(r)
-	defer cancel()
-	entries, stats, err := a.eng.SelectContext(ctx, f, limit)
-	if err != nil {
-		httpError(w, timeoutStatus(err), "%v", err)
-		return
-	}
-	out := make([]entryJSON, 0, len(entries))
-	for _, en := range entries {
-		out = append(out, toEntryJSON(en))
-	}
-	writeJSON(w, map[string]any{"stats": stats, "count": len(out), "entries": out})
-}
-
-// handleAggregate computes the standard aggregation server-side. The
-// "aggregate" field is byte-identical to running query.Aggregate over
-// the batch pipeline's output on the same records — the differential
-// tests in serve_test.go pin that.
-func (a *api) handleAggregate(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
-	q := r.URL.Query()
-	f, err := parseFilter(a.st.System(), q)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	opts, err := parseAggregateOptions(q)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	ctx, cancel := a.opts.requestContext(r)
-	defer cancel()
-	agg, stats, err := a.eng.AggregateContext(ctx, f, opts)
-	if err != nil {
-		httpError(w, timeoutStatus(err), "%v", err)
-		return
-	}
-	writeJSON(w, map[string]any{"stats": stats, "aggregate": agg})
-}
-
-// handleSegments reports the store's physical layout.
-func (a *api) handleSegments(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
-	segs := a.st.Segments()
-	writeJSON(w, map[string]any{
-		"system":        a.st.System().ShortName(),
-		"segments":      segs,
-		"tail_entries":  a.st.TailLen(),
-		"total_entries": a.st.Len(),
-	})
-}
-
-// ingestResponse summarizes one POST /api/ingest batch.
-type ingestResponse struct {
-	Lines       int `json:"lines"`
-	ParseErrors int `json:"parse_errors"`
-	Alerts      int `json:"alerts"`
-	Kept        int `json:"kept"`
-	Appended    int `json:"appended"`
-}
-
-// handleIngest streams raw log lines through the batch pipeline's exact
-// stages — parse, tag, canonical sort, Algorithm 3.1 — and appends the
-// result to the store via the same store.FromAlerts conversion
-// build-store uses, so served aggregates stay differential-equal to the
-// batch pipeline no matter which path loaded the records.
-func (a *api) handleIngest(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "use POST")
-		return
-	}
-	sys := a.st.System()
-	m, err := cluster.New(sys)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	body := r.Body
-	if a.opts.MaxBody > 0 {
-		// The cap also closes the connection on overrun, so a client
-		// streaming an unbounded body cannot hold the handler hostage.
-		body = http.MaxBytesReader(w, r.Body, a.opts.MaxBody)
-	}
-	recs, stats, err := ingest.ReadAll(body, sys, m.LogStart)
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			httpError(w, http.StatusRequestEntityTooLarge, "ingest: body exceeds %d bytes", tooBig.Limit)
-			return
-		}
-		httpError(w, http.StatusBadRequest, "ingest: %v", err)
-		return
-	}
-	alerts := tag.NewTagger(sys).TagAll(recs)
-	tag.SortAlerts(alerts)
-	filtered := filter.Simultaneous{T: filter.DefaultThreshold}.Filter(alerts)
-	entries := store.FromAlerts(alerts, filtered)
-	summary := ingestResponse{
-		Lines:       stats.Lines,
-		ParseErrors: stats.ParseErrors,
-		Alerts:      len(alerts),
-		Kept:        len(filtered),
-	}
-	if len(entries) == 0 {
-		writeJSON(w, summary)
-		return
-	}
-	// Admission goes through the bounded queue so sustained overload
-	// surfaces as 429 + Retry-After with the same rejected_sources body
-	// the sharded tier sends (shard id 0) — one retry contract for every
-	// client. The 200 is written only after the worker applied the
-	// batch: an acked batch is in the wal.
-	done, retryAfter := a.q.offer(entries)
-	if done == nil {
-		if retryAfter <= 0 {
-			httpError(w, http.StatusServiceUnavailable, "ingest: shutting down")
-			return
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(retryAfter.Seconds()))))
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusTooManyRequests)
-		json.NewEncoder(w).Encode(shardIngestResponse{
-			ingestResponse:  summary,
-			Rejected:        map[int]int{0: len(entries)},
-			RejectedSources: map[int][]string{0: entrySources(entries)},
-		})
-		return
-	}
-	if err := <-done; err != nil {
-		httpError(w, http.StatusInternalServerError, "append: %v", err)
-		return
-	}
-	summary.Appended = len(entries)
-	writeJSON(w, summary)
 }

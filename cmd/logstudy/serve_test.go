@@ -1,21 +1,30 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"whatsupersay/internal/cluster"
 	"whatsupersay/internal/core"
+	"whatsupersay/internal/faultinject/shardfault"
 	"whatsupersay/internal/filter"
 	"whatsupersay/internal/ingest"
 	"whatsupersay/internal/logrec"
 	"whatsupersay/internal/query"
+	"whatsupersay/internal/shard"
 	"whatsupersay/internal/simulate"
 	"whatsupersay/internal/store"
 	"whatsupersay/internal/tag"
@@ -24,55 +33,105 @@ import (
 // The differential contract under test: every /api/aggregate response
 // must be byte-identical to running query.Aggregate over the batch
 // pipeline's output (store.FromAlerts of the study's alerts) on the
-// same records. The store and the HTTP layer are an optimization,
-// never a semantics change.
+// same records, whatever shape the directory behind the server has.
+// The store, the shard router and the HTTP layer are an optimization,
+// never a semantics change — and when shards fail, responses stay HTTP
+// 200 with partial:true and coverage that accounts for every shard,
+// until none answers (503).
 
 const testScale = 0.00005
 
-// newTestAPI builds the single-store handler, failing the test on a
-// miner baseline error and closing the push tier (registry + miner) at
-// cleanup, before the store's own cleanup closes the store.
-func newTestAPI(t *testing.T, st *store.Store, opts apiOptions) http.Handler {
+// layout is one on-disk shape serve must answer identically over.
+type layout struct {
+	name   string
+	shards int
+	// manifest puts the single shard behind a CLUSTER file in shard-00/,
+	// the layout one-shard clusters had before the flat one.
+	manifest bool
+}
+
+// layouts is the table every serve differential runs over; flat is the
+// shape a plain `serve -system X` and `build-store` both leave on disk.
+var (
+	flat       = layout{name: "flat-1", shards: 1}
+	twoShards  = layout{name: "2", shards: 2}
+	fourShards = layout{name: "4", shards: 4}
+	layouts    = []layout{flat, {name: "manifest-1", shards: 1, manifest: true}, twoShards, fourShards, {name: "7", shards: 7}}
+)
+
+// create makes an empty Liberty cluster of this layout in dir, closed at
+// cleanup.
+func (l layout) create(t *testing.T, dir string, opts shard.Options) *shard.Cluster {
 	t.Helper()
-	as, err := newAPI(st, opts)
+	if l.manifest {
+		m := fmt.Sprintf(`{"version":1,"shards":%d,"system":"liberty"}`+"\n", l.shards)
+		if err := os.WriteFile(filepath.Join(dir, "CLUSTER"), []byte(m), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c, rep, err := shard.Create(dir, logrec.Liberty, l.shards, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { as.Close() })
-	return as
+	t.Cleanup(func() { c.Close() })
+	if len(rep.Quarantined) != 0 && opts.OpenStore == nil {
+		t.Fatalf("fresh cluster quarantined shards: %v", rep.Quarantined)
+	}
+	return c
 }
 
-// newTestStudy runs the batch pipeline once at test scale.
-func newTestStudy(t *testing.T) *core.Study {
+// serveCluster serves c through the real handler.
+func serveCluster(t *testing.T, c *shard.Cluster, opts apiOptions) *httptest.Server {
+	t.Helper()
+	handler, _ := newShardAPI(c, opts)
+	srv := httptest.NewServer(handler)
+	t.Cleanup(srv.Close)
+	return srv
+}
+
+// newTestServer loads entries into a cluster of layout l and serves it.
+// Unless opts says otherwise, the flush size leaves several sealed
+// segments plus a tail on every shard, so queries cross every storage
+// tier.
+func newTestServer(t *testing.T, l layout, entries []store.Entry, opts shard.Options) (*httptest.Server, *shard.Cluster) {
+	t.Helper()
+	if opts.Store.FlushEvery == 0 {
+		opts.Store.FlushEvery = len(entries)/(3*l.shards) + 1
+	}
+	c := l.create(t, t.TempDir(), opts)
+	if len(entries) > 0 {
+		ar, err := c.Append(entries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ar.Appended != len(entries) {
+			t.Fatalf("append did not land in full: %+v", ar)
+		}
+	}
+	return serveCluster(t, c, apiOptions{}), c
+}
+
+func sumValues(m map[int]int) int {
+	var n int
+	for _, v := range m {
+		n += v
+	}
+	return n
+}
+
+// studyEntries runs the batch pipeline once at test scale and returns
+// its output in store form.
+func studyEntries(t *testing.T) []store.Entry {
 	t.Helper()
 	s, err := core.New(simulate.Config{System: logrec.Liberty, Scale: testScale, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s
-}
-
-// newTestServer loads the study into a multi-segment store and serves
-// it through the real API handler.
-func newTestServer(t *testing.T, s *core.Study) (*httptest.Server, []store.Entry) {
-	t.Helper()
 	entries := store.FromAlerts(s.Alerts, s.Filtered)
 	if len(entries) < 20 {
 		t.Fatalf("test study too small: %d entries", len(entries))
 	}
-	// A small segment size forces several sealed segments plus a tail,
-	// so queries cross every storage tier.
-	st, err := store.Create(t.TempDir(), logrec.Liberty, store.Options{FlushEvery: len(entries)/3 + 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { st.Close() })
-	if err := st.Append(entries...); err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(newTestAPI(t, st, apiOptions{}))
-	t.Cleanup(srv.Close)
-	return srv, entries
+	return entries
 }
 
 // matchesFilter replicates store.Filter semantics as an independent
@@ -136,14 +195,25 @@ func getJSON(t *testing.T, rawURL string, into any) {
 	}
 }
 
-func TestAggregateEndpointMatchesBatchPipeline(t *testing.T) {
-	s := newTestStudy(t)
-	srv, entries := newTestServer(t, s)
+// aggResponse is the /api/aggregate wire shape.
+type aggResponse struct {
+	Stats     store.ScanStats `json:"stats"`
+	Coverage  shard.Coverage  `json:"coverage"`
+	Partial   bool            `json:"partial"`
+	Aggregate json.RawMessage `json:"aggregate"`
+}
 
+// TestAggregateMatchesBatchPipeline is the HTTP differential across
+// layouts and shard counts: several filter shapes, byte equality against
+// query.Aggregate over a linear filter of the batch pipeline's entries,
+// full coverage, and stats that count exactly the matches.
+func TestAggregateMatchesBatchPipeline(t *testing.T) {
+	entries := studyEntries(t)
 	mid := entries[len(entries)/2].Record.Time
 	late := entries[3*len(entries)/4].Record.Time
 	kept := true
 	topCat := entries[0].Category
+	oneSrc := entries[0].Record.Source
 
 	cases := []struct {
 		name   string
@@ -152,18 +222,9 @@ func TestAggregateEndpointMatchesBatchPipeline(t *testing.T) {
 		opts   query.AggregateOptions
 	}{
 		{"everything", url.Values{}, store.Filter{}, query.AggregateOptions{}},
-		{
-			"one category",
-			url.Values{"category": {topCat}},
-			store.Filter{Categories: []string{topCat}},
-			query.AggregateOptions{},
-		},
-		{
-			"survivors only",
-			url.Values{"kept": {"true"}},
-			store.Filter{Kept: &kept},
-			query.AggregateOptions{},
-		},
+		{"one category", url.Values{"category": {topCat}}, store.Filter{Categories: []string{topCat}}, query.AggregateOptions{}},
+		{"one source", url.Values{"source": {oneSrc}}, store.Filter{Sources: []string{oneSrc}}, query.AggregateOptions{}},
+		{"survivors only", url.Values{"kept": {"true"}}, store.Filter{Kept: &kept}, query.AggregateOptions{}},
 		{
 			"time window",
 			url.Values{"from": {mid.Format(time.RFC3339Nano)}, "to": {late.Format(time.RFC3339Nano)}},
@@ -177,137 +238,159 @@ func TestAggregateEndpointMatchesBatchPipeline(t *testing.T) {
 			query.AggregateOptions{TopK: 3, Quantiles: []float64{0.5, 0.95}},
 		},
 	}
-	for _, tc := range cases {
-		var resp struct {
-			Stats     store.ScanStats `json:"stats"`
-			Aggregate json.RawMessage `json:"aggregate"`
-		}
-		getJSON(t, srv.URL+"/api/aggregate?"+tc.params.Encode(), &resp)
+	for _, l := range layouts {
+		t.Run(l.name, func(t *testing.T) {
+			srv, _ := newTestServer(t, l, entries, shard.Options{})
+			for _, tc := range cases {
+				var got aggResponse
+				getJSON(t, srv.URL+"/api/aggregate?"+tc.params.Encode(), &got)
 
-		var ref []store.Entry
-		for _, en := range entries {
-			if matchesFilter(tc.f, en) {
-				ref = append(ref, en)
+				var ref []store.Entry
+				for _, en := range entries {
+					if matchesFilter(tc.f, en) {
+						ref = append(ref, en)
+					}
+				}
+				want, err := json.Marshal(query.Aggregate(ref, tc.opts))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if string(got.Aggregate) != string(want) {
+					t.Errorf("%s: served aggregate diverges from batch pipeline\nserved: %s\nbatch:  %s",
+						tc.name, got.Aggregate, want)
+				}
+				if got.Stats.Matched != len(ref) {
+					t.Errorf("%s: stats.matched = %d, want %d", tc.name, got.Stats.Matched, len(ref))
+				}
+				if got.Partial || got.Coverage.ShardsAnswered != got.Coverage.ShardsQueried || got.Coverage.ShardsTotal != l.shards {
+					t.Errorf("%s: degraded on a healthy cluster: %+v", tc.name, got.Coverage)
+				}
 			}
-		}
-		want, err := json.Marshal(query.Aggregate(ref, tc.opts))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(resp.Aggregate) != string(want) {
-			t.Errorf("%s: served aggregate diverges from batch pipeline\nserved: %s\nbatch:  %s",
-				tc.name, resp.Aggregate, want)
-		}
-		if resp.Stats.Matched != len(ref) {
-			t.Errorf("%s: stats.matched = %d, want %d", tc.name, resp.Stats.Matched, len(ref))
-		}
+		})
 	}
 }
 
+// TestQueryEndpoint checks the merged /api/query keeps canonical order,
+// honors limits and filters, and reports coverage, on every layout.
 func TestQueryEndpoint(t *testing.T) {
-	s := newTestStudy(t)
-	srv, entries := newTestServer(t, s)
+	entries := studyEntries(t)
+	for _, l := range layouts {
+		t.Run(l.name, func(t *testing.T) {
+			srv, _ := newTestServer(t, l, entries, shard.Options{})
+			var resp struct {
+				Count    int            `json:"count"`
+				Partial  bool           `json:"partial"`
+				Coverage shard.Coverage `json:"coverage"`
+				Entries  []struct {
+					Seq      uint64    `json:"seq"`
+					Time     time.Time `json:"time"`
+					Category string    `json:"category"`
+					Kept     bool      `json:"kept"`
+				} `json:"entries"`
+			}
+			getJSON(t, srv.URL+"/api/query?limit=10", &resp)
+			if resp.Count != 10 || len(resp.Entries) != 10 || resp.Partial || resp.Coverage.ShardsTotal != l.shards {
+				t.Fatalf("limit or coverage off: count %d partial %v coverage %+v", resp.Count, resp.Partial, resp.Coverage)
+			}
+			for i, en := range resp.Entries {
+				if !en.Time.Equal(entries[i].Record.Time) || en.Seq != entries[i].Record.Seq {
+					t.Fatalf("entry %d out of canonical order: %+v", i, en)
+				}
+			}
+			getJSON(t, srv.URL+"/api/query?limit=0", &resp)
+			if resp.Count != len(entries) {
+				t.Fatalf("full select count %d, want %d", resp.Count, len(entries))
+			}
 
-	var resp struct {
-		Count   int `json:"count"`
-		Entries []struct {
-			Seq      uint64    `json:"seq"`
-			Time     time.Time `json:"time"`
-			Category string    `json:"category"`
-			Kept     bool      `json:"kept"`
-		} `json:"entries"`
-	}
-	getJSON(t, srv.URL+"/api/query?limit=10", &resp)
-	if resp.Count != 10 || len(resp.Entries) != 10 {
-		t.Fatalf("limit ignored: count %d", resp.Count)
-	}
-	for i, en := range resp.Entries {
-		if !en.Time.Equal(entries[i].Record.Time) || en.Seq != entries[i].Record.Seq {
-			t.Fatalf("entry %d out of canonical order: %+v", i, en)
-		}
-	}
-
-	cat := entries[0].Category
-	getJSON(t, srv.URL+"/api/query?limit=0&category="+url.QueryEscape(cat), &resp)
-	want := 0
-	for _, en := range entries {
-		if en.Category == cat {
-			want++
-		}
-	}
-	if resp.Count != want {
-		t.Fatalf("category filter: count %d, want %d", resp.Count, want)
-	}
-	for _, en := range resp.Entries {
-		if en.Category != cat {
-			t.Fatalf("filter leaked category %q", en.Category)
-		}
+			cat := entries[0].Category
+			getJSON(t, srv.URL+"/api/query?limit=0&category="+url.QueryEscape(cat), &resp)
+			want := 0
+			for _, en := range entries {
+				if en.Category == cat {
+					want++
+				}
+			}
+			if resp.Count != want {
+				t.Fatalf("category filter: count %d, want %d", resp.Count, want)
+			}
+			for _, en := range resp.Entries {
+				if en.Category != cat {
+					t.Fatalf("filter leaked category %q", en.Category)
+				}
+			}
+		})
 	}
 }
 
+// TestSegmentsEndpoint: the per-shard listing accounts for every entry.
 func TestSegmentsEndpoint(t *testing.T) {
-	s := newTestStudy(t)
-	srv, entries := newTestServer(t, s)
-
-	var resp struct {
-		System       string              `json:"system"`
-		Segments     []store.SegmentInfo `json:"segments"`
-		TailEntries  int                 `json:"tail_entries"`
-		TotalEntries int                 `json:"total_entries"`
-	}
-	getJSON(t, srv.URL+"/api/segments", &resp)
-	if resp.System != "liberty" {
-		t.Errorf("system = %q", resp.System)
-	}
-	if len(resp.Segments) < 2 {
-		t.Errorf("want multiple sealed segments, got %d", len(resp.Segments))
-	}
-	total := resp.TailEntries
-	for _, g := range resp.Segments {
-		total += g.Records
-	}
-	if total != len(entries) || resp.TotalEntries != len(entries) {
-		t.Errorf("inventory %d+tail=%d, want %d", resp.TotalEntries, total, len(entries))
+	entries := studyEntries(t)
+	for _, l := range []layout{flat, fourShards} {
+		t.Run(l.name, func(t *testing.T) {
+			srv, _ := newTestServer(t, l, entries, shard.Options{})
+			var resp struct {
+				System       string                `json:"system"`
+				Shards       []shard.ShardSegments `json:"shards"`
+				TotalEntries int                   `json:"total_entries"`
+			}
+			getJSON(t, srv.URL+"/api/segments", &resp)
+			if resp.System != "liberty" || len(resp.Shards) != l.shards {
+				t.Fatalf("system %q, %d shards listed", resp.System, len(resp.Shards))
+			}
+			total := 0
+			for _, sh := range resp.Shards {
+				if sh.State != "ok" {
+					t.Errorf("shard %d state %q", sh.Shard, sh.State)
+				}
+				n := sh.TailEntries
+				for _, g := range sh.Segments {
+					n += g.Records
+				}
+				if n != sh.Entries {
+					t.Errorf("shard %d: segments+tail = %d, entries = %d", sh.Shard, n, sh.Entries)
+				}
+				total += n
+			}
+			if l.shards == 1 && len(resp.Shards[0].Segments) < 2 {
+				t.Errorf("want multiple sealed segments, got %d", len(resp.Shards[0].Segments))
+			}
+			if total != len(entries) || resp.TotalEntries != len(entries) {
+				t.Errorf("inventory %d, listed %d, want %d", resp.TotalEntries, total, len(entries))
+			}
+		})
 	}
 }
 
-// TestIngestEndpointMatchesBatchPipeline posts raw log lines into an
-// empty store and checks the served aggregation equals the batch
-// pipeline run directly over the same lines.
-func TestIngestEndpointMatchesBatchPipeline(t *testing.T) {
+// ingestTestBody generates the raw log lines the ingest tests post.
+func ingestTestBody(t *testing.T) string {
+	t.Helper()
 	out, err := simulate.Generate(simulate.Config{System: logrec.Liberty, Scale: testScale, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	body := strings.Join(out.Lines, "\n") + "\n"
+	return strings.Join(out.Lines, "\n") + "\n"
+}
 
-	st, err := store.Create(t.TempDir(), logrec.Liberty, store.Options{FlushEvery: 500})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	srv := httptest.NewServer(newTestAPI(t, st, apiOptions{}))
-	defer srv.Close()
-
-	resp, err := http.Post(srv.URL+"/api/ingest", "text/plain", strings.NewReader(body))
+// postLines posts raw lines to /api/ingest and asserts the status.
+func postLines(t *testing.T, baseURL, body string, wantStatus int) []byte {
+	t.Helper()
+	resp, err := http.Post(baseURL+"/api/ingest", "text/plain", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	raw, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("ingest: %d: %s", resp.StatusCode, raw)
+	if resp.StatusCode != wantStatus {
+		t.Fatalf("ingest: %d, want %d: %s", resp.StatusCode, wantStatus, raw)
 	}
-	var ing ingestResponse
-	if err := json.Unmarshal(raw, &ing); err != nil {
-		t.Fatal(err)
-	}
-	if ing.Lines != len(out.Lines) || ing.Appended == 0 || ing.Appended != ing.Alerts {
-		t.Fatalf("ingest summary off: %+v (posted %d lines)", ing, len(out.Lines))
-	}
+	return raw
+}
 
-	// The batch side of the differential: same lines, same stages,
-	// no store or HTTP in the loop.
+// clientPipeline replays a raw body through the exact stages the server
+// runs — the batch side of the ingest differentials, and what a 200 ack
+// promised was appended.
+func clientPipeline(t *testing.T, body string) []store.Entry {
+	t.Helper()
 	m, err := cluster.New(logrec.Liberty)
 	if err != nil {
 		t.Fatal(err)
@@ -319,24 +402,48 @@ func TestIngestEndpointMatchesBatchPipeline(t *testing.T) {
 	alerts := tag.NewTagger(logrec.Liberty).TagAll(recs)
 	tag.SortAlerts(alerts)
 	filtered := filter.Simultaneous{T: filter.DefaultThreshold}.Filter(alerts)
-	want, err := json.Marshal(query.Aggregate(store.FromAlerts(alerts, filtered), query.AggregateOptions{}))
+	return store.FromAlerts(alerts, filtered)
+}
+
+// TestIngestMatchesBatchPipeline posts raw log lines into an empty
+// cluster of every layout and checks the routing summary and that the
+// served aggregation equals the batch pipeline run directly over the
+// same lines — no store or HTTP in the loop.
+func TestIngestMatchesBatchPipeline(t *testing.T) {
+	body := ingestTestBody(t)
+	ref := clientPipeline(t, body)
+	want, err := json.Marshal(query.Aggregate(ref, query.AggregateOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	var got struct {
-		Aggregate json.RawMessage `json:"aggregate"`
-	}
-	getJSON(t, srv.URL+"/api/aggregate", &got)
-	if string(got.Aggregate) != string(want) {
-		t.Fatalf("ingested aggregate diverges from batch pipeline\nserved: %s\nbatch:  %s",
-			got.Aggregate, want)
+	for _, l := range layouts {
+		t.Run(l.name, func(t *testing.T) {
+			srv, c := newTestServer(t, l, nil, shard.Options{Store: store.Options{FlushEvery: 500}})
+			var ing ingestResponse
+			if err := json.Unmarshal(postLines(t, srv.URL, body, http.StatusOK), &ing); err != nil {
+				t.Fatal(err)
+			}
+			if ing.Lines != strings.Count(body, "\n") || ing.Alerts != len(ref) || ing.Appended != len(ref) ||
+				sumValues(ing.PerShard) != ing.Appended || len(ing.Rejected) != 0 || len(ing.Errors) != 0 {
+				t.Fatalf("ingest summary off: %+v (posted %d lines, pipeline made %d entries)", ing, strings.Count(body, "\n"), len(ref))
+			}
+			if c.Len() != ing.Appended {
+				t.Fatalf("cluster holds %d, response said %d", c.Len(), ing.Appended)
+			}
+			var got aggResponse
+			getJSON(t, srv.URL+"/api/aggregate", &got)
+			if got.Partial {
+				t.Fatalf("healthy ingest produced partial coverage: %+v", got.Coverage)
+			}
+			if string(got.Aggregate) != string(want) {
+				t.Fatalf("ingested aggregate diverges from batch pipeline\nserved: %s\nbatch:  %s", got.Aggregate, want)
+			}
+		})
 	}
 }
 
 func TestAPIErrors(t *testing.T) {
-	s := newTestStudy(t)
-	srv, _ := newTestServer(t, s)
+	srv, _ := newTestServer(t, flat, studyEntries(t), shard.Options{})
 
 	cases := []struct {
 		method, path string
@@ -348,6 +455,8 @@ func TestAPIErrors(t *testing.T) {
 		{"GET", "/api/aggregate?severity=NOT_A_SEVERITY", http.StatusBadRequest},
 		{"POST", "/api/query", http.StatusMethodNotAllowed},
 		{"GET", "/api/ingest", http.StatusMethodNotAllowed},
+		{"POST", "/api/shards", http.StatusMethodNotAllowed},
+		{"GET", "/api/shards", http.StatusOK},
 		{"GET", "/healthz", http.StatusOK},
 	}
 	for _, tc := range cases {
@@ -366,11 +475,151 @@ func TestAPIErrors(t *testing.T) {
 	}
 }
 
-// TestBuildStoreAndServeCommands exercises the two subcommands end to
-// end: build a store from the synthetic pipeline, then reopen it via
-// the API handler path (Open, as runServe does) and check the served
-// totals match the build summary's inputs.
-func TestBuildStoreAndServeCommands(t *testing.T) {
+// startServe runs the production open/serve/drain path (openServeBackend
+// + serveAndWait, what `logstudy serve` runs) on a loopback port and
+// returns the base URL, the backend, and a stop function that cancels
+// the context — the SIGTERM path — and returns serveAndWait's error.
+func startServe(t *testing.T, cfg serveBackendConfig) (base string, b *serveBackend, stop func() error) {
+	t.Helper()
+	b, err := openServeBackend(cfg, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	ready := make(chan net.Addr, 1)
+	errc := make(chan error, 1)
+	go func() {
+		errc <- serveAndWait(ctx, b, "127.0.0.1:0", 0, 5*time.Second, io.Discard,
+			func(a net.Addr) { ready <- a })
+	}()
+	stopped := false
+	stop = func() error {
+		if stopped {
+			return nil
+		}
+		stopped = true
+		cancel()
+		select {
+		case err := <-errc:
+			return err
+		case <-time.After(10 * time.Second):
+			t.Error("serveAndWait never returned")
+			return nil
+		}
+	}
+	t.Cleanup(func() { stop() })
+	select {
+	case a := <-ready:
+		return "http://" + a.String(), b, stop
+	case err := <-errc:
+		stopped = true
+		cancel()
+		t.Fatalf("server died before ready: %v", err)
+		return "", nil, nil
+	}
+}
+
+// decodeAggregate answers params the reference way — row decode, in
+// process, over st — and returns the filter it parsed with the
+// aggregate's and the scan accounting's JSON.
+func decodeAggregate(t *testing.T, st *store.Store, params url.Values) (f store.Filter, agg, stats string) {
+	t.Helper()
+	f, err := parseFilter(st.System(), params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts, err := parseAggregateOptions(params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, sst, err := (&query.Engine{Store: st, DisableColumnar: true}).Aggregate(f, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ab, _ := json.Marshal(a)
+	sb, _ := json.Marshal(sst)
+	return f, string(ab), string(sb)
+}
+
+// checkServedInPlace is the in-place differential: the reference is
+// taken from a plain store directory by the row-decode engine, in
+// process (the way the benchmark's oracle does); the same directory is
+// then served in place as a one-shard cluster, and every aggregate,
+// its scan accounting, and every select must come back byte-identical.
+// After a graceful stop the directory is still exactly a store: no
+// CLUSTER file, no shard-* entry, nothing for store.Open to recover.
+func checkServedInPlace(t *testing.T, dir string, params []url.Values) {
+	t.Helper()
+	st, rep, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.TailEntries != 0 || len(rep.CorruptSegments) != 0 {
+		t.Fatalf("fixture store is dirty: %+v", rep)
+	}
+	want := make([][3]string, len(params)) // aggregate, stats, entries
+	for i, p := range params {
+		f, agg, stats := decodeAggregate(t, st, p)
+		entries, _, err := (&query.Engine{Store: st}).Select(f, 25)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sel := make([]entryJSON, 0, len(entries))
+		for _, en := range entries {
+			sel = append(sel, toEntryJSON(en))
+		}
+		raw, _ := json.Marshal(sel)
+		want[i] = [3]string{agg, stats, string(raw)}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	base, _, stop := startServe(t, serveBackendConfig{Dir: dir})
+	for i, p := range params {
+		var got struct {
+			aggResponse
+			Entries json.RawMessage `json:"entries"`
+		}
+		getJSON(t, base+"/api/aggregate?"+p.Encode(), &got)
+		if got.Partial || got.Coverage.ShardsTotal != 1 {
+			t.Errorf("%q: coverage %+v, want one shard answering in full", p.Encode(), got.Coverage)
+		}
+		stats, _ := json.Marshal(got.Stats)
+		getJSON(t, base+"/api/query?limit=25&"+p.Encode(), &got)
+		for j, served := range []string{string(got.Aggregate), string(stats), string(got.Entries)} {
+			if served != want[i][j] {
+				t.Errorf("%q: served %s diverges from the in-process decode engine\nserved: %s\nengine: %s",
+					p.Encode(), []string{"aggregate", "stats", "entries"}[j], served, want[i][j])
+			}
+		}
+	}
+	if err := stop(); err != nil {
+		t.Fatalf("graceful stop: %v", err)
+	}
+
+	des, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, de := range des {
+		if de.Name() == "CLUSTER" || strings.HasPrefix(de.Name(), "shard-") {
+			t.Errorf("serving a store directory in place left %s behind", de.Name())
+		}
+	}
+	if st, rep, err = store.Open(dir, store.Options{}); err != nil {
+		t.Fatalf("store.Open after serve: %v", err)
+	}
+	defer st.Close()
+	if rep.TailEntries != 0 || len(rep.CorruptSegments) != 0 || rep.TailDedupedEntries != 0 {
+		t.Fatalf("serve left recovery work behind: %+v", rep)
+	}
+}
+
+// TestBuildStoreServedInPlace exercises the two subcommands end to end:
+// `build-store` writes a plain store directory holding exactly what the
+// batch pipeline produced, and serve fronts it in place.
+func TestBuildStoreServedInPlace(t *testing.T) {
 	dir := t.TempDir() + "/alerts"
 	var b strings.Builder
 	if err := run(testArgs("build-store", "-system", "liberty", "-dir", dir, "-flush-every", "1000"), &b); err != nil {
@@ -382,29 +631,281 @@ func TestBuildStoreAndServeCommands(t *testing.T) {
 	if err := run([]string{"build-store"}, io.Discard); err == nil {
 		t.Error("missing -dir must error")
 	}
+	entries := studyEntries(t)
+	checkServedInPlace(t, dir, columnarParams(entries))
 
-	st, rep, err := store.Open(dir, store.Options{})
+	st, _, err := store.Open(dir, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	if rep.TailEntries != 0 || len(rep.CorruptSegments) != 0 {
-		t.Fatalf("build-store left a dirty store: %+v", rep)
-	}
-	srv := httptest.NewServer(newTestAPI(t, st, apiOptions{}))
-	defer srv.Close()
-
-	s := newTestStudy(t)
-	want, err := json.Marshal(query.Aggregate(store.FromAlerts(s.Alerts, s.Filtered), query.AggregateOptions{}))
+	agg, _, err := (&query.Engine{Store: st}).Aggregate(store.Filter{}, query.AggregateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got struct {
-		Aggregate json.RawMessage `json:"aggregate"`
+	got, _ := json.Marshal(agg)
+	if want, _ := json.Marshal(query.Aggregate(entries, query.AggregateOptions{})); string(got) != string(want) {
+		t.Fatalf("built store diverges from the pipeline that built it\nstore: %s\nbatch: %s", got, want)
 	}
-	getJSON(t, srv.URL+"/api/aggregate", &got)
-	if string(got.Aggregate) != string(want) {
-		t.Fatalf("served store diverges from the pipeline that built it\nserved: %s\nbatch:  %s",
-			got.Aggregate, want)
+}
+
+// TestServeOpensTheOnDiskShape: serve on an existing cluster directory
+// needs no -shards — the CLUSTER manifest names the shape — and a
+// -shards that contradicts what is on disk is a usage error naming that
+// shape, never a silent re-ring.
+func TestServeOpensTheOnDiskShape(t *testing.T) {
+	entries := studyEntries(t)
+	for _, l := range layouts {
+		t.Run(l.name, func(t *testing.T) {
+			dir := t.TempDir()
+			c := l.create(t, dir, shard.Options{})
+			if _, err := c.Append(entries); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			for _, sysName := range []string{"", "liberty"} {
+				_, err := openServeBackend(serveBackendConfig{Dir: dir, SysName: sysName, Shards: l.shards + 1}, io.Discard)
+				if !errors.As(err, new(usageError)) || !strings.Contains(err.Error(), fmt.Sprintf("%d-shard liberty", l.shards)) {
+					t.Fatalf("-shards %d over a %d-shard directory: %v, want a usage error naming the on-disk shape", l.shards+1, l.shards, err)
+				}
+			}
+
+			for _, cfg := range []serveBackendConfig{{Dir: dir}, {Dir: dir, Shards: l.shards}, {Dir: dir, SysName: "liberty"}} {
+				base, _, stop := startServe(t, cfg)
+				var health struct {
+					OK     bool `json:"ok"`
+					Shards int  `json:"shards"`
+				}
+				getJSON(t, base+"/healthz", &health)
+				var agg aggResponse
+				getJSON(t, base+"/api/aggregate", &agg)
+				var total struct {
+					Total int `json:"total"`
+				}
+				json.Unmarshal(agg.Aggregate, &total)
+				if !health.OK || health.Shards != l.shards || agg.Coverage.ShardsTotal != l.shards || total.Total != len(entries) {
+					t.Fatalf("%+v: healthz %+v, coverage %+v, total %d (want %d shards, %d entries)",
+						cfg, health, agg.Coverage, total.Total, l.shards, len(entries))
+				}
+				if err := stop(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestServeRefusesWhenNoShardOpens: a shard that fails to open is
+// quarantined while its siblings serve, but a cluster with no shard left
+// has nothing to serve — the open fails loudly (exit 1) with the first
+// shard's error, as a single store that cannot open always did.
+func TestServeRefusesWhenNoShardOpens(t *testing.T) {
+	for _, l := range []layout{flat, twoShards} {
+		t.Run(l.name, func(t *testing.T) {
+			dir := t.TempDir()
+			c := l.create(t, dir, shard.Options{})
+			health := c.Health()
+			if err := c.Close(); err != nil {
+				t.Fatal(err)
+			}
+			// A directory where a segment file belongs fails every store open.
+			for _, h := range health {
+				if err := os.Mkdir(filepath.Join(h.Dir, "seg-00000000.seg"), 0o755); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var errw strings.Builder
+			if code := runMain([]string{"serve", "-dir", dir, "-addr", "127.0.0.1:0"}, io.Discard, &errw); code != 1 || !strings.Contains(errw.String(), "seg-00000000.seg") {
+				t.Fatalf("serve over a cluster with no openable shard: exit %d, %q; want exit 1 naming the shard's error", code, errw.String())
+			}
+		})
+	}
+}
+
+// faultyOpenStore adapts shardfault.OpenFaulty to shard.Options.OpenStore:
+// opening one of failDirs fails, and setFaults injects the same faults
+// into every shard that did open.
+func faultyOpenStore(failDirs ...string) (open func(string, store.Options) (shard.Backend, *store.OpenReport, error), setFaults func(shardfault.StoreFaults)) {
+	fail := map[string]bool{}
+	for _, dir := range failDirs {
+		fail[dir] = true
+	}
+	sfOpen, wrapped, mu := shardfault.OpenFaulty(fail)
+	open = func(dir string, opts store.Options) (shard.Backend, *store.OpenReport, error) {
+		b, rep, err := sfOpen(dir, opts)
+		if err != nil {
+			return nil, rep, err
+		}
+		return b, rep, nil
+	}
+	setFaults = func(f shardfault.StoreFaults) {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, w := range wrapped {
+			w.SetFaults(f)
+		}
+	}
+	return open, setFaults
+}
+
+// TestPartialResultOverHTTP fault-injects one of four shards and checks
+// the acceptance contract at the wire: /api/query and /api/aggregate
+// return HTTP 200 with partial:true and coverage that names the dead
+// shard, and /api/shards reports it quarantined.
+func TestPartialResultOverHTTP(t *testing.T) {
+	entries := studyEntries(t)
+
+	root := t.TempDir()
+	const victim = 1
+	open, _ := faultyOpenStore(shard.ShardDir(root, victim))
+	c := fourShards.create(t, root, shard.Options{
+		Store:     store.Options{FlushEvery: len(entries)/8 + 1},
+		OpenStore: open,
+	})
+	ar, err := c.Append(entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := serveCluster(t, c, apiOptions{})
+
+	// getJSON fails on non-200, so these calls double as status checks.
+	var agg aggResponse
+	getJSON(t, srv.URL+"/api/aggregate", &agg)
+	if !agg.Partial || agg.Coverage.ShardsTotal != 4 || agg.Coverage.ShardsQueried != 4 || agg.Coverage.ShardsAnswered != 3 {
+		t.Fatalf("aggregate coverage %+v", agg.Coverage)
+	}
+	if !strings.Contains(agg.Coverage.ShardErrors[fmt.Sprint(victim)], "quarantined") {
+		t.Fatalf("shard errors %v", agg.Coverage.ShardErrors)
+	}
+	var parsed struct {
+		Total int `json:"total"`
+	}
+	if err := json.Unmarshal(agg.Aggregate, &parsed); err != nil {
+		t.Fatal(err)
+	}
+	if parsed.Total != ar.Appended {
+		t.Fatalf("partial total %d, want the %d entries the healthy shards hold", parsed.Total, ar.Appended)
+	}
+
+	var q struct {
+		Count    int            `json:"count"`
+		Partial  bool           `json:"partial"`
+		Coverage shard.Coverage `json:"coverage"`
+	}
+	getJSON(t, srv.URL+"/api/query?limit=0", &q)
+	if !q.Partial || q.Count != ar.Appended {
+		t.Fatalf("query degraded wrong: count %d partial %v (want %d)", q.Count, q.Partial, ar.Appended)
+	}
+
+	var health struct {
+		Shards []shard.Health `json:"shards"`
+	}
+	getJSON(t, srv.URL+"/api/shards", &health)
+	if len(health.Shards) != 4 || health.Shards[victim].State != "quarantined" {
+		t.Fatalf("/api/shards: %+v", health.Shards)
+	}
+}
+
+// TestNoShardAnsweredIs503: one answering shard keeps a response at 200
+// + partial:true (above); when no queried shard answers — every scan
+// fails, or the request deadline lapses first — there is nothing to
+// show, and the answer is 503 with the coverage block as its body.
+func TestNoShardAnsweredIs503(t *testing.T) {
+	entries := studyEntries(t)
+	cases := []struct {
+		name   string
+		faults shardfault.StoreFaults
+		opts   apiOptions
+		reason string
+	}{
+		{"every scan fails", shardfault.StoreFaults{FailScans: -1}, apiOptions{}, "injected scan failure"},
+		{"request deadline lapses", shardfault.StoreFaults{ScanDelay: 2 * time.Second}, apiOptions{RequestTimeout: 40 * time.Millisecond}, "request deadline"},
+	}
+	for _, l := range []layout{flat, twoShards} {
+		for _, tc := range cases {
+			t.Run(l.name+"/"+tc.name, func(t *testing.T) {
+				open, setFaults := faultyOpenStore()
+				c := l.create(t, t.TempDir(), shard.Options{OpenStore: open, Retries: -1})
+				if _, err := c.Append(entries); err != nil {
+					t.Fatal(err)
+				}
+				srv := serveCluster(t, c, tc.opts)
+				setFaults(tc.faults)
+				for _, path := range []string{"/api/aggregate", "/api/query?limit=5"} {
+					resp, err := http.Get(srv.URL + path)
+					if err != nil {
+						t.Fatal(err)
+					}
+					raw, _ := io.ReadAll(resp.Body)
+					resp.Body.Close()
+					var cov shard.Coverage
+					if err := json.Unmarshal(raw, &cov); err != nil {
+						t.Fatalf("%s: body is not a coverage block: %s", path, raw)
+					}
+					if resp.StatusCode != http.StatusServiceUnavailable || !cov.Partial || cov.ShardsTotal != l.shards ||
+						cov.ShardsQueried != l.shards || cov.ShardsAnswered != 0 || len(cov.ShardErrors) != l.shards {
+						t.Fatalf("%s: status %d, coverage %+v; want 503 accounting for all %d shards", path, resp.StatusCode, cov, l.shards)
+					}
+					for id, msg := range cov.ShardErrors {
+						if !strings.Contains(msg, tc.reason) {
+							t.Errorf("%s: shard %s error %q does not say %q", path, id, msg, tc.reason)
+						}
+					}
+				}
+				// Healed, the same server answers in full again.
+				setFaults(shardfault.StoreFaults{})
+				var agg aggResponse
+				getJSON(t, srv.URL+"/api/aggregate?kept=true", &agg)
+				if agg.Partial {
+					t.Fatalf("healed cluster still partial: %+v", agg.Coverage)
+				}
+			})
+		}
+	}
+}
+
+// TestCloseLeavesNoGoroutines: everything openServeBackend starts —
+// shard workers, store maintenance loops, registries, miners, the
+// standing evaluator, the push hub's streams — is gone once the serve
+// loop has stopped and closeStore returned.
+func TestCloseLeavesNoGoroutines(t *testing.T) {
+	body := ingestTestBody(t)
+	for _, l := range []layout{flat, fourShards} {
+		t.Run(l.name, func(t *testing.T) {
+			http.DefaultTransport.(*http.Transport).CloseIdleConnections()
+			before := runtime.NumGoroutine()
+
+			base, _, stop := startServe(t, serveBackendConfig{
+				Dir: t.TempDir(), SysName: "liberty", Shards: l.shards,
+				StoreOpts: store.Options{FlushEvery: 100, CompactEvery: 10 * time.Millisecond},
+				APIOpts:   apiOptions{CacheSize: 8},
+			})
+			sub := postSubscribe(t, base, subscribeRequest{Threshold: 1})
+			stream := openSSE(t, base+"/api/subscribe/"+sub.ID+"/events")
+			defer stream.close()
+			stream.next(t, "state")
+			postLines(t, base, body, http.StatusOK)
+			stream.next(t, "fire")
+			var agg aggResponse
+			getJSON(t, base+"/api/aggregate", &agg)
+			getCorrelationsSettled(t, base)
+			if err := stop(); err != nil {
+				t.Fatal(err)
+			}
+			stream.close()
+			http.DefaultTransport.(*http.Transport).CloseIdleConnections()
+
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > before {
+				if time.Now().After(deadline) {
+					buf := make([]byte, 1<<20)
+					t.Fatalf("%d goroutines before open, %d after close:\n%s", before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+		})
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"whatsupersay/internal/connectors/graphite"
-	"whatsupersay/internal/correlate"
 	"whatsupersay/internal/logrec"
 	"whatsupersay/internal/query"
 	"whatsupersay/internal/report"
@@ -24,14 +23,15 @@ import (
 const defaultShutdownGrace = 10 * time.Second
 
 // serveBackendConfig names everything openServeBackend needs to open
-// (or create) the single store or sharded cluster behind the API.
+// (or create) the cluster behind the API.
 type serveBackendConfig struct {
-	Dir       string
-	SysName   string // non-empty: create for this system
+	Dir     string
+	SysName string // non-empty: create for this system if Dir holds no store yet
+	// Shards is the shard count to create with (0 = 1). An existing
+	// directory keeps its on-disk shape; naming another is a usage error.
 	Shards    int
 	StoreOpts store.Options
 	APIOpts   apiOptions
-	CacheSize int
 
 	// GraphiteAddr enables the connector pump (empty = disabled).
 	GraphiteAddr   string
@@ -39,100 +39,85 @@ type serveBackendConfig struct {
 	GraphitePrefix string
 }
 
-// serveBackend is an opened store-or-cluster plus the lifecycle hooks
-// the serve loop drives. runServe and `logstudy loadgen`'s self-hosted
-// mode share it, so the loadgen harness exercises the production
-// open/serve/drain path, not a test double.
+// serveBackend is an opened cluster plus the lifecycle hooks the serve
+// loop drives. runServe and `logstudy loadgen`'s self-hosted mode share
+// it, so the loadgen harness exercises the production open/serve/drain
+// path, not a test double.
 type serveBackend struct {
 	handler http.Handler
 	banner  string
 	// beginShutdown releases long-lived streams (SSE) so the HTTP
 	// server's graceful Shutdown is not held open by them.
 	beginShutdown func()
-	// closeStore tears the push tier and store down, in durability
-	// order. Must be called exactly once, after the server stops.
+	// closeStore closes the cluster, in durability order: drain the
+	// ingest queues (every batch a client got a 200 for reaches the wal),
+	// seal, detach observers, close miners (final artifact save, so the
+	// next open warm-starts), close registries, close stores. Must be
+	// called exactly once, after the server stops.
 	closeStore func() error
 	// pump is the graphite connector (nil when disabled); started by
 	// serveAndWait once the listener is up, closed before closeStore.
 	pump *graphite.Pump
 }
 
-// openServeBackend opens the backend and assembles its HTTP tier.
+// openCluster opens the cluster in cfg.Dir, creating it first when a
+// system is named. What is on disk decides the shape; -shards only
+// sizes a new cluster.
+func openCluster(cfg serveBackendConfig) (*shard.Cluster, *shard.OpenReport, error) {
+	sopts := shard.Options{Store: cfg.StoreOpts, CacheSize: cfg.APIOpts.CacheSize, Correlate: cfg.APIOpts.Correlate}
+	onDisk, n, err := shard.Shape(cfg.Dir)
+	switch {
+	case err != nil:
+		// Nothing there yet (or unreadable, which Open/Create report).
+		n = max(cfg.Shards, 1)
+	case cfg.Shards > 0 && cfg.Shards != n:
+		return nil, nil, usageError(fmt.Sprintf("serve: -shards %d, but %s holds a %d-shard %s store; the shard count is fixed when the store is created",
+			cfg.Shards, cfg.Dir, n, onDisk.ShortName()))
+	}
+	if cfg.SysName == "" {
+		return shard.Open(cfg.Dir, sopts)
+	}
+	sys, err := logrec.ParseSystem(cfg.SysName)
+	if err != nil {
+		return nil, nil, err
+	}
+	return shard.Create(cfg.Dir, sys, n, sopts)
+}
+
+// openServeBackend opens the cluster and assembles its HTTP tier. A
+// shard that fails to open is quarantined and the rest serve; when none
+// opens there is nothing to serve, and the first shard's error is
+// returned.
 func openServeBackend(cfg serveBackendConfig, w io.Writer) (*serveBackend, error) {
-	b := &serveBackend{}
-	var gather func() []graphite.Metric
-	if cfg.Shards > 0 {
-		var c *shard.Cluster
-		var crep *shard.OpenReport
-		var err error
-		sopts := shard.Options{Store: cfg.StoreOpts, CacheSize: cfg.CacheSize, Correlate: cfg.APIOpts.Correlate}
-		if cfg.SysName != "" {
-			sys, perr := logrec.ParseSystem(cfg.SysName)
-			if perr != nil {
-				return nil, perr
-			}
-			c, crep, err = shard.Create(cfg.Dir, sys, cfg.Shards, sopts)
-		} else {
-			c, crep, err = shard.Open(cfg.Dir, sopts)
-		}
-		if err != nil {
-			return nil, err
-		}
-		as := newShardAPI(c, cfg.APIOpts)
-		b.handler = as
-		b.beginShutdown = as.BeginShutdown
-		b.closeStore = c.Close
-		gather = clusterGather(c)
-		for id, reason := range crep.Quarantined {
+	c, rep, err := openCluster(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if len(rep.Quarantined) == rep.Shards {
+		c.Close()
+		return nil, fmt.Errorf("serve: no shard of %s opened: %s", cfg.Dir, rep.Quarantined[0])
+	}
+	for id := 0; id < rep.Shards; id++ {
+		if reason, bad := rep.Quarantined[id]; bad {
 			fmt.Fprintf(w, "WARNING: shard %d quarantined: %s\n", id, reason)
+		} else {
+			reportOpen(w, fmt.Sprintf("%s shard %d", c.System().ShortName(), id), rep.Stores[id])
 		}
-		b.banner = fmt.Sprintf("serving sharded alert store API on http://%%s/ (%d shards, %d quarantined, %s entries)\n",
-			c.NumShards(), len(crep.Quarantined), report.Comma(int64(c.Len())))
-	} else {
-		var st *store.Store
-		var rep *store.OpenReport
-		var err error
-		if cfg.SysName != "" {
-			sys, perr := logrec.ParseSystem(cfg.SysName)
-			if perr != nil {
-				return nil, perr
-			}
-			if st, err = store.Create(cfg.Dir, sys, cfg.StoreOpts); err != nil {
-				return nil, err
-			}
-		} else if st, rep, err = store.Open(cfg.Dir, cfg.StoreOpts); err != nil {
-			return nil, err
-		}
-		apiOpts := cfg.APIOpts
-		apiOpts.CorrelateArtifact = correlate.ArtifactPath(cfg.Dir)
-		as, err := newAPI(st, apiOpts)
-		if err != nil {
-			st.Close()
-			return nil, err
-		}
-		b.handler = as
-		b.beginShutdown = as.BeginShutdown
-		// Close the push tier (drain ingest queue, seal, detach, final
-		// miner save) before the store, so acked batches are durable and
-		// the persisted correlation artifact warm-starts the next open.
-		b.closeStore = func() error {
-			err := as.Close()
-			if cerr := st.Close(); err == nil {
-				err = cerr
-			}
-			return err
-		}
-		gather = storeGather(st, as.reg)
-		reportOpen(w, st, rep)
-		b.banner = fmt.Sprintf("serving alert store API on http://%%s/ (%s entries)\n",
-			report.Comma(int64(st.Len())))
+	}
+	handler, hub := newShardAPI(c, cfg.APIOpts)
+	b := &serveBackend{
+		handler:       handler,
+		beginShutdown: hub.beginShutdown,
+		closeStore:    c.Close,
+		banner: fmt.Sprintf("serving alert store API on http://%%s/ (%d shards, %d quarantined, %s entries)\n",
+			rep.Shards, len(rep.Quarantined), report.Comma(int64(c.Len()))),
 	}
 	if cfg.GraphiteAddr != "" {
 		b.pump = graphite.New(graphite.Config{
 			Addr:     cfg.GraphiteAddr,
 			Prefix:   cfg.GraphitePrefix,
 			Interval: cfg.GraphiteEvery,
-		}, gather)
+		}, clusterGather(c))
 	}
 	return b, nil
 }
@@ -190,7 +175,7 @@ func serveAndWait(ctx context.Context, b *serveBackend, addr string, reqTimeout,
 	if b.pump != nil {
 		b.pump.Close()
 	}
-	// closeStore drains the ingest queue before sealing: every batch a
+	// closeStore drains the ingest queues before sealing: every batch a
 	// client got a 200 for is on disk when this returns.
 	if err := b.closeStore(); err != nil && serveErr == nil {
 		serveErr = err
@@ -201,35 +186,9 @@ func serveAndWait(ctx context.Context, b *serveBackend, addr string, reqTimeout,
 	return serveErr
 }
 
-// storeGather flattens the single store's live aggregate and standing
-// subscriptions into graphite samples. It runs on the pump's ticker
-// goroutine, never on a request path.
-func storeGather(st *store.Store, reg *query.Registry) func() []graphite.Metric {
-	eng := &query.Engine{Store: st}
-	return func() []graphite.Metric {
-		now := time.Now()
-		ms := []graphite.Metric{{Name: "store.entries", Value: float64(st.Len()), Time: now}}
-		if agg, _, err := eng.Aggregate(store.Filter{}, query.AggregateOptions{}); err == nil {
-			ms = append(ms, aggregateMetrics("aggregate", agg, now)...)
-		}
-		for _, info := range reg.List() {
-			base := "standing." + info.ID
-			fired := 0.0
-			if info.Fired {
-				fired = 1
-			}
-			ms = append(ms,
-				graphite.Metric{Name: base + ".total", Value: float64(info.Total), Time: now},
-				graphite.Metric{Name: base + ".fired", Value: fired, Time: now},
-				graphite.Metric{Name: base + ".events", Value: float64(info.Events), Time: now},
-			)
-		}
-		return ms
-	}
-}
-
-// clusterGather is storeGather's sharded twin, adding per-shard queue
-// and breaker health.
+// clusterGather flattens the cluster's live aggregate, per-shard queue
+// and breaker health, and standing subscriptions into graphite samples.
+// It runs on the pump's ticker goroutine, never on a request path.
 func clusterGather(c *shard.Cluster) func() []graphite.Metric {
 	return func() []graphite.Metric {
 		now := time.Now()
@@ -257,8 +216,20 @@ func clusterGather(c *shard.Cluster) func() []graphite.Metric {
 				graphite.Metric{Name: base + ".failures_total", Value: float64(h.TotalFailures), Time: now},
 			)
 		}
-		n := len(c.Subscriptions())
-		ms = append(ms, graphite.Metric{Name: "standing.subscriptions", Value: float64(n), Time: now})
+		subs := c.Subscriptions()
+		ms = append(ms, graphite.Metric{Name: "standing.subscriptions", Value: float64(len(subs)), Time: now})
+		for _, info := range subs {
+			base := "standing." + info.ID
+			fired := 0.0
+			if info.Fired {
+				fired = 1
+			}
+			ms = append(ms,
+				graphite.Metric{Name: base + ".total", Value: float64(info.Total), Time: now},
+				graphite.Metric{Name: base + ".fired", Value: fired, Time: now},
+				graphite.Metric{Name: base + ".events", Value: float64(info.Events), Time: now},
+			)
+		}
 		return ms
 	}
 }

@@ -1,7 +1,6 @@
 package main
 
-// Standing-query subscriptions over HTTP. Both the single-store api and
-// the sharded shardAPI mount the same four endpoints:
+// Standing-query subscriptions over HTTP, four endpoints:
 //
 //	POST   /api/subscribe             register a standing query
 //	GET    /api/subscriptions         list subscriptions with live totals
@@ -9,9 +8,9 @@ package main
 //	DELETE /api/subscribe/{id}        remove a subscription
 //
 // A subscription is a (filter, aggregate options, threshold) triple
-// whose aggregate the registry maintains incrementally off the store's
-// mutation stream — serving it never rescans. When the matched total
-// crosses the threshold the server pushes one event (edge-triggered) to
+// whose aggregate the cluster's per-shard registries maintain
+// incrementally off the stores' mutation streams — serving it never
+// rescans. When the merged total crosses the threshold the server pushes one event (edge-triggered) to
 // every connected SSE client and, if the subscription carries a webhook
 // URL, POSTs the event JSON there.
 //
@@ -31,11 +30,9 @@ import (
 	"sync"
 	"time"
 
-	"whatsupersay/internal/logrec"
 	"whatsupersay/internal/obs"
 	"whatsupersay/internal/query"
 	"whatsupersay/internal/shard"
-	"whatsupersay/internal/store"
 )
 
 // Push-delivery telemetry.
@@ -54,8 +51,8 @@ type subEvent struct {
 	Threshold      int               `json:"threshold"`
 	Total          int               `json:"total"`
 	Aggregate      query.Aggregation `json:"aggregate"`
-	ShardsStanding int               `json:"shards_standing,omitempty"`
-	ShardsTotal    int               `json:"shards_total,omitempty"`
+	ShardsStanding int               `json:"shards_standing"`
+	ShardsTotal    int               `json:"shards_total"`
 	FiredAt        time.Time         `json:"fired_at"`
 }
 
@@ -68,81 +65,9 @@ type subJSON struct {
 	Fired          bool   `json:"fired"`
 	Events         uint64 `json:"events"`
 	Webhook        string `json:"webhook,omitempty"`
-	ShardsStanding int    `json:"shards_standing,omitempty"`
-	ShardsTotal    int    `json:"shards_total,omitempty"`
+	ShardsStanding int    `json:"shards_standing"`
+	ShardsTotal    int    `json:"shards_total"`
 }
-
-// standingBackend abstracts the two standing-query tiers — a
-// single-store query.Registry or a shard.Cluster — behind the surface
-// the HTTP handlers need.
-type standingBackend interface {
-	Subscribe(f store.Filter, opts query.AggregateOptions, threshold int) (subJSON, error)
-	Unsubscribe(id string) bool
-	Subscriptions() []subJSON
-	StandingAggregate(id string) (query.Aggregation, bool)
-	System() logrec.System
-}
-
-// registryStanding adapts a single-store registry.
-type registryStanding struct {
-	reg *query.Registry
-	sys logrec.System
-}
-
-func (b registryStanding) Subscribe(f store.Filter, opts query.AggregateOptions, threshold int) (subJSON, error) {
-	info, err := b.reg.Register(f, opts, threshold)
-	if err != nil {
-		return subJSON{}, err
-	}
-	return subJSON{ID: info.ID, Threshold: info.Threshold, Total: info.Total,
-		Fired: info.Fired, Events: info.Events}, nil
-}
-
-func (b registryStanding) Unsubscribe(id string) bool { return b.reg.Unregister(id) }
-
-func (b registryStanding) Subscriptions() []subJSON {
-	infos := b.reg.List()
-	out := make([]subJSON, 0, len(infos))
-	for _, info := range infos {
-		out = append(out, subJSON{ID: info.ID, Threshold: info.Threshold, Total: info.Total,
-			Fired: info.Fired, Events: info.Events})
-	}
-	return out
-}
-
-func (b registryStanding) StandingAggregate(id string) (query.Aggregation, bool) {
-	return b.reg.AggregateOf(id)
-}
-
-func (b registryStanding) System() logrec.System { return b.sys }
-
-// clusterStandingBackend adapts a sharded cluster.
-type clusterStandingBackend struct{ c *shard.Cluster }
-
-func (b clusterStandingBackend) Subscribe(f store.Filter, opts query.AggregateOptions, threshold int) (subJSON, error) {
-	info, err := b.c.Subscribe(f, opts, threshold)
-	if err != nil {
-		return subJSON{}, err
-	}
-	return clusterSubJSON(info), nil
-}
-
-func (b clusterStandingBackend) Unsubscribe(id string) bool { return b.c.Unsubscribe(id) }
-
-func (b clusterStandingBackend) Subscriptions() []subJSON {
-	infos := b.c.Subscriptions()
-	out := make([]subJSON, 0, len(infos))
-	for _, info := range infos {
-		out = append(out, clusterSubJSON(info))
-	}
-	return out
-}
-
-func (b clusterStandingBackend) StandingAggregate(id string) (query.Aggregation, bool) {
-	return b.c.StandingAggregate(id)
-}
-
-func (b clusterStandingBackend) System() logrec.System { return b.c.System() }
 
 func clusterSubJSON(info shard.ClusterSubInfo) subJSON {
 	return subJSON{ID: info.ID, Threshold: info.Threshold, Total: info.Total,
@@ -275,21 +200,6 @@ func (h *pushHub) postWebhook(url string, ev subEvent) {
 	hStandingPushLatency.ObserveSince(ev.FiredAt)
 }
 
-// subAPI mounts the subscription endpoints over one standing backend.
-type subAPI struct {
-	b    standingBackend
-	hub  *pushHub
-	opts apiOptions
-}
-
-// register mounts the subscription routes on a mux.
-func (s *subAPI) register(mux *http.ServeMux) {
-	mux.HandleFunc("POST /api/subscribe", instrument("/api/subscribe", s.handleSubscribe))
-	mux.HandleFunc("GET /api/subscriptions", instrument("/api/subscriptions", s.handleSubscriptions))
-	mux.HandleFunc("DELETE /api/subscribe/{id}", instrument("/api/unsubscribe", s.handleUnsubscribe))
-	mux.HandleFunc("GET /api/subscribe/{id}/events", s.handleEvents)
-}
-
 // subscribeRequest is the POST /api/subscribe body. Filter and option
 // fields are strings with exactly the syntax of the GET query
 // parameters of /api/aggregate, so the two surfaces cannot drift.
@@ -329,7 +239,7 @@ func (req subscribeRequest) values() url.Values {
 	return v
 }
 
-func (s *subAPI) handleSubscribe(w http.ResponseWriter, r *http.Request) {
+func (a *shardAPI) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	var req subscribeRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
@@ -338,7 +248,7 @@ func (s *subAPI) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	vals := req.values()
-	f, err := parseFilter(s.b.System(), vals)
+	f, err := parseFilter(a.c.System(), vals)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -359,18 +269,17 @@ func (s *subAPI) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	info, err := s.b.Subscribe(f, opts, req.Threshold)
+	cinfo, err := a.c.Subscribe(f, opts, req.Threshold)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, "subscribe: %v", err)
 		return
 	}
+	info := clusterSubJSON(cinfo)
 	if req.Webhook != "" {
-		s.hub.setWebhook(info.ID, req.Webhook)
+		a.hub.setWebhook(info.ID, req.Webhook)
 		info.Webhook = req.Webhook
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusCreated)
-	json.NewEncoder(w).Encode(info)
+	writeJSONStatus(w, http.StatusCreated, info)
 }
 
 // handleSubscriptions lists subscriptions, bounded by the shared limit
@@ -378,30 +287,33 @@ func (s *subAPI) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 // thousands of standing queries cannot be made to render them all in
 // one response. count is the full population; truncated flags a
 // clipped listing.
-func (s *subAPI) handleSubscriptions(w http.ResponseWriter, r *http.Request) {
+func (a *shardAPI) handleSubscriptions(w http.ResponseWriter, r *http.Request) {
 	limit, err := parseBoundedLimit(r.URL.Query())
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	subs := s.b.Subscriptions()
-	total := len(subs)
-	if len(subs) > limit {
-		subs = subs[:limit]
+	infos := a.c.Subscriptions()
+	total := len(infos)
+	if len(infos) > limit {
+		infos = infos[:limit]
 	}
-	for i := range subs {
-		subs[i].Webhook = s.hub.webhookOf(subs[i].ID)
+	subs := make([]subJSON, 0, len(infos))
+	for _, info := range infos {
+		sub := clusterSubJSON(info)
+		sub.Webhook = a.hub.webhookOf(sub.ID)
+		subs = append(subs, sub)
 	}
 	writeJSON(w, map[string]any{"count": total, "subscriptions": subs, "truncated": total > limit})
 }
 
-func (s *subAPI) handleUnsubscribe(w http.ResponseWriter, r *http.Request) {
+func (a *shardAPI) handleUnsubscribe(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if !s.b.Unsubscribe(id) {
+	if !a.c.Unsubscribe(id) {
 		httpError(w, http.StatusNotFound, "unknown subscription %q", id)
 		return
 	}
-	s.hub.drop(id)
+	a.hub.drop(id)
 	writeJSON(w, map[string]any{"removed": id})
 }
 
@@ -412,9 +324,9 @@ const sseHeartbeat = 15 * time.Second
 // handleEvents is the SSE stream: an immediate `state` event carrying
 // the subscription's current materialized aggregate, then one `fire`
 // event per threshold crossing, with comment heartbeats in between.
-func (s *subAPI) handleEvents(w http.ResponseWriter, r *http.Request) {
+func (a *shardAPI) handleEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	agg, ok := s.b.StandingAggregate(id)
+	agg, ok := a.c.StandingAggregate(id)
 	if !ok {
 		httpError(w, http.StatusNotFound, "unknown subscription %q", id)
 		return
@@ -429,8 +341,8 @@ func (s *subAPI) handleEvents(w http.ResponseWriter, r *http.Request) {
 	rc := http.NewResponseController(w)
 	rc.SetWriteDeadline(time.Time{})
 
-	ch := s.hub.attach(id)
-	defer s.hub.detach(id, ch)
+	ch := a.hub.attach(id)
+	defer a.hub.detach(id, ch)
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
@@ -440,8 +352,8 @@ func (s *subAPI) handleEvents(w http.ResponseWriter, r *http.Request) {
 	fl.Flush()
 
 	beat := sseHeartbeat
-	if s.opts.SSEHeartbeat > 0 {
-		beat = s.opts.SSEHeartbeat
+	if a.opts.SSEHeartbeat > 0 {
+		beat = a.opts.SSEHeartbeat
 	}
 	hb := time.NewTicker(beat)
 	defer hb.Stop()
@@ -449,7 +361,7 @@ func (s *subAPI) handleEvents(w http.ResponseWriter, r *http.Request) {
 		select {
 		case <-r.Context().Done():
 			return
-		case <-s.hub.shutdown:
+		case <-a.hub.shutdown:
 			return
 		case ev := <-ch:
 			if err := writeSSE(w, "fire", ev); err != nil {

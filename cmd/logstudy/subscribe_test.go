@@ -20,8 +20,9 @@ import (
 
 // The subscribe smoke contract: registering a standing query, streaming
 // its SSE feed, and crossing the threshold produces exactly ONE fire
-// event — single store and sharded alike — and a fresh stream's state
-// snapshot is byte-identical to /api/aggregate over the same records.
+// event — however many shards the crossing is spread over — and a fresh
+// stream's state snapshot is byte-identical to /api/aggregate over the
+// same records.
 
 // subEntries fabricates n Liberty entries spread over several sources.
 func subEntries(base time.Time, startSeq uint64, n int) []store.Entry {
@@ -145,24 +146,20 @@ func (s *sseStream) quiet(t *testing.T, d time.Duration) {
 	}
 }
 
-// aggregateBytes fetches /api/aggregate's aggregate field verbatim.
-func aggregateBytes(t *testing.T, baseURL string) string {
-	t.Helper()
-	var resp struct {
-		Aggregate json.RawMessage `json:"aggregate"`
+func TestSubscribeSmoke(t *testing.T) {
+	for _, l := range layouts {
+		t.Run(l.name, func(t *testing.T) { subscribeSmoke(t, l) })
 	}
-	getJSON(t, baseURL+"/api/aggregate", &resp)
-	return string(resp.Aggregate)
 }
 
-func TestSubscribeSmoke(t *testing.T) {
-	st, err := store.Create(t.TempDir(), logrec.Liberty, store.Options{FlushEvery: 1000})
-	if err != nil {
-		t.Fatal(err)
+func subscribeSmoke(t *testing.T, l layout) {
+	srv, c := newTestServer(t, l, nil, shard.Options{Store: store.Options{FlushEvery: 1000}})
+	appendEntries := func(entries []store.Entry) {
+		t.Helper()
+		if ar, err := c.Append(entries); err != nil || ar.Appended != len(entries) {
+			t.Fatalf("append: %v, %+v", err, ar)
+		}
 	}
-	t.Cleanup(func() { st.Close() })
-	srv := httptest.NewServer(newTestAPI(t, st, apiOptions{}))
-	t.Cleanup(srv.Close)
 
 	// A webhook target that records every delivery.
 	var whMu sync.Mutex
@@ -179,7 +176,8 @@ func TestSubscribeSmoke(t *testing.T) {
 	t.Cleanup(hook.Close)
 
 	info := postSubscribe(t, srv.URL, subscribeRequest{Threshold: 5, Webhook: hook.URL})
-	if info.ID == "" || info.Threshold != 5 || info.Total != 0 || info.Webhook != hook.URL {
+	if info.ID == "" || info.Threshold != 5 || info.Total != 0 || info.Webhook != hook.URL ||
+		info.ShardsStanding != l.shards || info.ShardsTotal != l.shards {
 		t.Fatalf("subscribe response %+v", info)
 	}
 
@@ -192,28 +190,27 @@ func TestSubscribeSmoke(t *testing.T) {
 
 	base := time.Date(2004, 1, 5, 0, 0, 0, 0, time.UTC)
 	// Below the threshold: no fire.
-	if err := st.Append(subEntries(base, 0, 3)...); err != nil {
-		t.Fatal(err)
-	}
+	appendEntries(subEntries(base, 0, 3))
 	stream.quiet(t, 100*time.Millisecond)
 
 	// Crossing: exactly one fire, with the incremental aggregate inline.
-	if err := st.Append(subEntries(base.Add(time.Minute), 10, 4)...); err != nil {
-		t.Fatal(err)
-	}
+	// Spread over several shards the latch may trip before the last
+	// shard's slice lands, so the event's total is anywhere from the
+	// threshold to everything appended — never less, and always the
+	// total of the aggregate it carries; one shard sees it all at once.
+	appendEntries(subEntries(base.Add(time.Minute), 10, 4))
 	fire := stream.next(t, "fire")
 	var ev subEvent
 	if err := json.Unmarshal([]byte(fire.data), &ev); err != nil {
 		t.Fatalf("fire payload %q: %v", fire.data, err)
 	}
-	if ev.SubscriptionID != info.ID || ev.Total != 7 || ev.Threshold != 5 || ev.Aggregate.Total != 7 || ev.Seq != 1 {
+	if ev.SubscriptionID != info.ID || ev.Threshold != 5 || ev.Seq != 1 || ev.ShardsStanding != l.shards ||
+		ev.Total < 5 || ev.Total > 7 || (l.shards == 1 && ev.Total != 7) || ev.Aggregate.Total != ev.Total {
 		t.Fatalf("fire event %+v", ev)
 	}
 
 	// Staying above the line: still exactly one.
-	if err := st.Append(subEntries(base.Add(2*time.Minute), 20, 5)...); err != nil {
-		t.Fatal(err)
-	}
+	appendEntries(subEntries(base.Add(2*time.Minute), 20, 5))
 	stream.quiet(t, 150*time.Millisecond)
 
 	// The webhook got the same single event.
@@ -231,7 +228,7 @@ func TestSubscribeSmoke(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	whMu.Lock()
-	if len(hooks) != 1 || hooks[0].SubscriptionID != info.ID || hooks[0].Total != 7 {
+	if len(hooks) != 1 || hooks[0].SubscriptionID != info.ID || hooks[0].Total != ev.Total {
 		t.Fatalf("webhook deliveries %+v", hooks)
 	}
 	whMu.Unlock()
@@ -246,8 +243,9 @@ func TestSubscribeSmoke(t *testing.T) {
 		t.Fatalf("subscriptions listing %+v", list)
 	}
 
-	// A fresh stream's state snapshot — served from the materialization,
-	// no rescan — is byte-identical to a from-scratch /api/aggregate.
+	// A fresh stream's state snapshot — served from the merged per-shard
+	// materializations, no rescan — is byte-identical to a from-scratch
+	// scatter-gather /api/aggregate.
 	fresh := openSSE(t, srv.URL+"/api/subscribe/"+info.ID+"/events")
 	defer fresh.close()
 	var snap struct {
@@ -256,8 +254,10 @@ func TestSubscribeSmoke(t *testing.T) {
 	if err := json.Unmarshal([]byte(fresh.next(t, "state").data), &snap); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := string(snap.Aggregate), aggregateBytes(t, srv.URL); got != want {
-		t.Fatalf("materialized state diverges from /api/aggregate\nstate: %s\nfresh: %s", got, want)
+	var scanned aggResponse
+	getJSON(t, srv.URL+"/api/aggregate", &scanned)
+	if string(snap.Aggregate) != string(scanned.Aggregate) {
+		t.Fatalf("materialized state diverges from /api/aggregate\nstate: %s\nfresh: %s", snap.Aggregate, scanned.Aggregate)
 	}
 
 	// DELETE removes it; the listing empties; a second DELETE 404s.
@@ -284,83 +284,10 @@ func TestSubscribeSmoke(t *testing.T) {
 	}
 }
 
-// TestShardSubscribeSmoke is the sharded variant of the acceptance
-// criterion: one subscription over a 3-shard cluster, a crossing spread
-// across the shards, exactly one cluster-level fire on the stream.
-func TestShardSubscribeSmoke(t *testing.T) {
-	c, rep, err := shard.Create(t.TempDir(), logrec.Liberty, 3, shard.Options{
-		Store: store.Options{FlushEvery: 1000},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
-	if len(rep.Quarantined) != 0 {
-		t.Fatalf("quarantined: %v", rep.Quarantined)
-	}
-	srv := httptest.NewServer(newShardAPI(c, apiOptions{}))
-	t.Cleanup(srv.Close)
-
-	info := postSubscribe(t, srv.URL, subscribeRequest{Threshold: 10})
-	if info.ShardsStanding != 3 || info.ShardsTotal != 3 {
-		t.Fatalf("subscribe coverage %+v", info)
-	}
-	stream := openSSE(t, srv.URL+"/api/subscribe/"+info.ID+"/events")
-	defer stream.close()
-	stream.next(t, "state")
-
-	base := time.Date(2004, 1, 5, 0, 0, 0, 0, time.UTC)
-	if _, err := c.Append(subEntries(base, 0, 6)); err != nil {
-		t.Fatal(err)
-	}
-	stream.quiet(t, 100*time.Millisecond)
-
-	if _, err := c.Append(subEntries(base.Add(time.Minute), 10, 8)); err != nil {
-		t.Fatal(err)
-	}
-	fire := stream.next(t, "fire")
-	var ev subEvent
-	if err := json.Unmarshal([]byte(fire.data), &ev); err != nil {
-		t.Fatalf("fire payload %q: %v", fire.data, err)
-	}
-	if ev.SubscriptionID != info.ID || ev.Threshold != 10 || ev.Total < 10 ||
-		ev.Aggregate.Total != ev.Total || ev.ShardsStanding != 3 || ev.Seq != 1 {
-		t.Fatalf("cluster fire event %+v", ev)
-	}
-	// More appends above the line: the latch holds — one event total.
-	if _, err := c.Append(subEntries(base.Add(2*time.Minute), 30, 6)); err != nil {
-		t.Fatal(err)
-	}
-	stream.quiet(t, 150*time.Millisecond)
-
-	// Materialized state == scatter-gather /api/aggregate, byte for byte.
-	var aggResp struct {
-		Aggregate json.RawMessage `json:"aggregate"`
-	}
-	getJSON(t, srv.URL+"/api/aggregate", &aggResp)
-	fresh := openSSE(t, srv.URL+"/api/subscribe/"+info.ID+"/events")
-	defer fresh.close()
-	var snap struct {
-		Aggregate json.RawMessage `json:"aggregate"`
-	}
-	if err := json.Unmarshal([]byte(fresh.next(t, "state").data), &snap); err != nil {
-		t.Fatal(err)
-	}
-	if string(snap.Aggregate) != string(aggResp.Aggregate) {
-		t.Fatalf("cluster materialization diverges\nstate: %s\nfresh: %s", snap.Aggregate, aggResp.Aggregate)
-	}
-}
-
 // TestSubscribeValidation pins the request-side 400s, including the
 // strict quantile validation shared with /api/aggregate.
 func TestSubscribeValidation(t *testing.T) {
-	st, err := store.Create(t.TempDir(), logrec.Liberty, store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { st.Close() })
-	srv := httptest.NewServer(newTestAPI(t, st, apiOptions{}))
-	t.Cleanup(srv.Close)
+	srv, _ := newTestServer(t, flat, nil, shard.Options{})
 
 	bad := []subscribeRequest{
 		{Quantiles: "NaN"},           // parses as a float, not a quantile

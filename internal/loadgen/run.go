@@ -182,9 +182,8 @@ func quantileLabel(q float64) string {
 	return "p" + strings.ReplaceAll(s, ".", "_")
 }
 
-// ingestReply is the subset of the (single-store or sharded) ingest
-// response the harness consumes. RejectedSources is keyed by shard id
-// (always "0" on the single-store path) — the uniform 429 retry
+// ingestReply is the subset of the ingest response the harness
+// consumes. RejectedSources is keyed by shard id — the 429 retry
 // contract.
 type ingestReply struct {
 	Appended        int                 `json:"appended"`
@@ -201,7 +200,7 @@ type Runner struct {
 	// Client is the HTTP client (default: a dedicated client with the
 	// plan's timeout and enough idle conns for every worker).
 	Client *http.Client
-	// Shards is recorded in the report (0 = single store).
+	// Shards is recorded in the report.
 	Shards int
 }
 

@@ -14,11 +14,15 @@ import (
 )
 
 // faultyOpen adapts shardfault.OpenFaulty to the router's OpenStore
-// seam and returns an accessor for the per-shard fault wrappers.
+// seam and returns an accessor for the per-shard fault wrappers. Shard 0
+// answers under both layouts: shard-00/ and, flat, the root itself.
 func faultyOpen(root string, failIDs ...int) (open func(string, store.Options) (Backend, *store.OpenReport, error), faulty func(id int) *shardfault.FaultyStore) {
 	failDirs := map[string]bool{}
 	for _, id := range failIDs {
 		failDirs[ShardDir(root, id)] = true
+		if id == 0 {
+			failDirs[root] = true
+		}
 	}
 	sfOpen, wrapped, mu := shardfault.OpenFaulty(failDirs)
 	open = func(dir string, opts store.Options) (Backend, *store.OpenReport, error) {
@@ -31,7 +35,10 @@ func faultyOpen(root string, failIDs ...int) (open func(string, store.Options) (
 	faulty = func(id int) *shardfault.FaultyStore {
 		mu.Lock()
 		defer mu.Unlock()
-		return wrapped[ShardDir(root, id)]
+		if f := wrapped[ShardDir(root, id)]; f != nil || id != 0 {
+			return f
+		}
+		return wrapped[root]
 	}
 	return open, faulty
 }

@@ -23,8 +23,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -83,8 +81,7 @@ type Backend interface {
 	System() logrec.System
 }
 
-// Options tune a cluster. The zero value gets sane defaults; Shards is
-// only consulted by Create (Open reads the on-disk manifest).
+// Options tune a cluster. The zero value gets sane defaults.
 type Options struct {
 	// Store tunes each shard's underlying store (flush size, compaction
 	// cadence, retention — all per shard).
@@ -164,10 +161,54 @@ func (o Options) retryAfter() time.Duration {
 // clusterManifest is the cluster's on-disk identity: the shard count is
 // part of the data's shape (it pins the source hash ring), so it lives
 // on disk, not in flags.
+//
+// Two layouts exist, and this file is the only code that tells them
+// apart. The manifest layout is a CLUSTER file beside shard-NN/ store
+// directories. The flat layout is a one-shard cluster with no CLUSTER
+// file whose shard 0 is the directory itself — exactly a plain
+// internal/store directory, so build-store output serves in place and
+// store.Open, compact and correlate -dir keep working on what serve
+// leaves behind. Create writes the flat layout for one shard and the
+// manifest layout otherwise; a CLUSTER file naming one shard opens too.
 type clusterManifest struct {
 	Version int    `json:"version"`
 	Shards  int    `json:"shards"`
 	System  string `json:"system"`
+	flat    bool
+}
+
+// readShape reads dir's manifest, synthesizing the flat layout's in
+// memory (nothing is written). The error wraps os.ErrNotExist when dir
+// holds neither layout.
+func readShape(dir string) (clusterManifest, error) {
+	m, err := readClusterManifest(dir)
+	if !errors.Is(err, os.ErrNotExist) {
+		return m, err
+	}
+	sys, err := store.SystemOf(dir)
+	if err != nil {
+		return m, err
+	}
+	return clusterManifest{Version: clusterVersion, Shards: 1, System: sys.ShortName(), flat: true}, nil
+}
+
+// shardDir places shard id of a cluster of shape m rooted at root.
+func (m clusterManifest) shardDir(root string, id int) string {
+	if m.flat {
+		return root
+	}
+	return ShardDir(root, id)
+}
+
+// Shape reports the system and shard count of the cluster in dir without
+// opening it. The error wraps os.ErrNotExist when dir holds no cluster.
+func Shape(dir string) (logrec.System, int, error) {
+	m, err := readShape(dir)
+	if err != nil {
+		return 0, 0, err
+	}
+	sys, err := logrec.ParseSystem(m.System)
+	return sys, m.Shards, err
 }
 
 // shardState is one shard slot: its backend (nil when quarantined), its
@@ -235,7 +276,8 @@ type OpenReport struct {
 	Stores map[int]*store.OpenReport
 }
 
-// ShardDir returns the directory of shard id under a cluster root.
+// ShardDir returns the directory of shard id under a manifest-layout
+// cluster root.
 func ShardDir(root string, id int) string {
 	return filepath.Join(root, fmt.Sprintf(shardDirPattern, id))
 }
@@ -244,9 +286,13 @@ func ShardDir(root string, id int) string {
 // mod the cluster size. The hash is part of the on-disk contract — the
 // manifest pins the shard count so the ring never silently moves.
 func ShardFor(source string, shards int) int {
-	h := fnv.New32a()
-	io.WriteString(h, source)
-	return int(h.Sum32() % uint32(shards))
+	// hash/fnv's New32a, inlined: ingest hashes every entry, and the
+	// hash.Hash32 interface costs two allocations a call.
+	h := uint32(2166136261)
+	for i := 0; i < len(source); i++ {
+		h = (h ^ uint32(source[i])) * 16777619
+	}
+	return int(h % uint32(shards))
 }
 
 // Create initializes a cluster directory for sys with n shards and
@@ -259,23 +305,25 @@ func Create(dir string, sys logrec.System, n int, opts Options) (*Cluster, *Open
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, err
 	}
-	m, err := readClusterManifest(dir)
+	m, err := readShape(dir)
 	switch {
 	case err == nil:
 		if m.System != sys.ShortName() || m.Shards != n {
 			return nil, nil, fmt.Errorf("shard: %s already holds a %d-shard %s cluster", dir, m.Shards, m.System)
 		}
 	case errors.Is(err, os.ErrNotExist):
-		m = clusterManifest{Version: clusterVersion, Shards: n, System: sys.ShortName()}
-		if err := writeClusterManifest(dir, m); err != nil {
-			return nil, nil, err
+		m = clusterManifest{Version: clusterVersion, Shards: n, System: sys.ShortName(), flat: n == 1}
+		if !m.flat {
+			if err := writeClusterManifest(dir, m); err != nil {
+				return nil, nil, err
+			}
 		}
 	default:
 		return nil, nil, err
 	}
 	// Materialize each shard's store directory so Open finds them all.
 	for i := 0; i < n; i++ {
-		st, err := store.Create(ShardDir(dir, i), sys, store.Options{FlushEvery: opts.Store.FlushEvery})
+		st, err := store.Create(m.shardDir(dir, i), sys, store.Options{FlushEvery: opts.Store.FlushEvery})
 		if err != nil {
 			return nil, nil, fmt.Errorf("shard: create shard %d: %w", i, err)
 		}
@@ -286,13 +334,14 @@ func Create(dir string, sys logrec.System, n int, opts Options) (*Cluster, *Open
 	return Open(dir, opts)
 }
 
-// Open opens an existing cluster: the manifest names the shape, and
-// every shard directory is opened independently. A shard whose open
-// fails — a corrupt manifest, an unreadable directory — is quarantined
-// with its error recorded while the rest of the cluster serves; it is
-// never half-opened or guessed at.
+// Open opens an existing cluster: the manifest names the shape (a plain
+// store directory is a flat one-shard cluster), and every shard
+// directory is opened independently. A shard whose open fails — a
+// corrupt manifest, an unreadable directory — is quarantined with its
+// error recorded while the rest of the cluster serves; it is never
+// half-opened or guessed at.
 func Open(dir string, opts Options) (*Cluster, *OpenReport, error) {
-	m, err := readClusterManifest(dir)
+	m, err := readShape(dir)
 	if err != nil {
 		return nil, nil, fmt.Errorf("shard: open %s: %w", dir, err)
 	}
@@ -313,7 +362,7 @@ func Open(dir string, opts Options) (*Cluster, *OpenReport, error) {
 	}
 	rep := &OpenReport{Shards: m.Shards, Quarantined: map[int]string{}, Stores: map[int]*store.OpenReport{}}
 	for i := 0; i < m.Shards; i++ {
-		sh := newShardState(i, ShardDir(dir, i), opts)
+		sh := newShardState(i, m.shardDir(dir, i), opts)
 		backend, srep, err := openStore(sh.dir, opts.Store)
 		if err != nil {
 			// Quarantine: the slot exists (coverage metadata counts it),
@@ -385,9 +434,8 @@ func (c *Cluster) runWorker(sh *shardState) {
 // DrainEWMA tracks how long one queued batch takes to apply, as an
 // exponentially weighted moving average (weight 1/8 — smooth enough to
 // ride out one slow fsync, fresh enough to follow a real slowdown
-// within a few batches). It is the shared drain-rate estimator behind
-// every ingest queue's Retry-After: the sharded workers here and the
-// single-store admission queue in cmd/logstudy both feed one.
+// within a few batches). It is the drain-rate estimator behind every
+// shard queue's Retry-After.
 type DrainEWMA struct {
 	nanos atomic.Int64
 }
@@ -503,10 +551,27 @@ func (c *Cluster) Append(entries []store.Entry) (AppendReport, error) {
 		return rep, errors.New("shard: cluster closed")
 	}
 
+	// Route in two passes, count then fill, so each entry is copied at
+	// most once into a slice that never regrows — and not at all when one
+	// shard takes the whole batch (every batch, with one shard): Append
+	// returns only after that shard's worker is done with the slice, and
+	// the store copies what it keeps.
+	ids := make([]int, len(entries))
+	counts := make([]int, len(c.shards))
+	for i := range entries {
+		ids[i] = ShardFor(entries[i].Record.Source, len(c.shards))
+		counts[ids[i]]++
+	}
 	parts := make(map[int][]store.Entry)
-	for _, en := range entries {
-		id := ShardFor(en.Record.Source, len(c.shards))
-		parts[id] = append(parts[id], en)
+	if counts[ids[0]] == len(entries) {
+		parts[ids[0]] = entries
+	} else {
+		for i, id := range ids {
+			if parts[id] == nil {
+				parts[id] = make([]store.Entry, 0, counts[id])
+			}
+			parts[id] = append(parts[id], entries[i])
+		}
 	}
 	type pending struct {
 		id   int

@@ -3,10 +3,15 @@ package shard
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -117,6 +122,12 @@ func TestShardForDeterministicAndSpread(t *testing.T) {
 			}
 			if id != ShardFor(src, n) {
 				t.Fatalf("ShardFor(%q, %d) unstable", src, n)
+			}
+			// The ring is an on-disk contract: FNV-1a, as hash/fnv computes it.
+			h := fnv.New32a()
+			h.Write([]byte(src))
+			if want := int(h.Sum32() % uint32(n)); id != want {
+				t.Fatalf("ShardFor(%q, %d) = %d, hash/fnv says %d", src, n, id, want)
 			}
 			hit[id] = true
 		}
@@ -347,5 +358,109 @@ func TestCombinedFingerprintCache(t *testing.T) {
 	all := aggOf(store.Filter{})
 	if all.Total != len(entries)+1 {
 		t.Fatalf("stale cluster-wide hit: total %d, want %d", all.Total, len(entries)+1)
+	}
+}
+
+// TestFlatLayoutIsAPlainStoreDirectory pins the one-shard layouts. A
+// directory made by store.Create opens in place as a one-shard cluster
+// and nothing cluster-shaped is written into it; Create with one shard
+// makes exactly that layout; a CLUSTER file naming one shard (the older
+// layout) still opens, its shard in shard-00/. All three answer alike.
+func TestFlatLayoutIsAPlainStoreDirectory(t *testing.T) {
+	entries := makeEntries(t, 200, 29)
+	want, _ := json.Marshal(query.Aggregate(entries, query.AggregateOptions{}))
+	check := func(c *Cluster, rep *OpenReport, wantDir string) {
+		t.Helper()
+		if c.NumShards() != 1 || len(rep.Quarantined) != 0 || c.Health()[0].Dir != wantDir {
+			t.Fatalf("opened %d shards (quarantined %v), shard 0 in %s, want one in %s",
+				c.NumShards(), rep.Quarantined, c.Health()[0].Dir, wantDir)
+		}
+		agg, cov, _, err := c.Aggregate(context.Background(), store.Filter{}, query.AggregateOptions{})
+		if err != nil || cov.Partial {
+			t.Fatalf("aggregate: %v, coverage %+v", err, cov)
+		}
+		if got, _ := json.Marshal(agg); string(got) != string(want) {
+			t.Fatalf("aggregate diverges from the batch reference\n got: %s\nwant: %s", got, want)
+		}
+	}
+	entriesOf := func(dir string) []string {
+		t.Helper()
+		des, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, de := range des {
+			names = append(names, de.Name())
+		}
+		return names
+	}
+
+	// A plain store directory, served in place.
+	plain := t.TempDir()
+	st, err := store.Create(plain, logrec.Thunderbird, store.Options{FlushEvery: 60})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Append(entries...); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if sys, n, err := Shape(plain); err != nil || sys != logrec.Thunderbird || n != 1 {
+		t.Fatalf("Shape(plain store) = %v, %d, %v", sys, n, err)
+	}
+	c, rep, err := Open(plain, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(c, rep, plain)
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range entriesOf(plain) {
+		if name == clusterManifestName || strings.HasPrefix(name, "shard-") {
+			t.Fatalf("serving a plain store in place left %s behind", name)
+		}
+	}
+	if st, _, err = store.Open(plain, store.Options{}); err != nil {
+		t.Fatalf("store.Open after the cluster closed: %v", err)
+	}
+	st.Close()
+
+	// Create with one shard writes the same layout.
+	flat := filepath.Join(t.TempDir(), "flat")
+	if c, rep, err = Create(flat, logrec.Thunderbird, 1, Options{Store: store.Options{FlushEvery: 60}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Append(entries); err != nil {
+		t.Fatal(err)
+	}
+	check(c, rep, flat)
+	c.Close()
+	if _, err := os.Stat(filepath.Join(flat, clusterManifestName)); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("one-shard Create wrote a %s file (stat: %v)", clusterManifestName, err)
+	}
+	if _, _, err := Create(flat, logrec.Thunderbird, 2, Options{}); err == nil {
+		t.Fatal("create over a flat one-shard cluster as 2 shards succeeded")
+	}
+
+	// The manifest layout with one shard.
+	legacy := t.TempDir()
+	if err := writeClusterManifest(legacy, clusterManifest{Version: clusterVersion, Shards: 1, System: "tbird"}); err != nil {
+		t.Fatal(err)
+	}
+	if c, rep, err = Create(legacy, logrec.Thunderbird, 1, Options{Store: store.Options{FlushEvery: 60}}); err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Append(entries); err != nil {
+		t.Fatal(err)
+	}
+	check(c, rep, ShardDir(legacy, 0))
+
+	if _, _, err := Shape(t.TempDir()); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("Shape(empty dir) = %v, want os.ErrNotExist", err)
 	}
 }

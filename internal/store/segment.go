@@ -499,8 +499,10 @@ func (g *segment) walkRange(f Filter, st *ScanStats, visit func(raw) error) erro
 	block := 0
 	if !f.From.IsZero() {
 		fromN = f.From.UnixNano()
-		// Last index block whose first record is at or before From.
-		block = sort.Search(len(g.idxNanos), func(i int) bool { return g.idxNanos[i] > fromN })
+		// The block before the first one that starts at or after From:
+		// records at exactly From may end it when the next block starts
+		// at that same instant.
+		block = sort.Search(len(g.idxNanos), func(i int) bool { return g.idxNanos[i] >= fromN })
 		if block > 0 {
 			block--
 		}
@@ -553,7 +555,8 @@ func (g *segment) walkOrdinals(ords []uint32, f Filter, st *ScanStats, visit fun
 	for i < len(ords) {
 		block := int(ords[i]) / indexInterval
 		// Time-prune whole blocks: the block's records span
-		// [idxNanos[block], idxNanos[block+1]).
+		// [idxNanos[block], idxNanos[block+1]] — closed, since records
+		// sharing the next block's first instant may end this one.
 		if toN != 0 && g.idxNanos[block] >= toN {
 			return nil // blocks are time-ordered; nothing later can match
 		}
@@ -561,7 +564,7 @@ func (g *segment) walkOrdinals(ords []uint32, f Filter, st *ScanStats, visit fun
 		for end < len(ords) && int(ords[end])/indexInterval == block {
 			end++
 		}
-		if fromN != 0 && block+1 < len(g.idxNanos) && g.idxNanos[block+1] <= fromN {
+		if fromN != 0 && block+1 < len(g.idxNanos) && g.idxNanos[block+1] < fromN {
 			i = end // the whole block predates the window
 			continue
 		}

@@ -201,11 +201,7 @@ func Create(dir string, sys logrec.System, opts Options) (*Store, error) {
 // what was recovered and what was dropped. When Options.CompactEvery is
 // positive the background maintenance loop starts before Open returns.
 func Open(dir string, opts Options) (*Store, *OpenReport, error) {
-	m, err := readManifest(dir)
-	if err != nil {
-		return nil, nil, fmt.Errorf("store: open %s: %w", dir, err)
-	}
-	sys, err := logrec.ParseSystem(m.System)
+	sys, err := SystemOf(dir)
 	if err != nil {
 		return nil, nil, fmt.Errorf("store: open %s: %w", dir, err)
 	}
@@ -882,6 +878,17 @@ func syncDir(dir string) error {
 		err = cerr
 	}
 	return err
+}
+
+// SystemOf reads which machine's alerts the store directory dir holds,
+// without opening it. The error wraps fs.ErrNotExist when dir holds no
+// store.
+func SystemOf(dir string) (logrec.System, error) {
+	m, err := readManifest(dir)
+	if err != nil {
+		return 0, err
+	}
+	return logrec.ParseSystem(m.System)
 }
 
 func readManifest(dir string) (manifest, error) {

@@ -298,3 +298,93 @@ func TestPostingsCodec(t *testing.T) {
 		}
 	}
 }
+
+// TestFromOnBlockStartInstantSealedEqualsTail pins the sparse-index
+// seeks against a run of same-instant records longer than one index
+// block: the run ends block 0 and starts block 1, so block 1's index
+// point is exactly the run's instant. A window opening on, just before,
+// or just after that instant must match the same records sealed as it
+// did in the tail — through the range walk (time-only filter) and the
+// postings walk (category filter), for Scan and ScanColumns alike.
+func TestFromOnBlockStartInstantSealedEqualsTail(t *testing.T) {
+	instant := time.Date(2004, 8, 15, 1, 8, 58, 0, time.UTC)
+	var entries []Entry
+	for i := 0; i < 3*indexInterval; i++ {
+		tm := instant
+		switch {
+		case i < indexInterval/2:
+			tm = instant.Add(time.Duration(i-indexInterval/2) * time.Second)
+		case i > 2*indexInterval-10:
+			tm = instant.Add(time.Duration(i-(2*indexInterval-10)) * time.Second)
+		}
+		entries = append(entries, Entry{
+			Record: logrec.Record{
+				Seq: uint64(i), Time: tm, System: logrec.Liberty,
+				Source: fmt.Sprintf("ln%d", i%3), Severity: logrec.SevErr, Body: "x",
+			},
+			Category: []string{"GM_PAR", "PBS_CHK"}[i%2],
+			Kept:     i%4 == 0,
+		})
+	}
+	s, err := Create(t.TempDir(), logrec.Liberty, Options{FlushEvery: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.Append(entries...); err != nil {
+		t.Fatal(err)
+	}
+
+	type answer struct {
+		entries          []Entry
+		matched, columns int
+	}
+	ask := func(f Filter) answer {
+		t.Helper()
+		var a answer
+		st, err := s.Scan(f, func(en Entry) error {
+			a.entries = append(a.entries, en)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sortEntries(a.entries)
+		a.matched = st.Matched
+		var v countingVisitor
+		cst, err := s.ScanColumns(f, &v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cst.Matched != st.Matched {
+			t.Fatalf("%+v: ScanColumns matched %d, Scan %d", f, cst.Matched, st.Matched)
+		}
+		a.columns = v.sealedMatched + v.tail
+		return a
+	}
+
+	var filters []Filter
+	for _, from := range []time.Time{instant, instant.Add(-time.Nanosecond), instant.Add(time.Nanosecond)} {
+		filters = append(filters, Filter{From: from}, Filter{From: from, Categories: []string{"GM_PAR"}})
+	}
+	tail := make([]answer, len(filters))
+	for i, f := range filters {
+		tail[i] = ask(f)
+		if want := linearFilter(entries, f); !reflect.DeepEqual(tail[i].entries, want) {
+			t.Fatalf("%+v: tail scan returns %d entries, linear reference %d", f, len(tail[i].entries), len(want))
+		}
+	}
+	if err := s.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	if s.TailLen() != 0 || len(s.Segments()) != 1 {
+		t.Fatalf("seal left tail %d, segments %d", s.TailLen(), len(s.Segments()))
+	}
+	for i, f := range filters {
+		sealed := ask(f)
+		if !reflect.DeepEqual(sealed.entries, tail[i].entries) || sealed.matched != tail[i].matched || sealed.columns != tail[i].columns {
+			t.Errorf("%+v: sealed answer (%d entries, matched %d, columns %d) differs from the tail's (%d, %d, %d)",
+				f, len(sealed.entries), sealed.matched, sealed.columns, len(tail[i].entries), tail[i].matched, tail[i].columns)
+		}
+	}
+}
