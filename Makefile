@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race verify verify-race verify-shard bench bench-smoke bench-contract diff-smoke subscribe-smoke correlate-smoke loadgen-smoke fuzz fuzz-smoke
+.PHONY: all build test vet race verify verify-race verify-shard no-stale-refs bench-contract diff-smoke subscribe-smoke correlate-smoke loadgen-smoke fuzz fuzz-smoke
 
 # Every test invocation gets a hard wall-clock budget (a wedged-shard or
 # crash-recovery bug must fail the gate, not hang it) and a shuffled
@@ -56,7 +56,7 @@ verify-shard:
 	$(GO) test -race -count=1 -shuffle=on -timeout $(TEST_TIMEOUT) ./internal/shard/... ./internal/faultinject/...
 	$(call run-tests,-race -count=1 -timeout $(TEST_TIMEOUT),MatchesBatchPipeline|QueryEndpoint|ShardedAggregate|PartialResult|NoShardAnswered|OnDiskShape|NoShardOpens|ServedInPlace|Backpressure429|NoGoroutines,./cmd/logstudy/)
 
-verify: build vet race bench-smoke bench-contract diff-smoke subscribe-smoke correlate-smoke loadgen-smoke fuzz-smoke
+verify: build vet race no-stale-refs bench-contract diff-smoke subscribe-smoke correlate-smoke loadgen-smoke fuzz-smoke
 
 # Standing-query gate: the incremental-vs-rescan differential suites
 # (registry and cluster, every mutation class, shard counts 1/2/4/7),
@@ -86,18 +86,14 @@ correlate-smoke:
 diff-smoke:
 	$(call run-tests,-count=1 -timeout $(TEST_TIMEOUT),Columnar|ScanColumns|BodyFilter|DecodeReference|Unmap|SealedEqualsTail,./internal/store/ ./internal/query/ ./cmd/logstudy/)
 
-# Full stage-by-stage benchmark ledger (records/sec, allocs/record,
-# serial-vs-parallel speedup per stage). Writes BENCH_pipeline.json at
-# the repo root — commit the refreshed ledger when performance changes.
-BENCH_SCALE ?= 0.001
-bench:
-	$(GO) run ./cmd/logstudy bench -scale $(BENCH_SCALE) -iters 3 -o BENCH_pipeline.json
-
-# One cheap iteration as part of `make verify`: proves the bench path
-# end-to-end (generate, parse, tag, filter, ledger serialization)
-# without perturbing the committed ledger.
-bench-smoke:
-	$(GO) run ./cmd/logstudy bench -system liberty -scale 0.0001 -iters 1 -o $(if $(TMPDIR),$(TMPDIR),/tmp)/BENCH_smoke.json
+# The stage-loop ledger (the bench package and subcommand, its JSON file,
+# its make targets) was deleted in favour of BENCHMARK.json +
+# benchmark/; fail if a doc, comment or target names it again. The three
+# excluded files record the deletion itself; the one-letter brackets keep
+# this line from matching itself.
+no-stale-refs:
+	@if git grep -nE 'BENCH_[p]ipeline|internal/[b]ench|bench-[s]moke|logstudy [b]ench' -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md'; then \
+		echo "FAIL: stale reference to the deleted bench ledger (see DESIGN.md §7 for the per-layer metric that replaced it)"; exit 1; fi
 
 # benchmark/ is its own module, so root `go build ./...` never compiles
 # it, yet it imports internal/{shard,store,query,correlate}: vet and
@@ -112,7 +108,7 @@ bench-contract:
 # regression trio (SSE exempt from request deadlines, drain-rate-derived
 # 429 retry contract on every layout, graceful drain-and-seal with acked
 # batches durable), ending with the loadgen CLI end-to-end against a
-# self-hosted 4-shard serve writing the ledger's load_reports section.
+# self-hosted 4-shard serve writing its standalone -o report.
 # Race on — the harness, the pump, and the shard queues are all
 # concurrency; -count=1 so the kill and
 # backpressure state machines re-execute every run.

@@ -9,11 +9,8 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"runtime"
-	"sort"
 	"time"
 
-	"whatsupersay/internal/bench"
 	"whatsupersay/internal/loadgen"
 	"whatsupersay/internal/logrec"
 	"whatsupersay/internal/report"
@@ -42,7 +39,7 @@ func runLoadgen(args []string, w io.Writer) error {
 	startRate := fs.Float64("start-rate", 4, "offered batches/sec at the first ramp step")
 	rampFactor := fs.Float64("ramp-factor", 2, "offered-rate multiplier between ramp steps")
 	reqTimeout := fs.Duration("request-timeout", 15*time.Second, "per-request client timeout")
-	outPath := fs.String("o", "BENCH_pipeline.json", "benchmark ledger to upsert the load_reports section into (empty = don't write)")
+	outPath := fs.String("o", "", "write this run's report to FILE as JSON (default: write nothing)")
 	scale, seed := commonFlags(fs)
 	if help, err := parseFlags(fs, args); help || err != nil {
 		return err
@@ -137,10 +134,14 @@ func runLoadgen(args []string, w io.Writer) error {
 	}
 
 	if *outPath != "" {
-		if err := upsertLoadReport(*outPath, rep); err != nil {
+		data, err := json.MarshalIndent(rep, "", "  ")
+		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "load report appended to %s\n", *outPath)
+		if err := os.WriteFile(*outPath, append(data, '\n'), 0o644); err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "load report written to %s\n", *outPath)
 	}
 	return nil
 }
@@ -204,42 +205,4 @@ func latencyMS(q map[string]float64, label string) string {
 		return "-"
 	}
 	return fmt.Sprintf("%.1f", v*1000)
-}
-
-// upsertLoadReport appends rep to the ledger's load_reports, creating
-// the ledger if absent and preserving every other section. Reports for
-// the same (system, shards, fingerprint, worker shape) are replaced
-// rather than duplicated, so repeated runs converge to one row per
-// configuration. Rows written before every store was a cluster recorded a
-// single store as shards 0; they are read as the one-shard rows they are.
-func upsertLoadReport(path string, rep *loadgen.Report) error {
-	led, err := bench.ReadJSON(path)
-	if os.IsNotExist(err) {
-		led = &bench.Ledger{GoVersion: runtime.Version(), GOMAXPROCS: runtime.GOMAXPROCS(0)}
-		err = nil
-	}
-	if err != nil {
-		return err
-	}
-	same := func(r loadgen.Report) bool {
-		return r.System == rep.System && r.Shards == rep.Shards &&
-			r.PlanFingerprint == rep.PlanFingerprint &&
-			r.Ingesters == rep.Ingesters && r.Queriers == rep.Queriers
-	}
-	kept := led.LoadReports[:0]
-	for _, r := range led.LoadReports {
-		r.Shards = max(r.Shards, 1)
-		if !same(r) {
-			kept = append(kept, r)
-		}
-	}
-	led.LoadReports = append(kept, *rep)
-	sort.SliceStable(led.LoadReports, func(i, j int) bool {
-		a, b := led.LoadReports[i], led.LoadReports[j]
-		if a.System != b.System {
-			return a.System < b.System
-		}
-		return a.Shards < b.Shards
-	})
-	return led.WriteJSON(path)
 }

@@ -16,7 +16,6 @@
 //	logstudy mine [-system NAME] [-support N] [-top N]
 //	logstudy jobs [-system NAME] [-category CAT] [-checkpoint D]
 //	logstudy rules [-system NAME] [-export]
-//	logstudy bench [-system NAME|all] [-scale S] [-seed N] [-iters N] [-workers N] [-o FILE]
 //	logstudy build-store -dir DIR [-system NAME] [-scale S] [-seed N] [-in FILE] [-compact]
 //	logstudy serve -dir DIR [-addr ADDR] [-system NAME] [-shards N] [-max-body N] [-cache N] [-compact-every D] [-retention D] [-graphite ADDR]
 //	logstudy loadgen [-target URL | -shards N] [-system NAME] [-ingesters K] [-queriers M] [-ramp-steps N] [-o FILE]
@@ -46,7 +45,6 @@ import (
 	"time"
 
 	"whatsupersay/internal/anonymize"
-	"whatsupersay/internal/bench"
 	"whatsupersay/internal/catalog"
 	"whatsupersay/internal/cluster"
 	"whatsupersay/internal/core"
@@ -215,8 +213,6 @@ func dispatch(args []string, w io.Writer) error {
 		return runAnonymize(args[1:], w)
 	case "rules":
 		return runRules(args[1:], w)
-	case "bench":
-		return runBench(args[1:], w)
 	case "build-store":
 		return runBuildStore(args[1:], w)
 	case "serve":
@@ -253,8 +249,6 @@ subcommands:
   jobs             workload overlay: killed jobs, lost node-hours, RAS metrics
   sweep            filtering-threshold sensitivity (the paper fixes T=5s)
   rules            print the expert tagging rules (awk-style or file format)
-  bench            time each pipeline stage serial vs parallel; write the
-                   BENCH_pipeline.json ledger
   build-store      run the pipeline once and persist tagged + filtered
                    alerts as a segment-indexed store (-dir)
   serve            answer /api/query, /api/aggregate, /api/segments, and
@@ -262,8 +256,8 @@ subcommands:
                    pipeline
   loadgen          drive a live serve endpoint (or a self-hosted one) with
                    concurrent ingesters and queriers on a seeded plan:
-                   latency quantiles, throughput, and the saturation knee,
-                   appended to the BENCH_pipeline.json ledger
+                   latency quantiles, throughput, and the saturation knee
+                   (-o FILE writes the run's report as JSON)
   compact          merge a store's small segments into large sorted ones
                    and apply the retention horizon (-dir)
   correlate        mine the event-correlation graph from a store in one
@@ -873,82 +867,6 @@ func runAnonymize(args []string, w io.Writer) error {
 	if *outPath != "" {
 		fmt.Fprintf(w, "anonymized %s lines (%s rewritten) -> %s; audit found %d residual leaks\n",
 			report.Comma(int64(len(lines))), report.Comma(int64(changed)), *outPath, len(leaks))
-	}
-	return nil
-}
-
-// runBench times each pipeline stage serial vs parallel and writes the
-// benchmark ledger.
-func runBench(args []string, w io.Writer) error {
-	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
-	sysName := fs.String("system", "all", "system to benchmark (or all)")
-	iters := fs.Int("iters", 3, "timed iterations per stage (best wins)")
-	workers := fs.Int("workers", 0, "parallel worker count (0 = GOMAXPROCS)")
-	outPath := fs.String("o", "BENCH_pipeline.json", "ledger output path")
-	scale, seed := commonFlags(fs)
-	if help, err := parseFlags(fs, args); help || err != nil {
-		return err
-	}
-	systems := logrec.Systems()
-	if *sysName != "all" {
-		sys, err := logrec.ParseSystem(*sysName)
-		if err != nil {
-			return err
-		}
-		systems = []logrec.System{sys}
-	}
-	led, err := bench.Run(systems, bench.Options{
-		Scale: *scale, Seed: *seed, Iterations: *iters, Workers: *workers,
-	})
-	if err != nil {
-		return err
-	}
-	for _, rep := range led.Reports {
-		fmt.Fprintf(w, "%s: %s records, %s lines\n",
-			rep.System, report.Comma(int64(rep.Records)), report.Comma(int64(rep.Lines)))
-		fmt.Fprintf(w, "  %-9s %14s %14s %8s %14s\n", "stage", "serial rec/s", "parallel rec/s", "speedup", "allocs/rec")
-		for _, s := range rep.Stages {
-			fmt.Fprintf(w, "  %-9s %14.0f %14.0f %7.2fx %14.2f\n",
-				s.Name, s.SerialRecPerSec, s.ParallelRecPerSec, s.Speedup, s.AllocsPerRecord)
-		}
-		fmt.Fprintf(w, "  end-to-end: %.3fs serial, %.3fs parallel (%.2fx on %d procs)\n\n",
-			rep.TotalSerialSec, rep.TotalParallelSec, rep.TotalSpeedup, led.GOMAXPROCS)
-	}
-	for _, rep := range led.StoreReports {
-		fmt.Fprintf(w, "%s store: %s entries in %d segments\n",
-			rep.System, report.Comma(int64(rep.Records)), rep.Segments)
-		fmt.Fprintf(w, "  %-18s %14s %14s %14s\n", "stage", "rec/s", "allocs/rec", "bytes/rec")
-		for _, s := range rep.Stages {
-			fmt.Fprintf(w, "  %-18s %14.0f %14.2f %14.1f\n",
-				s.Name, s.RecPerSec, s.AllocsPerRecord, s.BytesPerRecord)
-		}
-		fmt.Fprintf(w, "  columnar aggregate: %.2fx over row decode\n\n", rep.ColumnarSpeedup)
-	}
-	for _, rep := range led.StandingReports {
-		fmt.Fprintf(w, "%s standing: %s entries, %d batches of %d, %d subscriptions\n",
-			rep.System, report.Comma(int64(rep.Records)), rep.Batches, rep.BatchSize, rep.Subscriptions)
-		fmt.Fprintf(w, "  %-18s %14s %14s %14s\n", "stage", "rec/s", "allocs/rec", "bytes/rec")
-		for _, s := range rep.Stages {
-			fmt.Fprintf(w, "  %-18s %14.0f %14.2f %14.1f\n",
-				s.Name, s.RecPerSec, s.AllocsPerRecord, s.BytesPerRecord)
-		}
-		fmt.Fprintf(w, "  incremental maintenance: %.2fx over per-batch rescan\n\n", rep.IncrementalSpeedup)
-	}
-	for _, rep := range led.CorrelateReports {
-		fmt.Fprintf(w, "%s correlate: %s events, %d batches of %d, graph %d nodes / %d edges\n",
-			rep.System, report.Comma(int64(rep.Records)), rep.Batches, rep.BatchSize, rep.Nodes, rep.Edges)
-		fmt.Fprintf(w, "  %-18s %14s %14s %14s\n", "stage", "events/s", "allocs/rec", "bytes/rec")
-		for _, s := range rep.Stages {
-			fmt.Fprintf(w, "  %-18s %14.0f %14.2f %14.1f\n",
-				s.Name, s.RecPerSec, s.AllocsPerRecord, s.BytesPerRecord)
-		}
-		fmt.Fprintf(w, "  incremental mining: %.2fx over per-batch re-mine\n\n", rep.IncrementalSpeedup)
-	}
-	if *outPath != "" {
-		if err := led.WriteJSON(*outPath); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "ledger written to %s\n", *outPath)
 	}
 	return nil
 }

@@ -46,6 +46,7 @@ func TestExitCodes(t *testing.T) {
 		{"subcommand -h", []string{"tables", "-h"}, 0},
 		{"no subcommand", nil, 2},
 		{"unknown subcommand", []string{"bogus"}, 2},
+		{"removed bench subcommand", []string{"bench", "-system", "liberty"}, 2},
 		{"bad flag", []string{"tables", "-no-such-flag"}, 2},
 		{"bad flag value", []string{"tables", "-scale", "x"}, 2},
 		{"missing required flag", []string{"analyze"}, 2},

@@ -29,8 +29,8 @@ func TestExtractGlobal(t *testing.T) {
 			want:     globalOpts{metricsPath: "out.json"},
 		},
 		{
-			args:     []string{"-metrics=out.json", "-v", "bench", "-system", "liberty"},
-			wantRest: []string{"bench", "-system", "liberty"},
+			args:     []string{"-metrics=out.json", "-v", "loadgen", "-system", "liberty"},
+			wantRest: []string{"loadgen", "-system", "liberty"},
 			want:     globalOpts{metricsPath: "out.json", verbose: true},
 		},
 		{

@@ -237,13 +237,13 @@ func TestMinerVersionAdvances(t *testing.T) {
 	if err := m.Init(); err != nil {
 		t.Fatal(err)
 	}
-	v0 := m.Version()
+	_, v0 := m.ColumnsSnapshot()
 	base := time.Date(2004, 3, 1, 0, 0, 0, 0, time.UTC)
 	if err := st.Append(minerEntries(base, 0, 4)...); err != nil {
 		t.Fatal(err)
 	}
 	waitSettled(t, m)
-	v1 := m.Version()
+	_, v1 := m.ColumnsSnapshot()
 	if v1 <= v0 {
 		t.Fatalf("append did not advance version: %d -> %d", v0, v1)
 	}
@@ -251,7 +251,7 @@ func TestMinerVersionAdvances(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitSettled(t, m)
-	if v := m.Version(); v != v1 {
+	if _, v := m.ColumnsSnapshot(); v != v1 {
 		t.Fatalf("seal changed version: %d -> %d", v1, v)
 	}
 }

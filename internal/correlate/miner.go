@@ -306,18 +306,14 @@ func (m *Miner) Snapshot() Graph {
 }
 
 // ColumnsSnapshot deep-copies the per-node columns — the cluster tier
-// merges per-shard snapshots and recomputes edges over the union.
-func (m *Miner) ColumnsSnapshot() map[string][]int64 {
-	cols, _, _ := m.snapshotState()
-	return cols
-}
-
-// Version returns the state-change counter; it advances on every applied
-// delta or installed rebuild. The live-prediction cache keys on it.
-func (m *Miner) Version() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.version
+// merges per-shard snapshots and recomputes edges over the union — and
+// returns the state-change counter they were read at. The counter
+// advances on every applied delta or installed rebuild; both come from
+// one critical section, so a cache keyed on the version never files
+// older columns under a newer version.
+func (m *Miner) ColumnsSnapshot() (map[string][]int64, uint64) {
+	cols, _, version := m.snapshotState()
+	return cols, version
 }
 
 // snapshotState copies the integer state under the lock.

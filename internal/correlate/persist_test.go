@@ -3,6 +3,7 @@ package correlate
 import (
 	"encoding/json"
 	"os"
+	"runtime"
 	"testing"
 	"time"
 
@@ -178,4 +179,59 @@ func TestCorruptArtifactIgnored(t *testing.T) {
 		t.Fatal("corrupt artifact warm-started")
 	}
 	checkMinerDifferential(t, "corrupt artifact", st, []*Miner{m})
+}
+
+// TestMinerCloseLeavesNoGoroutines: Close takes both workers down — the
+// rebuild worker after it has re-baselined on a compaction, the save
+// worker after it has written an artifact (before Close's own final
+// save, so the file proves the worker ran).
+func TestMinerCloseLeavesNoGoroutines(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.Create(dir, logrec.Liberty, store.Options{FlushEvery: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	before := runtime.NumGoroutine()
+
+	m := NewMiner(st, Config{}, ArtifactPath(dir))
+	st.SetObserver(m.OnMutation)
+	if err := m.Init(); err != nil {
+		t.Fatal(err)
+	}
+	base := time.Date(2004, 3, 1, 0, 0, 0, 0, time.UTC)
+	if err := st.Append(minerEntries(base, 0, 12)...); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	if cst, err := st.Compact(); err != nil || cst.Compactions == 0 {
+		t.Fatalf("need a real compact mutation: %+v, %v", cst, err)
+	}
+	waitSettled(t, m)
+	if stats := m.Stats(); stats.Rebuilds == 0 {
+		t.Fatalf("the rebuild worker never ran: %+v", stats)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if _, err := os.Stat(ArtifactPath(dir)); err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the save worker never wrote an artifact")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+
+	st.SetObserver(nil)
+	m.Close()
+	deadline = time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines before, %d after Close:\n%s", before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 }

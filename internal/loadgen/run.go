@@ -76,8 +76,9 @@ type Saturation struct {
 	Reason         string  `json:"reason"`
 }
 
-// Report is one complete load run, as stored in the bench ledger's
-// load_reports section.
+// Report is one complete load run: the run's configuration and plan
+// fingerprint, one StepReport per schedule step, and the knee verdict.
+// `logstudy loadgen -o FILE` writes exactly this, as standalone JSON.
 type Report struct {
 	System          string       `json:"system"`
 	Seed            int64        `json:"seed"`

@@ -245,7 +245,7 @@ func (r *Registry) StageSummaries() []StageSummary {
 }
 
 // WriteSummary renders the stage table and the non-zero counters — the
-// verbose-mode view printed by `logstudy ingest -v` / `bench -v`.
+// verbose-mode view printed by `logstudy ingest -v`.
 func (r *Registry) WriteSummary(w io.Writer) {
 	stages := r.StageSummaries()
 	if len(stages) > 0 {

@@ -3,9 +3,8 @@
 // enough to leave enabled in the hot paths. Every instrument is a single
 // cache-line-friendly struct updated with atomic operations — no locks,
 // no allocation, no channels on the record path — so instrumentation
-// does not perturb the BENCH_pipeline.json numbers (the overhead model
-// is documented in DESIGN.md §8 and pinned by benchmarks in this
-// package).
+// does not perturb the numbers it reports (the overhead model is
+// documented in DESIGN.md §8 and pinned by benchmarks in this package).
 //
 // One registry, three views:
 //
@@ -17,10 +16,10 @@
 //
 // Metric names follow the Prometheus convention (`snake_case` with a
 // `_total` / `_seconds` / `_bytes` unit suffix). A name may carry an
-// embedded label clause — `bench_speedup{system="liberty",stage="tag"}`
-// — which the Prometheus writer splits back into base name and labels;
-// this is what lets internal/bench record its per-stage results through
-// the same registry and schema as production telemetry.
+// embedded label clause — `shard_queue_depth{shard="3"}` — which the
+// Prometheus writer splits back into base name and labels; this is how
+// internal/shard keeps one instrument per shard in the same registry
+// and schema as the unlabeled telemetry.
 package obs
 
 import (

@@ -108,7 +108,7 @@ func TestSpanRecordsStage(t *testing.T) {
 func TestSnapshotAndJSONFile(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("lines_total").Add(42)
-	r.Gauge(`bench_speedup{system="liberty",stage="tag"}`).Set(2.5)
+	r.Gauge(`shard_queue_depth{shard="3"}`).Set(2.5)
 	r.Histogram("sz_bytes", Bytes).Observe(100)
 	path := filepath.Join(t.TempDir(), "m.json")
 	if err := r.WriteJSONFile(path); err != nil {
@@ -125,7 +125,7 @@ func TestSnapshotAndJSONFile(t *testing.T) {
 	if s.Counters["lines_total"] != 42 {
 		t.Errorf("counters = %v", s.Counters)
 	}
-	if s.Gauges[`bench_speedup{system="liberty",stage="tag"}`] != 2.5 {
+	if s.Gauges[`shard_queue_depth{shard="3"}`] != 2.5 {
 		t.Errorf("gauges = %v", s.Gauges)
 	}
 	hs := s.Histograms["sz_bytes"]

@@ -45,14 +45,10 @@ var (
 
 	// poolSerialFallbacks counts Do calls that measured the first chunk,
 	// judged the remaining work too small to pay for goroutines, and
-	// finished serially (see autotuneMinWork). The bench ledger records
-	// the per-stage delta so a "speedup ≈ 1.0" row is explainable.
+	// finished serially (see autotuneMinWork), so a parallel call site
+	// that is no faster than serial is explainable from a scrape.
 	poolSerialFallbacks = obs.Default.Counter("parallel_autotune_serial_total")
 )
-
-// SerialFallbackCounter is the autotune fallback counter's registry
-// name, exported for the bench ledger.
-const SerialFallbackCounter = "parallel_autotune_serial_total"
 
 // autotuneMinWork is the estimated remaining work below which Do
 // finishes serially instead of spawning workers. Parallelism costs a

@@ -3,6 +3,7 @@ package query
 import (
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -340,5 +341,48 @@ func TestStandingUnregister(t *testing.T) {
 	}
 	if _, ok := reg.AggregateOf(a.ID); ok {
 		t.Fatal("aggregate of removed subscription still served")
+	}
+}
+
+// TestRegistryCloseLeavesNoGoroutines: Close takes the rebuild worker
+// down with it, after the worker has actually re-baselined a
+// subscription on a compaction.
+func TestRegistryCloseLeavesNoGoroutines(t *testing.T) {
+	st, err := store.Create(t.TempDir(), logrec.BlueGeneL, store.Options{FlushEvery: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	before := runtime.NumGoroutine()
+
+	reg := NewRegistry(st)
+	st.SetObserver(reg.OnMutation)
+	if _, err := reg.Register(store.Filter{}, AggregateOptions{}, 0); err != nil {
+		t.Fatal(err)
+	}
+	base := time.Date(2005, 6, 1, 12, 0, 0, 0, time.UTC)
+	if err := st.Append(standingEntries(base, 0, 12)...); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	if cst, err := st.Compact(); err != nil || cst.Compactions == 0 {
+		t.Fatalf("need a real compact mutation: %+v, %v", cst, err)
+	}
+	waitStandingClean(t, reg)
+	if info := reg.List()[0]; info.Rebuilds == 0 {
+		t.Fatalf("the rebuild worker never ran: %+v", info)
+	}
+
+	st.SetObserver(nil)
+	reg.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines before, %d after Close:\n%s", before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"sort"
 	"sync"
 
 	"whatsupersay/internal/correlate"
@@ -67,24 +68,21 @@ func (cc *clusterCorrelate) close() {
 	}
 }
 
-// mergedColumns gathers per-shard column snapshots and their versions.
+// mergedColumns gathers per-shard column snapshots and the versions
+// they were read at, each pair from one critical section of its miner.
 func (cc *clusterCorrelate) mergedColumns() (map[string][]int64, []uint64) {
 	ids := make([]int, 0, len(cc.miners))
 	for id := range cc.miners {
 		ids = append(ids, id)
 	}
 	// Deterministic order so the version vector is comparable.
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
+	sort.Ints(ids)
 	parts := make([]map[string][]int64, 0, len(ids))
 	versions := make([]uint64, 0, len(ids))
 	for _, id := range ids {
-		m := cc.miners[id]
-		parts = append(parts, m.ColumnsSnapshot())
-		versions = append(versions, m.Version())
+		cols, version := cc.miners[id].ColumnsSnapshot()
+		parts = append(parts, cols)
+		versions = append(versions, version)
 	}
 	return correlate.MergeColumns(parts), versions
 }

@@ -3,6 +3,7 @@ package shard
 import (
 	"encoding/json"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -226,5 +227,56 @@ func TestClusterPredictionReport(t *testing.T) {
 	r3 := c.PredictionReport(correlate.PredictOptions{})
 	if r3.Events <= r1.Events {
 		t.Fatalf("report did not advance after append: %+v", r3)
+	}
+}
+
+// TestClusterPredictionCacheNeverStale: the report cache is keyed on the
+// miner version vector, so columns and version must come from one
+// critical section per miner. Read apart, an append folded between the
+// two reads files the pre-append report under the post-append version,
+// and the next ask is served that stale report from the cache. Readers
+// race the appends to open that window; after every append returns
+// (the shard workers have run the observers by then) the served report
+// must count every event appended so far.
+func TestClusterPredictionCacheNeverStale(t *testing.T) {
+	c, _, err := Create(t.TempDir(), logrec.Liberty, 2, Options{Store: store.Options{FlushEvery: 1 << 20}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	waitCorrelateSettled(t, c)
+
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for i := 0; i < 3; i++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					c.PredictionReport(correlate.PredictOptions{})
+				}
+			}
+		}()
+	}
+	defer func() {
+		close(stop)
+		readers.Wait()
+	}()
+
+	base := time.Date(2004, 3, 1, 12, 0, 0, 0, time.UTC)
+	const batch = 4
+	for i := 0; i < 150; i++ {
+		entries := correlateClusterEntries(base.Add(time.Duration(i*batch)*time.Minute), uint64(i*batch), batch)
+		if _, err := c.Append(entries); err != nil {
+			t.Fatal(err)
+		}
+		want := (i + 1) * batch
+		if got := c.PredictionReport(correlate.PredictOptions{}).Events; got != want {
+			t.Fatalf("after append %d: served report covers %d events, the miners hold %d (stale cache entry)", i, got, want)
+		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -462,5 +463,67 @@ func TestFlatLayoutIsAPlainStoreDirectory(t *testing.T) {
 
 	if _, _, err := Shape(t.TempDir()); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("Shape(empty dir) = %v, want os.ErrNotExist", err)
+	}
+}
+
+// TestClusterCloseLeavesNoGoroutines: everything Create starts — shard
+// workers, the standing evaluator, one registry rebuild worker and one
+// miner rebuild + save worker per shard — is gone once Close returns,
+// on every layout, after a compaction has made the rebuild workers
+// re-baseline (a worker that never ran proves nothing about its exit).
+func TestClusterCloseLeavesNoGoroutines(t *testing.T) {
+	for _, shards := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			c, _, err := Create(t.TempDir(), logrec.Liberty, shards, Options{Store: store.Options{FlushEvery: 3}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.Subscribe(store.Filter{}, query.AggregateOptions{}, 0); err != nil {
+				t.Fatal(err)
+			}
+			base := time.Date(2004, 3, 1, 12, 0, 0, 0, time.UTC)
+			if _, err := c.Append(correlateClusterEntries(base, 0, 44)); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Seal(); err != nil {
+				t.Fatal(err)
+			}
+			var compacted []int
+			for _, sh := range c.shards {
+				cst, err := sh.backend.(*store.Store).Compact()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if cst.Compactions > 0 {
+					compacted = append(compacted, sh.id)
+				}
+			}
+			if len(compacted) == 0 {
+				t.Fatal("no shard compacted; test needs a real compact mutation")
+			}
+			waitCorrelateSettled(t, c)
+			waitClusterStanding(t, c)
+			for _, id := range compacted {
+				if st := c.correlate.miners[id].Stats(); st.Rebuilds == 0 {
+					t.Fatalf("shard %d: the miner's rebuild worker never ran: %+v", id, st)
+				}
+				if info := c.standing.regs[id].List()[0]; info.Rebuilds == 0 {
+					t.Fatalf("shard %d: the registry's rebuild worker never ran: %+v", id, info)
+				}
+			}
+
+			if err := c.Close(); err != nil {
+				t.Fatal(err)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > before {
+				if time.Now().After(deadline) {
+					buf := make([]byte, 1<<20)
+					t.Fatalf("%d goroutines before Create, %d after Close:\n%s", before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+		})
 	}
 }
