@@ -41,9 +41,11 @@ race:
 # surface, with -count=1 so the concurrent append/scan/seal/compact
 # stress test and the crash-window recovery suite actually re-run
 # instead of replaying cached results. This is the gate for the store's
-# locking protocol (compactMu before mu) and the aggregate cache.
+# locking protocol (compactMu before mu), the aggregate cache, and the
+# view kernel's Seq fence (internal/view — the one place a baseline is
+# fenced, installed and re-baselined; its generated schedules re-run).
 verify-race:
-	$(GO) test -race -count=1 -shuffle=on -timeout $(TEST_TIMEOUT) ./internal/store/... ./internal/query/... ./cmd/logstudy/...
+	$(GO) test -race -count=1 -shuffle=on -timeout $(TEST_TIMEOUT) ./internal/store/... ./internal/view/... ./internal/query/... ./cmd/logstudy/...
 
 # Focused race pass over the cluster's failure envelope: the
 # scatter-gather router, circuit breakers, per-shard kill/recovery
@@ -58,21 +60,27 @@ verify-shard:
 
 verify: build vet race no-stale-refs bench-contract diff-smoke subscribe-smoke correlate-smoke loadgen-smoke fuzz-smoke
 
-# Standing-query gate: the incremental-vs-rescan differential suites
-# (registry and cluster, every mutation class, shard counts 1/2/4/7),
-# the single-event-per-crossing latch tests, and the HTTP subscribe
-# smoke (POST subscribe → SSE fires exactly once per crossing, webhook
-# delivered at most once). -race because the registry sits on the store
-# mutation stream; -count=1 so the fenced re-baseline paths re-execute.
+# Standing-query gate: the view kernel's suite (internal/view: the Seq
+# fence under out-of-order delivery, invalidation at every point of a
+# build, failing scans, Close mid-scan, seeded random schedules against
+# a model), the incremental-vs-rescan differential suites (registry and
+# cluster, every mutation class, shard counts 1/2/4/7), the
+# single-event-per-crossing latch tests, and the HTTP subscribe smoke
+# (POST subscribe → SSE fires exactly once per crossing, webhook
+# delivered at most once). -race because the views sit on the store
+# mutation stream; -count=1 so the kernel's generated schedules and the
+# consumers' re-baselines re-execute.
 subscribe-smoke:
-	$(call run-tests,-race -count=1 -timeout $(TEST_TIMEOUT),Standing|Registry|Subscribe,./internal/query/ ./internal/shard/ ./cmd/logstudy/)
+	$(call run-tests,-race -count=1 -timeout $(TEST_TIMEOUT),View|Standing|Registry|Subscribe,./internal/view/ ./internal/query/ ./internal/shard/ ./cmd/logstudy/)
 
 # Correlation-mining gate: the incremental-vs-batch miner differentials
 # (every mutation class, warm starts, cluster shard counts 1/2/4/7) and
 # the /api/correlations + /api/predict HTTP smoke across layouts,
 # including the served-equals-batch prediction purity check and the
 # bounded-limit contract. -race because the miner sits on the store mutation stream;
-# -count=1 so the Seq-fenced baseline paths re-execute every run.
+# -count=1 so its baselines, warm starts and folds re-execute every run
+# (the Seq fence they install through is internal/view's, gated by
+# subscribe-smoke and verify-race).
 correlate-smoke:
 	$(GO) test -race -count=1 -timeout $(TEST_TIMEOUT) ./internal/correlate/
 	$(call run-tests,-race -count=1 -timeout $(TEST_TIMEOUT),ClusterCorrelate|ClusterPrediction,./internal/shard/)
@@ -88,12 +96,14 @@ diff-smoke:
 
 # The stage-loop ledger (the bench package and subcommand, its JSON file,
 # its make targets) was deleted in favour of BENCHMARK.json +
-# benchmark/; fail if a doc, comment or target names it again. The three
-# excluded files record the deletion itself; the one-letter brackets keep
-# this line from matching itself.
+# benchmark/, and the stochastic failure-process package because nothing imported it
+# (internal/simulate carries its own processes); fail if a doc, comment
+# or target names either again. The three excluded files record the
+# deletions themselves; the one-letter brackets keep this line from
+# matching itself.
 no-stale-refs:
-	@if git grep -nE 'BENCH_[p]ipeline|internal/[b]ench|bench-[s]moke|logstudy [b]ench' -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md'; then \
-		echo "FAIL: stale reference to the deleted bench ledger (see DESIGN.md §7 for the per-layer metric that replaced it)"; exit 1; fi
+	@if git grep -nE 'BENCH_[p]ipeline|internal/[b]ench|bench-[s]moke|logstudy [b]ench|internal/[f]ailure' -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md'; then \
+		echo "FAIL: stale reference to a deleted package or target (the bench ledger: see DESIGN.md §7 for the per-layer metric that replaced it)"; exit 1; fi
 
 # benchmark/ is its own module, so root `go build ./...` never compiles
 # it, yet it imports internal/{shard,store,query,correlate}: vet and

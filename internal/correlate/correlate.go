@@ -33,6 +33,7 @@ import (
 
 	"whatsupersay/internal/mining"
 	"whatsupersay/internal/store"
+	"whatsupersay/internal/view"
 )
 
 // DefaultWindow is the co-occurrence window when Config.Window is zero.
@@ -174,6 +175,18 @@ func newGraphState() *graphState {
 	return &graphState{cols: map[string][]int64{}, edges: map[edgeKey]edgeAccum{}}
 }
 
+// clone deep-copies the state.
+func (s *graphState) clone() graphState {
+	c := graphState{cols: make(map[string][]int64, len(s.cols)), edges: make(map[edgeKey]edgeAccum, len(s.edges))}
+	for node, col := range s.cols {
+		c.cols[node] = append([]int64(nil), col...)
+	}
+	for k, v := range s.edges {
+		c.edges[k] = v
+	}
+	return c
+}
+
 // events returns the total event count across columns.
 func (s *graphState) events() int {
 	n := 0
@@ -298,37 +311,8 @@ func (s *graphState) fold(d delta, window int64) {
 		}
 	}
 	for node, col := range d.cols {
-		s.cols[node] = mergeSortedInt64(s.cols[node], col)
+		s.cols[node] = view.MergeSorted(s.cols[node], col)
 	}
-}
-
-// mergeSortedInt64 merges two nondecreasing columns into one. Same
-// shape as the standing registry's merge: the common fast path is a
-// delta entirely newer than the state.
-func mergeSortedInt64(a, b []int64) []int64 {
-	if len(b) == 0 {
-		return a
-	}
-	if len(a) == 0 {
-		return append([]int64(nil), b...)
-	}
-	if a[len(a)-1] <= b[0] {
-		return append(a, b...)
-	}
-	out := make([]int64, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i] <= b[j] {
-			out = append(out, a[i])
-			i++
-		} else {
-			out = append(out, b[j])
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
 }
 
 // EdgesFromColumns recomputes every pair accumulator from scratch over
@@ -536,7 +520,7 @@ func MergeColumns(parts []map[string][]int64) map[string][]int64 {
 	out := map[string][]int64{}
 	for _, p := range parts {
 		for node, col := range p {
-			out[node] = mergeSortedInt64(out[node], col)
+			out[node] = view.MergeSorted(out[node], col)
 		}
 	}
 	return out

@@ -295,7 +295,7 @@ func (s *LiveService) Options() PredictOptions { return s.opts }
 // Report returns the current prediction report, recomputed only when
 // the miner's state has changed since the last call.
 func (s *LiveService) Report() PredictionReport {
-	cols, _, version := s.m.snapshotState()
+	cols, version := s.m.ColumnsSnapshot()
 	s.mu.Lock()
 	if s.cached != nil && s.version == version {
 		rep := *s.cached

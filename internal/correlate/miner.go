@@ -1,59 +1,49 @@
 package correlate
 
 import (
-	"sync"
+	"sync/atomic"
 
 	"whatsupersay/internal/obs"
 	"whatsupersay/internal/query"
 	"whatsupersay/internal/store"
+	"whatsupersay/internal/view"
 )
 
 // Miner maintains the correlation graph online, off the store mutation
-// stream. It follows the standing-query registry's consistency protocol
-// exactly (internal/query/standing.go): a fenced baseline scan-retry
-// loop installs state with a sequence fence, deltas buffered during the
-// scan fold in iff their Seq exceeds the fence, and later deliveries
-// apply iff Seq > fence — so every append lands in the state exactly
-// once regardless of how delivery interleaves with scanning. Seals are
-// no-ops (the entry set is unchanged); compaction and retention mark
-// the state dirty and an async worker re-baselines — retention IS the
-// graph's decay: aged-out events leave the columns on rebuild, and
-// every edge shrinks to exactly the batch mine of what remains.
+// stream, as a view.View whose state is the graph's integer state and
+// whose delta is one appended batch's per-node columns — so every
+// append lands in the state exactly once however delivery interleaves
+// with scanning (the fence is internal/view's). Seals are no-ops (the
+// entry set is unchanged); compaction and retention invalidate the view
+// and its worker re-baselines — retention IS the graph's decay:
+// aged-out events leave the columns on rebuild, and every edge shrinks
+// to exactly the batch mine of what remains.
 //
 // The store supports at most one observer; the serve layer multiplexes
 // one observer func across the standing registry and the miner.
 
 // Correlation-miner telemetry.
 var (
-	gCorrelateNodes        = obs.Default.Gauge("correlate_nodes")
-	gCorrelateEdges        = obs.Default.Gauge("correlate_edges")
-	mCorrelateDeltas       = obs.Default.Counter("correlate_deltas_applied_total")
-	mCorrelateDeltaEvents  = obs.Default.Counter("correlate_delta_events_total")
-	mCorrelateRebuilds     = obs.Default.Counter("correlate_rebuilds_total")
-	mCorrelateRebuildFails = obs.Default.Counter("correlate_rebuild_failures_total")
-	mCorrelateBaselines    = obs.Default.Counter("correlate_baseline_scans_total")
-	mCorrelateWarmStarts   = obs.Default.Counter("correlate_warm_starts_total")
+	gCorrelateNodes       = obs.Default.Gauge("correlate_nodes")
+	gCorrelateEdges       = obs.Default.Gauge("correlate_edges")
+	mCorrelateDeltaEvents = obs.Default.Counter("correlate_delta_events_total")
+	mCorrelateBaselines   = obs.Default.Counter("correlate_baseline_scans_total")
+	mCorrelateWarmStarts  = obs.Default.Counter("correlate_warm_starts_total")
+	correlateCounters     = view.Counters{
+		Deltas:   obs.Default.Counter("correlate_deltas_applied_total"),
+		Rebuilds: obs.Default.Counter("correlate_rebuilds_total"),
+		Failures: obs.Default.Counter("correlate_rebuild_failures_total"),
+	}
 )
-
-// MinerStore is the store surface a Miner needs: scans for baselines,
-// the mutation-sequence fence, and the fingerprint the persisted
-// artifact is keyed by. *store.Store satisfies it.
-type MinerStore interface {
-	query.StandingStore
-}
-
-// seqColDelta is one buffered append awaiting a baseline install.
-type seqColDelta struct {
-	seq uint64
-	d   delta
-}
 
 // MinerStats describes a miner's current state.
 type MinerStats struct {
-	Nodes  int  `json:"nodes"`
-	Edges  int  `json:"edges"`
-	Events int  `json:"events"`
-	Dirty  bool `json:"dirty,omitempty"`
+	Nodes  int `json:"nodes"`
+	Edges  int `json:"edges"`
+	Events int `json:"events"`
+	// Dirty means the state is not settled: a baseline or rebuild scan
+	// is running, queued, or failed; reads serve the last good state.
+	Dirty bool `json:"dirty,omitempty"`
 	// DeltasApplied counts folded append batches; Rebuilds counts
 	// re-baselines after compaction/retention; WarmStart reports whether
 	// the initial state came from a persisted artifact instead of a scan.
@@ -64,35 +54,27 @@ type MinerStats struct {
 
 // Miner is one store's online correlation miner.
 type Miner struct {
-	st  MinerStore
+	st  query.StandingStore
 	cfg Config
 	// artifactPath, when nonempty, is where the graph persists (written
 	// atomically, loaded for warm starts). See persist.go.
 	artifactPath string
 
-	mu      sync.Mutex
-	state   *graphState
-	baseSeq uint64
-	// lastSeq is the highest mutation sequence the installed state
-	// reflects (appends folded, seals noted). The saver requires
-	// lastSeq == MutationSeq() before persisting, so an artifact's
-	// fingerprint always describes exactly the state written with it.
-	lastSeq  uint64
-	buf      []seqColDelta
-	scanning bool
-	inScan   bool
-	dirty    bool
-	// version counts state changes; the live-prediction cache keys on it.
-	version uint64
+	view *view.View[graphState, delta]
+	// lastSeq and version are guarded by the view's lock (written in its
+	// hook, read inside Read). lastSeq is the highest mutation sequence
+	// the installed state reflects (appends folded, seals noted). The
+	// saver requires lastSeq == MutationSeq() before persisting, so an
+	// artifact's fingerprint always describes exactly the state written
+	// with it. version counts state changes; the live-prediction cache
+	// keys on it.
+	lastSeq   uint64
+	version   uint64
+	warmStart atomic.Bool
 
-	deltas, rebuilds uint64
-	warmStart        bool
-
-	rebuildCh chan struct{}
-	saveCh    chan struct{}
-	stop      chan struct{}
-	done      chan struct{}
-	saveDone  chan struct{}
+	saveCh   chan struct{}
+	stop     chan struct{}
+	saveDone chan struct{}
 }
 
 // NewMiner builds a miner over st. The caller wires the observer
@@ -100,21 +82,21 @@ type Miner struct {
 // Init to install the initial state — in that order, so no mutation is
 // lost between baseline and observation. artifactPath may be empty to
 // disable persistence.
-func NewMiner(st MinerStore, cfg Config, artifactPath string) *Miner {
+func NewMiner(st query.StandingStore, cfg Config, artifactPath string) *Miner {
 	m := &Miner{
 		st:           st,
 		cfg:          cfg.withDefaults(),
 		artifactPath: artifactPath,
-		state:        newGraphState(),
-		scanning:     true,
-		inScan:       true,
-		rebuildCh:    make(chan struct{}, 1),
 		saveCh:       make(chan struct{}, 1),
 		stop:         make(chan struct{}),
-		done:         make(chan struct{}),
 		saveDone:     make(chan struct{}),
 	}
-	go m.rebuildLoop()
+	window := m.cfg.Window.Nanoseconds()
+	fold := func(s *graphState, d delta) {
+		s.fold(d, window)
+		mCorrelateDeltaEvents.Add(int64(d.n))
+	}
+	m.view = view.New(st, *newGraphState(), m.scan, fold, m.onStep, correlateCounters)
 	go m.saveLoop()
 	return m
 }
@@ -123,21 +105,30 @@ func NewMiner(st MinerStore, cfg Config, artifactPath string) *Miner {
 func (m *Miner) Config() Config { return m.cfg }
 
 // Init installs the initial state: a warm start from the persisted
-// artifact when its config key and store fingerprint match under a
-// seq-stable check, else a fenced baseline scan. Call after the
-// observer is installed.
+// artifact when its config key and store fingerprint match, else a
+// baseline scan — two producers for the same fenced install. Call after
+// the observer is installed.
 func (m *Miner) Init() error {
-	if m.tryWarmStart() {
-		return nil
+	art := m.loadMatchingArtifact()
+	warm := false
+	err := m.view.Init(func() (graphState, error) {
+		if warm = art != nil && art.Fingerprint == m.st.Fingerprint(); warm {
+			return art.state(), nil
+		}
+		return m.scan()
+	})
+	if err == nil && warm {
+		m.warmStart.Store(true)
+		mCorrelateWarmStarts.Add(1)
 	}
-	return m.baseline(false)
+	return err
 }
 
 // Close stops the workers, then writes a final artifact so the next
 // open can warm-start. Detach the observer first.
 func (m *Miner) Close() {
 	close(m.stop)
-	<-m.done
+	m.view.Close()
 	<-m.saveDone
 	m.save()
 }
@@ -147,162 +138,47 @@ func (m *Miner) Close() {
 func (m *Miner) OnMutation(mu store.Mutation) {
 	switch mu.Kind {
 	case store.MutationAppend:
-		m.applyDelta(mu)
+		if d := deltaOf(m.cfg, mu.Entries); d.n > 0 {
+			m.view.Apply(mu.Seq, d)
+		} else {
+			m.view.Note(mu.Seq)
+		}
 	case store.MutationSeal:
-		// Entry set unchanged; columns and edges stay exact — but note
-		// the seq (the fingerprint moved) so the saver can persist a
-		// consistent pair, and re-save under the new fingerprint.
-		m.mu.Lock()
-		if !m.scanning {
-			m.lastSeq = mu.Seq
-		}
-		m.mu.Unlock()
-		m.wakeSave()
+		// Entry set unchanged; columns and edges stay exact — but the
+		// fingerprint moved, so the saver re-saves under the new one.
+		m.view.Note(mu.Seq)
 	case store.MutationCompact, store.MutationRetention:
-		m.markDirty()
+		m.view.Invalidate(mu.Seq)
 	}
 }
 
-// applyDelta folds one appended batch (or buffers it mid-scan).
-func (m *Miner) applyDelta(mu store.Mutation) {
-	d := deltaOf(m.cfg, mu.Entries)
-	m.mu.Lock()
-	if m.scanning {
-		if d.n > 0 {
-			m.buf = append(m.buf, seqColDelta{seq: mu.Seq, d: d})
-		}
-		m.mu.Unlock()
-		return
+// scan is the baseline producer: a batch mine of the store.
+func (m *Miner) scan() (graphState, error) {
+	mCorrelateBaselines.Add(1)
+	cols, err := scanColumns(m.st, m.cfg)
+	if err != nil {
+		return graphState{}, err
 	}
-	m.lastSeq = mu.Seq
-	if mu.Seq <= m.baseSeq || d.n == 0 {
-		m.mu.Unlock()
-		m.wakeSave()
-		return
-	}
-	m.state.fold(d, m.cfg.Window.Nanoseconds())
-	m.deltas++
-	m.version++
-	mCorrelateDeltas.Add(1)
-	mCorrelateDeltaEvents.Add(int64(d.n))
-	m.publishLocked()
-	m.mu.Unlock()
-	m.wakeSave()
+	return graphState{cols: cols, edges: EdgesFromColumns(cols, m.cfg.Window)}, nil
 }
 
-// markDirty invalidates the state and queues a rebuild.
-func (m *Miner) markDirty() {
-	m.mu.Lock()
-	m.dirty = true
-	// Freeze deltas until the rebuild installs; an in-flight baseline
-	// (inScan) will observe the seq change and retry.
-	m.scanning = true
-	m.mu.Unlock()
-	m.wakeRebuild()
-}
-
-func (m *Miner) wakeRebuild() {
-	select {
-	case m.rebuildCh <- struct{}{}:
-	default:
-	}
-}
-
-// rebuildLoop is the async re-baseline worker.
-func (m *Miner) rebuildLoop() {
-	defer close(m.done)
-	for {
-		select {
-		case <-m.stop:
-			return
-		case <-m.rebuildCh:
-		}
-		m.mu.Lock()
-		claim := m.dirty && !m.inScan
-		if claim {
-			m.inScan = true
-			m.scanning = true
-		}
-		m.mu.Unlock()
-		if claim {
-			if err := m.baseline(true); err != nil {
-				mCorrelateRebuildFails.Add(1)
-			}
-		}
-	}
-}
-
-// baseline runs the fenced scan-retry loop and installs the result.
-// The caller owns the scan (inScan set by NewMiner for the initial
-// build, by rebuildLoop for rebuilds); ownership is released on return.
-func (m *Miner) baseline(rebuild bool) error {
-	defer func() {
-		m.mu.Lock()
-		m.inScan = false
-		// A markDirty that landed after this baseline's final seq check
-		// (its mutation sequenced after the install) left dirty set with
-		// no one to claim it — re-wake the worker so it rebuilds.
-		redo := m.dirty
-		m.mu.Unlock()
-		if redo {
-			m.wakeRebuild()
-		}
-	}()
-	for {
-		s1 := m.st.MutationSeq()
-		mCorrelateBaselines.Add(1)
-		cols, err := scanColumns(m.st, m.cfg)
-		if err != nil {
-			m.mu.Lock()
-			m.scanning = false
-			m.buf = nil
-			m.dirty = true
-			m.mu.Unlock()
-			return err
-		}
-		st := &graphState{cols: cols, edges: EdgesFromColumns(cols, m.cfg.Window)}
-		m.mu.Lock()
-		if m.st.MutationSeq() != s1 {
-			// Mutations landed mid-scan; coverage is ambiguous. Retry.
-			m.mu.Unlock()
-			continue
-		}
-		m.state = st
-		m.baseSeq = s1
-		m.lastSeq = s1
-		for _, bd := range m.buf {
-			if bd.seq > s1 {
-				m.state.fold(bd.d, m.cfg.Window.Nanoseconds())
-				m.deltas++
-				mCorrelateDeltas.Add(1)
-			}
-		}
-		m.buf = nil
-		m.scanning = false
-		m.dirty = false
+// onStep is the view's hook (its lock is held): note the sequence
+// number the state now reflects, publish a change, poke the saver.
+func (m *Miner) onStep(s *graphState, st view.Step) {
+	m.lastSeq = st.Seq
+	if st.Changed {
 		m.version++
-		if rebuild {
-			m.rebuilds++
-			mCorrelateRebuilds.Add(1)
-		}
-		m.publishLocked()
-		m.mu.Unlock()
-		m.wakeSave()
-		return nil
+		gCorrelateNodes.Set(float64(len(s.cols)))
+		gCorrelateEdges.Set(float64(len(s.edges)))
 	}
-}
-
-// publishLocked refreshes the size gauges. Callers hold mu.
-func (m *Miner) publishLocked() {
-	gCorrelateNodes.Set(float64(len(m.state.cols)))
-	gCorrelateEdges.Set(float64(len(m.state.edges)))
+	m.wakeSave()
 }
 
 // Snapshot renders the current graph. The integer state is copied
 // under the lock; rendering runs outside it.
 func (m *Miner) Snapshot() Graph {
-	cols, edges, _ := m.snapshotState()
-	return render(m.cfg, &graphState{cols: cols, edges: edges})
+	st, _ := m.snapshotState()
+	return render(m.cfg, &st)
 }
 
 // ColumnsSnapshot deep-copies the per-node columns — the cluster tier
@@ -312,45 +188,33 @@ func (m *Miner) Snapshot() Graph {
 // one critical section, so a cache keyed on the version never files
 // older columns under a newer version.
 func (m *Miner) ColumnsSnapshot() (map[string][]int64, uint64) {
-	cols, _, version := m.snapshotState()
-	return cols, version
+	st, version := m.snapshotState()
+	return st.cols, version
 }
 
 // snapshotState copies the integer state under the lock.
-func (m *Miner) snapshotState() (map[string][]int64, map[edgeKey]edgeAccum, uint64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	cols := make(map[string][]int64, len(m.state.cols))
-	for node, col := range m.state.cols {
-		cols[node] = append([]int64(nil), col...)
-	}
-	edges := make(map[edgeKey]edgeAccum, len(m.state.edges))
-	for k, v := range m.state.edges {
-		edges[k] = v
-	}
-	return cols, edges, m.version
+func (m *Miner) snapshotState() (st graphState, version uint64) {
+	m.view.Read(func(s *graphState, _ view.Status) { st, version = s.clone(), m.version })
+	return st, version
 }
 
 // Stats reports the miner's current counters.
-func (m *Miner) Stats() MinerStats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return MinerStats{
-		Nodes:         len(m.state.cols),
-		Edges:         len(m.state.edges),
-		Events:        m.state.events(),
-		Dirty:         m.dirty,
-		DeltasApplied: m.deltas,
-		Rebuilds:      m.rebuilds,
-		WarmStart:     m.warmStart,
-	}
+func (m *Miner) Stats() (out MinerStats) {
+	m.view.Read(func(s *graphState, st view.Status) {
+		out = MinerStats{
+			Nodes:         len(s.cols),
+			Edges:         len(s.edges),
+			Events:        s.events(),
+			Dirty:         !st.Settled,
+			DeltasApplied: st.Deltas,
+			Rebuilds:      st.Rebuilds,
+			WarmStart:     m.warmStart.Load(),
+		}
+	})
+	return out
 }
 
 // Settled reports whether the state is installed and clean — the
 // differential tests quiesce on it before comparing against the batch
 // mine.
-func (m *Miner) Settled() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return !m.dirty && !m.scanning && !m.inScan
-}
+func (m *Miner) Settled() bool { return m.view.Settled() }

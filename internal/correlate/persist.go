@@ -2,12 +2,12 @@ package correlate
 
 import (
 	"encoding/json"
-	"fmt"
 	"os"
 	"path/filepath"
 
 	"whatsupersay/internal/obs"
 	"whatsupersay/internal/store"
+	"whatsupersay/internal/view"
 )
 
 // Graph persistence: the miner writes its integer state as a versioned
@@ -23,7 +23,7 @@ import (
 //
 // Saves run on a dedicated goroutine with a coalescing wake channel:
 // observers run synchronously on the append path and must not block on
-// disk, so applyDelta only pokes the saver. Close writes a final
+// disk, so the view's hook only pokes the saver. Close writes a final
 // artifact so the fingerprint matches the sealed-on-close store.
 
 // ArtifactName is the graph artifact's filename, next to MANIFEST.
@@ -62,22 +62,6 @@ type artifact struct {
 	Seq   uint64             `json:"seq"`
 	Cols  map[string][]int64 `json:"cols"`
 	Edges []artifactEdge     `json:"edges"`
-}
-
-// loadArtifact reads and validates an artifact file.
-func loadArtifact(path string) (*artifact, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var art artifact
-	if err := json.Unmarshal(data, &art); err != nil {
-		return nil, fmt.Errorf("correlate: artifact %s: %w", path, err)
-	}
-	if art.Version != artifactVersion {
-		return nil, fmt.Errorf("correlate: artifact %s: version %d, want %d", path, art.Version, artifactVersion)
-	}
-	return &art, nil
 }
 
 // saveLoop is the saver worker: coalesced wakes, one write per wake.
@@ -122,17 +106,22 @@ func (m *Miner) save() {
 		if m.st.MutationSeq() != s1 {
 			continue
 		}
-		m.mu.Lock()
-		if m.scanning || m.dirty {
-			// No installed clean state to persist; the next install will
-			// wake the saver again.
-			m.mu.Unlock()
+		var st *graphState
+		settled := false
+		m.view.Read(func(s *graphState, status view.Status) {
+			// Unsettled: no installed clean state to persist; the next
+			// install pokes the saver again. lastSeq != s1: mutations are
+			// committed that this state has not reflected yet (delivery
+			// in flight); retry for a consistent pair.
+			if settled = status.Settled; settled && m.lastSeq == s1 {
+				c := s.clone()
+				st = &c
+			}
+		})
+		if !settled {
 			return
 		}
-		if m.lastSeq != s1 {
-			// Mutations are committed that this state has not reflected
-			// yet (delivery in flight); retry for a consistent pair.
-			m.mu.Unlock()
+		if st == nil {
 			continue
 		}
 		art := &artifact{
@@ -140,17 +129,12 @@ func (m *Miner) save() {
 			ConfigKey:   m.cfg.Key(),
 			Fingerprint: fp,
 			Seq:         s1,
-			Cols:        make(map[string][]int64, len(m.state.cols)),
+			Cols:        st.cols,
+			Edges:       make([]artifactEdge, 0, len(st.edges)),
 		}
-		for node, col := range m.state.cols {
-			art.Cols[node] = append([]int64(nil), col...)
-		}
-		art.Edges = make([]artifactEdge, 0, len(m.state.edges))
-		for k, acc := range m.state.edges {
+		for k, acc := range st.edges {
 			art.Edges = append(art.Edges, artifactEdge{Source: k.a, Target: k.b, Pairs: acc.Pairs, LagSum: acc.LagSum})
 		}
-		m.mu.Unlock()
-
 		data, err := json.Marshal(art)
 		if err != nil {
 			return
@@ -163,55 +147,29 @@ func (m *Miner) save() {
 	}
 }
 
-// tryWarmStart installs the persisted artifact when it matches this
-// miner's config and the open store's fingerprint (checked under a
-// seq-stable window). Returns false to fall back to a baseline scan.
-func (m *Miner) tryWarmStart() bool {
-	if m.artifactPath == "" {
-		return false
+// loadMatchingArtifact returns the persisted artifact if one is there,
+// decodes, and was written in this encoding for this miner's config;
+// anything else is a cache miss (nil), never an error. Whether it also
+// matches the open store's fingerprint is Init's producer's question,
+// asked inside the view's fenced install so the comparison is
+// seq-stable.
+func (m *Miner) loadMatchingArtifact() *artifact {
+	data, err := os.ReadFile(m.artifactPath)
+	if err != nil {
+		return nil
 	}
-	art, err := loadArtifact(m.artifactPath)
-	if err != nil || art.ConfigKey != m.cfg.Key() {
-		return false
+	var art artifact
+	if json.Unmarshal(data, &art) != nil || art.Version != artifactVersion || art.ConfigKey != m.cfg.Key() {
+		return nil
 	}
-	for {
-		s1 := m.st.MutationSeq()
-		fp := m.st.Fingerprint()
-		if m.st.MutationSeq() != s1 {
-			continue
-		}
-		if fp != art.Fingerprint {
-			return false
-		}
-		st := newGraphState()
-		st.cols = art.Cols
-		for _, e := range art.Edges {
-			st.edges[edgeKey{e.Source, e.Target}] = edgeAccum{Pairs: e.Pairs, LagSum: e.LagSum}
-		}
-		m.mu.Lock()
-		if m.st.MutationSeq() != s1 {
-			m.mu.Unlock()
-			continue
-		}
-		m.state = st
-		m.baseSeq = s1
-		m.lastSeq = s1
-		for _, bd := range m.buf {
-			if bd.seq > s1 {
-				m.state.fold(bd.d, m.cfg.Window.Nanoseconds())
-				m.deltas++
-				mCorrelateDeltas.Add(1)
-			}
-		}
-		m.buf = nil
-		m.scanning = false
-		m.dirty = false
-		m.inScan = false
-		m.warmStart = true
-		m.version++
-		mCorrelateWarmStarts.Add(1)
-		m.publishLocked()
-		m.mu.Unlock()
-		return true
+	return &art
+}
+
+// state is the graph state the artifact holds.
+func (a *artifact) state() graphState {
+	st := graphState{cols: a.Cols, edges: make(map[edgeKey]edgeAccum, len(a.Edges))}
+	for _, e := range a.Edges {
+		st.edges[edgeKey{e.Source, e.Target}] = edgeAccum{Pairs: e.Pairs, LagSum: e.LagSum}
 	}
+	return st
 }

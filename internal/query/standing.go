@@ -3,42 +3,26 @@ package query
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
 	"whatsupersay/internal/obs"
 	"whatsupersay/internal/store"
+	"whatsupersay/internal/view"
 )
 
 // Standing queries: subscriptions whose aggregates are maintained
 // incrementally. A Registry holds (filter, options, threshold) triples
-// and keeps, per subscription, a materialized Partial of the matched
-// entry set. Appends arrive as store mutation notifications and fold
-// in as deltas — PartialOf over the batch's matching entries, merged
-// into the materialized state — so answering a standing aggregate is
-// MergePartials over one partial, never a rescan. Seals change nothing
-// (the entry set is identical); compaction and retention invalidate the
-// materialization wholesale and trigger a rebuild from a scan.
-//
-// Consistency protocol. The store stamps every committed mutation with
-// a sequence number assigned inside the committing critical section, so
-// "a scan can see mutation M" implies "MutationSeq() ≥ M.Seq". A
-// baseline (registration or rebuild) runs a fenced scan-retry loop:
-//
-//	1. load s1 := MutationSeq()
-//	2. scan the store into a Partial
-//	3. if MutationSeq() != s1, mutations landed mid-scan and the
-//	   scan's coverage is ambiguous — retry from 1
-//	4. install the Partial with fence s1
-//
-// While a baseline is in flight the subscription buffers incoming
-// deltas instead of applying them; at install, buffered deltas with
-// Seq > s1 fold in (the scan already covers Seq ≤ s1) and later
-// deliveries apply iff Seq > s1. Every mutation is delivered exactly
-// once, so each one lands in the state exactly once — via the scan,
-// the buffer, or a live delta — no matter how delivery interleaves
-// with the scan. Differential tests pin the result byte-identical to a
-// from-scratch aggregate after every mutation kind.
+// and keeps, per subscription, a view.View whose state is the Partial
+// of the matched entry set. Appends arrive as store mutation
+// notifications and fold in as deltas — PartialOf over the batch's
+// matching entries, merged into the materialized state — so answering a
+// standing aggregate is MergePartials over one partial, never a rescan.
+// Seals change nothing (the entry set is identical); compaction and
+// retention invalidate the view, which rebuilds from a scan. The fence
+// that makes the incremental answer equal the batch one, and the retry
+// policy after a failed rebuild, are internal/view's.
 //
 // Thresholds are edge-triggered with a latch: an event fires when the
 // materialized total crosses from below Threshold to at or above it,
@@ -49,19 +33,21 @@ import (
 // Standing-query telemetry.
 var (
 	gStandingSubs         = obs.Default.Gauge("standing_subscriptions")
-	mStandingDeltas       = obs.Default.Counter("standing_deltas_applied_total")
 	mStandingDeltaEntries = obs.Default.Counter("standing_delta_entries_total")
-	mStandingRebuilds     = obs.Default.Counter("standing_rebuilds_total")
-	mStandingRebuildFails = obs.Default.Counter("standing_rebuild_failures_total")
 	mStandingEvents       = obs.Default.Counter("standing_events_total")
+	standingCounters      = view.Counters{
+		Deltas:   obs.Default.Counter("standing_deltas_applied_total"),
+		Rebuilds: obs.Default.Counter("standing_rebuilds_total"),
+		Failures: obs.Default.Counter("standing_rebuild_failures_total"),
+	}
 )
 
-// StandingStore is what a Registry needs from the store: the scan
-// surface for baselines plus the mutation sequence counter the fence
-// protocol reads. *store.Store satisfies it.
+// StandingStore is what an incremental view needs from the store: the
+// scan surface for baselines plus the mutation sequence counter the
+// view kernel fences them with. *store.Store satisfies it.
 type StandingStore interface {
 	Scanner
-	MutationSeq() uint64
+	view.Source
 }
 
 // StandingEvent is one threshold crossing, pushed through the
@@ -82,97 +68,75 @@ type StandingInfo struct {
 	Threshold int              `json:"threshold"`
 	Total     int              `json:"total"`
 	Fired     bool             `json:"fired"`
-	// Dirty means the materialization is pending a rebuild (a rebuild
-	// scan failed, or one is queued); reads serve the last good state.
+	// Dirty means the materialization is not settled: a baseline or
+	// rebuild scan is running, queued, or failed; reads serve the last
+	// good state.
 	Dirty         bool   `json:"dirty,omitempty"`
 	DeltasApplied uint64 `json:"deltas_applied"`
 	Rebuilds      uint64 `json:"rebuilds"`
 	Events        uint64 `json:"events"`
 }
 
-// seqDelta is one buffered delta awaiting a baseline install.
-type seqDelta struct {
-	seq uint64
-	p   Partial
-}
-
-// standingSub is one registered standing query. All fields are guarded
-// by the registry's mu except id/filter/opts/threshold, which are
-// immutable after creation.
+// standingSub is one registered standing query. id/filter/opts/
+// threshold/view are immutable after creation; fired and events are
+// guarded by the view's lock (touched only in its hook and in Read).
 type standingSub struct {
 	id        string
 	filter    store.Filter
 	opts      AggregateOptions
 	threshold int
+	view      *view.View[Partial, Partial]
 
-	state   Partial    // the materialized aggregate
-	baseSeq uint64     // fence: mutations with Seq <= baseSeq are in state
-	buf     []seqDelta // deltas delivered while a baseline scan runs
-	// scanning freezes the state (deltas buffer instead of applying);
-	// inScan marks that some goroutine owns the baseline for this sub.
-	scanning bool
-	inScan   bool
-	dirty    bool // rebuild needed (compaction/retention invalidated)
-	fired    bool // threshold latch
-
-	deltas, rebuilds, events uint64
+	fired  bool // threshold latch
+	events uint64
 }
 
 // Registry maintains the standing queries over one store. Wire it up
-// with st.SetObserver(reg.OnMutation); Close stops the rebuild worker.
+// with st.SetObserver(reg.OnMutation); Close stops the rebuild workers.
 type Registry struct {
 	st  StandingStore
 	eng *Engine
 
-	mu    sync.Mutex
-	subs  map[string]*standingSub
-	order []string
+	// mu guards the fields below and is never held while taking a view's
+	// lock (the views' hooks take it the other way round).
+	mu   sync.Mutex
+	subs map[string]*standingSub
+	// order is replaced, never written in place, so OnMutation ranges
+	// over a loaded copy without holding mu.
+	order []*standingSub
 	next  int
 
 	notify   func(StandingEvent)
 	onChange func(id string, total int)
-
-	rebuildCh chan struct{}
-	stop      chan struct{}
-	done      chan struct{}
 }
 
-// NewRegistry builds a registry over st and starts its rebuild worker.
-// The caller installs reg.OnMutation as the store's observer.
+// NewRegistry builds a registry over st. The caller installs
+// reg.OnMutation as the store's observer.
 func NewRegistry(st StandingStore) *Registry {
-	r := &Registry{
-		st:        st,
-		eng:       &Engine{Store: st},
-		subs:      map[string]*standingSub{},
-		rebuildCh: make(chan struct{}, 1),
-		stop:      make(chan struct{}),
-		done:      make(chan struct{}),
-	}
-	go r.rebuildLoop()
-	return r
+	return &Registry{st: st, eng: &Engine{Store: st}, subs: map[string]*standingSub{}}
 }
 
-// Close stops the rebuild worker. The caller should detach the store
-// observer first (SetObserver(nil)); notifications arriving after Close
-// are still applied, but rebuilds no longer run.
+// Close stops every subscription's rebuild worker. The caller should
+// detach the store observer first (SetObserver(nil)); notifications
+// arriving after Close are still applied, but rebuilds no longer run.
 func (r *Registry) Close() {
-	close(r.stop)
-	<-r.done
+	for _, sub := range r.list() {
+		sub.view.Close()
+	}
 }
 
-// SetNotify installs the event sink. The sink runs with the registry's
-// lock held and must not block or call back into the registry or the
-// store — hand the event to a channel and return.
+// SetNotify installs the event sink. The sink runs with the
+// subscription's view lock held and must not block or call back into
+// the registry or the store — hand the event to a channel and return.
 func (r *Registry) SetNotify(fn func(StandingEvent)) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.notify = fn
 }
 
-// SetOnChange installs a state-change hook invoked (under the
-// registry's lock, same contract as SetNotify) with the subscription id
-// and new total after every applied delta or rebuild — the shard
-// router's merge trigger.
+// SetOnChange installs a state-change hook invoked (same contract as
+// SetNotify) with the subscription id and new total after every applied
+// delta or rebuild — the shard router's merge trigger.
 func (r *Registry) SetOnChange(fn func(id string, total int)) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -184,300 +148,167 @@ func (r *Registry) SetOnChange(fn func(id string, total int)) {
 // If the baseline already meets the threshold the event fires
 // immediately. Threshold <= 0 registers a pure materialized view.
 func (r *Registry) Register(f store.Filter, opts AggregateOptions, threshold int) (StandingInfo, error) {
-	opts = opts.Normalize()
+	sub := &standingSub{filter: f, opts: opts.Normalize(), threshold: threshold}
+	scan := func() (Partial, error) {
+		p, _, err := r.eng.PartialContext(context.Background(), f)
+		return p, err
+	}
+	fold := func(dst *Partial, d Partial) {
+		foldDelta(dst, d)
+		mStandingDeltaEntries.Add(int64(d.Total))
+	}
+	onStep := func(p *Partial, st view.Step) {
+		if st.Changed {
+			r.evaluate(sub, p)
+		}
+	}
 	r.mu.Lock()
 	r.next++
-	id := fmt.Sprintf("sub-%d", r.next)
-	sub := &standingSub{
-		id: id, filter: f, opts: opts, threshold: threshold,
-		scanning: true, inScan: true,
-	}
-	r.subs[id] = sub
-	r.order = append(r.order, id)
+	sub.id = fmt.Sprintf("sub-%d", r.next)
+	sub.view = view.New(r.st, Partial{}, scan, fold, onStep, standingCounters)
+	r.subs[sub.id] = sub
+	r.order = append(r.order[:len(r.order):len(r.order)], sub)
 	gStandingSubs.Set(float64(len(r.subs)))
 	r.mu.Unlock()
 
-	if err := r.baseline(sub, false); err != nil {
-		r.removeSub(id)
+	if err := sub.view.Init(scan); err != nil {
+		r.Unregister(sub.id)
 		return StandingInfo{}, fmt.Errorf("standing register: %w", err)
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.infoLocked(sub), nil
+	return sub.info(), nil
 }
 
 // Unregister removes a subscription; reports whether it existed.
 func (r *Registry) Unregister(id string) bool {
 	r.mu.Lock()
-	_, ok := r.subs[id]
+	sub, ok := r.subs[id]
+	if ok {
+		delete(r.subs, id)
+		r.order = slices.DeleteFunc(slices.Clone(r.order), func(s *standingSub) bool { return s == sub })
+		gStandingSubs.Set(float64(len(r.subs)))
+	}
 	r.mu.Unlock()
 	if ok {
-		r.removeSub(id)
+		sub.view.Close()
 	}
 	return ok
 }
 
-func (r *Registry) removeSub(id string) {
+// list loads the current subscriptions, in registration order.
+func (r *Registry) list() []*standingSub {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	delete(r.subs, id)
-	for i, v := range r.order {
-		if v == id {
-			r.order = append(r.order[:i], r.order[i+1:]...)
-			break
-		}
-	}
-	gStandingSubs.Set(float64(len(r.subs)))
+	return r.order
 }
 
 // List returns every subscription's info, in registration order.
 func (r *Registry) List() []StandingInfo {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]StandingInfo, 0, len(r.order))
-	for _, id := range r.order {
-		out = append(out, r.infoLocked(r.subs[id]))
+	subs := r.list()
+	out := make([]StandingInfo, 0, len(subs))
+	for _, sub := range subs {
+		out = append(out, sub.info())
 	}
 	return out
+}
+
+// read runs fn on a subscription's materialized state under its view's
+// lock; reports whether the subscription exists.
+func (r *Registry) read(id string, fn func(*standingSub, *Partial)) bool {
+	r.mu.Lock()
+	sub, ok := r.subs[id]
+	r.mu.Unlock()
+	if ok {
+		sub.view.Read(func(p *Partial, _ view.Status) { fn(sub, p) })
+	}
+	return ok
 }
 
 // AggregateOf answers a standing query from its materialization — no
 // scan. The result is byte-identical to a from-scratch Aggregate over
 // the same filter and options.
-func (r *Registry) AggregateOf(id string) (Aggregation, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	sub, ok := r.subs[id]
-	if !ok {
-		return Aggregation{}, false
-	}
-	return MergePartials([]Partial{sub.state}, sub.opts), true
+func (r *Registry) AggregateOf(id string) (agg Aggregation, ok bool) {
+	ok = r.read(id, func(sub *standingSub, p *Partial) { agg = MergePartials([]Partial{*p}, sub.opts) })
+	return agg, ok
 }
 
 // TotalOf returns a subscription's current materialized total — the
 // cheap read the shard router's threshold evaluator uses.
-func (r *Registry) TotalOf(id string) (int, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	sub, ok := r.subs[id]
-	if !ok {
-		return 0, false
-	}
-	return sub.state.Total, true
+func (r *Registry) TotalOf(id string) (total int, ok bool) {
+	ok = r.read(id, func(_ *standingSub, p *Partial) { total = p.Total })
+	return total, ok
 }
 
 // PartialSnapshotOf returns a deep copy of a subscription's
 // materialized Partial — the shard router merges per-shard snapshots
 // into the cluster answer.
-func (r *Registry) PartialSnapshotOf(id string) (Partial, AggregateOptions, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	sub, ok := r.subs[id]
-	if !ok {
-		return Partial{}, AggregateOptions{}, false
-	}
-	return copyPartial(sub.state), sub.opts, true
+func (r *Registry) PartialSnapshotOf(id string) (snap Partial, opts AggregateOptions, ok bool) {
+	// Folding into an empty Partial is the deep copy.
+	ok = r.read(id, func(sub *standingSub, p *Partial) { foldDelta(&snap, *p); opts = sub.opts })
+	return snap, opts, ok
 }
 
-func (r *Registry) infoLocked(sub *standingSub) StandingInfo {
-	return StandingInfo{
-		ID:            sub.id,
-		Filter:        sub.filter,
-		Options:       sub.opts,
-		Threshold:     sub.threshold,
-		Total:         sub.state.Total,
-		Fired:         sub.fired,
-		Dirty:         sub.dirty,
-		DeltasApplied: sub.deltas,
-		Rebuilds:      sub.rebuilds,
-		Events:        sub.events,
-	}
+func (sub *standingSub) info() (info StandingInfo) {
+	sub.view.Read(func(p *Partial, st view.Status) {
+		info = StandingInfo{
+			ID:            sub.id,
+			Filter:        sub.filter,
+			Options:       sub.opts,
+			Threshold:     sub.threshold,
+			Total:         p.Total,
+			Fired:         sub.fired,
+			Dirty:         !st.Settled,
+			DeltasApplied: st.Deltas,
+			Rebuilds:      st.Rebuilds,
+			Events:        sub.events,
+		}
+	})
+	return info
 }
 
 // OnMutation is the store observer: install with
 // st.SetObserver(reg.OnMutation). It runs on the mutating goroutine
 // and never calls back into the store.
 func (r *Registry) OnMutation(m store.Mutation) {
-	switch m.Kind {
-	case store.MutationAppend:
-		r.applyDelta(m)
-	case store.MutationSeal:
-		// The entry set is unchanged; the materialization stays exact.
-	case store.MutationCompact, store.MutationRetention:
-		// Compaction keeps the entry set but moves physical layout;
-		// retention genuinely shrinks it. Both invalidate wholesale —
-		// the registry rebuilds rather than reasoning about which
-		// segments went where.
-		r.markDirty()
+	for _, sub := range r.list() {
+		switch m.Kind {
+		case store.MutationAppend:
+			if d, n := deltaOf(sub.filter, m.Entries); n > 0 {
+				sub.view.Apply(m.Seq, d)
+			} else {
+				sub.view.Note(m.Seq)
+			}
+		case store.MutationSeal:
+			// The entry set is unchanged; the materialization stays exact.
+			sub.view.Note(m.Seq)
+		case store.MutationCompact, store.MutationRetention:
+			// Compaction keeps the entry set but moves physical layout;
+			// retention genuinely shrinks it. Both invalidate wholesale —
+			// the view rebuilds rather than reasoning about which
+			// segments went where.
+			sub.view.Invalidate(m.Seq)
+		}
 	}
 }
 
-// applyDelta folds one appended batch into every subscription.
-func (r *Registry) applyDelta(m store.Mutation) {
+// evaluate runs the threshold latch and change hook after a state
+// change. It is the view's hook: the caller holds sub.view's lock.
+func (r *Registry) evaluate(sub *standingSub, p *Partial) {
 	r.mu.Lock()
-	for _, id := range r.order {
-		sub := r.subs[id]
-		d, n := deltaOf(sub.filter, m.Entries)
-		if sub.scanning {
-			if n > 0 {
-				sub.buf = append(sub.buf, seqDelta{seq: m.Seq, p: d})
-			}
-			continue
-		}
-		if m.Seq <= sub.baseSeq || n == 0 {
-			continue
-		}
-		foldDelta(&sub.state, d)
-		sub.deltas++
-		mStandingDeltas.Add(1)
-		mStandingDeltaEntries.Add(int64(n))
-		r.evaluateLocked(sub)
-	}
-	wake := r.anyDirtyIdleLocked()
+	notify, onChange := r.notify, r.onChange
 	r.mu.Unlock()
-	if wake {
-		r.wakeRebuild()
-	}
-}
-
-// markDirty invalidates every materialization and queues rebuilds.
-func (r *Registry) markDirty() {
-	r.mu.Lock()
-	for _, sub := range r.subs {
-		sub.dirty = true
-		// Freeze deltas until the rebuild installs; a baseline already
-		// in flight (inScan) will observe the seq change and retry, so
-		// its scanning flag is already set.
-		sub.scanning = true
-	}
-	n := len(r.subs)
-	r.mu.Unlock()
-	if n > 0 {
-		r.wakeRebuild()
-	}
-}
-
-func (r *Registry) anyDirtyIdleLocked() bool {
-	for _, sub := range r.subs {
-		if sub.dirty && !sub.inScan {
-			return true
-		}
-	}
-	return false
-}
-
-func (r *Registry) wakeRebuild() {
-	select {
-	case r.rebuildCh <- struct{}{}:
-	default:
-	}
-}
-
-// rebuildLoop is the registry's worker: on each wake it baselines every
-// dirty subscription once. A failed baseline leaves the subscription
-// dirty (serving its last good state) until the next wake.
-func (r *Registry) rebuildLoop() {
-	defer close(r.done)
-	for {
-		select {
-		case <-r.stop:
-			return
-		case <-r.rebuildCh:
-		}
-		for _, sub := range r.claimDirty() {
-			r.baseline(sub, true)
-			select {
-			case <-r.stop:
-				return
-			default:
-			}
-		}
-	}
-}
-
-// claimDirty marks every dirty, unowned subscription as owned by the
-// caller and returns them.
-func (r *Registry) claimDirty() []*standingSub {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var out []*standingSub
-	for _, id := range r.order {
-		sub := r.subs[id]
-		if sub.dirty && !sub.inScan {
-			sub.inScan = true
-			sub.scanning = true
-			out = append(out, sub)
-		}
-	}
-	return out
-}
-
-// baseline runs the fenced scan-retry loop for one subscription and
-// installs the result. The caller owns the sub (inScan set); ownership
-// is released on return. rebuild marks whether this replaces an
-// existing materialization (for accounting) or is the initial build.
-func (r *Registry) baseline(sub *standingSub, rebuild bool) error {
-	defer func() {
-		r.mu.Lock()
-		sub.inScan = false
-		r.mu.Unlock()
-	}()
-	for {
-		s1 := r.st.MutationSeq()
-		p, _, err := r.eng.PartialContext(context.Background(), sub.filter)
-		if err != nil {
-			r.mu.Lock()
-			sub.scanning = false
-			sub.buf = nil
-			sub.dirty = true
-			r.mu.Unlock()
-			mStandingRebuildFails.Add(1)
-			return err
-		}
-		r.mu.Lock()
-		if r.st.MutationSeq() != s1 {
-			// Mutations landed mid-scan; coverage is ambiguous. Retry.
-			r.mu.Unlock()
-			continue
-		}
-		sub.state = p
-		sub.baseSeq = s1
-		for _, d := range sub.buf {
-			if d.seq > s1 {
-				foldDelta(&sub.state, d.p)
-				sub.deltas++
-				mStandingDeltas.Add(1)
-			}
-		}
-		sub.buf = nil
-		sub.scanning = false
-		sub.dirty = false
-		if rebuild {
-			sub.rebuilds++
-			mStandingRebuilds.Add(1)
-		}
-		r.evaluateLocked(sub)
-		r.mu.Unlock()
-		return nil
-	}
-}
-
-// evaluateLocked runs the threshold latch and change hook after a state
-// change. Callers hold mu.
-func (r *Registry) evaluateLocked(sub *standingSub) {
-	total := sub.state.Total
+	total := p.Total
 	if sub.threshold > 0 {
 		if !sub.fired && total >= sub.threshold {
 			sub.fired = true
 			sub.events++
 			mStandingEvents.Add(1)
-			if r.notify != nil {
-				r.notify(StandingEvent{
+			if notify != nil {
+				notify(StandingEvent{
 					SubscriptionID: sub.id,
 					Seq:            sub.events,
 					Threshold:      sub.threshold,
 					Total:          total,
-					Aggregate:      MergePartials([]Partial{sub.state}, sub.opts),
+					Aggregate:      MergePartials([]Partial{*p}, sub.opts),
 				})
 			}
 		} else if sub.fired && total < sub.threshold {
@@ -485,8 +316,8 @@ func (r *Registry) evaluateLocked(sub *standingSub) {
 			sub.fired = false
 		}
 	}
-	if r.onChange != nil {
-		r.onChange(sub.id, total)
+	if onChange != nil {
+		onChange(sub.id, total)
 	}
 }
 
@@ -525,58 +356,5 @@ func foldDelta(dst *Partial, d Partial) {
 	addCounts(dst.ByType, d.ByType)
 	addCounts(dst.BySeverity, d.BySeverity)
 	addCounts(dst.BySource, d.BySource)
-	dst.Times = mergeSortedInt64(dst.Times, d.Times)
-}
-
-// mergeSortedInt64 merges two nondecreasing columns into one.
-func mergeSortedInt64(a, b []int64) []int64 {
-	if len(b) == 0 {
-		return a
-	}
-	if len(a) == 0 {
-		return append([]int64(nil), b...)
-	}
-	// Common fast path: the delta is entirely newer than the state.
-	if a[len(a)-1] <= b[0] {
-		return append(a, b...)
-	}
-	out := make([]int64, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i] <= b[j] {
-			out = append(out, a[i])
-			i++
-		} else {
-			out = append(out, b[j])
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
-}
-
-// copyPartial deep-copies a Partial so the caller can read it without
-// the registry's lock.
-func copyPartial(p Partial) Partial {
-	c := Partial{
-		Total:      p.Total,
-		Kept:       p.Kept,
-		ByCategory: copyCounts(p.ByCategory),
-		ByType:     copyCounts(p.ByType),
-		BySeverity: copyCounts(p.BySeverity),
-		BySource:   copyCounts(p.BySource),
-	}
-	if len(p.Times) > 0 {
-		c.Times = append([]int64(nil), p.Times...)
-	}
-	return c
-}
-
-func copyCounts(m map[string]int) map[string]int {
-	out := make(map[string]int, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
+	dst.Times = view.MergeSorted(dst.Times, d.Times)
 }

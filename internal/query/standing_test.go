@@ -307,6 +307,53 @@ func TestStandingRegisterDuringAppends(t *testing.T) {
 	}
 }
 
+// TestStandingRegisterDuringCompaction races registration's baseline
+// against a compaction and then waits for every subscription to settle
+// on the from-scratch answer with no append after it — the store-level
+// twin of the view kernel's invalidation-at-every-point test. (A
+// registration that released its baseline's ownership after the install
+// froze, dirty, until the next append.)
+func TestStandingRegisterDuringCompaction(t *testing.T) {
+	st, err := store.Create(t.TempDir(), logrec.BlueGeneL, store.Options{FlushEvery: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	reg := NewRegistry(st)
+	defer reg.Close()
+	st.SetObserver(reg.OnMutation)
+
+	base := time.Date(2005, 6, 1, 0, 0, 0, 0, time.UTC)
+	compactions := 0
+	for round := 0; round < 12; round++ {
+		batch := standingEntries(base.Add(time.Duration(round)*time.Hour), uint64(round*100), 12)
+		if err := st.Append(batch...); err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			cst, err := st.Compact()
+			if err != nil {
+				t.Error(err)
+			}
+			compactions += cst.Compactions
+		}()
+		info, err := reg.Register(store.Filter{}, AggregateOptions{}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-done
+		checkStandingDifferential(t, fmt.Sprintf("round %d", round), st, reg)
+		if round%2 == 1 {
+			reg.Unregister(info.ID)
+		}
+	}
+	if compactions == 0 {
+		t.Fatal("no compaction ran; test needs real compact mutations")
+	}
+}
+
 // TestStandingUnregister checks removal and the subscription listing.
 func TestStandingUnregister(t *testing.T) {
 	st, err := store.Create(t.TempDir(), logrec.BlueGeneL, store.Options{})
