@@ -86,24 +86,30 @@ correlate-smoke:
 	$(call run-tests,-race -count=1 -timeout $(TEST_TIMEOUT),ClusterCorrelate|ClusterPrediction,./internal/shard/)
 	$(call run-tests,-race -count=1 -timeout $(TEST_TIMEOUT),Correlations|Predict|ListLimit|SubscriptionsLimit,./cmd/logstudy/)
 
-# Columnar-vs-decode differential smoke: the zero-materialization
-# aggregate path must answer byte-identically to the row-decode path at
-# the store, library, and HTTP layers, every layout and shard count (see
-# DESIGN.md §11), and a sealed segment identically to the tail it was.
-# -count=1 so the differential matrices re-execute every run.
+# Aggregate differential smoke: the columnar fold — the one aggregate
+# implementation, body= filters included — must answer byte-identically
+# to the row-decode reference, which lives on the test side (select
+# everything, then the pure query.Aggregate; one helper per test
+# package), at the store, library, and HTTP layers, every layout and
+# shard count (see DESIGN.md §11), and a sealed segment identically to
+# the tail it was. -count=1 so the differential matrices re-execute
+# every run.
 diff-smoke:
 	$(call run-tests,-count=1 -timeout $(TEST_TIMEOUT),Columnar|ScanColumns|BodyFilter|DecodeReference|Unmap|SealedEqualsTail,./internal/store/ ./internal/query/ ./cmd/logstudy/)
 
 # The stage-loop ledger (the bench package and subcommand, its JSON file,
 # its make targets) was deleted in favour of BENCHMARK.json +
-# benchmark/, and the stochastic failure-process package because nothing imported it
-# (internal/simulate carries its own processes); fail if a doc, comment
-# or target names either again. The three excluded files record the
-# deletions themselves; the one-letter brackets keep this line from
-# matching itself.
+# benchmark/, the stochastic failure-process package because nothing imported it
+# (internal/simulate carries its own processes), and the second
+# aggregate implementation with its switch, planner predicate and
+# optional-interface fallback (plus the test-only whole-stream parallel
+# reader) because the columnar fold serves every filter; fail if a doc,
+# comment or target names any of them again. The three excluded files
+# record the deletions themselves; the one-letter brackets keep this
+# line from matching itself.
 no-stale-refs:
-	@if git grep -nE 'BENCH_[p]ipeline|internal/[b]ench|bench-[s]moke|logstudy [b]ench|internal/[f]ailure' -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md'; then \
-		echo "FAIL: stale reference to a deleted package or target (the bench ledger: see DESIGN.md §7 for the per-layer metric that replaced it)"; exit 1; fi
+	@if git grep -nE 'BENCH_[p]ipeline|internal/[b]ench|bench-[s]moke|logstudy [b]ench|internal/[f]ailure|Disable[C]olumnar|ErrNot[I]ndexAnswerable|Index[A]nswerable|Column[S]canner|ReadAll[P]arallel' -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md'; then \
+		echo "FAIL: stale reference to a deleted package, target or name (the bench ledger: see DESIGN.md §7 for the per-layer metric that replaced it; the decode aggregate: DESIGN.md §11)"; exit 1; fi
 
 # benchmark/ is its own module, so root `go build ./...` never compiles
 # it, yet it imports internal/{shard,store,query,correlate}: vet and

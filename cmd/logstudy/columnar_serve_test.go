@@ -11,18 +11,24 @@ import (
 )
 
 // HTTP-layer columnar differential: the /api/aggregate answer of the
-// served cluster (whose per-shard engines use the columnar path wherever
-// the filter allows) must equal, byte for byte, what the row-decode
-// reference — an in-process query.Engine{DisableColumnar: true} —
-// computes over the same records, for every filter the API can express,
-// including the body predicate, where both sides take the decode path.
+// served cluster (whose per-shard engines fold every aggregate from the
+// columnar scan) must equal, byte for byte, what the row-decode
+// reference — decodeAggregate: select everything, then the pure
+// query.Aggregate — computes over the same records, for every filter
+// the API can express, the body predicate included.
 
 // columnarParams is the query matrix for the HTTP differentials. The
-// body= cases exercise the decode fallback end to end.
+// body= cases cover a needle in every record, in some, in none, and
+// combined with each other kind of predicate.
 func columnarParams(entries []store.Entry) []url.Values {
-	mid := entries[len(entries)/2].Record.Time
+	midEntry := entries[len(entries)/2]
+	mid := midEntry.Record.Time
 	late := entries[3*len(entries)/4].Record.Time
 	kept := entries[0].Category
+	needle := midEntry.Record.Body
+	if len(needle) > 8 {
+		needle = needle[:8]
+	}
 	return []url.Values{
 		{},
 		{"category": {kept}},
@@ -33,6 +39,9 @@ func columnarParams(entries []store.Entry) []url.Values {
 		{"body": {"."}},
 		{"body": {"no such substring anywhere"}},
 		{"body": {"."}, "kept": {"true"}},
+		{"body": {needle}},
+		{"body": {needle}, "category": {midEntry.Category}},
+		{"body": {"."}, "from": {mid.Format(time.RFC3339Nano)}, "to": {late.Format(time.RFC3339Nano)}, "source": {midEntry.Record.Source}},
 	}
 }
 
@@ -94,7 +103,7 @@ func TestBodyFilterOverHTTP(t *testing.T) {
 // TestShardedAggregateMatchesDecodeReference is the columnar differential
 // across layouts and shard counts, against the decode reference over one
 // in-process store holding the same entries — byte equality of the
-// aggregate for every query shape, body fallback included.
+// aggregate for every query shape, body predicates included.
 func TestShardedAggregateMatchesDecodeReference(t *testing.T) {
 	entries := studyEntries(t)
 	st, err := store.Create(t.TempDir(), logrec.Liberty, store.Options{FlushEvery: len(entries)/3 + 1})

@@ -195,9 +195,10 @@ func writeJSONStatus(w http.ResponseWriter, status int, v any) {
 
 // parseFilter builds a store filter from the shared query parameters —
 // from/to (RFC 3339), source/category/severity (comma-separated), kept,
-// body (substring-of-message predicate; such filters take the row-
-// decode path, see DESIGN.md §11) — for a store of the given system
-// (severities parse on its native scale).
+// body (substring-of-message predicate; compared against the record
+// bytes in place, on the same scan path as every other filter, see
+// DESIGN.md §11) — for a store of the given system (severities parse on
+// its native scale).
 func parseFilter(sys logrec.System, q url.Values) (store.Filter, error) {
 	var f store.Filter
 	var err error

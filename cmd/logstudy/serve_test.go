@@ -519,9 +519,10 @@ func startServe(t *testing.T, cfg serveBackendConfig) (base string, b *serveBack
 	}
 }
 
-// decodeAggregate answers params the reference way — row decode, in
-// process, over st — and returns the filter it parsed with the
-// aggregate's and the scan accounting's JSON.
+// decodeAggregate answers params the reference way — in process over
+// st, by row decode: select every match (Scan, materialize, canonical
+// sort) and fold it with the pure query.Aggregate — and returns the
+// filter it parsed with the aggregate's and the scan accounting's JSON.
 func decodeAggregate(t *testing.T, st *store.Store, params url.Values) (f store.Filter, agg, stats string) {
 	t.Helper()
 	f, err := parseFilter(st.System(), params)
@@ -532,17 +533,17 @@ func decodeAggregate(t *testing.T, st *store.Store, params url.Values) (f store.
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, sst, err := (&query.Engine{Store: st, DisableColumnar: true}).Aggregate(f, opts)
+	entries, sst, err := (&query.Engine{Store: st}).Select(f, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ab, _ := json.Marshal(a)
+	ab, _ := json.Marshal(query.Aggregate(entries, opts))
 	sb, _ := json.Marshal(sst)
 	return f, string(ab), string(sb)
 }
 
 // checkServedInPlace is the in-place differential: the reference is
-// taken from a plain store directory by the row-decode engine, in
+// taken from a plain store directory by the row-decode reference, in
 // process (the way the benchmark's oracle does); the same directory is
 // then served in place as a one-shard cluster, and every aggregate,
 // its scan accounting, and every select must come back byte-identical.

@@ -40,6 +40,7 @@ var ErrInjectedScan = errors.New("shardfault: injected scan failure")
 type StoreBackend interface {
 	Append(entries ...store.Entry) error
 	Scan(f store.Filter, fn func(store.Entry) error) (store.ScanStats, error)
+	ScanColumns(f store.Filter, v store.ColumnVisitor) (store.ScanStats, error)
 	Seal() error
 	Close() error
 	Len() int
@@ -64,15 +65,16 @@ type StoreFaults struct {
 	// a slow (not wedged) disk, for tests that need the queue's drain
 	// rate measurably degraded rather than stopped.
 	AppendDelay time.Duration
-	// FailScans fails the next N Scan calls with ErrInjectedScan before
-	// touching the store (negative: fail forever).
+	// FailScans fails the next N Scan or ScanColumns calls with
+	// ErrInjectedScan before touching the store (negative: fail forever).
 	FailScans int
-	// ScanDelay stalls every Scan call for this long before starting —
-	// the overloaded or seeking shard a per-shard deadline must cut off.
+	// ScanDelay stalls every Scan and ScanColumns call for this long
+	// before starting — the overloaded or seeking shard a per-shard
+	// deadline must cut off.
 	ScanDelay time.Duration
-	// ScanHold, when non-nil, makes every Scan block until the channel
-	// is closed (after ScanDelay) — an unbounded stall for tests that
-	// need a shard wedged, not merely slow.
+	// ScanHold, when non-nil, makes every Scan and ScanColumns block
+	// until the channel is closed (after ScanDelay) — an unbounded stall
+	// for tests that need a shard wedged, not merely slow.
 	ScanHold <-chan struct{}
 }
 
@@ -153,9 +155,9 @@ func (f *FaultyStore) MutationSeq() uint64 {
 	return 0
 }
 
-// Scan applies the stall faults, then either fails (FailScans budget)
-// or delegates.
-func (f *FaultyStore) Scan(flt store.Filter, fn func(store.Entry) error) (store.ScanStats, error) {
+// scanFault applies the read faults Scan and ScanColumns share: the
+// stall (ScanDelay, then ScanHold), then the FailScans budget.
+func (f *FaultyStore) scanFault() error {
 	f.mu.Lock()
 	delay := f.faults.ScanDelay
 	hold := f.faults.ScanHold
@@ -168,9 +170,27 @@ func (f *FaultyStore) Scan(flt store.Filter, fn func(store.Entry) error) (store.
 		<-hold
 	}
 	if fail {
-		return store.ScanStats{}, fmt.Errorf("%w", ErrInjectedScan)
+		return fmt.Errorf("%w", ErrInjectedScan)
+	}
+	return nil
+}
+
+// Scan applies the read faults, then delegates.
+func (f *FaultyStore) Scan(flt store.Filter, fn func(store.Entry) error) (store.ScanStats, error) {
+	if err := f.scanFault(); err != nil {
+		return store.ScanStats{}, err
 	}
 	return f.StoreBackend.Scan(flt, fn)
+}
+
+// ScanColumns applies the same read faults as Scan, then delegates: an
+// aggregate over a faulted shard stalls, fails and heals exactly as a
+// select does.
+func (f *FaultyStore) ScanColumns(flt store.Filter, v store.ColumnVisitor) (store.ScanStats, error) {
+	if err := f.scanFault(); err != nil {
+		return store.ScanStats{}, err
+	}
+	return f.StoreBackend.ScanColumns(flt, v)
 }
 
 // OpenFaulty is an open-store hook for the shard router's test seam: it

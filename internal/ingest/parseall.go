@@ -1,7 +1,6 @@
 package ingest
 
 import (
-	"io"
 	"time"
 
 	"whatsupersay/internal/logrec"
@@ -161,60 +160,4 @@ func (rd Reader) reparse(line string, year int) (logrec.Record, bool) {
 	rec, perr := syslogng.Parse(line, year, rd.System)
 	rec.System = rd.System
 	return rec, perr != nil
-}
-
-// ReadAllParallel ingests a whole stream like ReadAll — same records,
-// same canonical sort, same stats — but parses chunk-parallel after a
-// single streaming pass that splits lines. Oversized lines keep the
-// streaming path's semantics: capped, marked corrupted, counted.
-func ReadAllParallel(r io.Reader, sys logrec.System, start time.Time, opts parallel.Options) ([]logrec.Record, Stats, error) {
-	rd := Reader{System: sys, Start: start}
-	maxLine := rd.MaxLineBytes
-	if maxLine <= 0 {
-		maxLine = 1 << 20
-	}
-	ls := newLineScanner(r, maxLine)
-	defer ls.release()
-	var lines []string
-	var oversized []int
-	for i := 0; ; i++ {
-		raw, over, err := ls.next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, Stats{}, err
-		}
-		if over {
-			oversized = append(oversized, i)
-		}
-		lines = append(lines, string(raw))
-	}
-	recs, stats := rd.ParseAll(lines, opts)
-	for _, i := range oversized {
-		if !recs[i].Corrupted {
-			recs[i].Corrupted = true
-			stats.ParseErrors++
-			mParseErrs.Inc()
-		}
-		stats.Oversized++
-		mOversized.Inc()
-	}
-	tallyDialects(recs, sys, &stats)
-	logrec.SortRecords(recs)
-	return recs, stats, nil
-}
-
-// tallyDialects fills the per-dialect stats the way ReadAll does.
-func tallyDialects(recs []logrec.Record, sys logrec.System, stats *Stats) {
-	for i := range recs {
-		switch {
-		case sniffRAS(recs[i].Raw) || (sys == logrec.BlueGeneL && !recs[i].Corrupted):
-			stats.RAS++
-		case sniffEvent(recs[i].Raw):
-			stats.Event++
-		default:
-			stats.Syslog++
-		}
-	}
 }

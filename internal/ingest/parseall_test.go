@@ -1,8 +1,8 @@
 package ingest_test
 
-// Equivalence property tests for the chunk-parallel parser: ParseAll and
-// ReadAllParallel must be byte-identical to the serial reader for every
-// system's traffic and for adversarial year-rollover streams, across
+// Equivalence property tests for the chunk-parallel parser: ParseAll
+// must be byte-identical to the serial reader for every system's
+// traffic and for adversarial year-rollover streams, across
 // chunk sizes and worker counts. The serial path is the specification;
 // the parallel path is only an optimization.
 
@@ -62,36 +62,6 @@ func TestParseAllMatchesSerial(t *testing.T) {
 		}
 		for _, opts := range parseOpts {
 			got, gotStats := rd.ParseAll(lines, opts)
-			label := fmt.Sprintf("%v opts %+v", sys, opts)
-			firstDiff(t, got, want, label)
-			if gotStats != wantStats {
-				t.Fatalf("%s: stats %+v, want %+v", label, gotStats, wantStats)
-			}
-		}
-	}
-}
-
-// TestReadAllParallelMatchesReadAll: the whole-stream entry point —
-// framing, parsing, oversized capping, dialect tally, canonical sort —
-// agrees with the serial ReadAll.
-func TestReadAllParallelMatchesReadAll(t *testing.T) {
-	for _, sys := range logrec.Systems() {
-		out, err := simulate.Generate(simulate.Config{
-			System: sys, Scale: 0.0002, Seed: 7, CorruptionProb: 0.02,
-		})
-		if err != nil {
-			t.Fatalf("%v: generate: %v", sys, err)
-		}
-		text := strings.Join(out.Lines, "\n") + "\n"
-		want, wantStats, err := ingest.ReadAll(strings.NewReader(text), sys, out.Start)
-		if err != nil {
-			t.Fatalf("%v: serial: %v", sys, err)
-		}
-		for _, opts := range parseOpts {
-			got, gotStats, err := ingest.ReadAllParallel(strings.NewReader(text), sys, out.Start, opts)
-			if err != nil {
-				t.Fatalf("%v: parallel: %v", sys, err)
-			}
 			label := fmt.Sprintf("%v opts %+v", sys, opts)
 			firstDiff(t, got, want, label)
 			if gotStats != wantStats {

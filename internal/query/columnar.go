@@ -3,64 +3,21 @@ package query
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"whatsupersay/internal/logrec"
-	"whatsupersay/internal/obs"
 	"whatsupersay/internal/store"
 )
 
-// The columnar aggregation path. Aggregate and Partial need only
-// counts, mixes, and the timestamp column — none of which require
-// materializing an Entry — so when the store can serve a columnar scan
-// (ColumnScanner) and the filter is index-answerable, the engine folds
-// SegmentColumns straight into a Partial: dictionary-ordinal counts
-// become map increments per *distinct value* instead of per record, the
-// catalog type lookup runs once per distinct category, and the
-// timestamp slabs are concatenated and sorted once. Filters with a
-// message predicate (Filter.BodyContains) and stores without a columnar
-// surface (fault-injection wrappers, mocks) take the row-decode path;
-// the two paths are pinned byte-identical by differential tests.
-
-// ColumnScanner is the optional store surface the columnar path needs.
-// *store.Store satisfies it; the engine type-asserts at query time and
-// silently falls back to the row path when the assertion fails.
-type ColumnScanner interface {
-	ScanColumns(f store.Filter, v store.ColumnVisitor) (store.ScanStats, error)
-}
-
-// Path telemetry: which aggregation path served each request.
-var (
-	mColumnarAggs = obs.Default.Counter("query_columnar_aggregates_total")
-	mDecodeAggs   = obs.Default.Counter("query_decode_aggregates_total")
-)
-
-// columnarPartial computes PartialOf(collect(f)) via the columnar path
-// when it applies, returning ok=false (and no error) when the request
-// must take the row-decode path instead.
-func (e *Engine) columnarPartial(ctx context.Context, f store.Filter) (Partial, store.ScanStats, bool, error) {
-	if e.DisableColumnar || !f.IndexAnswerable() {
-		return Partial{}, store.ScanStats{}, false, nil
-	}
-	cs, ok := e.Store.(ColumnScanner)
-	if !ok {
-		return Partial{}, store.ScanStats{}, false, nil
-	}
-	b := partialBuilder{ctx: ctx, p: newPartial()}
-	st, err := cs.ScanColumns(f, &b)
-	if err != nil {
-		return Partial{}, st, false, err
-	}
-	// As in collect: a scan that completed without observing
-	// cancellation returns its finished result even if the deadline
-	// lapsed on the way out.
-	// Segment columns arrive in seal order and may interleave in time
-	// with one another and the tail; restore the nondecreasing order the
-	// Partial contract promises. Counts are order-independent, so this
-	// sort is the only order-sensitive step.
-	sort.Slice(b.p.Times, func(i, j int) bool { return b.p.Times[i] < b.p.Times[j] })
-	return b.p, st, true, nil
-}
+// The aggregate fold. Aggregate and Partial need only counts, mixes,
+// and the timestamp column — none of which require materializing an
+// Entry — so Engine.partial folds the store's SegmentColumns straight
+// into a Partial: dictionary-ordinal counts become map increments per
+// *distinct value* instead of per record, the catalog type lookup runs
+// once per distinct category, and the timestamp slabs are concatenated
+// and sorted once. Every filter is served this way, a message predicate
+// included (the store compares body bytes in place). The row-decode
+// composition Aggregate(Select(f, 0)) is what the differential tests
+// pin it byte-identical to.
 
 // partialBuilder folds a columnar scan into a Partial. It implements
 // store.ColumnVisitor.
@@ -68,15 +25,6 @@ type partialBuilder struct {
 	ctx  context.Context
 	p    Partial
 	seen int
-}
-
-func newPartial() Partial {
-	return Partial{
-		ByCategory: map[string]int{},
-		ByType:     map[string]int{},
-		BySeverity: map[string]int{},
-		BySource:   map[string]int{},
-	}
 }
 
 // SealedColumns folds one segment's matched columns: every count map is

@@ -13,18 +13,29 @@ import (
 	"whatsupersay/internal/store"
 )
 
-// The columnar differential: for every index-answerable filter, the
-// zero-materialization aggregate path must reproduce the row-decode
-// path byte for byte — Aggregation JSON, Partial JSON, and ScanStats —
-// across every segment shape the store can be in (many small segments,
-// a compacted segment, a wal tail, mixes). Filters with a body
-// predicate must fall back to the decode path and still answer
-// correctly.
+// The columnar differential: for every filter, body predicates
+// included, the engine's zero-materialization aggregate must reproduce
+// the row-decode reference byte for byte — Aggregation JSON, Partial
+// JSON, and ScanStats — across every segment shape the store can be in
+// (many small segments, a compacted segment, a wal tail, mixes).
+
+// decodeReference is the row-decode aggregate the engine is pinned to:
+// Select (Scan, materialize every match, canonical sort) fed to the
+// pure folds. It lives here, not in Engine — production has one
+// aggregate implementation.
+func decodeReference(t *testing.T, st Scanner, f store.Filter, opts AggregateOptions) (Aggregation, Partial, store.ScanStats) {
+	t.Helper()
+	entries, stats, err := (&Engine{Store: st}).Select(f, 0)
+	if err != nil {
+		t.Fatalf("decode reference (%+v): %v", f, err)
+	}
+	return Aggregate(entries, opts), PartialOf(entries), stats
+}
 
 // columnarCorpus builds a deterministic, deliberately messy entry set:
 // several sources, categories, and severities, duplicate timestamps,
 // and a mix of kept/removed, with recognizable body substrings for the
-// fallback cases.
+// body-predicate cases.
 func columnarCorpus(n int) []store.Entry {
 	rng := rand.New(rand.NewSource(7))
 	base := time.Date(2005, 6, 1, 0, 0, 0, 0, time.UTC)
@@ -56,8 +67,8 @@ func columnarCorpus(n int) []store.Entry {
 }
 
 // columnarFilters is the filter matrix the differential runs: every
-// indexed dimension alone, combinations, empty-result shapes, and the
-// body-predicate fallbacks.
+// indexed dimension alone, combinations, empty-result shapes, and body
+// predicates alone and combined with each kind of other predicate.
 func columnarFilters(entries []store.Entry) []store.Filter {
 	kept := true
 	removed := false
@@ -75,10 +86,12 @@ func columnarFilters(entries []store.Entry) []store.Filter {
 		{From: mid, Categories: []string{"KERNMNTF"}, Kept: &kept},
 		{Categories: []string{"NO_SUCH_CATEGORY"}},
 		{From: late.Add(time.Hour)},
-		// Body predicates: the decode-fallback cases.
+		// Body predicates: compared in place by the segment walk.
 		{BodyContains: "TLB error"},
 		{BodyContains: "TLB error", Severities: []logrec.Severity{logrec.SevFatal}},
 		{BodyContains: "no such substring anywhere"},
+		{BodyContains: "payload", Kept: &removed},
+		{BodyContains: "TLB error", From: mid, To: late},
 	}
 }
 
@@ -139,13 +152,9 @@ func TestColumnarDecodeDifferential(t *testing.T) {
 	entries := columnarCorpus(300)
 	opts := AggregateOptions{TopK: 3, Quantiles: []float64{0.5, 0.95}}
 	columnarShapes(t, entries, func(shape string, st *store.Store) {
-		decode := &Engine{Store: st, DisableColumnar: true}
 		columnar := &Engine{Store: st}
 		for i, f := range columnarFilters(entries) {
-			wantAgg, wantStats, err := decode.Aggregate(f, opts)
-			if err != nil {
-				t.Fatalf("%s filter %d: decode: %v", shape, i, err)
-			}
+			wantAgg, wantP, wantStats := decodeReference(t, st, f, opts)
 			gotAgg, gotStats, err := columnar.Aggregate(f, opts)
 			if err != nil {
 				t.Fatalf("%s filter %d: columnar: %v", shape, i, err)
@@ -161,10 +170,6 @@ func TestColumnarDecodeDifferential(t *testing.T) {
 					shape, i, f, gotStats, wantStats)
 			}
 
-			wantP, _, err := decode.PartialContext(context.Background(), f)
-			if err != nil {
-				t.Fatal(err)
-			}
 			gotP, _, err := columnar.PartialContext(context.Background(), f)
 			if err != nil {
 				t.Fatal(err)
@@ -177,44 +182,6 @@ func TestColumnarDecodeDifferential(t *testing.T) {
 			}
 		}
 	})
-}
-
-// TestColumnarPathSelection pins the planner rule: index-answerable
-// filters take the columnar path, body filters take the decode path,
-// and DisableColumnar forces decode unconditionally.
-func TestColumnarPathSelection(t *testing.T) {
-	entries := columnarCorpus(100)
-	st, err := store.Create(t.TempDir(), logrec.BlueGeneL, store.Options{FlushEvery: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	if err := st.Append(entries...); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Seal(); err != nil {
-		t.Fatal(err)
-	}
-
-	paths := func(eng *Engine, f store.Filter) (columnar, decodes int64) {
-		c0, d0 := mColumnarAggs.Value(), mDecodeAggs.Value()
-		if _, _, err := eng.Aggregate(f, AggregateOptions{}); err != nil {
-			t.Fatal(err)
-		}
-		return mColumnarAggs.Value() - c0, mDecodeAggs.Value() - d0
-	}
-
-	eng := &Engine{Store: st}
-	if c, d := paths(eng, store.Filter{}); c != 1 || d != 0 {
-		t.Errorf("empty filter took (columnar=%d, decode=%d), want (1, 0)", c, d)
-	}
-	if c, d := paths(eng, store.Filter{BodyContains: "TLB"}); c != 0 || d != 1 {
-		t.Errorf("body filter took (columnar=%d, decode=%d), want (0, 1)", c, d)
-	}
-	forced := &Engine{Store: st, DisableColumnar: true}
-	if c, d := paths(forced, store.Filter{}); c != 0 || d != 1 {
-		t.Errorf("DisableColumnar took (columnar=%d, decode=%d), want (0, 1)", c, d)
-	}
 }
 
 // benchStore seals a high-cardinality corpus (BG/L-like: thousands of
@@ -265,11 +232,15 @@ func BenchmarkAggregateColumnar(b *testing.B) {
 	}
 }
 
-func BenchmarkAggregateDecode(b *testing.B) {
-	eng := Engine{Store: benchStore(b, 30000), DisableColumnar: true}
+// BenchmarkAggregateBody is the same aggregate under a body predicate
+// every record satisfies: what the in-place substring check adds.
+func BenchmarkAggregateBody(b *testing.B) {
+	eng := Engine{Store: benchStore(b, 30000)}
+	f := store.Filter{BodyContains: "parity error"}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := eng.Aggregate(store.Filter{}, AggregateOptions{}); err != nil {
+		if _, _, err := eng.Aggregate(f, AggregateOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

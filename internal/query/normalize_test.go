@@ -3,10 +3,12 @@ package query
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"math"
 	"reflect"
 	"testing"
 
+	"whatsupersay/internal/logrec"
 	"whatsupersay/internal/store"
 )
 
@@ -140,42 +142,55 @@ func TestCacheSharesEntryAcrossEquivalentOptions(t *testing.T) {
 	}
 }
 
-// cancelAtEndScanner is a Scanner whose deadline lapses at the instant
-// the scan finishes: every entry is delivered, then the context is
-// canceled before control returns to the engine.
+// cancelAtEndScanner wraps a store so that the deadline lapses at the
+// instant a scan finishes: every segment and tail entry is delivered,
+// then the context is canceled before control returns to the engine.
 type cancelAtEndScanner struct {
-	entries []store.Entry
-	cancel  context.CancelFunc
+	Scanner
+	cancel context.CancelFunc
 }
 
 func (s cancelAtEndScanner) Scan(f store.Filter, fn func(store.Entry) error) (store.ScanStats, error) {
-	st := store.ScanStats{}
-	for _, en := range s.entries {
-		if !f.Match(en) {
-			continue
-		}
-		if err := fn(en); err != nil {
-			return st, err
-		}
-		st.Matched++
-	}
+	st, err := s.Scanner.Scan(f, fn)
 	s.cancel()
-	return st, nil
+	return st, err
 }
 
-func (s cancelAtEndScanner) Fingerprint() uint64 { return 1 }
+func (s cancelAtEndScanner) ScanColumns(f store.Filter, v store.ColumnVisitor) (store.ScanStats, error) {
+	st, err := s.Scanner.ScanColumns(f, v)
+	s.cancel()
+	return st, err
+}
 
 // TestCompletedScanSurvivesLateCancellation is the regression test for
-// the collect bug: a context that expires after the scan delivered its
-// last entry must not discard the finished work. Before the fix, a
-// post-scan ctx.Err() re-check turned complete answers into errors —
-// in the sharded path that charged healthy shards with failures and
-// degraded whole responses right at the deadline boundary.
+// the collect bug, on both scans the engine drives: a context that
+// expires after the scan delivered its last segment and tail entry must
+// not discard the finished work. Before the fix, a post-scan ctx.Err()
+// re-check turned complete answers into errors — in the sharded path
+// that charged healthy shards with failures and degraded whole
+// responses right at the deadline boundary.
 func TestCompletedScanSurvivesLateCancellation(t *testing.T) {
-	entries := fixture()
+	entries := columnarCorpus(3 * ctxCheckStride)
+	open := func(flushEvery int) *store.Store {
+		t.Helper()
+		st, err := store.Create(t.TempDir(), logrec.BlueGeneL, store.Options{FlushEvery: flushEvery})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { st.Close() })
+		if err := st.Append(entries...); err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	// One sealed segment plus a tail longer than the poll stride.
+	st := open(len(entries) - ctxCheckStride - 1)
+	if len(st.Segments()) != 1 || st.TailLen() <= ctxCheckStride {
+		t.Fatalf("fixture: %d segments, tail %d", len(st.Segments()), st.TailLen())
+	}
 
 	ctx, cancel := context.WithCancel(context.Background())
-	eng := &Engine{Store: cancelAtEndScanner{entries: entries, cancel: cancel}}
+	eng := &Engine{Store: cancelAtEndScanner{Scanner: st, cancel: cancel}}
 	got, stt, err := eng.SelectContext(ctx, store.Filter{}, 0)
 	if err != nil {
 		t.Fatalf("completed select discarded on late cancel: %v", err)
@@ -185,27 +200,37 @@ func TestCompletedScanSurvivesLateCancellation(t *testing.T) {
 	}
 
 	ctx, cancel = context.WithCancel(context.Background())
-	eng = &Engine{Store: cancelAtEndScanner{entries: entries, cancel: cancel}}
+	eng = &Engine{Store: cancelAtEndScanner{Scanner: st, cancel: cancel}}
 	agg, _, err := eng.AggregateContext(ctx, store.Filter{}, AggregateOptions{})
 	if err != nil {
 		t.Fatalf("completed aggregate discarded on late cancel: %v", err)
+	}
+	if ctx.Err() == nil {
+		t.Fatal("the aggregate did not go through the hooked scan")
 	}
 	want := Aggregate(entries, AggregateOptions{})
 	if string(mustJSON(t, agg)) != string(mustJSON(t, want)) {
 		t.Fatalf("late-cancel aggregate diverges:\n%s\n%s", mustJSON(t, agg), mustJSON(t, want))
 	}
 
-	// A cancellation the scan DOES observe still aborts: deliver enough
-	// entries that the strided poll runs after the cancel.
-	big := make([]store.Entry, 0, 2*ctxCheckStride)
-	for len(big) < 2*ctxCheckStride {
-		big = append(big, entries...)
-	}
+	// A cancellation the scan DOES observe still aborts: the select's
+	// strided poll, the aggregate's per-segment poll, and — on a store
+	// with nothing sealed — the aggregate's strided poll over the tail.
 	doneCtx, doneCancel := context.WithCancel(context.Background())
 	doneCancel()
-	eng = &Engine{Store: cancelAtEndScanner{entries: big, cancel: func() {}}}
-	if _, _, err := eng.SelectContext(doneCtx, store.Filter{}, 0); err == nil {
-		t.Fatal("mid-scan cancellation was ignored")
+	eng = &Engine{Store: st}
+	if _, _, err := eng.SelectContext(doneCtx, store.Filter{}, 0); !errors.Is(err, context.Canceled) {
+		t.Fatalf("select ignored a mid-scan cancellation: %v", err)
+	}
+	if _, _, err := eng.AggregateContext(doneCtx, store.Filter{}, AggregateOptions{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("aggregate ignored a cancellation at a segment boundary: %v", err)
+	}
+	tailOnly := open(len(entries) + 1)
+	if len(tailOnly.Segments()) != 0 {
+		t.Fatal("tail-only fixture sealed a segment")
+	}
+	if _, _, err := (&Engine{Store: tailOnly}).AggregateContext(doneCtx, store.Filter{}, AggregateOptions{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("aggregate ignored a mid-tail cancellation: %v", err)
 	}
 }
 

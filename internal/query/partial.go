@@ -40,17 +40,22 @@ type Partial struct {
 	Times []int64 `json:"times"`
 }
 
-// PartialOf folds a canonically ordered entry set into its Partial.
-// MergePartials of the result alone reproduces Aggregate(entries, opts)
-// byte for byte — Aggregate is implemented that way.
-func PartialOf(entries []store.Entry) Partial {
-	p := Partial{
-		Total:      len(entries),
+// newPartial is the empty Partial, count maps ready to increment.
+func newPartial() Partial {
+	return Partial{
 		ByCategory: map[string]int{},
 		ByType:     map[string]int{},
 		BySeverity: map[string]int{},
 		BySource:   map[string]int{},
 	}
+}
+
+// PartialOf folds a canonically ordered entry set into its Partial.
+// MergePartials of the result alone reproduces Aggregate(entries, opts)
+// byte for byte — Aggregate is implemented that way.
+func PartialOf(entries []store.Entry) Partial {
+	p := newPartial()
+	p.Total = len(entries)
 	if len(entries) > 0 {
 		p.Times = make([]int64, 0, len(entries))
 	}

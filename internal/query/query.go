@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"time"
 
 	"whatsupersay/internal/catalog"
 	"whatsupersay/internal/logrec"
@@ -43,12 +42,14 @@ const (
 	logHistBinsPerDecade = 2
 )
 
-// Scanner is the store surface the engine needs: a filtered scan and
-// the content fingerprint the cache keys by. *store.Store satisfies
-// it; so do the shard router's fault-injectable backends, which is how
-// the scatter-gather tier reuses this engine per shard.
+// Scanner is the store surface the engine needs: the row scan select
+// materializes from, the columnar scan every aggregate folds, and the
+// content fingerprint the cache keys by. *store.Store satisfies it; so
+// do the shard router's fault-injectable backends, which is how the
+// scatter-gather tier reuses this engine per shard.
 type Scanner interface {
 	Scan(f store.Filter, fn func(store.Entry) error) (store.ScanStats, error)
+	ScanColumns(f store.Filter, v store.ColumnVisitor) (store.ScanStats, error)
 	Fingerprint() uint64
 }
 
@@ -56,12 +57,6 @@ type Scanner interface {
 // Store) works; EnableCache opts in to the aggregate-result cache.
 type Engine struct {
 	Store Scanner
-
-	// DisableColumnar forces every aggregate through the row-decode
-	// path even when the store offers a columnar scan — the lever the
-	// benchmarks and the columnar-vs-decode differential tests use. Off
-	// (columnar allowed) by default.
-	DisableColumnar bool
 
 	// cache, when non-nil, memoizes Aggregate results keyed by the
 	// store fingerprint, filter, and options (see cache.go).
@@ -127,25 +122,23 @@ func (e *Engine) PartialContext(ctx context.Context, f store.Filter) (Partial, s
 	return e.partial(ctx, f)
 }
 
-// partial computes the Partial for f by the columnar path when the
-// store supports it and the filter is index-answerable, and by the
-// row-decode path otherwise. Both paths produce identical Partials and
-// identical ScanStats — the property the differential tests pin.
+// partial computes the Partial for f in one columnar scan: sealed
+// segments fold per distinct dictionary value, the tail per entry (see
+// partialBuilder). A scan that completed without observing cancellation
+// returns its finished result even if the deadline lapsed on the way
+// out, as in collect.
 func (e *Engine) partial(ctx context.Context, f store.Filter) (Partial, store.ScanStats, error) {
-	p, st, ok, err := e.columnarPartial(ctx, f)
+	b := partialBuilder{ctx: ctx, p: newPartial()}
+	st, err := e.Store.ScanColumns(f, &b)
 	if err != nil {
 		return Partial{}, st, err
 	}
-	if ok {
-		mColumnarAggs.Add(1)
-		return p, st, nil
-	}
-	mDecodeAggs.Add(1)
-	entries, st, err := e.collect(ctx, f)
-	if err != nil {
-		return Partial{}, st, err
-	}
-	return PartialOf(entries), st, nil
+	// Segment columns arrive in seal order and may interleave in time
+	// with one another and the tail; restore the nondecreasing order the
+	// Partial contract promises. Counts are order-independent, so this
+	// sort is the only order-sensitive step.
+	sort.Slice(b.p.Times, func(i, j int) bool { return b.p.Times[i] < b.p.Times[j] })
+	return b.p, st, nil
 }
 
 // collect scans and restores global canonical order: segments are each
@@ -347,15 +340,6 @@ func topSources(counts map[string]int, k int) []SourceCount {
 		out = out[:k]
 	}
 	return out
-}
-
-// interarrivalTimes computes the gap statistics over a nondecreasing
-// timestamp sequence, reusing internal/stats end to end.
-func interarrivalTimes(ts []time.Time, quantiles []float64) *Interarrival {
-	if len(ts) < 2 {
-		return nil
-	}
-	return interarrivalGaps(stats.Interarrivals(ts), quantiles)
 }
 
 // interarrivalGaps summarizes a gap-seconds sample. The quantiles all

@@ -675,9 +675,10 @@ func TestDegradedAggregateNeverCached(t *testing.T) {
 }
 
 // cancelAtScanEndBackend wraps a shard backend so that an armed cancel
-// function fires the instant one Scan has delivered its last entry —
-// the exact deadline-boundary window where a completed answer used to
-// be discarded and charged to the shard as a failure.
+// function fires the instant one scan — Scan under a select,
+// ScanColumns under an aggregate — has delivered its last segment and
+// tail entry: the exact deadline-boundary window where a completed
+// answer used to be discarded and charged to the shard as a failure.
 type cancelAtScanEndBackend struct {
 	Backend
 	mu     sync.Mutex
@@ -690,14 +691,24 @@ func (b *cancelAtScanEndBackend) arm(cancel context.CancelFunc) {
 	b.mu.Unlock()
 }
 
-func (b *cancelAtScanEndBackend) Scan(f store.Filter, fn func(store.Entry) error) (store.ScanStats, error) {
-	st, err := b.Backend.Scan(f, fn)
+func (b *cancelAtScanEndBackend) fire() {
 	b.mu.Lock()
 	if b.cancel != nil {
 		b.cancel()
 		b.cancel = nil
 	}
 	b.mu.Unlock()
+}
+
+func (b *cancelAtScanEndBackend) Scan(f store.Filter, fn func(store.Entry) error) (store.ScanStats, error) {
+	st, err := b.Backend.Scan(f, fn)
+	b.fire()
+	return st, err
+}
+
+func (b *cancelAtScanEndBackend) ScanColumns(f store.Filter, v store.ColumnVisitor) (store.ScanStats, error) {
+	st, err := b.Backend.ScanColumns(f, v)
+	b.fire()
 	return st, err
 }
 
@@ -708,7 +719,9 @@ func (b *cancelAtScanEndBackend) Scan(f store.Filter, fn func(store.Entry) error
 // response stays complete, the breaker is not charged, and the cache
 // accepts the answer.
 func TestGatherKeepsCompletedAnswerOnLateCancel(t *testing.T) {
-	entries := makeEntries(t, 300, 43) // < ctxCheckStride: no mid-scan poll sees the cancel
+	// < ctxCheckStride entries, one sealed segment plus a tail: neither
+	// the per-segment nor the strided tail poll sees the cancel.
+	entries := makeEntries(t, 300, 43)
 	dir := t.TempDir()
 	wrap := &cancelAtScanEndBackend{}
 	open := func(d string, sopts store.Options) (Backend, *store.OpenReport, error) {
@@ -720,7 +733,7 @@ func TestGatherKeepsCompletedAnswerOnLateCancel(t *testing.T) {
 		return wrap, rep, nil
 	}
 	c, _, err := Create(dir, logrec.Thunderbird, 1, Options{
-		Store:            store.Options{FlushEvery: 1000},
+		Store:            store.Options{FlushEvery: 200},
 		OpenStore:        open,
 		FailureThreshold: 1, // a single charged failure would open the breaker
 		Retries:          -1,
@@ -740,6 +753,9 @@ func TestGatherKeepsCompletedAnswerOnLateCancel(t *testing.T) {
 	agg, cov, _, err := c.Aggregate(ctx, store.Filter{}, query.AggregateOptions{})
 	if err != nil {
 		t.Fatalf("completed aggregate discarded on late cancel: %v", err)
+	}
+	if ctx.Err() == nil {
+		t.Fatal("the aggregate's scan did not go through the hook")
 	}
 	if cov.Partial || cov.ShardsAnswered != 1 || len(cov.ShardErrors) != 0 {
 		t.Fatalf("late cancel degraded a completed answer: %+v", cov)

@@ -72,6 +72,7 @@ var ErrQuarantined = errors.New("shard: quarantined")
 type Backend interface {
 	Append(entries ...store.Entry) error
 	Scan(f store.Filter, fn func(store.Entry) error) (store.ScanStats, error)
+	ScanColumns(f store.Filter, v store.ColumnVisitor) (store.ScanStats, error)
 	Seal() error
 	Close() error
 	Len() int

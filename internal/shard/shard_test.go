@@ -76,7 +76,10 @@ func matchesFilter(f store.Filter, en store.Entry) bool {
 			return false
 		}
 	}
-	return f.Kept == nil || *f.Kept == en.Kept
+	if f.Kept != nil && *f.Kept != en.Kept {
+		return false
+	}
+	return strings.Contains(en.Record.Body, f.BodyContains)
 }
 
 func containsString(xs []string, x string) bool {
@@ -176,6 +179,10 @@ func TestMergedAggregateMatchesSingleStore(t *testing.T) {
 		{"survivors", store.Filter{Kept: &kept}, query.AggregateOptions{}},
 		{"time window", store.Filter{From: mid, To: late}, query.AggregateOptions{}},
 		{"custom shape", store.Filter{}, query.AggregateOptions{TopK: 3, Quantiles: []float64{0.5, 0.95}}},
+		{"body", store.Filter{BodyContains: "body 1"}, query.AggregateOptions{}},
+		{"body nowhere", store.Filter{BodyContains: "no such body"}, query.AggregateOptions{}},
+		{"body + survivors + category", store.Filter{BodyContains: "body 2", Kept: &kept, Categories: []string{"ECC", "GM_PAR"}}, query.AggregateOptions{TopK: 3}},
+		{"body + window + source", store.Filter{BodyContains: "synthetic", From: mid, To: late, Sources: []string{"cn1", "cn7", "cn23"}}, query.AggregateOptions{}},
 	}
 	for _, shards := range []int{1, 2, 4, 7} {
 		// A small flush plus a partial tail makes every shard hold both

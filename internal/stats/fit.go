@@ -172,123 +172,3 @@ func ksPValue(d float64, n int) float64 {
 	}
 	return sum
 }
-
-// ChiSquareResult is the binned chi-square goodness-of-fit outcome.
-type ChiSquareResult struct {
-	// Stat is the chi-square statistic over the occupied bins.
-	Stat float64
-	// DF is degrees of freedom (bins - 1 - fitted params).
-	DF int
-	// PValue is the upper-tail probability.
-	PValue float64
-}
-
-// ChiSquareTest bins the sample into nBins equal-probability bins under
-// dist and computes the chi-square statistic. params is the number of
-// fitted parameters (consumed degrees of freedom).
-func ChiSquareTest(xs []float64, dist Distribution, nBins, params int) (ChiSquareResult, error) {
-	pos := make([]float64, 0, len(xs))
-	for _, x := range xs {
-		if x > 0 {
-			pos = append(pos, x)
-		}
-	}
-	if len(pos) < nBins*5 || nBins < 2 {
-		return ChiSquareResult{}, ErrInsufficientData
-	}
-	sort.Float64s(pos)
-	n := len(pos)
-	expected := float64(n) / float64(nBins)
-	// Bin edges at the fitted distribution's quantiles, found by scanning
-	// the sorted sample against the CDF.
-	counts := make([]int, nBins)
-	for _, x := range pos {
-		b := int(dist.CDF(x) * float64(nBins))
-		if b >= nBins {
-			b = nBins - 1
-		}
-		if b < 0 {
-			b = 0
-		}
-		counts[b]++
-	}
-	stat := 0.0
-	for _, c := range counts {
-		d := float64(c) - expected
-		stat += d * d / expected
-	}
-	df := nBins - 1 - params
-	if df < 1 {
-		df = 1
-	}
-	return ChiSquareResult{Stat: stat, DF: df, PValue: chiSquareTail(stat, df)}, nil
-}
-
-// chiSquareTail returns P(X > stat) for a chi-square with df degrees of
-// freedom, via the regularized upper incomplete gamma function.
-func chiSquareTail(stat float64, df int) float64 {
-	if stat <= 0 {
-		return 1
-	}
-	return upperIncompleteGammaRegularized(float64(df)/2, stat/2)
-}
-
-// upperIncompleteGammaRegularized computes Q(a, x) = Γ(a,x)/Γ(a) using the
-// series for x < a+1 and the continued fraction otherwise (Numerical
-// Recipes style).
-func upperIncompleteGammaRegularized(a, x float64) float64 {
-	if x < 0 || a <= 0 {
-		return 1
-	}
-	if x == 0 {
-		return 1
-	}
-	if x < a+1 {
-		return 1 - lowerGammaSeries(a, x)
-	}
-	return upperGammaCF(a, x)
-}
-
-func lowerGammaSeries(a, x float64) float64 {
-	ap := a
-	sum := 1 / a
-	del := sum
-	for i := 0; i < 500; i++ {
-		ap++
-		del *= x / ap
-		sum += del
-		if math.Abs(del) < math.Abs(sum)*1e-14 {
-			break
-		}
-	}
-	lg, _ := math.Lgamma(a)
-	return sum * math.Exp(-x+a*math.Log(x)-lg)
-}
-
-func upperGammaCF(a, x float64) float64 {
-	const tiny = 1e-300
-	b := x + 1 - a
-	c := 1 / tiny
-	d := 1 / b
-	h := d
-	for i := 1; i <= 500; i++ {
-		an := -float64(i) * (float64(i) - a)
-		b += 2
-		d = an*d + b
-		if math.Abs(d) < tiny {
-			d = tiny
-		}
-		c = b + an/c
-		if math.Abs(c) < tiny {
-			c = tiny
-		}
-		d = 1 / d
-		del := d * c
-		h *= del
-		if math.Abs(del-1) < 1e-14 {
-			break
-		}
-	}
-	lg, _ := math.Lgamma(a)
-	return math.Exp(-x+a*math.Log(x)-lg) * h
-}

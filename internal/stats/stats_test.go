@@ -305,40 +305,6 @@ func TestKSTestRejectsMismatchedDistribution(t *testing.T) {
 	}
 }
 
-func TestChiSquareTest(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	xs := make([]float64, 5000)
-	for i := range xs {
-		xs[i] = rng.ExpFloat64() * 3
-	}
-	fit, _ := FitExponential(xs)
-	res, err := ChiSquareTest(xs, fit, 10, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.DF != 8 {
-		t.Errorf("df = %d, want 8", res.DF)
-	}
-	if res.PValue < 0.001 {
-		t.Errorf("chi-square rejected matching data: stat=%v p=%v", res.Stat, res.PValue)
-	}
-	// Mismatched data must be rejected.
-	ys := make([]float64, 5000)
-	for i := range ys {
-		ys[i] = math.Exp(rng.NormFloat64()*2 + 1)
-	}
-	res2, err := ChiSquareTest(ys, fit, 10, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.PValue > 1e-6 {
-		t.Errorf("chi-square accepted mismatched data: p=%v", res2.PValue)
-	}
-	if _, err := ChiSquareTest(xs[:10], fit, 10, 1); err == nil {
-		t.Error("too-small sample must error")
-	}
-}
-
 func TestBucketCounts(t *testing.T) {
 	start := time.Date(2005, 1, 1, 0, 0, 0, 0, time.UTC)
 	end := start.Add(3 * time.Hour)

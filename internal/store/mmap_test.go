@@ -171,6 +171,7 @@ type countingVisitor struct {
 	sealedMatched int
 	sealedKept    int
 	tail          int
+	tailKept      int
 }
 
 func (v *countingVisitor) SealedColumns(sc *SegmentColumns) error {
@@ -182,8 +183,11 @@ func (v *countingVisitor) SealedColumns(sc *SegmentColumns) error {
 	return nil
 }
 
-func (v *countingVisitor) TailEntry(Entry) error {
+func (v *countingVisitor) TailEntry(en Entry) error {
 	v.tail++
+	if en.Kept {
+		v.tailKept++
+	}
 	return nil
 }
 
@@ -235,17 +239,117 @@ func TestScanColumnsStatsMatchScan(t *testing.T) {
 	}
 }
 
-// TestScanColumnsRejectsBodyFilter: the planner contract at the store
-// layer — a body predicate is not index-answerable and the columnar
-// scan must refuse it rather than silently ignore it.
-func TestScanColumnsRejectsBodyFilter(t *testing.T) {
-	s, err := Create(t.TempDir(), logrec.Thunderbird, Options{})
+// TestScanColumnsBodyFilterEqualsScan: a body predicate is served by
+// the columnar walk exactly as by the row scan — same matches, same
+// Kept tally, same ScanStats — on every store shape, with the needle
+// only in the tail, only in sealed segments, nowhere, and combined with
+// a category (the postings walk), the Kept flag, and a time window that
+// cuts a segment.
+func TestScanColumnsBodyFilterEqualsScan(t *testing.T) {
+	const flush = 150
+	entries := makeEntries(t, 500, 21)
+	for i := range entries {
+		switch {
+		case i < 2*flush && i%11 == 0:
+			entries[i].Record.Body += " needle-sealed"
+		case i >= 3*flush && i%5 == 0:
+			entries[i].Record.Body += " needle-tail"
+		}
+	}
+	kept := true
+	filters := []Filter{
+		{BodyContains: "needle-tail"},
+		{BodyContains: "needle-sealed"},
+		{BodyContains: "no such needle"},
+		{BodyContains: "needle", Categories: []string{"ECC"}},
+		{BodyContains: "needle", Kept: &kept},
+		{BodyContains: "synthetic body", From: entries[flush+50].Record.Time, To: entries[2*flush+100].Record.Time},
+	}
+
+	check := func(shape string, s *Store) {
+		t.Helper()
+		for i, f := range filters {
+			var rowKept int
+			rowStats, err := s.Scan(f, func(en Entry) error {
+				if en.Kept {
+					rowKept++
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("%s filter %d: Scan: %v", shape, i, err)
+			}
+			var v countingVisitor
+			colStats, err := s.ScanColumns(f, &v)
+			if err != nil {
+				t.Fatalf("%s filter %d: ScanColumns: %v", shape, i, err)
+			}
+			if !reflect.DeepEqual(rowStats, colStats) {
+				t.Errorf("%s filter %d: stats diverged\ncolumnar: %+v\nrow:      %+v", shape, i, colStats, rowStats)
+			}
+			want := len(linearFilter(entries, f))
+			if rowStats.Matched != want || v.sealedMatched+v.tail != want {
+				t.Errorf("%s filter %d: Scan matched %d, visitor saw %d+%d, linear reference %d",
+					shape, i, rowStats.Matched, v.sealedMatched, v.tail, want)
+			}
+			if v.sealedKept+v.tailKept != rowKept {
+				t.Errorf("%s filter %d: visitor kept %d+%d, Scan kept %d", shape, i, v.sealedKept, v.tailKept, rowKept)
+			}
+			if shape != "wal-tail" {
+				continue
+			}
+			// The fixture means what the case names say.
+			switch f.BodyContains {
+			case "needle-tail":
+				if v.sealedMatched != 0 || v.tail == 0 {
+					t.Errorf("needle-tail matched %d sealed, %d tail", v.sealedMatched, v.tail)
+				}
+			case "needle-sealed":
+				if v.sealedMatched == 0 || v.tail != 0 {
+					t.Errorf("needle-sealed matched %d sealed, %d tail", v.sealedMatched, v.tail)
+				}
+			case "synthetic body":
+				if colStats.SegmentsScanned != 2 || colStats.Matched == 0 || colStats.Matched >= 2*flush {
+					t.Errorf("window filter does not cut two segments: %+v", colStats)
+				}
+			}
+		}
+	}
+
+	s, err := Create(t.TempDir(), logrec.Thunderbird, Options{FlushEvery: flush})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	var v countingVisitor
-	if _, err := s.ScanColumns(Filter{BodyContains: "x"}, &v); !errors.Is(err, ErrNotIndexAnswerable) {
-		t.Fatalf("ScanColumns(body filter) = %v, want ErrNotIndexAnswerable", err)
+	if err := s.Append(entries...); err != nil {
+		t.Fatal(err)
 	}
+	if len(s.Segments()) != 3 || s.TailLen() != len(entries)-3*flush {
+		t.Fatalf("fixture: %d segments, tail %d", len(s.Segments()), s.TailLen())
+	}
+	check("wal-tail", s)
+	if err := s.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	check("sealed", s)
+	if _, err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.Segments()) >= 4 {
+		t.Fatalf("compaction left %d segments", len(s.Segments()))
+	}
+	check("post-compaction", s)
+
+	tailOnly, err := Create(t.TempDir(), logrec.Thunderbird, Options{FlushEvery: len(entries) + 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tailOnly.Close()
+	if err := tailOnly.Append(entries...); err != nil {
+		t.Fatal(err)
+	}
+	if len(tailOnly.Segments()) != 0 {
+		t.Fatal("tail-only shape sealed a segment")
+	}
+	check("tail-only", tailOnly)
 }

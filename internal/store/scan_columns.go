@@ -1,8 +1,6 @@
 package store
 
 import (
-	"errors"
-
 	"whatsupersay/internal/logrec"
 	"whatsupersay/internal/obs"
 )
@@ -16,12 +14,6 @@ import (
 // plus a contiguous timestamp slab — while the unsealed tail, which has
 // no columnar form, is handed over entry by entry. The query engine
 // turns a ColumnVisitor into a mergeable Partial in one pass.
-
-// ErrNotIndexAnswerable rejects a columnar scan whose filter needs
-// record bytes the indexes do not cover (a message predicate). Callers
-// route such filters to Scan; Filter.IndexAnswerable is the planning
-// predicate.
-var ErrNotIndexAnswerable = errors.New("store: filter is not index-answerable (message predicate present)")
 
 var mScanColumnsSegments = obs.Default.Counter("store_scan_columns_segments_total")
 
@@ -69,61 +61,22 @@ func newSegmentColumns(g *segment) *SegmentColumns {
 
 // ScanColumns streams every entry matching f to v in columnar form:
 // sealed segments first (in seal order, each folded to a
-// SegmentColumns), then the unsealed tail entry by entry. The filter
-// must be index-answerable (ErrNotIndexAnswerable otherwise). The
-// returned stats are identical to what Scan would report for the same
-// filter against the same content — both paths share segment.walk — so
-// callers can switch paths without changing any observable accounting.
+// SegmentColumns), then the unsealed tail entry by entry. Any filter is
+// served, a body predicate included: segment.walk compares the body
+// bytes in place, so nothing is materialized for it either. The
+// returned stats are identical to what Scan reports for the same filter
+// against the same content — the two share Store.scan and segment.walk.
 func (s *Store) ScanColumns(f Filter, v ColumnVisitor) (ScanStats, error) {
-	if !f.IndexAnswerable() {
-		return ScanStats{}, ErrNotIndexAnswerable
-	}
 	sp := obs.Default.StartSpan("store_scan_columns")
 	defer sp.End()
-
-	s.mu.RLock()
-	segs := append([]*segment(nil), s.segs...)
-	tail := append([]Entry(nil), s.tail...)
-	retainAll(segs)
-	s.mu.RUnlock()
-	defer releaseAll(segs)
-
-	var st ScanStats
-	st.Segments = len(segs)
-	for _, g := range segs {
-		if !f.From.IsZero() && g.maxNanos < f.From.UnixNano() {
-			st.SegmentsPruned++
-			continue
-		}
-		if !f.To.IsZero() && g.minNanos >= f.To.UnixNano() {
-			st.SegmentsPruned++
-			continue
-		}
-		st.SegmentsScanned++
+	return s.scan(f, mScanColumnsSegments, func(g *segment, st *ScanStats) error {
 		sc := newSegmentColumns(g)
-		if err := g.scanColumns(f, &st, sc); err != nil {
-			return st, err
+		if err := g.scanColumns(f, st, sc); err != nil {
+			return err
 		}
 		if sc.Matched == 0 {
-			continue
+			return nil
 		}
-		if err := v.SealedColumns(sc); err != nil {
-			return st, err
-		}
-	}
-	st.TailEntries = len(tail)
-	for _, en := range tail {
-		st.RecordsScanned++
-		if !f.match(en) {
-			continue
-		}
-		st.Matched++
-		if err := v.TailEntry(en); err != nil {
-			return st, err
-		}
-	}
-	mScanColumnsSegments.Add(int64(st.SegmentsScanned))
-	mScanRecords.Add(int64(st.RecordsScanned))
-	mScanBytes.Add(st.BytesScanned)
-	return st, nil
+		return v.SealedColumns(sc)
+	}, v.TailEntry)
 }

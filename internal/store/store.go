@@ -650,28 +650,10 @@ type Filter struct {
 	Kept *bool
 	// BodyContains, when nonempty, selects entries whose message body
 	// contains it as a substring. It is the one predicate the segment
-	// indexes cannot answer: scans check it against the body bytes in
-	// place, and the columnar path refuses filters that set it (see
-	// IndexAnswerable and ScanColumns).
+	// indexes cannot narrow: sealed segments compare it against the body
+	// bytes in place (segment.matchRaw), the tail against the decoded
+	// entry (match), on both read paths alike.
 	BodyContains string
-}
-
-// IndexAnswerable reports whether every predicate in f is answerable
-// from segment metadata alone — the time window (sparse index +
-// min/max), Sources/Categories/Severities (postings), and Kept (a
-// record flag). A body predicate needs the message bytes, so filters
-// that set BodyContains take the row-decode path.
-func (f Filter) IndexAnswerable() bool { return f.BodyContains == "" }
-
-// matchUnindexed applies the predicates postings do not cover (the Kept
-// flag, the body substring) to a decoded entry. Time and the indexed
-// dimensions are handled by the segment scan itself; the tail scan
-// calls match instead.
-func (f Filter) matchUnindexed(en Entry) bool {
-	if f.Kept != nil && *f.Kept != en.Kept {
-		return false
-	}
-	return f.BodyContains == "" || strings.Contains(en.Record.Body, f.BodyContains)
 }
 
 // Match reports whether en satisfies every predicate in f — the
@@ -700,7 +682,10 @@ func (f Filter) match(en Entry) bool {
 	if len(f.Severities) > 0 && !containsSev(f.Severities, en.Record.Severity) {
 		return false
 	}
-	return f.matchUnindexed(en)
+	if f.Kept != nil && *f.Kept != en.Kept {
+		return false
+	}
+	return f.BodyContains == "" || strings.Contains(en.Record.Body, f.BodyContains)
 }
 
 func containsStr(xs []string, x string) bool {
@@ -740,7 +725,19 @@ type ScanStats struct {
 func (s *Store) Scan(f Filter, fn func(Entry) error) (ScanStats, error) {
 	sp := obs.Default.StartSpan("store_scan")
 	defer sp.End()
+	return s.scan(f, mScanSegments, func(g *segment, st *ScanStats) error { return g.scan(f, st, fn) }, fn)
+}
 
+// scan is the one read skeleton under Scan and ScanColumns: snapshot
+// the segment list and tail under the read lock, prune segments against
+// the filter's time window, hand every surviving segment to perSegment
+// (which walks it and accounts its work in st), then match the tail
+// entry by entry into tailFn, and publish the work counters (segments
+// holds the caller's scanned-segments counter). Everything ScanStats
+// reports is counted here or in segment.walk, which is why the two read
+// paths report identical stats for identical filters against identical
+// content.
+func (s *Store) scan(f Filter, segments *obs.Counter, perSegment func(*segment, *ScanStats) error, tailFn func(Entry) error) (ScanStats, error) {
 	s.mu.RLock()
 	segs := append([]*segment(nil), s.segs...)
 	tail := append([]Entry(nil), s.tail...)
@@ -760,7 +757,7 @@ func (s *Store) Scan(f Filter, fn func(Entry) error) (ScanStats, error) {
 			continue
 		}
 		st.SegmentsScanned++
-		if err := g.scan(f, &st, fn); err != nil {
+		if err := perSegment(g, &st); err != nil {
 			return st, err
 		}
 	}
@@ -771,11 +768,11 @@ func (s *Store) Scan(f Filter, fn func(Entry) error) (ScanStats, error) {
 			continue
 		}
 		st.Matched++
-		if err := fn(en); err != nil {
+		if err := tailFn(en); err != nil {
 			return st, err
 		}
 	}
-	mScanSegments.Add(int64(st.SegmentsScanned))
+	segments.Add(int64(st.SegmentsScanned))
 	mScanRecords.Add(int64(st.RecordsScanned))
 	mScanBytes.Add(st.BytesScanned)
 	return st, nil
