@@ -92,10 +92,13 @@ correlate-smoke:
 # everything, then the pure query.Aggregate; one helper per test
 # package), at the store, library, and HTTP layers, every layout and
 # shard count (see DESIGN.md §11), and a sealed segment identically to
-# the tail it was. -count=1 so the differential matrices re-execute
-# every run.
+# the tail it was. The select differentials ride along: a bounded
+# select (limit pushed into the scan through store.ErrPastBound) must
+# equal the full sort truncated to limit at the store, library, cluster
+# and HTTP layers, ties across segments included. -count=1 so the
+# differential matrices re-execute every run.
 diff-smoke:
-	$(call run-tests,-count=1 -timeout $(TEST_TIMEOUT),Columnar|ScanColumns|BodyFilter|DecodeReference|Unmap|SealedEqualsTail,./internal/store/ ./internal/query/ ./cmd/logstudy/)
+	$(call run-tests,-count=1 -timeout $(TEST_TIMEOUT),Columnar|ScanColumns|BodyFilter|DecodeReference|Unmap|SealedEqualsTail|PastBound|BoundedSelect|SelectMerges|QueryEndpoint,./internal/store/ ./internal/query/ ./internal/shard/ ./cmd/logstudy/)
 
 # The stage-loop ledger (the bench package and subcommand, its JSON file,
 # its make targets) was deleted in favour of BENCHMARK.json +
@@ -103,12 +106,13 @@ diff-smoke:
 # (internal/simulate carries its own processes), and the second
 # aggregate implementation with its switch, planner predicate and
 # optional-interface fallback (plus the test-only whole-stream parallel
-# reader) because the columnar fold serves every filter; fail if a doc,
+# reader) because the columnar fold serves every filter, and the
+# callerless series autocorrelation helper; fail if a doc,
 # comment or target names any of them again. The three excluded files
 # record the deletions themselves; the one-letter brackets keep this
 # line from matching itself.
 no-stale-refs:
-	@if git grep -nE 'BENCH_[p]ipeline|internal/[b]ench|bench-[s]moke|logstudy [b]ench|internal/[f]ailure|Disable[C]olumnar|ErrNot[I]ndexAnswerable|Index[A]nswerable|Column[S]canner|ReadAll[P]arallel' -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md'; then \
+	@if git grep -nE 'BENCH_[p]ipeline|internal/[b]ench|bench-[s]moke|logstudy [b]ench|internal/[f]ailure|Disable[C]olumnar|ErrNot[I]ndexAnswerable|Index[A]nswerable|Column[S]canner|ReadAll[P]arallel|Auto[c]orrelation' -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md'; then \
 		echo "FAIL: stale reference to a deleted package, target or name (the bench ledger: see DESIGN.md §7 for the per-layer metric that replaced it; the decode aggregate: DESIGN.md §11)"; exit 1; fi
 
 # benchmark/ is its own module, so root `go build ./...` never compiles

@@ -271,51 +271,72 @@ func TestAggregateMatchesBatchPipeline(t *testing.T) {
 }
 
 // TestQueryEndpoint checks the merged /api/query keeps canonical order,
-// honors limits and filters, and reports coverage, on every layout.
+// honors limits and filters, and reports coverage, on every layout: each
+// filter × limit row must return exactly the canonical prefix of a
+// linear filter over the batch pipeline's entries, and its stats block
+// must account for every segment.
 func TestQueryEndpoint(t *testing.T) {
 	entries := studyEntries(t)
+	kept := true
+	cat := entries[0].Category
+	src := entries[len(entries)/2].Record.Source
+	body := entries[len(entries)/3].Record.Body
+	body = body[:min(len(body), 12)]
+	mid := entries[len(entries)/3].Record.Time
+	late := entries[2*len(entries)/3].Record.Time
+	cases := []struct {
+		params url.Values
+		f      store.Filter
+		limit  int
+	}{
+		{url.Values{"limit": {"10"}}, store.Filter{}, 10},
+		{url.Values{"limit": {"1"}}, store.Filter{}, 1},
+		{url.Values{"limit": {"0"}}, store.Filter{}, 0},
+		{url.Values{"limit": {"50"}, "kept": {"true"}}, store.Filter{Kept: &kept}, 50},
+		{url.Values{"limit": {"2"}, "kept": {"true"}}, store.Filter{Kept: &kept}, 2},
+		{url.Values{"limit": {"7"}, "source": {src}}, store.Filter{Sources: []string{src}}, 7},
+		{url.Values{"limit": {"2"}, "category": {cat}, "kept": {"true"}}, store.Filter{Categories: []string{cat}, Kept: &kept}, 2},
+		{url.Values{"limit": {"100"}, "body": {body}}, store.Filter{BodyContains: body}, 100},
+		{url.Values{"limit": {"7"}, "from": {mid.Format(time.RFC3339Nano)}, "to": {late.Format(time.RFC3339Nano)}}, store.Filter{From: mid, To: late}, 7},
+		{url.Values{"limit": {"0"}, "category": {cat}}, store.Filter{Categories: []string{cat}}, 0},
+		{url.Values{"limit": {"100000"}, "category": {cat}}, store.Filter{Categories: []string{cat}}, 100000},
+	}
 	for _, l := range layouts {
 		t.Run(l.name, func(t *testing.T) {
 			srv, _ := newTestServer(t, l, entries, shard.Options{})
-			var resp struct {
-				Count    int            `json:"count"`
-				Partial  bool           `json:"partial"`
-				Coverage shard.Coverage `json:"coverage"`
-				Entries  []struct {
-					Seq      uint64    `json:"seq"`
-					Time     time.Time `json:"time"`
-					Category string    `json:"category"`
-					Kept     bool      `json:"kept"`
-				} `json:"entries"`
-			}
-			getJSON(t, srv.URL+"/api/query?limit=10", &resp)
-			if resp.Count != 10 || len(resp.Entries) != 10 || resp.Partial || resp.Coverage.ShardsTotal != l.shards {
-				t.Fatalf("limit or coverage off: count %d partial %v coverage %+v", resp.Count, resp.Partial, resp.Coverage)
-			}
-			for i, en := range resp.Entries {
-				if !en.Time.Equal(entries[i].Record.Time) || en.Seq != entries[i].Record.Seq {
-					t.Fatalf("entry %d out of canonical order: %+v", i, en)
+			for _, tc := range cases {
+				var resp struct {
+					Count    int             `json:"count"`
+					Partial  bool            `json:"partial"`
+					Coverage shard.Coverage  `json:"coverage"`
+					Stats    store.ScanStats `json:"stats"`
+					Entries  []entryJSON     `json:"entries"`
 				}
-			}
-			getJSON(t, srv.URL+"/api/query?limit=0", &resp)
-			if resp.Count != len(entries) {
-				t.Fatalf("full select count %d, want %d", resp.Count, len(entries))
-			}
-
-			cat := entries[0].Category
-			getJSON(t, srv.URL+"/api/query?limit=0&category="+url.QueryEscape(cat), &resp)
-			want := 0
-			for _, en := range entries {
-				if en.Category == cat {
-					want++
+				getJSON(t, srv.URL+"/api/query?"+tc.params.Encode(), &resp)
+				var want []store.Entry
+				for _, en := range entries {
+					if matchesFilter(tc.f, en) {
+						want = append(want, en)
+					}
 				}
-			}
-			if resp.Count != want {
-				t.Fatalf("category filter: count %d, want %d", resp.Count, want)
-			}
-			for _, en := range resp.Entries {
-				if en.Category != cat {
-					t.Fatalf("filter leaked category %q", en.Category)
+				if tc.limit > 0 && len(want) > tc.limit {
+					want = want[:tc.limit]
+				}
+				if len(want) == 0 {
+					t.Fatalf("%s: fixture matches nothing", tc.params.Encode())
+				}
+				if resp.Count != len(want) || len(resp.Entries) != len(want) || resp.Partial || resp.Coverage.ShardsTotal != l.shards {
+					t.Fatalf("%s: count %d (want %d), partial %v, coverage %+v", tc.params.Encode(), resp.Count, len(want), resp.Partial, resp.Coverage)
+				}
+				for i, en := range resp.Entries {
+					w := want[i]
+					if !en.Time.Equal(w.Record.Time) || en.Seq != w.Record.Seq || en.Source != w.Record.Source ||
+						en.Category != w.Category || en.Kept != w.Kept || en.Body != w.Record.Body {
+						t.Fatalf("%s: entry %d is %+v, want seq %d at %v", tc.params.Encode(), i, en, w.Record.Seq, w.Record.Time)
+					}
+				}
+				if st := resp.Stats; st.Segments != st.SegmentsScanned+st.SegmentsPruned || st.Matched < len(want) {
+					t.Fatalf("%s: stats %+v", tc.params.Encode(), st)
 				}
 			}
 		})

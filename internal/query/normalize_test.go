@@ -15,7 +15,7 @@ import (
 // Tests for the options-normalization invariant (one canonical form
 // feeds both the cache key and the merge, so key-equal options are
 // guaranteed byte-identical answers), the strict request-side quantile
-// validation, and the late-cancellation regression in collect.
+// validation, and the late-cancellation regression in select.
 
 func TestNormalizeResolvesDefaultsAndScrubs(t *testing.T) {
 	cases := []struct {
@@ -163,8 +163,9 @@ func (s cancelAtEndScanner) ScanColumns(f store.Filter, v store.ColumnVisitor) (
 }
 
 // TestCompletedScanSurvivesLateCancellation is the regression test for
-// the collect bug, on both scans the engine drives: a context that
-// expires after the scan delivered its last segment and tail entry must
+// the select-side late-cancel bug, on both scans the engine drives: a
+// context that expires after the scan finished — it delivered its last
+// segment and tail entry, or it ended through store.ErrPastBound — must
 // not discard the finished work. Before the fix, a post-scan ctx.Err()
 // re-check turned complete answers into errors — in the sharded path
 // that charged healthy shards with failures and degraded whole
@@ -199,6 +200,22 @@ func TestCompletedScanSurvivesLateCancellation(t *testing.T) {
 		t.Fatalf("select returned %d entries (stats %+v), want %d", len(got), stt, len(entries))
 	}
 
+	// The same for a select that ended through store.ErrPastBound: it
+	// stopped early in the segment and skipped the whole (later) tail,
+	// and its answer stands although ctx lapsed on the way out.
+	ctx, cancel = context.WithCancel(context.Background())
+	eng = &Engine{Store: cancelAtEndScanner{Scanner: st, cancel: cancel}}
+	got, stt, err = eng.SelectContext(ctx, store.Filter{}, 10)
+	if err != nil {
+		t.Fatalf("completed bounded select discarded on late cancel: %v", err)
+	}
+	if ctx.Err() == nil || stt.Matched >= ctxCheckStride {
+		t.Fatalf("the select did not stop early through the hooked scan (ctx %v, stats %+v)", ctx.Err(), stt)
+	}
+	if !reflect.DeepEqual(got, entries[:10]) {
+		t.Fatalf("bounded late-cancel select returned %d entries, want the first 10", len(got))
+	}
+
 	ctx, cancel = context.WithCancel(context.Background())
 	eng = &Engine{Store: cancelAtEndScanner{Scanner: st, cancel: cancel}}
 	agg, _, err := eng.AggregateContext(ctx, store.Filter{}, AggregateOptions{})
@@ -219,8 +236,10 @@ func TestCompletedScanSurvivesLateCancellation(t *testing.T) {
 	doneCtx, doneCancel := context.WithCancel(context.Background())
 	doneCancel()
 	eng = &Engine{Store: st}
-	if _, _, err := eng.SelectContext(doneCtx, store.Filter{}, 0); !errors.Is(err, context.Canceled) {
-		t.Fatalf("select ignored a mid-scan cancellation: %v", err)
+	for _, limit := range []int{0, ctxCheckStride + 1} { // unbounded, and bounded past the stride
+		if _, _, err := eng.SelectContext(doneCtx, store.Filter{}, limit); !errors.Is(err, context.Canceled) {
+			t.Fatalf("select (limit %d) ignored a mid-scan cancellation: %v", limit, err)
+		}
 	}
 	if _, _, err := eng.AggregateContext(doneCtx, store.Filter{}, AggregateOptions{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("aggregate ignored a cancellation at a segment boundary: %v", err)

@@ -1,7 +1,7 @@
 package query
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"whatsupersay/internal/store"
@@ -113,7 +113,7 @@ func MergePartials(parts []Partial, opts AggregateOptions) Aggregation {
 
 	// Each input column is already nondecreasing; sorting the
 	// concatenation is the k-way merge.
-	sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
+	slices.Sort(times)
 	agg.Interarrival = interarrivalNanos(times, quantiles)
 	return agg
 }

@@ -14,9 +14,11 @@
 package query
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"whatsupersay/internal/catalog"
@@ -73,15 +75,24 @@ func (e *Engine) Select(f store.Filter, limit int) ([]store.Entry, store.ScanSta
 // checks ctx between entries and aborts with ctx.Err() once the request
 // deadline passes, so a stalled client (or a fault-injected stall)
 // cannot pin the scanning goroutine past its budget.
+//
+// It is a bounded, time-ordered read: the collector holds at most limit
+// entries and, once full, refuses anything later than the worst it
+// holds with store.ErrPastBound, so the scan stops at the first segment
+// that cannot contribute. The returned stats are the work actually
+// done.
 func (e *Engine) SelectContext(ctx context.Context, f store.Filter, limit int) ([]store.Entry, store.ScanStats, error) {
-	entries, st, err := e.collect(ctx, f)
+	c := firstK{ctx: ctx, k: limit, held: make([]heldEntry, 0, min(max(limit, 0), firstKPrealloc))}
+	st, err := e.Store.Scan(f, c.offer)
 	if err != nil {
 		return nil, st, err
 	}
-	if limit > 0 && len(entries) > limit {
-		entries = entries[:limit]
-	}
-	return entries, st, nil
+	// No post-scan ctx re-check: if the scan itself never observed
+	// cancellation, the result is complete — a deadline that lapsed
+	// between the last entry and this return must not discard finished
+	// work (or, in the sharded path, charge a completed shard answer as
+	// a failure). The strided poll in offer is the only abort point.
+	return c.sorted(), st, nil
 }
 
 // Aggregate scans the entries matching f and folds them into the
@@ -126,7 +137,7 @@ func (e *Engine) PartialContext(ctx context.Context, f store.Filter) (Partial, s
 // segments fold per distinct dictionary value, the tail per entry (see
 // partialBuilder). A scan that completed without observing cancellation
 // returns its finished result even if the deadline lapsed on the way
-// out, as in collect.
+// out, as in SelectContext.
 func (e *Engine) partial(ctx context.Context, f store.Filter) (Partial, store.ScanStats, error) {
 	b := partialBuilder{ctx: ctx, p: newPartial()}
 	st, err := e.Store.ScanColumns(f, &b)
@@ -137,39 +148,114 @@ func (e *Engine) partial(ctx context.Context, f store.Filter) (Partial, store.Sc
 	// with one another and the tail; restore the nondecreasing order the
 	// Partial contract promises. Counts are order-independent, so this
 	// sort is the only order-sensitive step.
-	sort.Slice(b.p.Times, func(i, j int) bool { return b.p.Times[i] < b.p.Times[j] })
+	slices.Sort(b.p.Times)
 	return b.p, st, nil
 }
 
-// collect scans and restores global canonical order: segments are each
-// internally sorted but may interleave in time with one another and
-// with the unsealed tail. The scan polls ctx between entries (every
+// firstK is select's one collector: the first k matches in canonical
+// order (k <= 0: every match). Segments are each internally sorted but
+// may interleave in time with one another and with the unsealed tail,
+// so order is restored by one sort at the end; with k > 0 what is held
+// until then is a max-heap on cmpHeld, whose root is the worst entry
+// still in the answer. The scan polls ctx between entries (every
 // ctxCheckStride, to keep the common case branch-cheap) and aborts once
 // it is done.
-func (e *Engine) collect(ctx context.Context, f store.Filter) ([]store.Entry, store.ScanStats, error) {
-	var entries []store.Entry
-	var seen int
-	st, err := e.Store.Scan(f, func(en store.Entry) error {
-		if seen++; seen%ctxCheckStride == 0 {
-			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("query: scan aborted: %w", err)
+type firstK struct {
+	ctx  context.Context
+	k    int
+	seen int
+	held []heldEntry
+}
+
+// heldEntry is a collected match plus its arrival ordinal: entries tied
+// on (time, seq) keep scan order, exactly as a stable sort of every
+// match would.
+type heldEntry struct {
+	en  store.Entry
+	ord int
+}
+
+// firstKPrealloc caps the collector's initial capacity: limit comes off
+// the URL unbounded, so it must not size an allocation by itself.
+const firstKPrealloc = 64
+
+// cmpHeld is canonical (time, seq) order, then arrival order.
+func cmpHeld(a, b heldEntry) int {
+	switch {
+	case a.en.Record.Before(b.en.Record):
+		return -1
+	case b.en.Record.Before(a.en.Record):
+		return 1
+	}
+	return cmp.Compare(a.ord, b.ord)
+}
+
+// offer is the Scan callback. Once k entries are held, an entry
+// strictly later than the worst of them can never enter the answer, nor
+// can anything after it in its segment: it is refused with
+// store.ErrPastBound, which stops the scan's walk there. An entry at the
+// worst's exact time still competes on seq.
+func (c *firstK) offer(en store.Entry) error {
+	if c.seen++; c.seen%ctxCheckStride == 0 {
+		if err := c.ctx.Err(); err != nil {
+			return fmt.Errorf("query: scan aborted: %w", err)
+		}
+	}
+	h := heldEntry{en: en, ord: c.seen}
+	if c.k <= 0 {
+		c.held = append(c.held, h)
+		return nil
+	}
+	if len(c.held) < c.k {
+		c.held = append(c.held, h)
+		c.siftUp(len(c.held) - 1)
+		return nil
+	}
+	if en.Record.Time.After(c.held[0].en.Record.Time) {
+		return store.ErrPastBound
+	}
+	if cmpHeld(h, c.held[0]) < 0 {
+		c.held[0] = h
+		c.siftDown(0)
+	}
+	return nil
+}
+
+func (c *firstK) siftUp(i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if cmpHeld(c.held[i], c.held[parent]) <= 0 {
+			return
+		}
+		c.held[i], c.held[parent] = c.held[parent], c.held[i]
+		i = parent
+	}
+}
+
+func (c *firstK) siftDown(i int) {
+	for {
+		worst := i
+		for _, child := range [2]int{2*i + 1, 2*i + 2} {
+			if child < len(c.held) && cmpHeld(c.held[child], c.held[worst]) > 0 {
+				worst = child
 			}
 		}
-		entries = append(entries, en)
-		return nil
-	})
-	if err != nil {
-		return nil, st, err
+		if worst == i {
+			return
+		}
+		c.held[i], c.held[worst] = c.held[worst], c.held[i]
+		i = worst
 	}
-	// No post-scan ctx re-check: if the scan itself never observed
-	// cancellation, the result is complete — a deadline that lapsed
-	// between the last entry and this return must not discard finished
-	// work (or, in the sharded path, charge a completed shard answer as
-	// a failure). The strided poll above is the only abort point.
-	sort.SliceStable(entries, func(i, j int) bool {
-		return entries[i].Record.Before(entries[j].Record)
-	})
-	return entries, st, nil
+}
+
+// sorted returns what the collector holds in canonical order.
+func (c *firstK) sorted() []store.Entry {
+	slices.SortFunc(c.held, cmpHeld)
+	out := make([]store.Entry, len(c.held))
+	for i, h := range c.held {
+		out[i] = h.en
+	}
+	return out
 }
 
 // ctxCheckStride is how many matched entries a scan processes between

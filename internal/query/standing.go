@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 
 	"whatsupersay/internal/obs"
@@ -336,7 +335,7 @@ func deltaOf(f store.Filter, entries []store.Entry) (Partial, int) {
 		return Partial{}, 0
 	}
 	p := PartialOf(matched)
-	sort.Slice(p.Times, func(i, j int) bool { return p.Times[i] < p.Times[j] })
+	slices.Sort(p.Times)
 	return p, len(matched)
 }
 

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -781,5 +782,26 @@ func TestGatherKeepsCompletedAnswerOnLateCancel(t *testing.T) {
 	hits, _ := c.CacheStats()
 	if hits == 0 {
 		t.Fatal("completed late-cancel answer was not cached")
+	}
+
+	// A select that ended early through store.ErrPastBound — partway into
+	// the segment, tail skipped — is just as complete.
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	wrap.arm(cancel)
+	sel, cov, st, err := c.Select(ctx, store.Filter{}, 10)
+	if err != nil || cov.Partial || cov.ShardsAnswered != 1 || len(cov.ShardErrors) != 0 {
+		t.Fatalf("completed bounded select degraded on late cancel: %v %+v", err, cov)
+	}
+	if ctx.Err() == nil || st.Matched >= len(entries)/2 {
+		t.Fatalf("the select did not stop early through the hook (ctx %v, stats %+v)", ctx.Err(), st)
+	}
+	if !reflect.DeepEqual(sel, entries[:10]) {
+		t.Fatalf("bounded select returned %d entries, want the first 10", len(sel))
+	}
+	for _, h := range c.Health() {
+		if h.TotalFailures != 0 || h.State != "ok" {
+			t.Fatalf("completed bounded select charged the shard: %+v", h)
+		}
 	}
 }

@@ -181,7 +181,7 @@ func (c *Cluster) runDeadlined(ctx context.Context, sh *shardState, work func(ct
 		// that delivered its last entry as the clock lapsed has a
 		// finished answer in flight (the engine returns completed work
 		// even when the context dies after the final entry — see
-		// Engine.collect). Grant a short grace for that answer to land
+		// Engine.SelectContext). Grant a short grace for that answer to land
 		// rather than charging a completed shard as a failure; a truly
 		// wedged scan just pays deadlineGrace extra before abandonment.
 		select {

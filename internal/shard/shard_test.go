@@ -221,26 +221,55 @@ func TestMergedAggregateMatchesSingleStore(t *testing.T) {
 	}
 }
 
+// TestSelectMergesCanonicalOrderAcrossShards: across shard counts, the
+// merged select — each shard's bounded read pre-truncated to limit —
+// is the canonical prefix of a linear filter over the union, for every
+// filter × limit row, and its stats account for every segment.
 func TestSelectMergesCanonicalOrderAcrossShards(t *testing.T) {
-	entries := makeEntries(t, 300, 17)
-	c := newTestCluster(t, 4, entries, Options{Store: store.Options{FlushEvery: 41}})
-
-	got, cov, _, err := c.Select(context.Background(), store.Filter{}, 0)
-	if err != nil || cov.Partial {
-		t.Fatalf("select: %v, coverage %+v", err, cov)
+	entries := makeEntries(t, 600, 17)
+	kept := true
+	mid := entries[len(entries)/3].Record.Time
+	late := entries[2*len(entries)/3].Record.Time
+	cases := []struct {
+		name  string
+		f     store.Filter
+		limit int
+	}{
+		{"everything", store.Filter{}, 0},
+		{"first", store.Filter{}, 1},
+		{"prefix", store.Filter{}, 25},
+		{"survivors", store.Filter{Kept: &kept}, 50},
+		{"survivors, first two", store.Filter{Kept: &kept}, 2},
+		{"one source", store.Filter{Sources: []string{entries[0].Record.Source}}, 7},
+		{"category + survivors", store.Filter{Categories: []string{"ECC"}, Kept: &kept}, 100},
+		{"body", store.Filter{BodyContains: "body 1"}, 7},
+		{"window", store.Filter{From: mid, To: late}, 50},
+		{"limit past every match", store.Filter{Categories: []string{"GM_PAR"}}, 5000},
 	}
-	want := append([]store.Entry(nil), entries...)
-	sort.SliceStable(want, func(i, j int) bool { return want[i].Record.Before(want[j].Record) })
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("merged select lost canonical order or entries: %d vs %d", len(got), len(want))
-	}
-
-	limited, _, _, err := c.Select(context.Background(), store.Filter{}, 25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(limited, want[:25]) {
-		t.Fatal("limited select is not the canonical prefix of the merged set")
+	for _, shards := range []int{1, 2, 4, 7} {
+		c := newTestCluster(t, shards, entries, Options{Store: store.Options{FlushEvery: 23}})
+		for _, tc := range cases {
+			got, cov, st, err := c.Select(context.Background(), tc.f, tc.limit)
+			if err != nil || cov.Partial || cov.ShardsAnswered != cov.ShardsQueried {
+				t.Fatalf("%d shards/%s: %v, coverage %+v", shards, tc.name, err, cov)
+			}
+			var want []store.Entry
+			for _, en := range entries {
+				if matchesFilter(tc.f, en) {
+					want = append(want, en)
+				}
+			}
+			sort.SliceStable(want, func(i, j int) bool { return want[i].Record.Before(want[j].Record) })
+			if tc.limit > 0 && len(want) > tc.limit {
+				want = want[:tc.limit]
+			}
+			if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+				t.Fatalf("%d shards/%s: merged select (%d entries) is not the canonical prefix (%d)", shards, tc.name, len(got), len(want))
+			}
+			if st.Segments != st.SegmentsScanned+st.SegmentsPruned {
+				t.Fatalf("%d shards/%s: segment accounting %+v", shards, tc.name, st)
+			}
+		}
 	}
 }
 

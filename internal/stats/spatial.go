@@ -172,33 +172,6 @@ func FitWeibull(xs []float64) (Weibull, error) {
 	return Weibull{K: k, Lambda: lambda}, nil
 }
 
-// Autocorrelation returns the sample autocorrelation of a series at the
-// given lags (lag 0 is always 1 for a non-constant series).
-func Autocorrelation(xs []float64, maxLag int) []float64 {
-	n := len(xs)
-	out := make([]float64, maxLag+1)
-	if n < 2 {
-		return out
-	}
-	mean := Mean(xs)
-	var denom float64
-	for _, x := range xs {
-		d := x - mean
-		denom += d * d
-	}
-	if denom == 0 {
-		return out
-	}
-	for lag := 0; lag <= maxLag && lag < n; lag++ {
-		var num float64
-		for i := 0; i+lag < n; i++ {
-			num += (xs[i] - mean) * (xs[i+lag] - mean)
-		}
-		out[lag] = num / denom
-	}
-	return out
-}
-
 // FanoFactor is the variance-to-mean ratio of bucketed event counts: 1
 // for a Poisson process, > 1 for bursty (overdispersed) processes — a
 // one-number summary of the paper's burstiness observations.

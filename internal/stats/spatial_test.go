@@ -134,45 +134,6 @@ func TestWeibullKSIntegration(t *testing.T) {
 	}
 }
 
-func TestAutocorrelation(t *testing.T) {
-	// Perfectly periodic series: strong correlation at the period.
-	xs := make([]float64, 100)
-	for i := range xs {
-		xs[i] = float64(i % 4)
-	}
-	ac := Autocorrelation(xs, 8)
-	if math.Abs(ac[0]-1) > 1e-12 {
-		t.Errorf("lag-0 = %v, want 1", ac[0])
-	}
-	if ac[4] < 0.9 {
-		t.Errorf("lag-4 (period) = %v, want ~1", ac[4])
-	}
-	if ac[2] > 0 {
-		t.Errorf("lag-2 (anti-phase) = %v, want negative", ac[2])
-	}
-	// White noise: small at all positive lags.
-	rng := rand.New(rand.NewSource(4))
-	ys := make([]float64, 5000)
-	for i := range ys {
-		ys[i] = rng.NormFloat64()
-	}
-	for lag, v := range Autocorrelation(ys, 5) {
-		if lag == 0 {
-			continue
-		}
-		if math.Abs(v) > 0.05 {
-			t.Errorf("white noise lag-%d = %v", lag, v)
-		}
-	}
-	// Degenerate inputs.
-	if Autocorrelation([]float64{1, 1, 1}, 2)[0] != 0 {
-		t.Error("constant series must give zeros")
-	}
-	if len(Autocorrelation(nil, 3)) != 4 {
-		t.Error("output length must be maxLag+1")
-	}
-}
-
 func TestFanoFactor(t *testing.T) {
 	base := time.Date(2005, 1, 1, 0, 0, 0, 0, time.UTC)
 	end := base.AddDate(0, 0, 10)

@@ -69,7 +69,7 @@ func newSegmentColumns(g *segment) *SegmentColumns {
 func (s *Store) ScanColumns(f Filter, v ColumnVisitor) (ScanStats, error) {
 	sp := obs.Default.StartSpan("store_scan_columns")
 	defer sp.End()
-	return s.scan(f, mScanColumnsSegments, func(g *segment, st *ScanStats) error {
+	return s.scan(f, mScanColumnsSegments, func(g *segment, st *ScanStats, _ *int64) error {
 		sc := newSegmentColumns(g)
 		if err := g.scanColumns(f, st, sc); err != nil {
 			return err

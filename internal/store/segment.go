@@ -607,10 +607,11 @@ func bodyPattern(f Filter) []byte {
 }
 
 // scan emits the segment's entries matching f, in canonical order,
-// accounting its work in st. The caller has already pruned the segment
-// against the filter's time range.
-func (g *segment) scan(f Filter, st *ScanStats, emit func(Entry) error) error {
-	return g.walk(f, st, func(r raw) error { return emit(g.materialize(r)) })
+// accounting its work in st and lowering *bound when emit refuses an
+// entry with ErrPastBound (which also ends the walk). The caller has
+// already pruned the segment against the filter's time range.
+func (g *segment) scan(f Filter, st *ScanStats, bound *int64, emit func(Entry) error) error {
+	return g.walk(f, st, func(r raw) error { return lowerBound(emit(g.materialize(r)), r.nanos, bound) })
 }
 
 // scanColumns folds the segment's matching records into sc without

@@ -28,6 +28,7 @@ import (
 	"hash/fnv"
 	"io"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -718,26 +719,59 @@ type ScanStats struct {
 	Matched         int   `json:"matched"`
 }
 
+// ErrPastBound is the one non-error a Scan callback may return. fn
+// returning it for entry e says "no entry after e in canonical (time,
+// seq) order is wanted"; the scan consumes it (Scan does not return it)
+// and acts on it at time grain, against a running bound lowered to e's
+// time:
+//
+//   - the rest of e's segment is skipped (it sorts after e);
+//   - a later segment whose min time is strictly after the bound is
+//     never walked, and neither is any after it (segments are walked in
+//     min-time order) — they count as SegmentsPruned;
+//   - no tail entry strictly after the bound is handed to fn (the tail
+//     is unsorted, so every tail entry is still checked).
+//
+// Ties continue: a segment or tail entry at exactly the bound's time is
+// still handed over, because only its seq says whether it sorts before
+// e — that is the caller's to decide. A ColumnVisitor's TailEntry may
+// return it with the same meaning; a SealedColumns refusal names no
+// single entry, so it only ends its own (already walked) segment.
+var ErrPastBound = errors.New("store: past the caller's bound")
+
 // Scan streams every entry matching f to fn: sealed segments first (in
-// seal order, each internally time-sorted), then the unsealed tail.
+// min-time order, each internally time-sorted), then the unsealed tail.
 // Callers needing global canonical order sort the collected results
-// (the query engine does). fn returning an error aborts the scan.
+// (the query engine does). fn returning ErrPastBound bounds the scan
+// (see there); any other error aborts it.
 func (s *Store) Scan(f Filter, fn func(Entry) error) (ScanStats, error) {
 	sp := obs.Default.StartSpan("store_scan")
 	defer sp.End()
-	return s.scan(f, mScanSegments, func(g *segment, st *ScanStats) error { return g.scan(f, st, fn) }, fn)
+	return s.scan(f, mScanSegments, func(g *segment, st *ScanStats, bound *int64) error {
+		return g.scan(f, st, bound, fn)
+	}, fn)
+}
+
+// lowerBound passes a callback's verdict on the entry at nanos through,
+// first lowering *bound to nanos when the verdict is ErrPastBound.
+func lowerBound(err error, nanos int64, bound *int64) error {
+	if err != nil && errors.Is(err, ErrPastBound) {
+		*bound = min(*bound, nanos)
+	}
+	return err
 }
 
 // scan is the one read skeleton under Scan and ScanColumns: snapshot
 // the segment list and tail under the read lock, prune segments against
-// the filter's time window, hand every surviving segment to perSegment
-// (which walks it and accounts its work in st), then match the tail
-// entry by entry into tailFn, and publish the work counters (segments
-// holds the caller's scanned-segments counter). Everything ScanStats
-// reports is counted here or in segment.walk, which is why the two read
-// paths report identical stats for identical filters against identical
+// the filter's time window and the running ErrPastBound bound, hand
+// every surviving segment to perSegment (which walks it, accounts its
+// work in st, and may lower the bound), then match the tail entry by
+// entry into tailFn, and publish the work counters (segments holds the
+// caller's scanned-segments counter). Everything ScanStats reports is
+// counted here or in segment.walk, which is why the two read paths
+// report identical stats for identical filters against identical
 // content.
-func (s *Store) scan(f Filter, segments *obs.Counter, perSegment func(*segment, *ScanStats) error, tailFn func(Entry) error) (ScanStats, error) {
+func (s *Store) scan(f Filter, segments *obs.Counter, perSegment func(*segment, *ScanStats, *int64) error, tailFn func(Entry) error) (ScanStats, error) {
 	s.mu.RLock()
 	segs := append([]*segment(nil), s.segs...)
 	tail := append([]Entry(nil), s.tail...)
@@ -747,7 +781,14 @@ func (s *Store) scan(f Filter, segments *obs.Counter, perSegment func(*segment, 
 
 	var st ScanStats
 	st.Segments = len(segs)
-	for _, g := range segs {
+	bound := int64(math.MaxInt64)
+	for i, g := range segs {
+		if g.minNanos > bound {
+			// segs is in min-time order: this and every later segment
+			// hold only entries strictly after the bound.
+			st.SegmentsPruned += len(segs) - i
+			break
+		}
 		if !f.From.IsZero() && g.maxNanos < f.From.UnixNano() {
 			st.SegmentsPruned++
 			continue
@@ -757,18 +798,19 @@ func (s *Store) scan(f Filter, segments *obs.Counter, perSegment func(*segment, 
 			continue
 		}
 		st.SegmentsScanned++
-		if err := perSegment(g, &st); err != nil {
+		if err := perSegment(g, &st, &bound); err != nil && !errors.Is(err, ErrPastBound) {
 			return st, err
 		}
 	}
 	st.TailEntries = len(tail)
 	for _, en := range tail {
 		st.RecordsScanned++
-		if !f.match(en) {
+		nanos := en.Record.Time.UnixNano()
+		if nanos > bound || !f.match(en) {
 			continue
 		}
 		st.Matched++
-		if err := tailFn(en); err != nil {
+		if err := lowerBound(tailFn(en), nanos, &bound); err != nil && !errors.Is(err, ErrPastBound) {
 			return st, err
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -385,6 +386,76 @@ func TestFromOnBlockStartInstantSealedEqualsTail(t *testing.T) {
 		if !reflect.DeepEqual(sealed.entries, tail[i].entries) || sealed.matched != tail[i].matched || sealed.columns != tail[i].columns {
 			t.Errorf("%+v: sealed answer (%d entries, matched %d, columns %d) differs from the tail's (%d, %d, %d)",
 				f, len(sealed.entries), sealed.matched, sealed.columns, len(tail[i].entries), tail[i].matched, tail[i].columns)
+		}
+	}
+}
+
+// TestPastBoundTiesAcrossSegments pins ErrPastBound's tie rule on
+// entries that share one instant T across two segments and the tail, so
+// that only seq orders them. The callback wants every entry up to the
+// pivot (T, 7) in canonical order and refuses the first one after it —
+// (T, 11), early in segment A — which bounds the scan at T. Segment B
+// starts at exactly T and holds (T, 5); the tail holds (T, 4): both sort
+// before the pivot and must still be handed over, while the rest of A,
+// segment C (starting at T+1s) and the tail's later entry must not be.
+// A segment skip or tail skip at the bound's own time (>= instead of >)
+// loses (T, 5) or (T, 4) here.
+func TestPastBoundTiesAcrossSegments(t *testing.T) {
+	at := time.Date(2005, 6, 1, 12, 0, 0, 0, time.UTC)
+	mk := func(seq uint64, d time.Duration) Entry {
+		return Entry{
+			Record:   logrec.Record{Seq: seq, Time: at.Add(d), System: logrec.Thunderbird, Source: "cn1", Body: "x"},
+			Category: "ECC",
+		}
+	}
+	s, err := Create(t.TempDir(), logrec.Thunderbird, Options{FlushEvery: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for _, batch := range [][]Entry{
+		{mk(3, 0), mk(11, 0), mk(12, time.Second), mk(13, 2*time.Second)}, // A
+		{mk(5, 0)}, // B: starts at T, sealed after A
+		{mk(1, time.Second), mk(2, 3*time.Second)}, // C: starts after T
+	} {
+		if err := s.Append(batch...); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Seal(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Append(mk(4, 0), mk(0, 4*time.Second)); err != nil { // tail
+		t.Fatal(err)
+	}
+	if segs := s.Segments(); len(segs) != 3 || !segs[1].Start.Equal(at) || !segs[2].Start.After(at) {
+		t.Fatalf("fixture: segments %+v", segs)
+	}
+
+	pivot := mk(7, 0).Record
+	for _, f := range []Filter{{}, {Categories: []string{"ECC"}}} { // range walk, postings walk
+		var got []uint64
+		refused := false
+		st, err := s.Scan(f, func(en Entry) error {
+			if refused && en.Record.Time.After(at) {
+				t.Errorf("%+v: handed (%v, %d) after the scan was bounded at T", f, en.Record.Time, en.Record.Seq)
+			}
+			if pivot.Before(en.Record) {
+				refused = true
+				return ErrPastBound
+			}
+			got = append(got, en.Record.Seq)
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("%+v: the sentinel escaped the scan: %v", f, err)
+		}
+		slices.Sort(got)
+		if want := []uint64{3, 4, 5}; !reflect.DeepEqual(got, want) {
+			t.Errorf("%+v: kept seqs %v, want %v", f, got, want)
+		}
+		if st.SegmentsScanned != 2 || st.SegmentsPruned != 1 || st.Segments != st.SegmentsScanned+st.SegmentsPruned {
+			t.Errorf("%+v: stats %+v, want 2 scanned + 1 pruned by the bound", f, st)
 		}
 	}
 }
