@@ -455,7 +455,7 @@ func MineEntries(cfg Config, entries []store.Entry) Graph {
 // correlate` subcommand's path and the rebuild baseline's core.
 func MineStore(st Scanner, cfg Config) (Graph, error) {
 	cfg = cfg.withDefaults()
-	cols, err := scanColumns(st, cfg)
+	cols, _, err := scanColumns(st, cfg)
 	if err != nil {
 		return Graph{}, err
 	}
@@ -468,10 +468,11 @@ type Scanner interface {
 	Scan(f store.Filter, fn func(store.Entry) error) (store.ScanStats, error)
 }
 
-// scanColumns streams a store's entries into per-node columns.
-func scanColumns(st Scanner, cfg Config) (map[string][]int64, error) {
+// scanColumns streams a store's entries into per-node columns and
+// returns them with the scan's sequence number (ScanStats.Seq).
+func scanColumns(st Scanner, cfg Config) (map[string][]int64, uint64, error) {
 	cols := map[string][]int64{}
-	_, err := st.Scan(store.Filter{}, func(en store.Entry) error {
+	stats, err := st.Scan(store.Filter{}, func(en store.Entry) error {
 		node, ok := cfg.nodeOf(en)
 		if !ok {
 			return nil
@@ -480,7 +481,7 @@ func scanColumns(st Scanner, cfg Config) (map[string][]int64, error) {
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	// Canonical scan order is nondecreasing in time, but be defensive:
 	// the state's invariants all assume sorted columns.
@@ -490,7 +491,7 @@ func scanColumns(st Scanner, cfg Config) (map[string][]int64, error) {
 			sort.Slice(c, func(i, j int) bool { return c[i] < c[j] })
 		}
 	}
-	return cols, nil
+	return cols, stats.Seq, nil
 }
 
 // FilterEdges applies the /api/correlations query knobs to a rendered

@@ -3,10 +3,13 @@ package correlate
 import (
 	"encoding/json"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"whatsupersay/internal/logrec"
+	"whatsupersay/internal/obs"
+	"whatsupersay/internal/query"
 	"whatsupersay/internal/store"
 )
 
@@ -253,5 +256,130 @@ func TestMinerVersionAdvances(t *testing.T) {
 	waitSettled(t, m)
 	if _, v := m.ColumnsSnapshot(); v != v1 {
 		t.Fatalf("seal changed version: %d -> %d", v1, v)
+	}
+}
+
+// countingStore counts the scans run through it: the miner baselines
+// with Scan, a standing registry with ScanColumns.
+type countingStore struct {
+	*store.Store
+	scans, columnScans atomic.Int64
+}
+
+func (c *countingStore) Scan(f store.Filter, fn func(store.Entry) error) (store.ScanStats, error) {
+	c.scans.Add(1)
+	return c.Store.Scan(f, fn)
+}
+
+func (c *countingStore) ScanColumns(f store.Filter, v store.ColumnVisitor) (store.ScanStats, error) {
+	c.columnScans.Add(1)
+	return c.Store.ScanColumns(f, v)
+}
+
+// TestRebuildsUnderWritesWasteNoScan: a miner and a standing
+// subscription over one store, rebuilt by compactions while a writer
+// commits every millisecond, scan exactly once per build — the first
+// install, each rebuild, each counted failure — because a scan's own
+// snapshot is its fence and no commit can overtake it. Both still equal
+// a from-scratch answer once the writes stop.
+func TestRebuildsUnderWritesWasteNoScan(t *testing.T) {
+	st, err := store.Create(t.TempDir(), logrec.Liberty, store.Options{FlushEvery: 200, CompactTarget: 2000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	base := time.Date(2004, 3, 1, 0, 0, 0, 0, time.UTC)
+	// A baseline long enough that every rebuild scan spans several commits.
+	if err := st.Append(minerEntries(base, 0, 10_000)...); err != nil {
+		t.Fatal(err)
+	}
+	cs := &countingStore{Store: st}
+	reg := query.NewRegistry(cs)
+	m := NewMiner(cs, Config{}, "")
+	st.SetObserver(func(mu store.Mutation) {
+		reg.OnMutation(mu)
+		m.OnMutation(mu)
+	})
+	defer func() {
+		st.SetObserver(nil)
+		m.Close()
+		reg.Close()
+	}()
+	standingFailures := obs.Default.Counter("standing_rebuild_failures_total")
+	baselines0, minerFailures0, standingFailures0 := mCorrelateBaselines.Value(), correlateCounters.Failures.Value(), standingFailures.Value()
+	if err := m.Init(); err != nil {
+		t.Fatal(err)
+	}
+	sub, err := reg.Register(store.Filter{}, query.AggregateOptions{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { // writer
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			case <-time.After(time.Millisecond):
+			}
+			if err := st.Append(minerEntries(base.Add(time.Duration(20_000+i*10)*time.Minute), uint64(20_000+i*10), 10)...); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	go func() { // compactor
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-time.After(20 * time.Millisecond):
+			}
+			if _, err := st.Compact(); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	time.Sleep(400 * time.Millisecond)
+	close(stop)
+	wg.Wait()
+
+	waitSettled(t, m)
+	for deadline := time.Now().Add(5 * time.Second); reg.List()[0].Dirty; time.Sleep(2 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("subscription did not settle")
+		}
+	}
+
+	ms := m.Stats()
+	minerBuilds := 1 + int64(ms.Rebuilds) + correlateCounters.Failures.Value() - minerFailures0
+	if ms.Rebuilds == 0 {
+		t.Fatal("no compaction rebuilt the miner; the test needs rebuilds under writes")
+	}
+	if got := mCorrelateBaselines.Value() - baselines0; got != minerBuilds || cs.scans.Load() != minerBuilds {
+		t.Fatalf("miner: %d baseline scans (%d through the store) for %d builds", got, cs.scans.Load(), minerBuilds)
+	}
+	info := reg.List()[0]
+	subBuilds := 1 + int64(info.Rebuilds) + standingFailures.Value() - standingFailures0
+	if got := cs.columnScans.Load(); got != subBuilds {
+		t.Fatalf("registry: %d scans for %d builds", got, subBuilds)
+	}
+
+	checkMinerDifferential(t, "after writes", st, []*Miner{m})
+	want, _, err := (&query.Engine{Store: st}).Aggregate(store.Filter{}, query.AggregateOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := reg.AggregateOf(sub.ID)
+	g, _ := json.Marshal(got)
+	w, _ := json.Marshal(want)
+	if string(g) != string(w) {
+		t.Fatalf("standing aggregate diverges from a scan\nstanding: %s\nscan:     %s", g, w)
 	}
 }

@@ -255,7 +255,7 @@ func PredictFromColumns(cfg Config, cols map[string][]int64, opts PredictOptions
 // counterpart of LiveService, used by the correlate subcommand.
 func PredictStore(st Scanner, cfg Config, opts PredictOptions) (PredictionReport, error) {
 	cfg = cfg.withDefaults()
-	cols, err := scanColumns(st, cfg)
+	cols, _, err := scanColumns(st, cfg)
 	if err != nil {
 		return PredictionReport{}, err
 	}

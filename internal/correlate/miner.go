@@ -64,10 +64,10 @@ type Miner struct {
 	// lastSeq and version are guarded by the view's lock (written in its
 	// hook, read inside Read). lastSeq is the highest mutation sequence
 	// the installed state reflects (appends folded, seals noted). The
-	// saver requires lastSeq == MutationSeq() before persisting, so an
-	// artifact's fingerprint always describes exactly the state written
-	// with it. version counts state changes; the live-prediction cache
-	// keys on it.
+	// saver persists only when lastSeq equals the sequence number
+	// FingerprintSeq pairs with the fingerprint, so an artifact's
+	// fingerprint always describes exactly the state written with it.
+	// version counts state changes; the live-prediction cache keys on it.
 	lastSeq   uint64
 	version   uint64
 	warmStart atomic.Bool
@@ -96,7 +96,7 @@ func NewMiner(st query.StandingStore, cfg Config, artifactPath string) *Miner {
 		s.fold(d, window)
 		mCorrelateDeltaEvents.Add(int64(d.n))
 	}
-	m.view = view.New(st, *newGraphState(), m.scan, fold, m.onStep, correlateCounters)
+	m.view = view.New(*newGraphState(), m.scan, fold, m.onStep, correlateCounters)
 	go m.saveLoop()
 	return m
 }
@@ -106,14 +106,18 @@ func (m *Miner) Config() Config { return m.cfg }
 
 // Init installs the initial state: a warm start from the persisted
 // artifact when its config key and store fingerprint match, else a
-// baseline scan — two producers for the same fenced install. Call after
-// the observer is installed.
+// baseline scan — two producers for the same fenced install. The warm
+// start's fence is the sequence number FingerprintSeq read with the
+// matching fingerprint. Call after the observer is installed.
 func (m *Miner) Init() error {
 	art := m.loadMatchingArtifact()
 	warm := false
-	err := m.view.Init(func() (graphState, error) {
-		if warm = art != nil && art.Fingerprint == m.st.Fingerprint(); warm {
-			return art.state(), nil
+	err := m.view.Init(func() (graphState, uint64, error) {
+		if art != nil {
+			if fp, seq := m.st.FingerprintSeq(); fp == art.Fingerprint {
+				warm = true
+				return art.state(), seq, nil
+			}
 		}
 		return m.scan()
 	})
@@ -152,14 +156,15 @@ func (m *Miner) OnMutation(mu store.Mutation) {
 	}
 }
 
-// scan is the baseline producer: a batch mine of the store.
-func (m *Miner) scan() (graphState, error) {
+// scan is the baseline producer: a batch mine of the store, fenced at
+// the scan's sequence number.
+func (m *Miner) scan() (graphState, uint64, error) {
 	mCorrelateBaselines.Add(1)
-	cols, err := scanColumns(m.st, m.cfg)
+	cols, seq, err := scanColumns(m.st, m.cfg)
 	if err != nil {
-		return graphState{}, err
+		return graphState{}, 0, err
 	}
-	return graphState{cols: cols, edges: EdgesFromColumns(cols, m.cfg.Window)}, nil
+	return graphState{cols: cols, edges: EdgesFromColumns(cols, m.cfg.Window)}, seq, nil
 }
 
 // onStep is the view's hook (its lock is held): note the sequence

@@ -14,12 +14,12 @@ import (
 // artifact next to the store manifest, with the same atomic-rename
 // discipline every other store file uses (store.AtomicWriteFile: tmp →
 // fsync → rename → dir fsync). The artifact is keyed by the config and
-// the store fingerprint it describes; on reopen, a matching fingerprint
-// under a seq-stable check lets the miner install the saved state
-// without rescanning (a warm start). A stale or mismatched artifact is
-// ignored and overwritten — it is a cache of derived state, never a
-// source of truth, so no recovery protocol is needed beyond "rebuild
-// from a scan".
+// the store fingerprint it describes; on reopen, a fingerprint matching
+// the store's (read with its sequence number, the install's fence) lets
+// the miner install the saved state without rescanning (a warm start).
+// A stale or mismatched artifact is ignored and overwritten — it is a
+// cache of derived state, never a source of truth, so no recovery
+// protocol is needed beyond "rebuild from a scan".
 //
 // Saves run on a dedicated goroutine with a coalescing wake channel:
 // observers run synchronously on the append path and must not block on
@@ -92,67 +92,52 @@ func (m *Miner) wakeSave() {
 }
 
 // save snapshots the state and writes the artifact atomically. The
-// fingerprint is read under a seq-stable window and must correspond to
-// the same mutation sequence the state reflects (lastSeq), so the saved
-// (state, fingerprint) pair is consistent; on a busy store the save
-// simply retries a few times and lets the next quiet moment win.
+// fingerprint is read with the sequence number it describes, and the
+// state is written only if it reflects exactly that number (lastSeq), so
+// the saved (state, fingerprint) pair is consistent. One attempt: an
+// unsettled view, or a mutation committed but not yet delivered, is a
+// hook still to run, and that hook pokes the saver again.
 func (m *Miner) save() {
 	if m.artifactPath == "" {
 		return
 	}
-	for attempt := 0; attempt < 8; attempt++ {
-		s1 := m.st.MutationSeq()
-		fp := m.st.Fingerprint()
-		if m.st.MutationSeq() != s1 {
-			continue
+	fp, seq := m.st.FingerprintSeq()
+	var st *graphState
+	m.view.Read(func(s *graphState, status view.Status) {
+		if status.Settled && m.lastSeq == seq {
+			c := s.clone()
+			st = &c
 		}
-		var st *graphState
-		settled := false
-		m.view.Read(func(s *graphState, status view.Status) {
-			// Unsettled: no installed clean state to persist; the next
-			// install pokes the saver again. lastSeq != s1: mutations are
-			// committed that this state has not reflected yet (delivery
-			// in flight); retry for a consistent pair.
-			if settled = status.Settled; settled && m.lastSeq == s1 {
-				c := s.clone()
-				st = &c
-			}
-		})
-		if !settled {
-			return
-		}
-		if st == nil {
-			continue
-		}
-		art := &artifact{
-			Version:     artifactVersion,
-			ConfigKey:   m.cfg.Key(),
-			Fingerprint: fp,
-			Seq:         s1,
-			Cols:        st.cols,
-			Edges:       make([]artifactEdge, 0, len(st.edges)),
-		}
-		for k, acc := range st.edges {
-			art.Edges = append(art.Edges, artifactEdge{Source: k.a, Target: k.b, Pairs: acc.Pairs, LagSum: acc.LagSum})
-		}
-		data, err := json.Marshal(art)
-		if err != nil {
-			return
-		}
-		if err := store.AtomicWriteFile(m.artifactPath, data); err != nil {
-			return
-		}
-		mCorrelateSaves.Add(1)
+	})
+	if st == nil {
 		return
 	}
+	art := &artifact{
+		Version:     artifactVersion,
+		ConfigKey:   m.cfg.Key(),
+		Fingerprint: fp,
+		Seq:         seq,
+		Cols:        st.cols,
+		Edges:       make([]artifactEdge, 0, len(st.edges)),
+	}
+	for k, acc := range st.edges {
+		art.Edges = append(art.Edges, artifactEdge{Source: k.a, Target: k.b, Pairs: acc.Pairs, LagSum: acc.LagSum})
+	}
+	data, err := json.Marshal(art)
+	if err != nil {
+		return
+	}
+	if err := store.AtomicWriteFile(m.artifactPath, data); err != nil {
+		return
+	}
+	mCorrelateSaves.Add(1)
 }
 
 // loadMatchingArtifact returns the persisted artifact if one is there,
 // decodes, and was written in this encoding for this miner's config;
 // anything else is a cache miss (nil), never an error. Whether it also
 // matches the open store's fingerprint is Init's producer's question,
-// asked inside the view's fenced install so the comparison is
-// seq-stable.
+// asked with FingerprintSeq so the match comes with its fence.
 func (m *Miner) loadMatchingArtifact() *artifact {
 	data, err := os.ReadFile(m.artifactPath)
 	if err != nil {

@@ -11,7 +11,7 @@
 // satisfied by method set, not by declaration) so this package needs no
 // dependency on the shard router: *store.Store satisfies it, a
 // *FaultyStore wrapping one satisfies it, and the router accepts either
-// through its own identical interface.
+// through its own interface, a subset of this one.
 package shardfault
 
 import (
@@ -36,7 +36,9 @@ var ErrInjectedAppend = errors.New("shardfault: injected append failure")
 var ErrInjectedScan = errors.New("shardfault: injected scan failure")
 
 // StoreBackend is the store surface the shard router consumes, mirrored
-// here so FaultyStore can interpose on any implementation.
+// here so FaultyStore can interpose on any implementation, plus the
+// FingerprintSeq a shard's miner keys its saved state on (passed through
+// unfaulted).
 type StoreBackend interface {
 	Append(entries ...store.Entry) error
 	Scan(f store.Filter, fn func(store.Entry) error) (store.ScanStats, error)
@@ -47,6 +49,7 @@ type StoreBackend interface {
 	TailLen() int
 	Segments() []store.SegmentInfo
 	Fingerprint() uint64
+	FingerprintSeq() (fp, seq uint64)
 	System() logrec.System
 }
 
@@ -144,15 +147,6 @@ func (f *FaultyStore) SetObserver(fn store.Observer) {
 	if o, ok := f.StoreBackend.(interface{ SetObserver(store.Observer) }); ok {
 		o.SetObserver(fn)
 	}
-}
-
-// MutationSeq delegates the mutation sequence counter (0 when the
-// wrapped backend has none).
-func (f *FaultyStore) MutationSeq() uint64 {
-	if o, ok := f.StoreBackend.(interface{ MutationSeq() uint64 }); ok {
-		return o.MutationSeq()
-	}
-	return 0
 }
 
 // scanFault applies the read faults Scan and ScanColumns share: the

@@ -5,11 +5,9 @@ import (
 	"compress/gzip"
 	"fmt"
 	"io"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
-	"time"
 
 	"whatsupersay/internal/logrec"
 )
@@ -85,47 +83,6 @@ func (wc *writeCloser) Close() error {
 type flushCloser struct{ w *bufio.Writer }
 
 func (f flushCloser) Close() error { return f.w.Flush() }
-
-// ReadTree ingests a per-source directory tree — the layout the study's
-// logging servers produced ("the logging servers ... place them in a
-// directory structure according to the source node", Section 3.1): every
-// regular file under dir (any depth, .gz transparent) is read as one
-// source's log, and the merged record stream is returned in canonical
-// time order with sequence numbers reassigned globally.
-func ReadTree(dir string, sys logrec.System, start time.Time) ([]logrec.Record, Stats, error) {
-	var (
-		all   []logrec.Record
-		stats Stats
-	)
-	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			return nil
-		}
-		r, err := Open(path)
-		if err != nil {
-			return err
-		}
-		recs, st, err := ReadAll(r, sys, start)
-		r.Close()
-		if err != nil {
-			return fmt.Errorf("ingest %s: %w", path, err)
-		}
-		stats.add(st)
-		all = append(all, recs...)
-		return nil
-	})
-	if err != nil {
-		return nil, stats, err
-	}
-	logrec.SortRecords(all)
-	for i := range all {
-		all[i].Seq = uint64(i)
-	}
-	return all, stats, nil
-}
 
 // WriteTree writes records into the per-source directory layout: one
 // file per source under dir (gzipped when gz is set), named

@@ -1,9 +1,10 @@
 package ingest_test
 
 import (
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
-	"time"
 
 	"whatsupersay/internal/ingest"
 	"whatsupersay/internal/logrec"
@@ -12,47 +13,44 @@ import (
 )
 
 // TestTreeRoundTrip writes a synthetic Liberty log into the per-source
-// directory layout of Section 3.1, ingests it back, and checks the
-// merged stream is complete and canonically ordered.
+// directory layout of Section 3.1 and reads every file back: each is one
+// gzipped source log, and together they hold every line.
 func TestTreeRoundTrip(t *testing.T) {
 	out, err := simulate.Generate(simulate.Config{System: logrec.Liberty, Scale: 0.00005, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
+	dir := filepath.Join(t.TempDir(), "liberty")
 	render := func(r logrec.Record) string {
 		if r.Raw != "" {
 			return r.Raw
 		}
 		return syslogng.Render(r, false)
 	}
-	if err := ingest.WriteTree(filepath.Join(dir, "liberty"), out.Records, render, true); err != nil {
+	if err := ingest.WriteTree(dir, out.Records, render, true); err != nil {
 		t.Fatal(err)
 	}
-	recs, stats, err := ingest.ReadTree(filepath.Join(dir, "liberty"), logrec.Liberty, out.Start)
+	files, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Lines != len(out.Records) {
-		t.Fatalf("tree ingested %d lines, want %d", stats.Lines, len(out.Records))
-	}
-	if !logrec.IsSorted(recs) {
-		t.Fatal("merged stream not sorted")
-	}
-	for i, r := range recs {
-		if r.Seq != uint64(i) {
-			t.Fatalf("global sequence numbering broken at %d", i)
+	lines := 0
+	for _, f := range files {
+		if !strings.HasSuffix(f.Name(), ".log.gz") {
+			t.Fatalf("unexpected file %s in the tree", f.Name())
 		}
+		r, err := ingest.Open(filepath.Join(dir, f.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, stats, err := ingest.ReadAll(r, logrec.Liberty, out.Start)
+		r.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", f.Name(), err)
+		}
+		lines += stats.Lines
 	}
-	// Corrupted sources land in the unattributed file rather than
-	// producing garbage file names.
-	if _, err := ingest.Open(filepath.Join(dir, "liberty", "_unattributed.log.gz")); err != nil {
-		t.Log("no unattributed file (no source corruption at this scale) — acceptable")
-	}
-}
-
-func TestReadTreeMissingDir(t *testing.T) {
-	if _, _, err := ingest.ReadTree(filepath.Join(t.TempDir(), "nope"), logrec.Liberty, time.Now()); err == nil {
-		t.Error("missing directory must error")
+	if lines != len(out.Records) {
+		t.Fatalf("tree holds %d lines, want %d", lines, len(out.Records))
 	}
 }

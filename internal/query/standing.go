@@ -42,11 +42,13 @@ var (
 )
 
 // StandingStore is what an incremental view needs from the store: the
-// scan surface for baselines plus the mutation sequence counter the
-// view kernel fences them with. *store.Store satisfies it.
+// scan surface for baselines, whose ScanStats.Seq is the fence the view
+// kernel installs them under, plus the fingerprint paired with the
+// sequence number it describes, which keys a saved view state (the
+// correlation miner's warm start). *store.Store satisfies it.
 type StandingStore interface {
 	Scanner
-	view.Source
+	FingerprintSeq() (fp, seq uint64)
 }
 
 // StandingEvent is one threshold crossing, pushed through the
@@ -148,9 +150,9 @@ func (r *Registry) SetOnChange(fn func(id string, total int)) {
 // immediately. Threshold <= 0 registers a pure materialized view.
 func (r *Registry) Register(f store.Filter, opts AggregateOptions, threshold int) (StandingInfo, error) {
 	sub := &standingSub{filter: f, opts: opts.Normalize(), threshold: threshold}
-	scan := func() (Partial, error) {
-		p, _, err := r.eng.PartialContext(context.Background(), f)
-		return p, err
+	scan := func() (Partial, uint64, error) {
+		p, st, err := r.eng.PartialContext(context.Background(), f)
+		return p, st.Seq, err
 	}
 	fold := func(dst *Partial, d Partial) {
 		foldDelta(dst, d)
@@ -164,7 +166,7 @@ func (r *Registry) Register(f store.Filter, opts AggregateOptions, threshold int
 	r.mu.Lock()
 	r.next++
 	sub.id = fmt.Sprintf("sub-%d", r.next)
-	sub.view = view.New(r.st, Partial{}, scan, fold, onStep, standingCounters)
+	sub.view = view.New(Partial{}, scan, fold, onStep, standingCounters)
 	r.subs[sub.id] = sub
 	r.order = append(r.order[:len(r.order):len(r.order)], sub)
 	gStandingSubs.Set(float64(len(r.subs)))

@@ -141,13 +141,3 @@ func Max(xs []float64) float64 {
 	}
 	return m
 }
-
-// ECDF returns the empirical CDF evaluated at x for a sorted sample.
-func ECDF(sorted []float64, x float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	// Number of points ≤ x.
-	n := sort.SearchFloat64s(sorted, math.Nextafter(x, math.Inf(1)))
-	return float64(n) / float64(len(sorted))
-}

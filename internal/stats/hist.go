@@ -4,53 +4,6 @@ import (
 	"math"
 )
 
-// Histogram is a fixed-width binned count of a sample.
-type Histogram struct {
-	// Lo is the left edge of the first bin; Width is each bin's width.
-	Lo, Width float64
-	// Counts holds per-bin counts; bin i covers [Lo+i*Width, Lo+(i+1)*Width).
-	Counts []int
-	// Under and Over count values outside the binned range.
-	Under, Over int
-}
-
-// NewHistogram bins xs into n equal-width bins spanning [lo, hi).
-func NewHistogram(xs []float64, lo, hi float64, n int) *Histogram {
-	if n <= 0 || hi <= lo {
-		return &Histogram{Lo: lo, Width: 0}
-	}
-	h := &Histogram{Lo: lo, Width: (hi - lo) / float64(n), Counts: make([]int, n)}
-	for _, x := range xs {
-		switch {
-		case x < lo:
-			h.Under++
-		case x >= hi:
-			h.Over++
-		default:
-			i := int((x - lo) / h.Width)
-			if i >= n { // guard against float edge effects
-				i = n - 1
-			}
-			h.Counts[i]++
-		}
-	}
-	return h
-}
-
-// Total returns the in-range count.
-func (h *Histogram) Total() int {
-	n := 0
-	for _, c := range h.Counts {
-		n += c
-	}
-	return n
-}
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	return h.Lo + (float64(i)+0.5)*h.Width
-}
-
 // LogHistogram bins a positive-valued sample by log10, the view used in
 // Figures 5(b) and 6 ("The log distribution of interarrival times").
 // Values ≤ minPositive (including the zero gaps produced by one-second

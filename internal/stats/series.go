@@ -176,19 +176,3 @@ func CorrelateEventSeries(a, b []time.Time, start, end time.Time, width time.Dur
 	}
 	return PearsonCorrelation(fa, fb)
 }
-
-// SpatialConcentration returns the fraction of events contributed by the
-// top-k sources — the statistic behind "a single node was responsible for
-// 643,925 of them" (Thunderbird VAPI) and "node sn373 logged ... more than
-// half of all Spirit alerts".
-func SpatialConcentration(sources []string, k int) float64 {
-	ranked := RankSources(sources)
-	if len(sources) == 0 || k <= 0 {
-		return 0
-	}
-	top := 0
-	for i := 0; i < k && i < len(ranked); i++ {
-		top += ranked[i].Count
-	}
-	return float64(top) / float64(len(sources))
-}

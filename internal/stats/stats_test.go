@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 	"time"
 )
 
@@ -104,76 +103,6 @@ func TestInterarrivals(t *testing.T) {
 	}
 	if Interarrivals(times[:1]) != nil {
 		t.Error("single event has no gaps")
-	}
-}
-
-func TestECDF(t *testing.T) {
-	sorted := []float64{1, 2, 2, 3}
-	cases := []struct{ x, want float64 }{
-		{0.5, 0}, {1, 0.25}, {2, 0.75}, {2.5, 0.75}, {3, 1}, {9, 1},
-	}
-	for _, tc := range cases {
-		if got := ECDF(sorted, tc.x); math.Abs(got-tc.want) > 1e-12 {
-			t.Errorf("ECDF(%v) = %v, want %v", tc.x, got, tc.want)
-		}
-	}
-}
-
-func TestECDFMonotoneProperty(t *testing.T) {
-	f := func(vals []float64, probe []float64) bool {
-		if len(vals) == 0 {
-			return true
-		}
-		sorted := append([]float64(nil), vals...)
-		for i := range sorted {
-			sorted[i] = math.Abs(sorted[i])
-		}
-		sortFloats(sorted)
-		prev := -1.0
-		probes := append([]float64(nil), probe...)
-		sortFloats(probes)
-		for _, x := range probes {
-			v := ECDF(sorted, x)
-			if v < prev || v < 0 || v > 1 {
-				return false
-			}
-			prev = v
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-func sortFloats(xs []float64) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	xs := []float64{-1, 0, 0.5, 1, 5.5, 9.99, 10, 42}
-	h := NewHistogram(xs, 0, 10, 10)
-	if h.Under != 1 {
-		t.Errorf("under = %d, want 1", h.Under)
-	}
-	if h.Over != 2 {
-		t.Errorf("over = %d, want 2", h.Over)
-	}
-	if h.Counts[0] != 2 { // 0 and 0.5
-		t.Errorf("bin0 = %d, want 2", h.Counts[0])
-	}
-	if h.Counts[1] != 1 || h.Counts[5] != 1 || h.Counts[9] != 1 {
-		t.Errorf("counts = %v", h.Counts)
-	}
-	if h.Total() != 5 {
-		t.Errorf("total = %d, want 5", h.Total())
-	}
-	if c := h.BinCenter(0); c != 0.5 {
-		t.Errorf("bin center = %v, want 0.5", c)
 	}
 }
 
@@ -332,19 +261,6 @@ func TestRankSources(t *testing.T) {
 	}
 	if ranked[1].Source != "a" || ranked[2].Source != "c" {
 		t.Errorf("order = %+v", ranked)
-	}
-}
-
-func TestSpatialConcentration(t *testing.T) {
-	srcs := []string{"sn373", "sn373", "sn373", "sn1", "sn2"}
-	if got := SpatialConcentration(srcs, 1); got != 0.6 {
-		t.Errorf("top-1 share = %v, want 0.6", got)
-	}
-	if got := SpatialConcentration(srcs, 2); got != 0.8 {
-		t.Errorf("top-2 share = %v, want 0.8", got)
-	}
-	if SpatialConcentration(nil, 1) != 0 {
-		t.Error("empty input")
 	}
 }
 

@@ -290,7 +290,7 @@ func (s *Store) compactOnce() (bool, mergeSize, uint64, error) {
 		return false, mergeSize{}, 0, err
 	}
 	s.publishSizes()
-	return true, mergeSize{segments: len(run), entries: len(merged)}, s.mutSeq.Add(1), nil
+	return true, mergeSize{segments: len(run), entries: len(merged)}, s.nextSeqLocked(), nil
 }
 
 // ApplyRetention drops every sealed segment whose newest record is
@@ -344,7 +344,7 @@ func (s *Store) applyRetentionLocked(horizon time.Time) (RetentionStats, uint64,
 	mRetentionSegs.Add(int64(st.SegmentsDropped))
 	mRetentionEntries.Add(int64(st.EntriesDropped))
 	s.publishSizes()
-	return st, s.mutSeq.Add(1), nil
+	return st, s.nextSeqLocked(), nil
 }
 
 // retentionHorizon computes the data-relative horizon: the newest

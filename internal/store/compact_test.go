@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -467,4 +468,186 @@ func TestConcurrentAppendScanSealCompact(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("exactly-once violated: got %d entries, want %d", len(got), len(want))
 	}
+}
+
+// seqScan is one scan's answer: the sequence number it reported and the
+// timestamps it matched, sorted.
+type seqScan struct {
+	how   string
+	seq   uint64
+	times []int64
+}
+
+// timesVisitor collects a columnar scan's matched timestamps.
+type timesVisitor struct{ times []int64 }
+
+func (v *timesVisitor) SealedColumns(sc *SegmentColumns) error {
+	v.times = append(v.times, sc.Times...)
+	return nil
+}
+
+func (v *timesVisitor) TailEntry(en Entry) error {
+	v.times = append(v.times, en.Record.Time.UnixNano())
+	return nil
+}
+
+// TestScanSeqIsExact: ScanStats.Seq is exactly the mutation sequence
+// number of the snapshot a scan read. With appenders, a sealer and a
+// compactor racing them, every Scan and every ScanColumns matched
+// precisely the batches whose notified Seq is at most the scan's Seq;
+// and FingerprintSeq, taken at quiet points, pairs the fingerprint with
+// the number of the last mutation, which a scan then reports too.
+func TestScanSeqIsExact(t *testing.T) {
+	st, err := Create(t.TempDir(), logrec.Thunderbird, Options{FlushEvery: 40, CompactTarget: 160})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+
+	var mu sync.Mutex
+	batches := map[uint64][]int64{} // append Seq -> the batch's timestamps
+	var last uint64                 // highest notified Seq, any kind
+	st.SetObserver(func(m Mutation) {
+		mu.Lock()
+		defer mu.Unlock()
+		last = max(last, m.Seq)
+		if m.Kind == MutationAppend {
+			for _, en := range m.Entries {
+				batches[m.Seq] = append(batches[m.Seq], en.Record.Time.UnixNano())
+			}
+		}
+	})
+	scanOnce := func(columns bool) (seqScan, error) {
+		var out seqScan
+		var stats ScanStats
+		var err error
+		if columns {
+			var v timesVisitor
+			stats, err = st.ScanColumns(Filter{}, &v)
+			out = seqScan{how: "ScanColumns", times: v.times}
+		} else {
+			out.how = "Scan"
+			stats, err = st.Scan(Filter{}, func(en Entry) error {
+				out.times = append(out.times, en.Record.Time.UnixNano())
+				return nil
+			})
+		}
+		out.seq = stats.Seq
+		slices.Sort(out.times)
+		return out, err
+	}
+	// check compares a scan with the union of the batches at or under its
+	// Seq; call it once every mutation it could have seen was notified.
+	check := func(s seqScan) {
+		t.Helper()
+		mu.Lock()
+		var want []int64
+		for seq, times := range batches {
+			if seq <= s.seq {
+				want = append(want, times...)
+			}
+		}
+		mu.Unlock()
+		slices.Sort(want)
+		if !slices.Equal(s.times, want) {
+			t.Fatalf("%s at Seq %d matched %d entries, the batches at or under it hold %d", s.how, s.seq, len(s.times), len(want))
+		}
+	}
+	quiet := func(step string) {
+		t.Helper()
+		fp, seq := st.FingerprintSeq()
+		mu.Lock()
+		lastSeq := last
+		mu.Unlock()
+		if seq != lastSeq || fp != st.Fingerprint() {
+			t.Fatalf("%s: FingerprintSeq (%x, %d), want (%x, %d)", step, fp, seq, st.Fingerprint(), lastSeq)
+		}
+		for _, columns := range []bool{false, true} {
+			s, err := scanOnce(columns)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.seq != seq {
+				t.Fatalf("%s: quiet %s reported Seq %d, FingerprintSeq %d", step, s.how, s.seq, seq)
+			}
+			check(s)
+		}
+	}
+
+	const appenders, perAppender, perBatch = 3, 30, 7
+	base := time.Date(2004, 3, 1, 0, 0, 0, 0, time.UTC)
+	stop := make(chan struct{})
+	var writers, loops sync.WaitGroup
+	for a := 0; a < appenders; a++ {
+		writers.Add(1)
+		go func(a int) {
+			defer writers.Done()
+			for b := 0; b < perAppender; b++ {
+				batch := makeEntries(t, perBatch, int64(a*perAppender+b))
+				for i := range batch {
+					// Unique timestamps identify entries in both read paths.
+					id := (a*perAppender+b)*perBatch + i
+					batch[i].Record.Time = base.Add(time.Duration(id) * time.Second)
+				}
+				if err := st.Append(batch...); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(a)
+	}
+	loop := func(step func() error) {
+		loops.Add(1)
+		go func() {
+			defer loops.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := step(); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	loop(st.Seal)
+	loop(func() error { _, err := st.Compact(); return err })
+	var scans []seqScan
+	var scansMu sync.Mutex
+	for _, columns := range []bool{false, true} {
+		loop(func() error {
+			s, err := scanOnce(columns)
+			scansMu.Lock()
+			scans = append(scans, s)
+			scansMu.Unlock()
+			return err
+		})
+	}
+	writers.Wait()
+	close(stop)
+	loops.Wait()
+
+	// Every Append has returned, so every batch a scan saw was notified.
+	if len(scans) == 0 {
+		t.Fatal("no scan ran against the writers")
+	}
+	for _, s := range scans {
+		check(s)
+	}
+	quiet("after the race")
+	if err := st.Append(makeEntries(t, 3, 99)...); err != nil {
+		t.Fatal(err)
+	}
+	quiet("after an append")
+	if err := st.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	quiet("after a seal")
+	if _, err := st.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	quiet("after a compaction")
 }

@@ -1,9 +1,6 @@
 package store
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // Mutation notification: the hook the standing-query layer hangs off.
 // The store invokes its observer after a mutation has committed — the
@@ -54,13 +51,12 @@ func (k MutationKind) String() string {
 type Mutation struct {
 	Kind MutationKind
 	// Seq is the store's mutation sequence number, assigned inside the
-	// committing critical section: if a scan can see a mutation's
-	// effects, MutationSeq() has already advanced past its Seq. That
-	// ordering is what lets an incremental view install a scanned
-	// baseline and then apply exactly the deltas the scan missed —
-	// "apply iff Seq > the baseline's fence" is race-free no matter how
-	// notification delivery interleaves (see internal/query's standing
-	// registry).
+	// committing critical section: a scan that can see a mutation's
+	// effects reports ScanStats.Seq >= its Seq, and one that cannot
+	// reports less. That is what lets an incremental view install a
+	// scanned baseline and then apply exactly the deltas the scan missed
+	// — "apply iff Seq > the baseline's fence" is race-free no matter how
+	// notification delivery interleaves (see internal/view).
 	Seq uint64
 	// Entries is the appended batch for MutationAppend, nil otherwise.
 	Entries []Entry
@@ -109,18 +105,17 @@ func (s *Store) notify(m Mutation) {
 type obsState struct {
 	obsMu    sync.Mutex
 	observer Observer
-	// mutSeq is the mutation sequence counter. It advances inside the
-	// committing critical section (under mu), *after* the mutation's
-	// effects are applied — so a reader that loads the counter and then
-	// scans is guaranteed the scan covers every mutation whose Seq it
-	// observed, and none it did not (mutations are atomic with respect
-	// to scans). Atomic so MutationSeq never touches mu and can be read
-	// from contexts that must not block on the store.
-	mutSeq atomic.Uint64
+	// mutSeq is the mutation sequence counter, guarded by the store's mu.
+	// A commit advances it (nextSeqLocked) after applying its effects, and
+	// a reader takes it together with the snapshot it numbers
+	// (ScanStats.Seq, FingerprintSeq) — so a snapshot covers exactly the
+	// mutations whose Seq is at most the number read with it.
+	mutSeq uint64
 }
 
-// MutationSeq returns the sequence number of the most recently committed
-// mutation (0 before any). Lock-free: a load racing a commit returns
-// either side of it, and the standing-query registry's fenced
-// scan-retry protocol is correct for both (see internal/query).
-func (s *Store) MutationSeq() uint64 { return s.mutSeq.Load() }
+// nextSeqLocked stamps a committing mutation. The caller holds mu for
+// writing.
+func (s *Store) nextSeqLocked() uint64 {
+	s.mutSeq++
+	return s.mutSeq
+}

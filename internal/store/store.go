@@ -387,18 +387,25 @@ func sortSegments(segs []*segment) {
 	})
 }
 
-// sweepTempFiles removes stale *.tmp staging files left by a crash.
+// sweepTempFiles removes stale *.tmp staging files left by a crash. A
+// file that vanishes between the glob and the remove was renamed into
+// place by a writer still finishing (a previous instance's last artifact
+// save): already swept, and not counted.
 func sweepTempFiles(dir string) (int, error) {
 	tmps, err := filepath.Glob(filepath.Join(dir, "*.tmp"))
 	if err != nil {
 		return 0, err
 	}
+	n := 0
 	for _, path := range tmps {
-		if err := os.Remove(path); err != nil {
+		switch err := os.Remove(path); {
+		case err == nil:
+			n++
+		case !errors.Is(err, fs.ErrNotExist):
 			return 0, err
 		}
 	}
-	return len(tmps), nil
+	return n, nil
 }
 
 // entryKey is an entry's full-content identity, used only by the seal
@@ -458,14 +465,14 @@ func (s *Store) Append(entries ...Entry) error {
 		}
 		s.tail = append(s.tail, batch...)
 		// Seq assignment happens here, after the effects and under mu —
-		// the ordering MutationSeq documents.
-		aSeq := s.mutSeq.Add(1)
+		// the ordering ScanStats.Seq relies on.
+		aSeq := s.nextSeqLocked()
 		var sSeq uint64
 		for len(s.tail) >= s.opts.flushEvery() {
 			if err := s.sealLocked(s.opts.flushEvery()); err != nil {
 				return aSeq, sSeq, err
 			}
-			sSeq = s.mutSeq.Add(1)
+			sSeq = s.nextSeqLocked()
 		}
 		s.publishSizes()
 		return aSeq, sSeq, nil
@@ -496,7 +503,7 @@ func (s *Store) Seal() error {
 		if n == 0 {
 			return 0, nil
 		}
-		return s.mutSeq.Add(1), nil
+		return s.nextSeqLocked(), nil
 	}()
 	if err != nil {
 		return err
@@ -627,6 +634,19 @@ func (s *Store) Close() error {
 func (s *Store) Fingerprint() uint64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	return s.fingerprintLocked()
+}
+
+// FingerprintSeq returns Fingerprint together with the mutation sequence
+// number of the content it identifies, read under one lock: the key a
+// persisted derived state is saved and warm-started under.
+func (s *Store) FingerprintSeq() (fp, seq uint64) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.fingerprintLocked(), s.mutSeq
+}
+
+func (s *Store) fingerprintLocked() uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
 	for _, g := range s.segs {
@@ -717,6 +737,11 @@ type ScanStats struct {
 	RecordsScanned  int   `json:"records_scanned"`
 	BytesScanned    int64 `json:"bytes_scanned"`
 	Matched         int   `json:"matched"`
+	// Seq is the mutation sequence number read with the scan's snapshot:
+	// the scan saw exactly the mutations with Seq <= it — the fence an
+	// incremental view installs a scanned baseline under. Process-local,
+	// so never on the wire.
+	Seq uint64 `json:"-"`
 }
 
 // ErrPastBound is the one non-error a Scan callback may return. fn
@@ -772,14 +797,15 @@ func lowerBound(err error, nanos int64, bound *int64) error {
 // report identical stats for identical filters against identical
 // content.
 func (s *Store) scan(f Filter, segments *obs.Counter, perSegment func(*segment, *ScanStats, *int64) error, tailFn func(Entry) error) (ScanStats, error) {
+	var st ScanStats
 	s.mu.RLock()
 	segs := append([]*segment(nil), s.segs...)
 	tail := append([]Entry(nil), s.tail...)
+	st.Seq = s.mutSeq
 	retainAll(segs)
 	s.mu.RUnlock()
 	defer releaseAll(segs)
 
-	var st ScanStats
 	st.Segments = len(segs)
 	bound := int64(math.MaxInt64)
 	for i, g := range segs {

@@ -2,30 +2,19 @@ package view
 
 // MergeSorted merges two nondecreasing columns into one — the step both
 // consumers' folds share (a sorted timestamp column absorbing a sorted
-// delta). The result may alias a.
+// delta). It merges in place from the back, so only the entries of a
+// later than b[0] move: a delta at the newest end of a long column costs
+// the delta, not the column. a is consumed (the result reuses its
+// storage); b is left as it is.
 func MergeSorted(a, b []int64) []int64 {
-	if len(b) == 0 {
-		return a
-	}
-	if len(a) == 0 {
-		return append([]int64(nil), b...)
-	}
-	// Common fast path: the delta is entirely newer than the state.
-	if a[len(a)-1] <= b[0] {
-		return append(a, b...)
-	}
-	out := make([]int64, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i] <= b[j] {
-			out = append(out, a[i])
-			i++
+	i, j := len(a)-1, len(b)-1
+	a = append(a, b...)
+	for k := len(a) - 1; j >= 0; k-- {
+		if i >= 0 && a[i] > b[j] {
+			a[k], i = a[i], i-1
 		} else {
-			out = append(out, b[j])
-			j++
+			a[k], j = b[j], j-1
 		}
 	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
+	return a
 }

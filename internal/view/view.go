@@ -7,35 +7,38 @@
 //
 // Consistency protocol. The source stamps every committed mutation with
 // a sequence number assigned inside the committing critical section, and
-// notifies after the commit, so "a scan can see mutation M" implies
-// "MutationSeq() >= M.Seq", and so does "M's notification was
-// delivered". A build (the first install, or a rebuild) is a fenced
-// produce-retry loop:
+// notifies after the commit. A producer returns its candidate state
+// together with the sequence number of the snapshot it was built from —
+// for a scan, the number the store read under the lock that took the
+// scan's snapshot (store.ScanStats.Seq) — so the candidate reflects
+// exactly the mutations with Seq <= that number: the fence. A build (the
+// first install, or a rebuild) is one produce and one critical section:
 //
-//  1. load s1 := MutationSeq()
-//  2. produce a candidate state (scan the source; or, for a warm start,
-//     load a saved state whose fingerprint matches the source's)
-//  3. under the view's lock: if MutationSeq() != s1, mutations landed
-//     mid-produce and the candidate's coverage is ambiguous — unlock,
-//     pause (see minPause) and retry from 1
-//  4. install the candidate with fence s1
+//  1. produce a candidate and its fence (scan the source; or, for a warm
+//     start, load a saved state whose fingerprint matches the source's,
+//     read together with the sequence number it describes)
+//  2. under the view's lock: install the candidate with its fence, fold
+//     the deltas buffered during the produce whose Seq is past the
+//     fence, and run the hook
 //
 // While a build is in flight the view buffers delivered deltas instead
-// of folding them; the build's end folds the buffered ones past the
-// fence — after an install that is a safety net (a delivered Seq > s1
-// fails step 3), after a failure it catches the last good state up —
-// and later deliveries fold iff Seq > s1. Every mutation is delivered
-// exactly once, so each one lands in the state exactly once — via the
-// candidate, the buffer, or a live fold — whatever order delivery takes
-// and however it interleaves with the build. Folds must therefore
-// commute: S is a function of the applied set, never of arrival order.
+// of folding them; later deliveries fold iff Seq > fence. After a failed
+// produce the buffered deltas past the old fence catch the last good
+// state up. Every mutation is delivered exactly once, so each one lands
+// in the state exactly once — via the candidate, the buffer, or a live
+// fold — whatever order delivery takes and however it interleaves with
+// the build. Folds must therefore commute: S is a function of the
+// applied set, never of arrival order. Nothing a writer does can
+// overtake a build, so a build never rescans.
 //
 // A mutation that changes the source in a way no delta describes
 // (compaction, retention) invalidates the view: it goes stale and the
 // view's worker rebuilds from a scan. A stale view keeps serving, and
 // keeps folding appends into, its last good state. An invalidation
-// delivered during a build needs no bookkeeping: either its sequence
-// number is <= s1 and the candidate covers it, or step 3 fails.
+// delivered during a build is remembered as the highest such sequence
+// number: if it is past the fence the candidate may predate it, so the
+// view installs stale and its worker rebuilds once; if not, the
+// candidate covers it.
 //
 // Single-critical-section rule. The build's last step — install or
 // fail, drain the buffer, run the hook, release ownership — is ONE
@@ -50,35 +53,16 @@
 package view
 
 import (
-	"errors"
 	"sync"
-	"time"
 
 	"whatsupersay/internal/obs"
 )
 
-// Source is the sequence counter of the thing a view is derived from.
-// *store.Store satisfies it.
-type Source interface {
-	MutationSeq() uint64
-}
-
-// ErrClosed fails a build whose retry was cut short by Close.
-var ErrClosed = errors.New("view: closed")
-
-// A build overtaken by a mutation pauses before it produces again, from
-// minPause doubling to maxPause: under sustained writes a scan longer
-// than the gap between commits cannot win, and retrying flat out only
-// takes the processor from the writer it is waiting for.
-const (
-	minPause = time.Millisecond
-	maxPause = 64 * time.Millisecond
-)
-
 // Step tells the hook what just happened to the state.
 type Step struct {
-	// Seq is the delivered mutation's sequence number, or the view's
-	// fence when a build finished.
+	// Seq is the delivered mutation's sequence number or, when a build
+	// finished, the highest one the state reflects: the fence, or a
+	// buffered delivery past it.
 	Seq uint64
 	// Changed is false for a delivery that left the state alone (a
 	// Note, or a delta the fence already covers).
@@ -116,16 +100,18 @@ type pending[D any] struct {
 // View maintains one derived state. S is the state, D one mutation's
 // delta.
 type View[S, D any] struct {
-	src    Source
-	scan   func() (S, error)
+	scan   func() (S, uint64, error)
 	fold   func(*S, D)
 	onStep func(*S, Step)
 	count  Counters
 
-	mu               sync.Mutex
-	state            S
-	baseSeq          uint64 // fence: mutations with Seq <= baseSeq are in state
-	buf              []pending[D]
+	mu      sync.Mutex
+	state   S
+	baseSeq uint64 // fence: mutations with Seq <= baseSeq are in state
+	buf     []pending[D]
+	// noted and invalid are the highest Seq delivered by Apply/Note and
+	// by Invalidate while a build owns the view (0: none).
+	noted, invalid   uint64
 	phase            phase
 	deltas, rebuilds uint64
 
@@ -135,17 +121,17 @@ type View[S, D any] struct {
 	closeOnce sync.Once
 }
 
-// New builds a view over src holding initial, owned by the caller until
-// Init returns: deliveries buffer from now on, so wire the source's
+// New builds a view holding initial, owned by the caller until Init
+// returns: deliveries buffer from now on, so wire the source's
 // notifications to Apply/Note/Invalidate first and call Init second,
 // and no mutation falls between the two. scan produces the state from
-// scratch (the worker's rebuild producer); fold applies one delta.
-// onStep runs under the view's lock after every build and every
-// delivery that is not buffered: it must not block or call back into
-// the view.
-func New[S, D any](src Source, initial S, scan func() (S, error), fold func(*S, D), onStep func(*S, Step), count Counters) *View[S, D] {
+// scratch with its fence (the worker's rebuild producer); fold applies
+// one delta. onStep runs under the view's lock after every build and
+// every delivery that is not buffered: it must not block or call back
+// into the view.
+func New[S, D any](initial S, scan func() (S, uint64, error), fold func(*S, D), onStep func(*S, Step), count Counters) *View[S, D] {
 	v := &View[S, D]{
-		src: src, state: initial, scan: scan, fold: fold, onStep: onStep, count: count,
+		state: initial, scan: scan, fold: fold, onStep: onStep, count: count,
 		wake: make(chan struct{}, 1),
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
@@ -157,7 +143,7 @@ func New[S, D any](src Source, initial S, scan func() (S, error), fold func(*S, 
 // Init runs the view's first build with produce on the caller's
 // goroutine. Call it once, after New. On error the view is stale on its
 // initial state and the next delivered mutation retries with scan.
-func (v *View[S, D]) Init(produce func() (S, error)) error {
+func (v *View[S, D]) Init(produce func() (S, uint64, error)) error {
 	return v.build(produce, false)
 }
 
@@ -178,6 +164,7 @@ func (v *View[S, D]) deliver(seq uint64, d *D) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	if v.phase == building {
+		v.noted = max(v.noted, seq)
 		if d != nil {
 			v.buf = append(v.buf, pending[D]{seq, *d})
 		}
@@ -195,7 +182,10 @@ func (v *View[S, D]) deliver(seq uint64, d *D) {
 func (v *View[S, D]) Invalidate(seq uint64) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if v.phase == live && seq > v.baseSeq {
+	switch {
+	case v.phase == building:
+		v.invalid = max(v.invalid, seq)
+	case v.phase == live && seq > v.baseSeq:
 		v.phase = stale
 	}
 	v.retryLocked()
@@ -240,6 +230,11 @@ func (v *View[S, D]) worker() {
 			return
 		case <-v.wake:
 		}
+		select {
+		case <-v.stop:
+			return // a poke racing Close starts no rebuild
+		default:
+		}
 		v.mu.Lock()
 		claim := v.phase == stale
 		if claim {
@@ -254,50 +249,36 @@ func (v *View[S, D]) worker() {
 	}
 }
 
-// build runs the fenced produce-retry loop. The caller owns the view
-// (phase building); ownership ends in the critical section that
+// build runs one produce and installs its result. The caller owns the
+// view (phase building); ownership ends in the critical section that
 // installs or fails.
-func (v *View[S, D]) build(produce func() (S, error), rebuild bool) error {
-	pause := minPause
-	for {
-		s1 := v.src.MutationSeq()
-		st, err := produce()
-		v.mu.Lock()
-		if err == nil && v.src.MutationSeq() != s1 {
-			v.mu.Unlock()
-			// Overtaken mid-produce. Rescanning at once would lose the same
-			// race for as long as the writer keeps its pace.
-			select {
-			case <-time.After(pause):
-				pause = min(2*pause, maxPause)
-				continue
-			case <-v.stop:
-				err = ErrClosed
-			}
-			v.mu.Lock()
+func (v *View[S, D]) build(produce func() (S, uint64, error), rebuild bool) error {
+	st, fence, err := produce()
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	changed := err == nil
+	if err != nil {
+		v.phase = stale
+		v.count.Failures.Add(1)
+	} else {
+		v.state, v.baseSeq, v.phase = st, fence, live
+		if rebuild {
+			v.rebuilds++
+			v.count.Rebuilds.Add(1)
 		}
-		changed := err == nil
-		if err != nil {
+		if v.invalid > fence {
+			// Invalidated past the snapshot: the candidate may predate it.
 			v.phase = stale
-			v.count.Failures.Add(1)
-		} else {
-			v.state, v.baseSeq, v.phase = st, s1, live
-			if rebuild {
-				v.rebuilds++
-				v.count.Rebuilds.Add(1)
-			}
+			v.retryLocked()
 		}
-		for _, p := range v.buf {
-			if p.seq > v.baseSeq {
-				v.foldLocked(p.d)
-				changed = true
-			}
-		}
-		v.buf = nil
-		if changed {
-			v.onStep(&v.state, Step{v.baseSeq, true})
-		}
-		v.mu.Unlock()
-		return err
 	}
+	for _, p := range v.buf {
+		if p.seq > v.baseSeq {
+			v.foldLocked(p.d)
+			changed = true
+		}
+	}
+	v.onStep(&v.state, Step{max(v.baseSeq, v.noted), changed})
+	v.buf, v.noted, v.invalid = nil, 0, 0
+	return err
 }

@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -20,11 +19,11 @@ import (
 // view's state is the sorted list of what it has absorbed — so an append
 // that lands twice, or not at all, or survives a retention it should
 // not have, shows up as state != truth. The source honours the store's
-// contract: a mutation commits (MutationSeq moves) before its
-// notification is delivered, and a scan is atomic with respect to
-// commits; everything else — when and in what order notifications
-// arrive, where in a build they land, whether a scan fails — is the
-// test's to choose.
+// contract: a mutation commits before its notification is delivered,
+// and a scan reads the truth and the sequence number it reflects in one
+// snapshot (store.ScanStats.Seq); everything else — when and in what
+// order notifications arrive, where in a build they land, whether a
+// scan fails — is the test's to choose.
 
 var errScan = errors.New("scan failed")
 
@@ -33,30 +32,14 @@ type source struct {
 	seq   uint64
 	truth []uint64 // sorted
 
-	reads    int
-	onRead   func(read int, loaded bool) // around every MutationSeq load
 	scans    int
 	failNext int           // this many scans fail
 	hold     chan struct{} // a scan parks here until it is closed
-	snapLate bool          // a parked scan reads truth after, not before
+	snapLate bool          // a parked scan snapshots after, not before
 	entered  chan struct{} // a parked scan announces itself (1-buffered, never blocks it)
-}
-
-func (s *source) MutationSeq() uint64 {
-	s.mu.Lock()
-	s.reads++
-	n, hook := s.reads, s.onRead
-	s.mu.Unlock()
-	if hook != nil {
-		hook(n, false)
-	}
-	s.mu.Lock()
-	v := s.seq
-	s.mu.Unlock()
-	if hook != nil {
-		hook(n, true)
-	}
-	return v
+	// enter and leave run once, on the next scan's goroutine: before its
+	// snapshot, and after it just before it returns.
+	enter, leave func()
 }
 
 // commit applies one mutation to the truth and returns its sequence
@@ -75,16 +58,28 @@ func (s *source) commit(kind string) uint64 {
 	return s.seq
 }
 
-func (s *source) scan() ([]uint64, error) {
+// snapshot reads the truth and the sequence number it reflects
+// atomically.
+func (s *source) snapshot() ([]uint64, uint64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append([]uint64(nil), s.truth...), s.seq
+}
+
+func (s *source) scan() ([]uint64, uint64, error) {
 	s.mu.Lock()
 	s.scans++
 	fail := s.failNext > 0
 	if fail {
 		s.failNext--
 	}
-	hold, late := s.hold, s.snapLate
-	snap := append([]uint64(nil), s.truth...)
+	hold, late, enter, leave := s.hold, s.snapLate, s.enter, s.leave
+	s.enter, s.leave = nil, nil
 	s.mu.Unlock()
+	if enter != nil {
+		enter()
+	}
+	snap, seq := s.snapshot()
 	if hold != nil {
 		select {
 		case s.entered <- struct{}{}:
@@ -92,15 +87,16 @@ func (s *source) scan() ([]uint64, error) {
 		}
 		<-hold
 		if late {
-			s.mu.Lock()
-			snap = append([]uint64(nil), s.truth...)
-			s.mu.Unlock()
+			snap, seq = s.snapshot()
 		}
 	}
-	if fail {
-		return nil, errScan
+	if leave != nil {
+		leave()
 	}
-	return snap, nil
+	if fail {
+		return nil, 0, errScan
+	}
+	return snap, seq, nil
 }
 
 // park makes the next scan block; the returned func releases it.
@@ -128,7 +124,10 @@ type harness struct {
 	src      *source
 	v        *View[[]uint64, uint64]
 	failures *obs.Counter
-	last     Step // the hook's latest; guarded by the view's lock
+	// Guarded by the view's lock: the hook's latest Step, and a func the
+	// next hook runs once (under the lock: it must not call the view).
+	last       Step
+	onNextStep func()
 }
 
 func newHarness(t *testing.T) *harness {
@@ -137,8 +136,14 @@ func newHarness(t *testing.T) *harness {
 		*s = append(*s, d)
 		sort.Slice(*s, func(i, j int) bool { return (*s)[i] < (*s)[j] })
 	}
-	onStep := func(_ *[]uint64, st Step) { h.last = st }
-	h.v = New(h.src, nil, h.src.scan, fold, onStep, Counters{Failures: h.failures})
+	onStep := func(_ *[]uint64, st Step) {
+		h.last = st
+		if f := h.onNextStep; f != nil {
+			h.onNextStep = nil
+			f()
+		}
+	}
+	h.v = New(nil, h.src.scan, fold, onStep, Counters{Failures: h.failures})
 	t.Cleanup(h.v.Close)
 	return h
 }
@@ -168,7 +173,8 @@ func (h *harness) waitFor(what string, cond func() bool) {
 	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(200 * time.Microsecond) {
 		if time.Now().After(deadline) {
 			got, st := h.state()
-			h.t.Fatalf("timed out waiting for %s: state %v, status %+v, truth %v", what, got, st, h.src.truth)
+			want, _ := h.src.snapshot()
+			h.t.Fatalf("timed out waiting for %s: state %v, status %+v, truth %v", what, got, st, want)
 		}
 	}
 }
@@ -179,9 +185,7 @@ func (h *harness) settleAndCheck(step string) {
 	h.t.Helper()
 	h.waitFor(step+": settle", h.v.Settled)
 	got, _ := h.state()
-	h.src.mu.Lock()
-	want := append([]uint64(nil), h.src.truth...)
-	h.src.mu.Unlock()
+	want, _ := h.src.snapshot()
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		h.t.Fatalf("%s: view %v, truth %v", step, got, want)
 	}
@@ -220,9 +224,12 @@ func TestViewOutOfOrderDelivery(t *testing.T) {
 	}
 }
 
-// TestViewAppendMidScan: an append that commits and is delivered while
-// the scan is parked — before the scan reads the truth, and after —
-// moves the sequence, so the build retries and the append lands once.
+// TestViewAppendMidScan: an append and a seal that commit and are
+// delivered while the scan is parked — before the scan takes its
+// snapshot, and after — cost no second scan: the snapshot's sequence
+// number is the fence, the append lands once (in the snapshot or from
+// the buffer), and the build's hook reports the seal, the newest
+// mutation the state reflects, either way.
 func TestViewAppendMidScan(t *testing.T) {
 	for _, snapLate := range []bool{false, true} {
 		t.Run(fmt.Sprintf("scanSeesIt=%v", snapLate), func(t *testing.T) {
@@ -233,13 +240,18 @@ func TestViewAppendMidScan(t *testing.T) {
 			go func() { done <- h.v.Init(h.src.scan) }()
 			<-h.src.entered
 			h.append()
+			seal := h.src.commit("seal")
+			h.v.Note(seal)
 			release()
 			if err := <-done; err != nil {
 				t.Fatal(err)
 			}
+			if st := h.lastStep(); st != (Step{seal, true}) {
+				t.Fatalf("build's hook saw %+v, want the seal %d", st, seal)
+			}
 			h.settleAndCheck("after init")
-			if n := h.src.scanCount(); n != 2 {
-				t.Fatalf("%d scans, want 2 (sequence moved mid-scan: one retry)", n)
+			if n := h.src.scanCount(); n != 1 {
+				t.Fatalf("%d scans, want 1 (the scan's snapshot is its own fence)", n)
 			}
 			h.append()
 			h.settleAndCheck("live append")
@@ -247,47 +259,77 @@ func TestViewAppendMidScan(t *testing.T) {
 	}
 }
 
-// TestViewOvertakenBuildPaces: while every scan is overtaken by a
-// commit, the build pauses between attempts (doubling from minPause)
-// instead of rescanning flat out, and installs once the source holds
-// still.
-func TestViewOvertakenBuildPaces(t *testing.T) {
-	h := newHarness(t)
-	h.append()
-	var moving atomic.Bool
-	moving.Store(true)
-	h.src.onRead = func(read int, loaded bool) {
-		// Odd reads open an attempt: commit right after, so its check fails.
-		if moving.Load() && read%2 == 1 && loaded {
-			seq := h.src.commit("append")
-			go h.v.Apply(seq, seq)
-		}
+// TestViewBuildUnderCommitsScansOnce: a build — first install and
+// worker rebuild — whose scan runs while a writer commits and delivers
+// without letting up installs after exactly one produce, settles while
+// the writer is still going, and equals the truth.
+func TestViewBuildUnderCommitsScansOnce(t *testing.T) {
+	for _, rebuild := range []bool{false, true} {
+		t.Run(fmt.Sprintf("rebuild=%v", rebuild), func(t *testing.T) {
+			h := newHarness(t)
+			h.append()
+			if rebuild {
+				h.init()
+			}
+			scans := h.src.scanCount()
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					h.append()
+					time.Sleep(50 * time.Microsecond)
+				}
+			}()
+			release := h.src.park(false)
+			if rebuild {
+				h.v.Invalidate(h.src.commit("retention"))
+			} else {
+				go func() {
+					if err := h.v.Init(h.src.scan); err != nil {
+						t.Error(err)
+					}
+				}()
+			}
+			<-h.src.entered
+			time.Sleep(10 * time.Millisecond) // commits pile up behind the snapshot
+			release()
+			h.waitFor("install under commits", h.v.Settled)
+			close(stop)
+			wg.Wait()
+			h.settleAndCheck("writer stopped")
+			if n := h.src.scanCount() - scans; n != 1 {
+				t.Fatalf("%d scans for one build under commits, want 1", n)
+			}
+		})
 	}
-	built := make(chan error, 1)
-	go func() { built <- h.v.Init(h.src.scan) }()
-	time.Sleep(40 * time.Millisecond)
-	// Pauses of 1+2+4+8+16 ms fit in 40 ms: six attempts, not thousands.
-	if n := h.src.scanCount(); n < 2 || n > 8 {
-		t.Fatalf("%d scans in 40 ms of being overtaken, want a paced handful", n)
-	}
-	moving.Store(false)
-	if err := <-built; err != nil {
-		t.Fatal(err)
-	}
-	h.settleAndCheck("source held still")
 }
 
 // TestViewInvalidationAtEveryPoint delivers one retention at every
 // reachable point of a build — a first build and a worker rebuild — and
-// requires the view to settle on the truth with no further mutation.
-// (Parent defect: the registry released ownership in a second critical
-// section, and an invalidation landing before it froze the view.)
+// requires the view to settle on the truth with no further mutation. An
+// invalidation the build's snapshot covers costs nothing more; one past
+// the fence makes the view install stale and rebuild exactly once, two
+// of them included. (Parent defect: the registry released ownership in a
+// second critical section, and an invalidation landing before it froze
+// the view.)
 func TestViewInvalidationAtEveryPoint(t *testing.T) {
-	points := []string{"before first seq read", "mid-scan before the read", "mid-scan after the read",
-		"after scan before install", "immediately after install"}
+	points := []struct {
+		name     string
+		rebuilds int // the invalidation's cost in extra scans
+	}{
+		{"before first seq read", 0}, {"mid-scan before the read", 0}, {"mid-scan after the read", 1},
+		{"after scan before install", 1}, {"immediately after install", 1}, {"two past the fence mid-build", 1},
+	}
 	for _, rebuild := range []bool{false, true} {
-		for _, point := range points {
-			t.Run(fmt.Sprintf("rebuild=%v/%s", rebuild, point), func(t *testing.T) {
+		for _, p := range points {
+			t.Run(fmt.Sprintf("rebuild=%v/%s", rebuild, p.name), func(t *testing.T) {
 				h := newHarness(t)
 				for i := 0; i < 4; i++ {
 					h.append()
@@ -295,6 +337,7 @@ func TestViewInvalidationAtEveryPoint(t *testing.T) {
 				if rebuild {
 					h.init()
 				}
+				scans := h.src.scanCount()
 				delivered := make(chan struct{})
 				invalidate := func() { h.v.Invalidate(h.src.commit("retention")) }
 				// start runs the build under test: Init, or the worker's
@@ -308,46 +351,49 @@ func TestViewInvalidationAtEveryPoint(t *testing.T) {
 						go func() { built <- h.v.Init(h.src.scan) }()
 					}
 				}
-				// The build's first load is read base+1, its install check
-				// base+2.
-				base := h.src.reads
-				switch point {
-				case "before first seq read":
-					gate := make(chan struct{})
-					h.src.onRead = func(read int, loaded bool) {
-						if read == base+1 && !loaded {
-							<-gate
-						}
+				switch p.name {
+				case "before first seq read", "after scan before install":
+					// The scan's own goroutine commits and delivers: before
+					// its snapshot, or after it has been taken.
+					hook := func() { invalidate(); close(delivered) }
+					h.src.mu.Lock()
+					if p.name == "before first seq read" {
+						h.src.enter = hook
+					} else {
+						h.src.leave = hook
 					}
+					h.src.mu.Unlock()
 					start()
-					invalidate()
-					close(delivered)
-					close(gate)
-				case "mid-scan before the read", "mid-scan after the read":
-					release := h.src.park(point == "mid-scan before the read")
-					start()
-					<-h.src.entered
-					invalidate()
-					close(delivered)
-					release()
-				default:
-					// The hook runs on the builder, under the view's lock at
-					// the install check: commit there, deliver from another
-					// goroutine (it queues on the lock).
-					afterLoad := point == "immediately after install"
-					h.src.onRead = func(read int, loaded bool) {
-						if read == base+2 && loaded == afterLoad {
+				case "immediately after install":
+					// The hook runs on the builder, under the view's lock: commit
+					// there, deliver from another goroutine (it queues on the
+					// lock).
+					h.v.Read(func(*[]uint64, Status) {
+						h.onNextStep = func() {
 							seq := h.src.commit("retention")
 							go func() { h.v.Invalidate(seq); close(delivered) }()
 						}
-					}
+					})
 					start()
+				default:
+					release := h.src.park(p.name == "mid-scan before the read")
+					start()
+					<-h.src.entered
+					invalidate()
+					if p.name == "two past the fence mid-build" {
+						invalidate()
+					}
+					close(delivered)
+					release()
 				}
 				<-delivered
 				if err := <-built; err != nil {
 					t.Fatal(err)
 				}
-				h.settleAndCheck(point)
+				h.settleAndCheck(p.name)
+				if got := h.src.scanCount() - scans; got != 1+p.rebuilds {
+					t.Fatalf("%d scans, want the build's 1 + %d", got, p.rebuilds)
+				}
 			})
 		}
 	}
@@ -396,7 +442,8 @@ func TestViewFailedBuildRetriesOncePerMutation(t *testing.T) {
 }
 
 // TestViewCloseDuringScan: Close returns only after the rebuild in
-// flight does, cuts its retry short, and leaves no goroutine.
+// flight does — its one scan installs with the append delivered behind
+// it — and leaves no goroutine.
 func TestViewCloseDuringScan(t *testing.T) {
 	before := runtime.NumGoroutine()
 	h := newHarness(t)
@@ -404,7 +451,7 @@ func TestViewCloseDuringScan(t *testing.T) {
 	release := h.src.park(false)
 	h.v.Invalidate(h.src.commit("retention"))
 	<-h.src.entered
-	h.append() // the sequence moved: an open view would retry
+	h.append() // past the parked scan's fence: buffered, folded at install
 	closed := make(chan struct{})
 	go func() { h.v.Close(); close(closed) }()
 	select {
@@ -417,9 +464,7 @@ func TestViewCloseDuringScan(t *testing.T) {
 	if n := h.src.scanCount(); n != 2 {
 		t.Fatalf("%d scans, want 2 (init + the one Close waited out)", n)
 	}
-	if h.v.Settled() {
-		t.Fatal("a build cut short by Close must not report settled")
-	}
+	h.settleAndCheck("closed after the install")
 	h.v.Close() // idempotent
 	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
@@ -520,5 +565,34 @@ func TestViewRandomSchedules(t *testing.T) {
 			}
 			settle("end")
 		})
+	}
+}
+
+// TestMergeSorted: the in-place back-merge equals sorting the
+// concatenation, whether the delta lands after, inside or before the
+// column, and leaves the delta untouched.
+func TestMergeSorted(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	column := func(n int, from int64) []int64 {
+		c := make([]int64, n)
+		for i := range c {
+			from += rng.Int63n(5)
+			c[i] = from
+		}
+		return c
+	}
+	for trial := 0; trial < 200; trial++ {
+		a := column(rng.Intn(30), rng.Int63n(100))
+		b := column(rng.Intn(10), rng.Int63n(150))
+		want := append(append([]int64(nil), a...), b...)
+		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+		bCopy := append([]int64(nil), b...)
+		got := MergeSorted(a, b)
+		if fmt.Sprint(got) != fmt.Sprint(want) || fmt.Sprint(b) != fmt.Sprint(bCopy) {
+			t.Fatalf("MergeSorted(%v, %v) = %v, want %v", a, bCopy, got, want)
+		}
+	}
+	if b := []int64{1, 2}; &MergeSorted(nil, b)[0] == &b[0] {
+		t.Fatal("merging into an empty column must copy the delta")
 	}
 }
