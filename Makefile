@@ -44,8 +44,12 @@ race:
 # locking protocol (compactMu before mu), the aggregate cache, and the
 # view kernel's Seq fence (internal/view — the one place a baseline is
 # fenced, installed and re-baselined; its generated schedules re-run).
+# The segment column projection's once-only build — eight scans racing
+# to a fresh segment while a compaction drops it, and a sticky build
+# error — re-runs ten times on top.
 verify-race:
 	$(GO) test -race -count=1 -shuffle=on -timeout $(TEST_TIMEOUT) ./internal/store/... ./internal/view/... ./internal/query/... ./cmd/logstudy/...
+	$(call run-tests,-race -count=10 -timeout $(TEST_TIMEOUT),Projection,./internal/store/)
 
 # Focused race pass over the cluster's failure envelope: the
 # scatter-gather router, circuit breakers, per-shard kill/recovery
@@ -112,13 +116,16 @@ diff-smoke:
 # callerless series autocorrelation helper, the view kernel's
 # re-read retry (the store's lock-free sequence counter and the pause
 # between attempts) because a scan's own snapshot is its fence, and the
-# test-only statistics and tree-reading helpers; fail if a doc,
+# test-only statistics and tree-reading helpers, and the callerless
+# single-percentile and median wrappers, log-histogram total and
+# sample min/max (the shared-sort percentiles are the one form, and the
+# interarrival summary reads min and max off its sorted gaps); fail if a doc,
 # comment or target names any of them again. Of the root-level Markdown
 # files only the design notes, README and experiments are checked: the
 # others are the change log, the roadmap and reference material, which
 # record the deletions themselves. The one-letter brackets keep this
 # line from matching itself.
-STALE_REFS = 'BENCH_[p]ipeline|internal/[b]ench|bench-[s]moke|logstudy [b]ench|internal/[f]ailure|Disable[C]olumnar|ErrNot[I]ndexAnswerable|Index[A]nswerable|Column[S]canner|ReadAll[P]arallel|Auto[c]orrelation|Mutation[S]eq|min[P]ause|max[P]ause|Read[T]ree|ECD[F]|New[H]istogram|Spatial[C]oncentration([^O]|$$)'
+STALE_REFS = 'BENCH_[p]ipeline|internal/[b]ench|bench-[s]moke|logstudy [b]ench|internal/[f]ailure|Disable[C]olumnar|ErrNot[I]ndexAnswerable|Index[A]nswerable|Column[S]canner|ReadAll[P]arallel|Auto[c]orrelation|Mutation[S]eq|min[P]ause|max[P]ause|Read[T]ree|ECD[F]|New[H]istogram|Spatial[C]oncentration([^O]|$$)|stats\.[P]ercentile([^s]|$$)|func [P]ercentile\(|stats\.[M]edian|func [M]edian\(|LogHistogram\) [T]otal\(|LogHistogram\.[T]otal|stats\.M[i]n\(|stats\.M[a]x\('
 no-stale-refs:
 	@if git grep -nE $(STALE_REFS) -- . ':(top,glob,exclude)*.md' || git grep -nE $(STALE_REFS) -- DESIGN.md README.md EXPERIMENTS.md; then \
 		echo "FAIL: stale reference to a deleted package, target or name (the bench ledger: see DESIGN.md §7 for the per-layer metric that replaced it; the decode aggregate: DESIGN.md §11)"; exit 1; fi
@@ -153,6 +160,7 @@ fuzz:
 	$(GO) test ./internal/ddn -fuzz FuzzParse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ingest -fuzz FuzzReadFunc -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/filter -fuzz FuzzStreamMatchesBatch -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/store -fuzz FuzzSegmentWalk -fuzztime $(FUZZTIME)
 
 # Brief fuzz runs as part of `make verify`: a few seconds each on the
 # framer and the online-vs-batch filter differential, enough to explore

@@ -165,7 +165,7 @@ func (c *pathCollector) finish(quantiles []float64) PathStats {
 			sum += x
 		}
 		out.MeanLatencySec = sum / float64(len(xs))
-		// stats.Percentile speaks 0–100; Config.Quantiles are fractions.
+		// stats.Percentiles speaks 0–100; Config.Quantiles are fractions.
 		ps := make([]float64, len(quantiles))
 		for i, q := range quantiles {
 			ps[i] = q * 100

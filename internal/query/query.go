@@ -23,7 +23,6 @@ import (
 
 	"whatsupersay/internal/catalog"
 	"whatsupersay/internal/logrec"
-	"whatsupersay/internal/stats"
 	"whatsupersay/internal/store"
 )
 
@@ -426,34 +425,4 @@ func topSources(counts map[string]int, k int) []SourceCount {
 		out = out[:k]
 	}
 	return out
-}
-
-// interarrivalGaps summarizes a gap-seconds sample. The quantiles all
-// come from one shared sort (stats.Percentiles) — a copy-and-sort per
-// quantile was the dominant cost of a large aggregate, ahead of the
-// scan itself.
-func interarrivalGaps(times []float64, quantiles []float64) *Interarrival {
-	ia := &Interarrival{
-		Count:     len(times),
-		MeanSec:   stats.Mean(times),
-		StddevSec: stats.StdDev(times),
-		MinSec:    stats.Min(times),
-		MaxSec:    stats.Max(times),
-	}
-	ps := make([]float64, len(quantiles))
-	for i, q := range quantiles {
-		ps[i] = q * 100
-	}
-	for i, sec := range stats.Percentiles(times, ps) {
-		ia.Quantiles = append(ia.Quantiles, QuantileValue{Q: quantiles[i], Sec: sec})
-	}
-	h := stats.NewLogHistogram(times, logHistMinExp, logHistMaxExp, logHistBinsPerDecade)
-	ia.LogHist = &LogHist{
-		MinExp:        h.MinExp,
-		BinsPerDecade: h.BinsPerDecade,
-		Counts:        h.Counts,
-		Zero:          h.Zero,
-		Over:          h.Over,
-	}
-	return ia
 }

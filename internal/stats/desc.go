@@ -58,26 +58,10 @@ func Variance(xs []float64) float64 {
 // StdDev returns the sample standard deviation.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
-// Median returns the sample median (0 for empty input).
-func Median(xs []float64) float64 { return Percentile(xs, 50) }
-
-// Percentile returns the p-th percentile (0 ≤ p ≤ 100) using linear
-// interpolation between order statistics.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := make([]float64, len(xs))
-	copy(s, xs)
-	sort.Float64s(s)
-	return percentileSorted(s, p)
-}
-
-// Percentiles returns the percentile for each p in ps. Results are
-// identical to calling Percentile per value; the difference is cost —
-// one copy-and-sort shared across all of them instead of one per
-// quantile, which is what dominates when several quantiles are asked
-// of a large sample.
+// Percentiles returns the p-th percentile (0 ≤ p ≤ 100) of xs for each
+// p in ps, by linear interpolation between order statistics — one
+// copy-and-sort shared across all of them, so k quantiles of a large
+// sample cost one sort, not k. xs is not modified.
 func Percentiles(xs []float64, ps []float64) []float64 {
 	if len(ps) == 0 {
 		return nil
@@ -89,55 +73,31 @@ func Percentiles(xs []float64, ps []float64) []float64 {
 	s := make([]float64, len(xs))
 	copy(s, xs)
 	sort.Float64s(s)
+	at := func(i int) float64 { return s[i] }
 	for i, p := range ps {
-		out[i] = percentileSorted(s, p)
+		out[i] = SortedPercentile(len(s), at, p)
 	}
 	return out
 }
 
-// percentileSorted interpolates the p-th percentile from an
-// already-sorted, non-empty sample.
-func percentileSorted(s []float64, p float64) float64 {
+// SortedPercentile is the interpolation rule behind Percentiles, for a
+// caller that already holds its sample in ascending order in some other
+// form: the p-th percentile of the n > 0 values at(0) ≤ … ≤ at(n-1).
+// Any monotone view of a sorted column qualifies — the query engine
+// reads interarrival seconds off its sorted int64 nanosecond gaps.
+func SortedPercentile(n int, at func(i int) float64, p float64) float64 {
 	if p <= 0 {
-		return s[0]
+		return at(0)
 	}
 	if p >= 100 {
-		return s[len(s)-1]
+		return at(n - 1)
 	}
-	pos := p / 100 * float64(len(s)-1)
+	pos := p / 100 * float64(n-1)
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
 	if lo == hi {
-		return s[lo]
+		return at(lo)
 	}
 	frac := pos - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
-}
-
-// Min returns the smallest value (0 for empty input).
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the largest value (0 for empty input).
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
+	return at(lo)*(1-frac) + at(hi)*frac
 }

@@ -17,6 +17,8 @@ type LogHistogram struct {
 	Zero          int
 	Over          int
 	maxExp        int
+	// lo is 10^MinExp: smaller values count as Zero.
+	lo float64
 }
 
 // NewLogHistogram bins xs into log10 buckets covering [10^minExp,
@@ -26,39 +28,42 @@ func NewLogHistogram(xs []float64, minExp, maxExp, binsPerDecade int) *LogHistog
 		return &LogHistogram{MinExp: minExp, BinsPerDecade: 1, Counts: nil, maxExp: minExp}
 	}
 	n := (maxExp - minExp) * binsPerDecade
-	h := &LogHistogram{MinExp: minExp, BinsPerDecade: binsPerDecade, Counts: make([]int, n), maxExp: maxExp}
-	lo := math.Pow(10, float64(minExp))
+	h := &LogHistogram{MinExp: minExp, BinsPerDecade: binsPerDecade, Counts: make([]int, n), maxExp: maxExp,
+		lo: math.Pow(10, float64(minExp))}
 	for _, x := range xs {
-		if x < lo {
-			h.Zero++
-			continue
-		}
-		i := int((math.Log10(x) - float64(minExp)) * float64(binsPerDecade))
-		if i >= n {
-			h.Over++
-			continue
-		}
-		if i < 0 {
-			i = 0
-		}
-		h.Counts[i]++
+		h.Add(x, 1)
 	}
 	return h
+}
+
+// Add counts k more occurrences of x — one bin lookup however large k
+// is, which is what a caller holding a sorted sample with runs of equal
+// values saves. A histogram over an empty exponent range counts
+// nothing.
+func (h *LogHistogram) Add(x float64, k int) {
+	n := len(h.Counts)
+	if n == 0 {
+		return
+	}
+	if x < h.lo {
+		h.Zero += k
+		return
+	}
+	i := int((math.Log10(x) - float64(h.MinExp)) * float64(h.BinsPerDecade))
+	if i >= n {
+		h.Over += k
+		return
+	}
+	if i < 0 {
+		i = 0
+	}
+	h.Counts[i] += k
 }
 
 // BinCenter returns the geometric center (in the original scale) of bin i.
 func (h *LogHistogram) BinCenter(i int) float64 {
 	exp := float64(h.MinExp) + (float64(i)+0.5)/float64(h.BinsPerDecade)
 	return math.Pow(10, exp)
-}
-
-// Total returns the in-range count.
-func (h *LogHistogram) Total() int {
-	n := 0
-	for _, c := range h.Counts {
-		n += c
-	}
-	return n
 }
 
 // Modes counts the local maxima of the histogram after a moving-average

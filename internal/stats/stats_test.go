@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"time"
 )
@@ -23,48 +24,78 @@ func TestMeanVarianceStdDev(t *testing.T) {
 	}
 }
 
+// percentileRef is the reference percentile: copy, sort, and
+// interpolate linearly between the order statistics around p.
+func percentileRef(xs []float64, p float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	if p <= 0 {
+		return s[0]
+	}
+	if p >= 100 {
+		return s[len(s)-1]
+	}
+	pos := p / 100 * float64(len(s)-1)
+	lo, hi := int(math.Floor(pos)), int(math.Ceil(pos))
+	if lo == hi {
+		return s[lo]
+	}
+	frac := pos - float64(lo)
+	return s[lo]*(1-frac) + s[hi]*frac
+}
+
 func TestMedianPercentile(t *testing.T) {
 	xs := []float64{5, 1, 3, 2, 4}
-	if m := Median(xs); m != 3 {
-		t.Errorf("median = %v, want 3", m)
-	}
-	if p := Percentile(xs, 0); p != 1 {
-		t.Errorf("p0 = %v, want 1", p)
-	}
-	if p := Percentile(xs, 100); p != 5 {
-		t.Errorf("p100 = %v, want 5", p)
-	}
-	if p := Percentile(xs, 25); p != 2 {
-		t.Errorf("p25 = %v, want 2", p)
+	got := Percentiles(xs, []float64{50, 0, 100, 25})
+	for i, want := range []float64{3, 1, 5, 2} {
+		if got[i] != want {
+			t.Errorf("percentile %d = %v, want %v", i, got[i], want)
+		}
 	}
 	// Interpolation between order statistics.
-	if p := Percentile([]float64{0, 10}, 50); p != 5 {
-		t.Errorf("interp p50 = %v, want 5", p)
+	if p := Percentiles([]float64{0, 10}, []float64{50}); p[0] != 5 {
+		t.Errorf("interp p50 = %v, want 5", p[0])
 	}
-	if Percentile(nil, 50) != 0 {
+	if Percentiles(nil, []float64{50})[0] != 0 {
 		t.Error("empty percentile must be 0")
 	}
-	// Percentile must not mutate its input.
+	// Percentiles must not mutate its input.
 	if xs[0] != 5 {
-		t.Error("Percentile sorted the caller's slice")
+		t.Error("Percentiles sorted the caller's slice")
 	}
 }
 
-// TestPercentilesMatchPercentile: the shared-sort batch form must be
-// bit-identical to calling Percentile per value — the aggregate
-// differential tests depend on the two being interchangeable.
+// TestPercentilesMatchPercentile: the shared-sort batch form, and the
+// SortedPercentile rule under it read through a monotone view of a
+// sorted column, must be bit-identical to a per-value sort — the
+// aggregate differential tests depend on the forms being
+// interchangeable.
 func TestPercentilesMatchPercentile(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	ps := []float64{-5, 0, 12.5, 50, 90, 99, 99.9, 100, 130}
 	for _, n := range []int{1, 2, 3, 17, 1000} {
 		xs := make([]float64, n)
+		nanos := make([]int64, n)
 		for i := range xs {
 			xs[i] = rng.NormFloat64() * 100
+			nanos[i] = rng.Int63n(int64(10 * time.Second))
 		}
 		got := Percentiles(xs, ps)
+		secs := make([]float64, n)
+		for i, v := range nanos {
+			secs[i] = time.Duration(v).Seconds()
+		}
+		sort.Slice(nanos, func(i, j int) bool { return nanos[i] < nanos[j] })
+		at := func(i int) float64 { return time.Duration(nanos[i]).Seconds() }
 		for i, p := range ps {
-			if want := Percentile(xs, p); got[i] != want {
-				t.Errorf("n=%d p=%v: Percentiles = %v, Percentile = %v", n, p, got[i], want)
+			if want := percentileRef(xs, p); got[i] != want {
+				t.Errorf("n=%d p=%v: Percentiles = %v, reference = %v", n, p, got[i], want)
+			}
+			if got, want := SortedPercentile(n, at, p), percentileRef(secs, p); got != want {
+				t.Errorf("n=%d p=%v: SortedPercentile over sorted nanos = %v, reference = %v", n, p, got, want)
 			}
 		}
 	}
@@ -75,16 +106,6 @@ func TestPercentilesMatchPercentile(t *testing.T) {
 	Percentiles(xs, []float64{50})
 	if xs[0] != 5 {
 		t.Error("Percentiles sorted the caller's slice")
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	xs := []float64{3, -1, 7, 2}
-	if Min(xs) != -1 || Max(xs) != 7 {
-		t.Errorf("min/max = %v/%v", Min(xs), Max(xs))
-	}
-	if Min(nil) != 0 || Max(nil) != 0 {
-		t.Error("empty min/max must be 0")
 	}
 }
 
@@ -118,8 +139,23 @@ func TestLogHistogram(t *testing.T) {
 	if h.Counts[0] != 1 || h.Counts[1] != 1 || h.Counts[2] != 1 || h.Counts[3] != 1 {
 		t.Errorf("counts = %v", h.Counts)
 	}
-	if h.Total() != 4 {
-		t.Errorf("total = %d", h.Total())
+	// Add with a multiplicity bins exactly like that many repeats.
+	h2 := NewLogHistogram(nil, 0, 4, 1)
+	for _, x := range xs {
+		h2.Add(x, 2)
+	}
+	for i, c := range h.Counts {
+		if h2.Counts[i] != 2*c {
+			t.Errorf("bin %d: %d, Add×2 %d", i, c, h2.Counts[i])
+		}
+	}
+	if h2.Zero != 2*h.Zero || h2.Over != 2*h.Over {
+		t.Errorf("zero/over: %d/%d, Add×2 %d/%d", h.Zero, h.Over, h2.Zero, h2.Over)
+	}
+	d := NewLogHistogram(nil, 4, 4, 1)
+	d.Add(1, 3)
+	if d.Zero+d.Over != 0 {
+		t.Error("an empty exponent range counted a value")
 	}
 	// Geometric bin center of the first decade bin with 1 bin/decade:
 	// 10^0.5.

@@ -54,12 +54,13 @@ func newBlobRef(data []byte, unmap func([]byte) error) *blobRef {
 
 func (r *blobRef) retain() { r.refs.Add(1) }
 
-// release drops one reference; the last release unmaps. Calling release
-// more times than retain+1 is a bug (the count would go negative and
-// the mapping would have been freed under a holder).
-func (r *blobRef) release() {
+// release drops one reference and reports whether it was the last; the
+// last release unmaps. Calling release more times than retain+1 is a
+// bug (the count would go negative and the mapping would have been
+// freed under a holder).
+func (r *blobRef) release() bool {
 	if r.refs.Add(-1) != 0 {
-		return
+		return false
 	}
 	if r.mapped {
 		gMappedSegments.Add(-1)
@@ -67,11 +68,12 @@ func (r *blobRef) release() {
 		r.unmap(r.data)
 	}
 	r.data = nil
+	return true
 }
 
 // retain/release on a segment forward to its blob's refcount; segments
-// parsed from heap bytes (tests, fallback platforms) have no ref and
-// these are no-ops.
+// parsed from heap bytes (tests) have no ref and these are no-ops. The
+// last release also retires the segment's column projection.
 func (g *segment) retain() {
 	if g.ref != nil {
 		g.ref.retain()
@@ -79,8 +81,8 @@ func (g *segment) retain() {
 }
 
 func (g *segment) release() {
-	if g.ref != nil {
-		g.ref.release()
+	if g.ref != nil && g.ref.release() {
+		g.dropProjection()
 	}
 }
 

@@ -8,12 +8,14 @@ import (
 // The columnar read path. Scan materializes an Entry per match — a body
 // string allocation and a 100-odd-byte struct copy per record — which
 // aggregation immediately boils back down to counts and timestamps.
-// ScanColumns serves the same filters without materializing anything:
-// sealed segments are walked in raw form (see segment.walk) and folded
-// into per-segment SegmentColumns — dictionary-ordinal count arrays
-// plus a contiguous timestamp slab — while the unsealed tail, which has
-// no columnar form, is handed over entry by entry. The query engine
-// turns a ColumnVisitor into a mergeable Partial in one pass.
+// ScanColumns serves the same filters without materializing or even
+// decoding anything: sealed segments are walked over their column
+// projection (projection.go, built once per segment on first walk; see
+// segment.walk) and folded into per-segment SegmentColumns —
+// dictionary-ordinal count arrays plus a contiguous timestamp slab —
+// while the unsealed tail, which has no columnar form, is handed over
+// entry by entry. The query engine turns a ColumnVisitor into a
+// mergeable Partial in one pass.
 
 var mScanColumnsSegments = obs.Default.Counter("store_scan_columns_segments_total")
 

@@ -1,11 +1,12 @@
 package store
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sort"
+	"sync"
 	"time"
 
 	"whatsupersay/internal/logrec"
@@ -66,9 +67,11 @@ func sortEntries(entries []Entry) {
 }
 
 // segment is one sealed, immutable, checksum-verified block of entries.
-// The encoded blob is memory-mapped (see mmap.go); records are decoded
-// on demand during scans, postings and dictionaries are decoded once at
-// open (into heap copies, so only record decoding touches the mapping).
+// The encoded blob is memory-mapped (see mmap.go). Postings and
+// dictionaries are decoded once at open (into heap copies); records are
+// decoded once, on the first walk, into the column projection
+// (projection.go) every scan then runs over, and again only to
+// materialize a match into an Entry.
 type segment struct {
 	name string
 	// num is the seal sequence number parsed from name (-1 if the name
@@ -96,6 +99,12 @@ type segment struct {
 	// idxOffsets[i] / idxNanos[i] locate record ordinal i*indexInterval.
 	idxOffsets []uint32
 	idxNanos   []int64
+
+	// The column projection (projection.go), built once on first walk;
+	// a build error is kept and returned to every later walk.
+	colOnce sync.Once
+	cols    *columns
+	colErr  error
 }
 
 const entryFlagKept, entryFlagCorrupted = 1, 2
@@ -466,42 +475,33 @@ func (g *segment) candidates(f Filter) ([]uint32, bool) {
 	return acc, constrained
 }
 
-// matchRaw applies the predicates postings do not cover — the Kept flag
-// and the body-substring predicate — to a raw record. The body bytes
-// are compared in place against bodyPat (the filter's BodyContains,
-// converted once per walk), so neither predicate allocates.
-func (g *segment) matchRaw(f *Filter, r raw, bodyPat []byte) bool {
-	if f.Kept != nil && *f.Kept != (r.flags&entryFlagKept != 0) {
-		return false
-	}
-	return len(bodyPat) == 0 || bytes.Contains(g.blob[r.bodyOff:r.bodyOff+r.bodyLen], bodyPat)
-}
-
-// walk drives a segment scan in raw form: postings planning, sparse-
-// index seeking, time pruning, and predicate matching all happen here,
-// and every matching record is handed to visit without materialization.
-// Both read paths sit on top of it — the entry scan materializes each
-// match, the columnar scan counts ordinals — which is what guarantees
-// the two report identical ScanStats for identical filters.
-func (g *segment) walk(f Filter, st *ScanStats, visit func(raw) error) error {
+// walk drives a segment scan over its column projection: postings
+// planning, sparse-index seeking, time pruning, and predicate matching
+// all happen here, and every matching record's ordinal is handed to
+// visit. Both read paths sit on top of it — the entry scan materializes
+// each match, the columnar scan counts ordinals — which is what
+// guarantees the two report identical ScanStats for identical filters.
+func (g *segment) walk(c *columns, f Filter, st *ScanStats, visit func(int) error) error {
 	ords, constrained := g.candidates(f)
 	if constrained {
-		return g.walkOrdinals(ords, f, st, visit)
+		return g.walkOrdinals(c, ords, f, st, visit)
 	}
-	return g.walkRange(f, st, visit)
+	return g.walkRange(c, f, st, visit)
 }
 
-// walkRange walks the time window sequentially, seeking the start block
-// through the sparse index and stopping at the first record past To.
-func (g *segment) walkRange(f Filter, st *ScanStats, visit func(raw) error) error {
-	bodyPat := bodyPattern(f)
+// span plans a walk of the time window. The sparse index seeks to
+// start, the first record of the block before the first block starting
+// at or after From (records at exactly From may end that block when the
+// next one starts at the same instant); [lo, hi) are the records inside
+// [From, To); and the walk examines [start, end) — through the first
+// record at or past To, which is what tells a sequential reader to
+// stop. The accounting is the one a record-by-record decode from start
+// would report.
+func (g *segment) span(c *columns, f Filter) (start, lo, hi, end int) {
 	var fromN, toN int64
 	block := 0
 	if !f.From.IsZero() {
 		fromN = f.From.UnixNano()
-		// The block before the first one that starts at or after From:
-		// records at exactly From may end it when the next block starts
-		// at that same instant.
 		block = sort.Search(len(g.idxNanos), func(i int) bool { return g.idxNanos[i] >= fromN })
 		if block > 0 {
 			block--
@@ -511,38 +511,46 @@ func (g *segment) walkRange(f Filter, st *ScanStats, visit func(raw) error) erro
 		toN = f.To.UnixNano()
 	}
 	if block >= len(g.idxOffsets) {
-		return nil
+		return 0, 0, 0, 0
 	}
-	off := g.recordsOff + int(g.idxOffsets[block])
-	start := off
-	defer func() { st.BytesScanned += int64(off - start) }()
-	for ord := block * indexInterval; ord < g.count; ord++ {
-		r, next, err := g.decodeRawAt(off)
-		if err != nil {
-			return err
+	start = block * indexInterval
+	lo, hi, end = start, g.count, g.count
+	if fromN != 0 {
+		lo, _ = slices.BinarySearch(c.nanos[start:], fromN)
+		lo += start
+	}
+	if toN != 0 {
+		hi, _ = slices.BinarySearch(c.nanos[start:], toN)
+		if hi += start; hi < g.count {
+			end = hi + 1
 		}
-		off = next
-		st.RecordsScanned++
-		if toN != 0 && r.nanos >= toN {
-			return nil
-		}
-		if fromN != 0 && r.nanos < fromN {
-			continue
-		}
-		if !g.matchRaw(&f, r, bodyPat) {
+	}
+	return start, min(lo, hi), hi, end
+}
+
+// walkRange walks the time window.
+func (g *segment) walkRange(c *columns, f Filter, st *ScanStats, visit func(int) error) error {
+	bodyPat := bodyPattern(f)
+	start, lo, hi, end := g.span(c, f)
+	for i := lo; i < hi; i++ {
+		if !c.match(g.blob, &f, bodyPat, i) {
 			continue
 		}
 		st.Matched++
-		if err := visit(r); err != nil {
+		if err := visit(i); err != nil {
+			c.account(st, start, i+1)
 			return err
 		}
 	}
+	c.account(st, start, end)
 	return nil
 }
 
-// walkOrdinals decodes exactly the index blocks containing candidate
-// ordinals, sequentially within each block.
-func (g *segment) walkOrdinals(ords []uint32, f Filter, st *ScanStats, visit func(raw) error) error {
+// walkOrdinals visits the candidate ordinals, accounting for each index
+// block they fall in the records from the block's start through its
+// last candidate — what decoding the block sequentially to reach them
+// would have read.
+func (g *segment) walkOrdinals(c *columns, ords []uint32, f Filter, st *ScanStats, visit func(int) error) error {
 	bodyPat := bodyPattern(f)
 	var fromN, toN int64
 	if !f.From.IsZero() {
@@ -550,6 +558,9 @@ func (g *segment) walkOrdinals(ords []uint32, f Filter, st *ScanStats, visit fun
 	}
 	if !f.To.IsZero() {
 		toN = f.To.UnixNano()
+	}
+	if len(ords) > 0 && int(ords[len(ords)-1]) >= g.count {
+		return fmt.Errorf("store: segment %s: posting ordinal %d out of range", g.name, ords[len(ords)-1])
 	}
 	i := 0
 	for i < len(ords) {
@@ -568,29 +579,21 @@ func (g *segment) walkOrdinals(ords []uint32, f Filter, st *ScanStats, visit fun
 			i = end // the whole block predates the window
 			continue
 		}
-		off := g.recordsOff + int(g.idxOffsets[block])
-		start := off
-		want := ords[i:end]
-		for ord := block * indexInterval; len(want) > 0 && ord < g.count; ord++ {
-			r, next, err := g.decodeRawAt(off)
-			if err != nil {
-				return err
-			}
-			off = next
-			st.RecordsScanned++
-			if uint32(ord) != want[0] {
-				continue
-			}
-			want = want[1:]
-			if (fromN != 0 && r.nanos < fromN) || (toN != 0 && r.nanos >= toN) || !g.matchRaw(&f, r, bodyPat) {
+		first := block * indexInterval
+		for _, o := range ords[i:end] {
+			k := int(o)
+			if n := c.nanos[k]; (fromN != 0 && n < fromN) || (toN != 0 && n >= toN) || !c.match(g.blob, &f, bodyPat, k) {
 				continue
 			}
 			st.Matched++
-			if err := visit(r); err != nil {
+			if err := visit(k); err != nil {
+				// A refusal ends the walk mid-block, before the block's
+				// bytes are counted.
+				st.RecordsScanned += k + 1 - first
 				return err
 			}
 		}
-		st.BytesScanned += int64(off - start)
+		c.account(st, first, int(ords[end-1])+1)
 		i = end
 	}
 	return nil
@@ -611,25 +614,46 @@ func bodyPattern(f Filter) []byte {
 // entry with ErrPastBound (which also ends the walk). The caller has
 // already pruned the segment against the filter's time range.
 func (g *segment) scan(f Filter, st *ScanStats, bound *int64, emit func(Entry) error) error {
-	return g.walk(f, st, func(r raw) error { return lowerBound(emit(g.materialize(r)), r.nanos, bound) })
+	c, err := g.projection()
+	if err != nil {
+		return err
+	}
+	return g.walk(c, f, st, func(i int) error {
+		en, _, err := g.decodeAt(int(c.off[i]))
+		if err != nil {
+			return err
+		}
+		return lowerBound(emit(en), c.nanos[i], bound)
+	})
 }
 
 // scanColumns folds the segment's matching records into sc without
 // materializing any of them: dictionary-ordinal counts, severity-value
-// counts, the Kept tally, and the timestamp column.
+// counts, the Kept tally, and the timestamp column. A filter that is
+// only a time window matches every record in the window's span: one
+// counting loop, and the timestamps copied in one append.
 func (g *segment) scanColumns(f Filter, st *ScanStats, sc *SegmentColumns) error {
-	return g.walk(f, st, func(r raw) error {
-		sc.Matched++
-		if r.flags&entryFlagKept != 0 {
-			sc.Kept++
-		}
-		sc.SrcCounts[r.srcID]++
-		sc.CatCounts[r.catID]++
-		for int(r.sev) >= len(sc.SevCounts) {
-			sc.SevCounts = append(sc.SevCounts, 0)
-		}
-		sc.SevCounts[r.sev]++
-		sc.Times = append(sc.Times, r.nanos)
+	c, err := g.projection()
+	if err != nil {
+		return err
+	}
+	visit := func(i int) error {
+		sc.add(c, i)
+		sc.Times = append(sc.Times, c.nanos[i])
 		return nil
-	})
+	}
+	if ords, constrained := g.candidates(f); constrained {
+		return g.walkOrdinals(c, ords, f, st, visit)
+	}
+	if f.Kept != nil || f.BodyContains != "" {
+		return g.walkRange(c, f, st, visit)
+	}
+	start, lo, hi, end := g.span(c, f)
+	c.account(st, start, end)
+	for i := lo; i < hi; i++ {
+		sc.add(c, i)
+	}
+	sc.Times = append(sc.Times, c.nanos[lo:hi]...)
+	st.Matched += hi - lo
+	return nil
 }

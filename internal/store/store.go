@@ -672,7 +672,7 @@ type Filter struct {
 	// BodyContains, when nonempty, selects entries whose message body
 	// contains it as a substring. It is the one predicate the segment
 	// indexes cannot narrow: sealed segments compare it against the body
-	// bytes in place (segment.matchRaw), the tail against the decoded
+	// bytes in place (columns.match), the tail against the decoded
 	// entry (match), on both read paths alike.
 	BodyContains string
 }
