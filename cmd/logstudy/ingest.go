@@ -63,7 +63,7 @@ func runIngest(args []string, w io.Writer) error {
 		fmt.Fprintf(w, "chaos injection active: %s\n", *injectSpec)
 	}
 
-	opts := ingest.ResilientOptions{MaxErrors: *maxErrors, RetryBase: *retryBase}
+	opts := ingest.ResilientOptions{MaxRetries: 5, MaxErrors: *maxErrors, RetryBase: *retryBase}
 	if *quarPath != "" {
 		qf, err := ingest.Create(*quarPath)
 		if err != nil {
@@ -95,19 +95,8 @@ func runIngest(args []string, w io.Writer) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	var stats ingest.Stats
 	rd := ingest.Reader{System: sys, Start: m.LogStart}
-	cp, runErr := rd.ReadResilient(ctx, r, func(rec logrec.Record) error {
-		switch ingest.Dialect(rec.Raw) {
-		case "ras":
-			stats.RAS++
-		case "event":
-			stats.Event++
-		default:
-			stats.Syslog++
-		}
-		return nil
-	}, opts)
+	cp, runErr := rd.ReadResilient(ctx, r, func(logrec.Record) error { return nil }, opts)
 
 	// Whatever happened, persist the final position so the operator can
 	// resume — including after a budget abort or an interrupt.
@@ -118,15 +107,15 @@ func runIngest(args []string, w io.Writer) error {
 	}
 
 	fmt.Fprintf(w, "ingested %s lines (%d quarantined, %d oversized, %d retries, %d panics contained)\n",
-		report.Comma(int64(cp.Stats.Lines)), cp.Quarantined, cp.Stats.Oversized, cp.Retries, cp.Panics)
+		report.Comma(int64(cp.Stats.Lines)), cp.Stats.ParseErrors, cp.Stats.Oversized, cp.Retries, cp.Panics)
 	if runErr != nil {
 		if *resumePath != "" {
 			fmt.Fprintf(w, "run stopped; rerun with -resume %s to continue\n", *resumePath)
 		}
 		return fmt.Errorf("ingest: %w", runErr)
 	}
-	fmt.Fprintf(w, "dialects: %d syslog, %d RAS, %d event\n", stats.Syslog, stats.RAS, stats.Event)
-	if *quarPath != "" && cp.Quarantined > 0 {
+	fmt.Fprintf(w, "dialects: %d syslog, %d RAS, %d event\n", cp.Stats.Syslog, cp.Stats.RAS, cp.Stats.Event)
+	if *quarPath != "" && cp.Stats.ParseErrors > 0 {
 		fmt.Fprintf(w, "damaged lines preserved in %s\n", *quarPath)
 	}
 	return nil

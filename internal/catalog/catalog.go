@@ -145,22 +145,9 @@ func (c *Category) Matches(r logrec.Record) bool {
 	return c.matchBody(r.Body)
 }
 
-// MatchesBody applies only the body rule (prefilter + regexp), for
-// callers that have already handled the field constraints.
-func (c *Category) MatchesBody(body string) bool { return c.matchBody(body) }
-
 // Key returns the per-study unique key "system/name".
 func (c *Category) Key() string {
 	return c.System.ShortName() + "/" + c.Name
-}
-
-// MeanBurst returns the calibration mean burst size Raw/Filtered — the
-// average redundancy of one incident of this category.
-func (c *Category) MeanBurst() float64 {
-	if c.Filtered <= 0 {
-		return 1
-	}
-	return float64(c.Raw) / float64(c.Filtered)
 }
 
 // catalog is the full, immutable category list, built once.

@@ -290,14 +290,3 @@ func TestTypeCodeAndString(t *testing.T) {
 		t.Error("Types() must list 3")
 	}
 }
-
-func TestMeanBurst(t *testing.T) {
-	c, _ := Lookup(logrec.Spirit, "EXT_CCISS")
-	if mb := c.MeanBurst(); mb < 3e6 || mb > 4e6 {
-		t.Errorf("EXT_CCISS mean burst %.0f, want ~3.6M (Section 3.3.1 storm scale)", mb)
-	}
-	z := &Category{Raw: 5, Filtered: 0}
-	if z.MeanBurst() != 1 {
-		t.Error("zero filtered must default mean burst to 1")
-	}
-}

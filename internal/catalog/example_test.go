@@ -18,7 +18,7 @@ func ExampleLookup() {
 		return
 	}
 	fmt.Printf("%s / %s: raw %d, filtered %d (mean burst ~%.1fM)\n",
-		c.Type.Code(), c.Name, c.Raw, c.Filtered, c.MeanBurst()/1e6)
+		c.Type.Code(), c.Name, c.Raw, c.Filtered, float64(c.Raw)/float64(c.Filtered)/1e6)
 	body := c.Gen(rand.New(rand.NewSource(1)))
 	fmt.Printf("generated body matches its own rule: %v\n",
 		c.Matches(logrec.Record{Program: c.Program, Body: body}))

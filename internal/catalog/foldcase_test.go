@@ -110,8 +110,8 @@ func TestPrefilterFoldCaseSynthetic(t *testing.T) {
 // variants, (a) any body the regexp matches contains every prefilter
 // literal (prefilter-pass ⊇ regexp-match — the soundness direction),
 // (b) for exact rules containment and matching coincide in BOTH
-// directions (exactness is a biconditional claim), and (c) the public
-// MatchesBody path agrees with the raw regexp everywhere.
+// directions (exactness is a biconditional claim), and (c) the body
+// rule (prefilter + regexp) agrees with the raw regexp everywhere.
 func TestPrefilterPassSupersetOfMatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	rules := All()
@@ -146,8 +146,8 @@ func TestPrefilterPassSupersetOfMatch(t *testing.T) {
 					t.Fatalf("%s: exact rule but containment=%v, match=%v on %q",
 						c.Key(), contained, matched, v)
 				}
-				if got := c.MatchesBody(v); got != matched {
-					t.Fatalf("%s: MatchesBody(%q) = %v, regexp says %v", c.Key(), v, got, matched)
+				if got := c.matchBody(v); got != matched {
+					t.Fatalf("%s: matchBody(%q) = %v, regexp says %v", c.Key(), v, got, matched)
 				}
 			}
 		}

@@ -481,17 +481,6 @@ func TestAdaptiveThresholds(t *testing.T) {
 	}
 }
 
-func TestSpatialConcentrationOf(t *testing.T) {
-	spirit := study(t, logrec.Spirit)
-	top, share := SpatialConcentrationOf(spirit, "EXT_CCISS")
-	if top != "sn373" {
-		t.Errorf("top EXT_CCISS source = %q, want sn373", top)
-	}
-	if share < 0.4 {
-		t.Errorf("sn373 share = %.2f", share)
-	}
-}
-
 func TestRenderersProduceOutput(t *testing.T) {
 	lib := study(t, logrec.Liberty)
 	tb := study(t, logrec.Thunderbird)

@@ -263,19 +263,3 @@ func RenderFigure6(w io.Writer, s *Study) {
 	}
 	report.LogHistPlot(w, "", centers, d.LogHist.Counts, 56)
 }
-
-// SpatialConcentrationOf returns the share of a category's raw alerts
-// contributed by its top source — the "single node responsible" statistic
-// used for VAPI and sn373.
-func SpatialConcentrationOf(s *Study, category string) (topSource string, share float64) {
-	alerts := AlertsOfCategory(s.Alerts, category)
-	sources := make([]string, 0, len(alerts))
-	for _, a := range alerts {
-		sources = append(sources, a.Record.Source)
-	}
-	ranked := stats.RankSources(sources)
-	if len(ranked) == 0 || len(sources) == 0 {
-		return "", 0
-	}
-	return ranked[0].Source, float64(ranked[0].Count) / float64(len(sources))
-}

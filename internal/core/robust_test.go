@@ -33,7 +33,7 @@ func TestPipelineSurvivesContentNeutralFaults(t *testing.T) {
 				recs = append(recs, rec)
 				return nil
 			},
-			ingest.ResilientOptions{Sleep: func(time.Duration) {}})
+			ingest.ResilientOptions{MaxRetries: 5, Sleep: func(time.Duration) {}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,18 +73,18 @@ func TestPipelineSurvivesContentDamage(t *testing.T) {
 			recs = append(recs, rec)
 			return nil
 		},
-		ingest.ResilientOptions{Quarantine: &quarantine, Sleep: func(time.Duration) {}})
+		ingest.ResilientOptions{MaxRetries: 5, Quarantine: &quarantine, Sleep: func(time.Duration) {}})
 	if err != nil {
 		t.Fatalf("damaged pipeline aborted: %v", err)
 	}
-	if cp.Quarantined == 0 {
+	if cp.Stats.ParseErrors == 0 {
 		t.Fatal("garbling damaged nothing; the chaos leg was not exercised")
 	}
 	s := FromRecords(logrec.Liberty, recs)
 	if len(s.Alerts) == 0 || len(s.Filtered) == 0 {
 		t.Fatal("analysis produced nothing from a mostly-clean stream")
 	}
-	if lines := strings.Count(quarantine.String(), "\n"); lines != cp.Quarantined {
-		t.Errorf("quarantine holds %d lines, checkpoint says %d", lines, cp.Quarantined)
+	if lines := strings.Count(quarantine.String(), "\n"); lines != cp.Stats.ParseErrors {
+		t.Errorf("quarantine holds %d lines, checkpoint says %d", lines, cp.Stats.ParseErrors)
 	}
 }

@@ -11,8 +11,6 @@ package corrupt
 import (
 	"math/rand"
 	"strings"
-
-	"whatsupersay/internal/logrec"
 )
 
 // Kind enumerates the damage classes.
@@ -215,20 +213,4 @@ func GarbageToken(rng *rand.Rand, n int) string {
 		b[i] = GarbleByte(rng)
 	}
 	return string(b)
-}
-
-// MarkCorruptedSources relabels a fraction of records' Source fields with
-// garbage tokens, for generators that corrupt at the record level (the
-// BG/L and SMW paths store into databases rather than text files, but
-// still exhibited corrupted attribution).
-func MarkCorruptedSources(rng *rand.Rand, recs []logrec.Record, prob float64) int {
-	n := 0
-	for i := range recs {
-		if rng.Float64() < prob {
-			recs[i].Source = GarbageToken(rng, 4+rng.Intn(6))
-			recs[i].Corrupted = true
-			n++
-		}
-	}
-	return n
 }

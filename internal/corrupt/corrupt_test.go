@@ -174,30 +174,6 @@ func TestInjectorWeights(t *testing.T) {
 	}
 }
 
-func TestMarkCorruptedSources(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	recs := make([]logrec.Record, 5000)
-	for i := range recs {
-		recs[i] = logrec.Record{Source: "sn373"}
-	}
-	n := MarkCorruptedSources(rng, recs, 0.02)
-	if n < 50 || n > 150 {
-		t.Errorf("marked %d of 5000 at p=0.02, want ~100", n)
-	}
-	marked := 0
-	for _, r := range recs {
-		if r.Corrupted {
-			marked++
-			if r.Source == "sn373" {
-				t.Fatal("corrupted record retains original source")
-			}
-		}
-	}
-	if marked != n {
-		t.Errorf("marked %d, reported %d", marked, n)
-	}
-}
-
 func TestKindString(t *testing.T) {
 	names := map[Kind]string{
 		Truncated: "truncated", Overwritten: "overwritten",

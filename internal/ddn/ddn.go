@@ -26,16 +26,11 @@ import (
 // EventTimeLayout is the SMW event log timestamp (one-second granularity).
 const EventTimeLayout = "2006-01-02 15:04:05"
 
-// RenderEvent produces the SMW event-log wire form:
+// AppendEventLine appends the SMW event-log wire form of a record to
+// dst and returns the extended slice (see syslogng.AppendLine for the
+// contract):
 //
 //	2006-03-19 04:11:02 c0-0c1s2 ec_heartbeat_stop src:::c0-0c1s2 ...
-func RenderEvent(r logrec.Record) string {
-	return string(AppendEventLine(nil, r))
-}
-
-// AppendEventLine is RenderEvent in append form: it appends the event
-// line to dst and returns the extended slice (see syslogng.AppendLine
-// for the contract).
 func AppendEventLine(dst []byte, r logrec.Record) []byte {
 	dst = r.Time.AppendFormat(dst, EventTimeLayout)
 	dst = append(dst, ' ')
@@ -85,20 +80,6 @@ func ParseEvent(line string) (logrec.Record, *ParseError) {
 	return rec, nil
 }
 
-// ParseEventStream parses many SMW lines in order.
-func ParseEventStream(lines []string) (recs []logrec.Record, parseErrs int) {
-	recs = make([]logrec.Record, 0, len(lines))
-	for i, ln := range lines {
-		rec, perr := ParseEvent(ln)
-		rec.Seq = uint64(i)
-		if perr != nil {
-			parseErrs++
-		}
-		recs = append(recs, rec)
-	}
-	return recs, parseErrs
-}
-
 // The DDN subsystem "generates a great variety of alert patterns that all
 // mean 'disk failure'" (Section 3.2.1). These constructors produce the
 // Table 4 DMT_* body shapes; the variety is deliberate.
@@ -132,11 +113,3 @@ func HeartbeatStopBody(src, svc string) string {
 func ToastedBody(src, svc string) string {
 	return fmt.Sprintf("ec_console_log src:::%s svc:::%s PANIC_SP WE ARE TOASTED!", src, svc)
 }
-
-// TCPPath is the reliable SMW collection path: unlike the UDP relay it
-// never drops messages, which is why the paper's RAS-network logs are
-// complete while the syslog paths lose messages under contention.
-type TCPPath struct{}
-
-// Deliver returns the stream unchanged (reliable transport).
-func (TCPPath) Deliver(recs []logrec.Record) []logrec.Record { return recs }

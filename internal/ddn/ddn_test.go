@@ -18,17 +18,24 @@ func mkEvent() logrec.Record {
 	}
 }
 
-func TestRenderEvent(t *testing.T) {
-	got := RenderEvent(mkEvent())
+// eventLine renders a record's SMW wire line.
+func eventLine(r logrec.Record) string { return string(AppendEventLine(nil, r)) }
+
+func TestAppendEventLine(t *testing.T) {
+	got := eventLine(mkEvent())
 	want := "2006-03-19 04:11:02 c0-0c1s2 ec_heartbeat_stop src:::c0-0c1s2 svc:::c0-0c1s2 warn node heartbeat_fault"
 	if got != want {
-		t.Errorf("RenderEvent = %q, want %q", got, want)
+		t.Errorf("AppendEventLine = %q, want %q", got, want)
+	}
+	prefix := []byte("kept ")
+	if got := string(AppendEventLine(prefix, mkEvent())); got != "kept "+want {
+		t.Errorf("AppendEventLine must append to dst, got %q", got)
 	}
 }
 
 func TestParseEventRoundTrip(t *testing.T) {
 	orig := mkEvent()
-	rec, perr := ParseEvent(RenderEvent(orig))
+	rec, perr := ParseEvent(eventLine(orig))
 	if perr != nil {
 		t.Fatalf("ParseEvent: %v", perr)
 	}
@@ -59,14 +66,6 @@ func TestParseEventCorrupt(t *testing.T) {
 	}
 }
 
-func TestParseEventStream(t *testing.T) {
-	lines := []string{RenderEvent(mkEvent()), "junk", RenderEvent(mkEvent())}
-	recs, errs := ParseEventStream(lines)
-	if len(recs) != 3 || errs != 1 {
-		t.Fatalf("got %d/%d, want 3 records 1 error", len(recs), errs)
-	}
-}
-
 func TestBodyBuilders(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	_ = rng
@@ -87,18 +86,10 @@ func TestBodyBuilders(t *testing.T) {
 	}
 }
 
-func TestTCPPathLossless(t *testing.T) {
-	recs := make([]logrec.Record, 100)
-	out := TCPPath{}.Deliver(recs)
-	if len(out) != len(recs) {
-		t.Error("TCP path must never drop messages")
-	}
-}
-
 func TestEventTimestampSecondGranularity(t *testing.T) {
 	r := mkEvent()
 	r.Time = r.Time.Add(750 * time.Millisecond)
-	rec, perr := ParseEvent(RenderEvent(r))
+	rec, perr := ParseEvent(eventLine(r))
 	if perr != nil {
 		t.Fatal(perr)
 	}

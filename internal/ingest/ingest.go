@@ -6,13 +6,15 @@
 // Years), and corrupted lines that must be preserved rather than
 // dropped, because corruption is itself an object of study.
 //
-// The readers are streaming: they work line-by-line over an io.Reader and
-// never hold the whole log in memory beyond the returned records.
+// Every raw line goes through one streaming loop (ReadResilient) over an
+// io.Reader, which never holds the whole log in memory beyond the
+// returned records; in-memory lines take the same per-line step
+// (ParseLine).
 package ingest
 
 import (
 	"bufio"
-	"fmt"
+	"context"
 	"io"
 	"sync"
 	"time"
@@ -24,24 +26,16 @@ import (
 	"whatsupersay/internal/syslogng"
 )
 
-// Ingestion telemetry. The streaming paths (ReadFunc, ReadResilient)
-// update the counters per line — each update is one atomic add on a
-// pointer resolved once at init — and the batch path (ParseAll) folds
-// its per-chunk stats in once at the end, so the instrumented parse
-// stage stays within the bench overhead budget (DESIGN.md §9).
+// Ingestion telemetry, updated per line by the one read loop
+// (ReadResilient) — each update is one atomic add on a pointer resolved
+// once at init, so the instrumented parse stays within the bench
+// overhead budget (DESIGN.md §8).
 var (
 	mLines     = obs.Default.Counter("ingest_lines_total")
 	mParseErrs = obs.Default.Counter("ingest_parse_errors_total")
 	mOversized = obs.Default.Counter("ingest_oversized_total")
 	mLineBytes = obs.Default.Histogram("ingest_line_bytes", obs.Bytes)
 )
-
-// recordStats folds one batch run's stats into the ingest counters.
-func recordStats(s Stats) {
-	mLines.Add(int64(s.Lines))
-	mParseErrs.Add(int64(s.ParseErrors))
-	mOversized.Add(int64(s.Oversized))
-}
 
 // Stats summarizes one ingestion run.
 type Stats struct {
@@ -54,22 +48,32 @@ type Stats struct {
 	// as one Corrupted record carrying the capped prefix, with the
 	// remainder of the physical line discarded.
 	Oversized int
-	// ByDialect counts lines per detected dialect.
+	// ByDialect counts lines per sniffed dialect. A BG/L line that
+	// parsed counts as RAS whatever its shape.
 	Syslog, RAS, Event int
 }
 
-// add accumulates other into s (used when merging per-file stats and
-// when resuming from a checkpoint).
-func (s *Stats) add(other Stats) {
-	s.Lines += other.Lines
-	s.ParseErrors += other.ParseErrors
-	s.Oversized += other.Oversized
-	s.Syslog += other.Syslog
-	s.RAS += other.RAS
-	s.Event += other.Event
-}
+// dialect is a line's wire format, sniffed once from its leading shape.
+type dialect uint8
 
-// Dialect sniffing: each wire format has an unambiguous leading shape.
+const (
+	syslogDialect dialect = iota // the fallback
+	rasDialect
+	eventDialect
+)
+
+// sniff decides a line's dialect: each wire format has an unambiguous
+// leading shape.
+func sniff(line string) dialect {
+	switch {
+	case sniffRAS(line):
+		return rasDialect
+	case sniffEvent(line):
+		return eventDialect
+	default:
+		return syslogDialect
+	}
+}
 
 // sniffRAS detects the BG/L RAS timestamp "2005-06-03-15.42.50.363779".
 func sniffRAS(line string) bool {
@@ -87,21 +91,6 @@ func sniffEvent(line string) bool {
 	}
 	return line[4] == '-' && line[7] == '-' && line[10] == ' ' &&
 		line[13] == ':' && line[16] == ':'
-}
-
-// Dialect labels the wire format of one raw line, as sniffed from its
-// leading shape: "ras", "event", or (the fallback) "syslog". It is the
-// classification ReadAll's per-dialect stats use, exported so streaming
-// consumers can tally the same way.
-func Dialect(raw string) string {
-	switch {
-	case sniffRAS(raw):
-		return "ras"
-	case sniffEvent(raw):
-		return "event"
-	default:
-		return "syslog"
-	}
 }
 
 // YearTracker infers the missing year of BSD-syslog timestamps from
@@ -237,118 +226,55 @@ func (ls *lineScanner) trim() []byte {
 	return b
 }
 
-// Read ingests the whole stream, assigning sequence numbers in arrival
-// order.
-func (rd Reader) Read(r io.Reader) ([]logrec.Record, Stats, error) {
-	var (
-		recs  []logrec.Record
-		stats Stats
-	)
-	err := rd.ReadFunc(r, func(rec logrec.Record) error {
-		recs = append(recs, rec)
-		return nil
-	}, &stats)
-	return recs, stats, err
+// ParseLine is the per-line step every raw line goes through, for a
+// line that is already framed: sniff its dialect, then parse it with
+// that dialect's parser (BSD-syslog lines take their year from years,
+// which advances across New Year). A line that fails to parse comes
+// back Corrupted with its raw text, never dropped. Sequence numbers are
+// the caller's.
+func (rd Reader) ParseLine(line string, years *YearTracker) logrec.Record {
+	return rd.parseLine(line, sniff(line), years)
 }
 
-// ReadFunc streams records to fn as they are parsed; fn returning an
-// error aborts ingestion. stats may be nil.
-func (rd Reader) ReadFunc(r io.Reader, fn func(logrec.Record) error, stats *Stats) error {
-	if stats == nil {
-		stats = &Stats{}
-	}
-	maxLine := rd.MaxLineBytes
-	if maxLine <= 0 {
-		maxLine = 1 << 20
-	}
-	start := rd.Start
-	if start.IsZero() {
-		start = time.Date(2000, time.January, 1, 0, 0, 0, 0, time.UTC)
-	}
-	years := NewYearTracker(start)
-	ls := newLineScanner(r, maxLine)
-	defer ls.release()
-	seq := uint64(0)
-	for {
-		raw, oversized, rerr := ls.next()
-		if rerr == io.EOF {
-			return nil
-		}
-		if rerr != nil {
-			return fmt.Errorf("ingest %v: %w", rd.System, rerr)
-		}
-		line := string(raw)
-		mLineBytes.Observe(int64(len(raw)))
-		rec, perr := rd.parseLine(line, years)
-		if oversized {
-			// The capped prefix may still have parsed a timestamp and
-			// source, but the record is damaged by definition.
-			rec.Corrupted = true
-			perr = true
-			stats.Oversized++
-			mOversized.Inc()
-		}
-		rec.Seq = seq
-		seq++
-		stats.Lines++
-		mLines.Inc()
-		if perr {
-			stats.ParseErrors++
-			mParseErrs.Inc()
-		}
-		if err := fn(rec); err != nil {
-			return err
-		}
-	}
-}
-
-// parseLine dispatches one line by sniffed dialect and updates dialect
-// stats implicitly through the record.
-func (rd Reader) parseLine(line string, years *YearTracker) (logrec.Record, bool) {
+// parseLine parses one line of sniffed dialect d. BG/L speaks only RAS,
+// so its lines go to the RAS parser whatever their shape.
+func (rd Reader) parseLine(line string, d dialect, years *YearTracker) logrec.Record {
 	switch {
-	case rd.System == logrec.BlueGeneL || sniffRAS(line):
-		rec, perr := rasdb.Parse(line)
+	case d == rasDialect || rd.System == logrec.BlueGeneL:
+		rec, _ := rasdb.Parse(line)
 		rec.System = rd.System
-		return rec, perr != nil
-	case sniffEvent(line):
-		rec, perr := ddn.ParseEvent(line)
+		return rec
+	case d == eventDialect:
+		rec, _ := ddn.ParseEvent(line)
 		rec.System = rd.System
-		return rec, perr != nil
+		return rec
 	default:
 		// Two-phase parse for year inference: parse with the current
 		// year, then re-parse if the tracker advances.
-		rec, perr := syslogng.Parse(line, years.year, rd.System)
-		if perr == nil {
+		rec, _ := syslogng.Parse(line, years.year, rd.System)
+		if !rec.Corrupted {
 			if y := years.Year(rec.Time.Month()); y != rec.Time.Year() {
-				rec, perr = syslogng.Parse(line, y, rd.System)
+				rec, _ = syslogng.Parse(line, y, rd.System)
 			}
 		}
-		rec.System = rd.System
-		return rec, perr != nil
+		return rec
 	}
 }
 
 // ReadAll ingests, sorts canonically, and reports dialect stats — the
-// common entry point for analysis.
+// common entry point for analysis. It is the one read loop with zero
+// options: no retry, no budget, no checkpoint, so a reader error fails
+// it at once.
 func ReadAll(r io.Reader, sys logrec.System, start time.Time) ([]logrec.Record, Stats, error) {
 	rd := Reader{System: sys, Start: start}
-	var stats Stats
 	var recs []logrec.Record
-	err := rd.ReadFunc(r, func(rec logrec.Record) error {
-		switch {
-		case sniffRAS(rec.Raw) || (sys == logrec.BlueGeneL && !rec.Corrupted):
-			stats.RAS++
-		case sniffEvent(rec.Raw):
-			stats.Event++
-		default:
-			stats.Syslog++
-		}
+	cp, err := rd.ReadResilient(context.Background(), r, func(rec logrec.Record) error {
 		recs = append(recs, rec)
 		return nil
-	}, &stats)
+	}, ResilientOptions{})
 	if err != nil {
-		return nil, stats, err
+		return nil, cp.Stats, err
 	}
 	logrec.SortRecords(recs)
-	return recs, stats, nil
+	return recs, cp.Stats, nil
 }

@@ -1,6 +1,7 @@
 package ingest_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -107,19 +108,22 @@ func TestReadBGL(t *testing.T) {
 	}
 }
 
-func TestReadFuncAbort(t *testing.T) {
+func TestReadResilientAbort(t *testing.T) {
 	rd := ingest.Reader{System: logrec.Liberty}
 	input := "Mar  7 14:30:05 ln1 kernel: a\nMar  7 14:30:06 ln1 kernel: b\n"
 	calls := 0
-	err := rd.ReadFunc(strings.NewReader(input), func(logrec.Record) error {
+	cp, err := rd.ReadResilient(context.Background(), strings.NewReader(input), func(logrec.Record) error {
 		calls++
 		if calls == 1 {
 			return errAbort
 		}
 		return nil
-	}, nil)
-	if err == nil {
-		t.Fatal("callback error must propagate")
+	}, ingest.ResilientOptions{})
+	if err != errAbort {
+		t.Fatalf("callback error must propagate unwrapped, got %v", err)
+	}
+	if cp.Lines != 0 || cp.Stats != (ingest.Stats{}) {
+		t.Errorf("rejected record counted in the checkpoint: %+v", cp)
 	}
 	if calls != 1 {
 		t.Errorf("ingestion continued after abort: %d calls", calls)

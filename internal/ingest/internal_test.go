@@ -1,9 +1,9 @@
 package ingest
 
 // Tests of unexported helpers. Anything that imports package simulate
-// must live in the external ingest_test package instead: simulate now
-// depends on ingest (parseLines runs through ParseAll), so an internal
-// test file importing simulate would close an import cycle.
+// must live in the external ingest_test package instead: simulate
+// depends on ingest (its parse-back runs through ParseLine), so an
+// internal test file importing simulate would close an import cycle.
 
 import "testing"
 

@@ -17,7 +17,6 @@ import (
 // fires. These are per-event (rare by construction), not per-line.
 var (
 	mRetries     = obs.Default.Counter("ingest_retries_total")
-	mQuarantined = obs.Default.Counter("ingest_quarantined_total")
 	mPanics      = obs.Default.Counter("ingest_parser_panics_total")
 	mCheckpoints = obs.Default.Counter("ingest_checkpoints_total")
 )
@@ -26,11 +25,12 @@ var (
 // and its collection windows span 558 days (Table 2) — at that scale the
 // ingest process itself fails mid-run: readers hiccup, disks die, parser
 // bugs surface on line 400 million. ReadResilient survives all of it:
-// transient reader errors are retried with exponential backoff, damaged
-// lines are quarantined (preserved, never dropped) under an error
-// budget, parser panics are contained per line, context cancellation is
-// honored between lines, and a checkpoint carrying the sequence number
-// and YearTracker state lets a killed run resume exactly where it died.
+// parser panics are contained per line and context cancellation is
+// honored between lines always; on request, transient reader errors are
+// retried with exponential backoff, damaged lines are quarantined
+// (preserved, never dropped) under an error budget, and a checkpoint
+// carrying the sequence number and YearTracker state lets a killed run
+// resume exactly where it died.
 
 // ErrBudgetExceeded reports that a run quarantined more lines than its
 // error budget allows — the signal that the input is damaged beyond what
@@ -54,8 +54,6 @@ type Checkpoint struct {
 	LastMonth time.Month `json:"last_month"`
 	// Stats is the cumulative run statistics at the checkpoint.
 	Stats Stats `json:"stats"`
-	// Quarantined is the cumulative count of quarantined lines.
-	Quarantined int `json:"quarantined"`
 	// Retries is the cumulative count of retried transient read errors.
 	Retries int `json:"retries"`
 	// Panics is the cumulative count of parser panics contained.
@@ -91,10 +89,12 @@ func LoadCheckpoint(path string) (Checkpoint, error) {
 	return cp, nil
 }
 
-// ResilientOptions configures fault tolerance. The zero value retries
-// transient errors a few times, has no error budget, and starts fresh.
+// ResilientOptions configures fault tolerance. The zero value is the
+// plain reader: no retry, no sleep, no error budget, no quarantine copy,
+// no checkpoint — a reader error fails the run at once.
 type ResilientOptions struct {
-	// MaxRetries bounds retries per transient reader error (default 5).
+	// MaxRetries bounds retries per transient reader error. Zero or
+	// negative disables retry.
 	MaxRetries int
 	// RetryBase is the first backoff delay, doubling per attempt
 	// (default 50ms).
@@ -116,7 +116,8 @@ type ResilientOptions struct {
 	// CheckpointEvery invokes OnCheckpoint after every N delivered
 	// lines (and once at the end). Zero disables periodic checkpoints.
 	CheckpointEvery int
-	// OnCheckpoint persists a checkpoint; an error aborts the run.
+	// OnCheckpoint persists a checkpoint; an error aborts the run. Nil
+	// disables checkpoints.
 	OnCheckpoint func(Checkpoint) error
 	// Sleep replaces time.Sleep in backoff, for tests. Nil uses
 	// time.Sleep; context cancellation interrupts either way.
@@ -172,160 +173,213 @@ func (rr *retryReader) Read(p []byte) (int, error) {
 	}
 }
 
-// safeParse contains parser panics to the offending line: a panicking
-// parse yields a Corrupted record carrying the raw line, exactly like
-// any other unparseable input.
-func (rd Reader) safeParse(line string, years *YearTracker) (rec logrec.Record, perr, panicked bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			rec = logrec.Record{System: rd.System, Raw: line, Corrupted: true}
-			perr, panicked = true, true
-		}
-	}()
-	rec, perr = rd.parseLine(line, years)
-	return rec, perr, false
-}
-
-// ReadResilient ingests the stream with full fault tolerance, streaming
-// records to fn in arrival order. It returns the final checkpoint —
-// valid for resumption whether the run completed, was cancelled, hit its
-// error budget, or died on a permanent reader error — and the first
-// fatal error, if any. A record is covered by the checkpoint only after
-// fn has accepted it, so a resumed run never skips or double-delivers.
+// ReadResilient is the one read loop: it frames the stream into capped
+// lines, parses each through the per-line step, and streams the records
+// to fn in arrival order, with as much fault tolerance as opts asks for
+// (the zero value is the plain reader ReadAll uses). Parser panics are
+// contained per line and context cancellation is honored between lines
+// whatever the options. It returns the final checkpoint — valid for
+// resumption whether the run completed, was cancelled, hit its error
+// budget, or died on a permanent reader error — and the first fatal
+// error, if any. A record is covered by the checkpoint only after fn
+// has accepted it, so a resumed run never skips or double-delivers.
 func (rd Reader) ReadResilient(ctx context.Context, r io.Reader, fn func(logrec.Record) error, opts ResilientOptions) (Checkpoint, error) {
 	sp := obs.Default.StartSpan("ingest")
 	defer sp.End()
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	maxRetries := opts.MaxRetries
-	if maxRetries <= 0 {
-		maxRetries = 5
-	}
-	base := opts.RetryBase
-	if base <= 0 {
-		base = 50 * time.Millisecond
-	}
-	sleep := opts.Sleep
-	if sleep == nil {
-		sleep = time.Sleep
-	}
 	maxLine := rd.MaxLineBytes
 	if maxLine <= 0 {
 		maxLine = 1 << 20
 	}
-	start := rd.Start
-	if start.IsZero() {
-		start = time.Date(2000, time.January, 1, 0, 0, 0, 0, time.UTC)
-	}
-
-	var cp Checkpoint
-	years := NewYearTracker(start)
+	st := &readState{rd: rd, fn: fn, opts: &opts, done: ctx.Done()}
 	if opts.Resume != nil {
-		cp = *opts.Resume
-		years = RestoreYearTracker(cp.Year, cp.LastMonth)
+		st.cp = *opts.Resume
+		st.years = RestoreYearTracker(st.cp.Year, st.cp.LastMonth)
 	} else {
-		cp.Year, cp.LastMonth = years.State()
+		start := rd.Start
+		if start.IsZero() {
+			start = time.Date(2000, time.January, 1, 0, 0, 0, 0, time.UTC)
+		}
+		st.years = NewYearTracker(start)
 	}
-
-	retries := cp.Retries
-	rr := &retryReader{r: r, ctx: ctx, max: maxRetries, base: base, sleep: sleep, retries: &retries}
-	ls := newLineScanner(rr, maxLine)
-	defer ls.release()
-
-	// snap keeps the checkpoint internally consistent on every exit
-	// path. The YearTracker state is safe to snapshot even when the
-	// last parsed line was not delivered (fn error): re-parsing the same
-	// line on resume is idempotent, because the tracker only advances on
-	// a month jump and the rejected line's month is now LastMonth.
-	snap := func() {
-		cp.Retries = retries
-		cp.Year, cp.LastMonth = years.State()
+	if opts.MaxRetries > 0 {
+		base := opts.RetryBase
+		if base <= 0 {
+			base = 50 * time.Millisecond
+		}
+		sleep := opts.Sleep
+		if sleep == nil {
+			sleep = time.Sleep
+		}
+		r = &retryReader{r: r, ctx: ctx, max: opts.MaxRetries, base: base, sleep: sleep, retries: &st.cp.Retries}
 	}
+	st.ls = newLineScanner(r, maxLine)
+	defer st.ls.release()
 
 	// Skip the lines a prior run already delivered. The stream is
 	// re-framed with the same capping rules, so line boundaries — and
 	// therefore everything downstream — are identical to the first run.
-	for skipped := 0; skipped < cp.Lines; skipped++ {
-		if _, _, err := ls.next(); err != nil {
+	for skipped := 0; skipped < st.cp.Lines; skipped++ {
+		if _, _, err := st.ls.next(); err != nil {
 			if err == io.EOF {
-				return cp, fmt.Errorf("ingest %v: stream ended at line %d, before resume point %d", rd.System, skipped, cp.Lines)
+				return st.snap(), fmt.Errorf("ingest %v: stream ended at line %d, before resume point %d", rd.System, skipped, st.cp.Lines)
 			}
-			return cp, fmt.Errorf("ingest %v: replaying to resume point: %w", rd.System, err)
+			return st.snap(), fmt.Errorf("ingest %v: replaying to resume point: %w", rd.System, err)
 		}
 	}
+	if err := st.run(ctx); err != nil {
+		return st.snap(), err
+	}
+	if err := st.checkpoint(); err != nil {
+		return st.snap(), fmt.Errorf("ingest %v: checkpoint: %w", rd.System, err)
+	}
+	return st.snap(), nil
+}
 
-	checkpoint := func() error {
-		snap()
-		mCheckpoints.Inc()
-		if opts.OnCheckpoint != nil {
-			return opts.OnCheckpoint(cp)
-		}
+// readState is one ReadResilient run: the framer, the year tracker and
+// the checkpoint being built.
+type readState struct {
+	rd    Reader
+	fn    func(logrec.Record) error
+	opts  *ResilientOptions
+	done  <-chan struct{}
+	ls    *lineScanner
+	years *YearTracker
+	cp    Checkpoint
+}
+
+// line is one framed line in flight.
+type line struct {
+	raw       string
+	dialect   dialect
+	oversized bool
+}
+
+// snap returns the checkpoint with the year tracker's position. The
+// tracker is safe to snapshot even when the last parsed line was not
+// delivered (fn error): re-parsing the same line on resume is
+// idempotent, because the tracker only advances on a month jump and the
+// rejected line's month is now LastMonth.
+func (st *readState) snap() Checkpoint {
+	st.cp.Year, st.cp.LastMonth = st.years.State()
+	return st.cp
+}
+
+// checkpoint hands a snapshot to OnCheckpoint, if there is one.
+func (st *readState) checkpoint() error {
+	if st.opts.OnCheckpoint == nil {
 		return nil
 	}
+	mCheckpoints.Inc()
+	return st.opts.OnCheckpoint(st.snap())
+}
 
+// run drives lines to the end of the stream. A parser panic unwinds out
+// of lines, so the hot loop carries no per-line defer; run delivers the
+// panicking line as one Corrupted record carrying its raw text, exactly
+// like any other unparseable input, and resumes with the next line.
+func (st *readState) run(ctx context.Context) error {
 	for {
-		if err := ctx.Err(); err != nil {
-			snap()
-			return cp, err
+		ln, panicked, err := st.lines(ctx)
+		if !panicked {
+			return err
 		}
-		raw, oversized, rerr := ls.next()
+		st.cp.Panics++
+		mPanics.Inc()
+		rec := logrec.Record{System: st.rd.System, Raw: ln.raw, Corrupted: true}
+		if err := st.deliver(&rec, &ln); err != nil {
+			return err
+		}
+	}
+}
+
+// lines frames, parses and delivers lines until the stream ends, a line
+// fails the run, or the parser panics; on a panic it returns the line
+// in flight. Only a panic while parsing is recovered: one in fn or
+// OnCheckpoint is the caller's and propagates.
+func (st *readState) lines(ctx context.Context) (ln line, panicked bool, err error) {
+	parsing := false
+	defer func() {
+		if parsing {
+			recover()
+			panicked = true
+		}
+	}()
+	for {
+		if st.done != nil {
+			select {
+			case <-st.done:
+				return ln, false, ctx.Err()
+			default:
+			}
+		}
+		raw, oversized, rerr := st.ls.next()
 		if rerr == io.EOF {
-			break
+			return ln, false, nil
 		}
 		if rerr != nil {
-			snap()
-			return cp, fmt.Errorf("ingest %v: %w", rd.System, rerr)
+			return ln, false, fmt.Errorf("ingest %v: %w", st.rd.System, rerr)
 		}
-		line := string(raw)
 		mLineBytes.Observe(int64(len(raw)))
-		rec, perr, panicked := rd.safeParse(line, years)
-		if oversized {
-			rec.Corrupted = true
-			perr = true
-		}
-		rec.Seq = cp.Seq
-		if err := fn(rec); err != nil {
-			snap()
-			return cp, err
-		}
-		// The record is delivered: fold the line into the checkpoint.
-		cp.Seq++
-		cp.Lines++
-		cp.Stats.Lines++
-		mLines.Inc()
-		if oversized {
-			cp.Stats.Oversized++
-			mOversized.Inc()
-		}
-		if panicked {
-			cp.Panics++
-			mPanics.Inc()
-		}
-		if perr {
-			cp.Stats.ParseErrors++
-			mParseErrs.Inc()
-			cp.Quarantined++
-			mQuarantined.Inc()
-			if opts.Quarantine != nil {
-				if _, err := io.WriteString(opts.Quarantine, line+"\n"); err != nil {
-					snap()
-					return cp, fmt.Errorf("ingest %v: quarantine: %w", rd.System, err)
-				}
-			}
-			if opts.MaxErrors > 0 && cp.Quarantined > opts.MaxErrors {
-				snap()
-				return cp, fmt.Errorf("%w: %d > %d", ErrBudgetExceeded, cp.Quarantined, opts.MaxErrors)
-			}
-		}
-		if opts.CheckpointEvery > 0 && cp.Lines%opts.CheckpointEvery == 0 {
-			if err := checkpoint(); err != nil {
-				return cp, fmt.Errorf("ingest %v: checkpoint: %w", rd.System, err)
-			}
+		ln.raw, ln.oversized = string(raw), oversized
+		ln.dialect = sniff(ln.raw)
+		parsing = true
+		rec := st.rd.parseLine(ln.raw, ln.dialect, st.years)
+		parsing = false
+		if err := st.deliver(&rec, &ln); err != nil {
+			return ln, false, err
 		}
 	}
-	if err := checkpoint(); err != nil {
-		return cp, fmt.Errorf("ingest %v: checkpoint: %w", rd.System, err)
+}
+
+// deliver hands the parsed line to fn and, once fn accepts it, folds
+// the line into the checkpoint: sequence number, Stats (dialect
+// included), quarantine, budget, periodic checkpoint.
+func (st *readState) deliver(rec *logrec.Record, ln *line) error {
+	if ln.oversized {
+		// The capped prefix may still have parsed a timestamp and
+		// source, but the record is damaged by definition.
+		rec.Corrupted = true
 	}
-	return cp, nil
+	rec.Seq = st.cp.Seq
+	if err := st.fn(*rec); err != nil {
+		return err
+	}
+	cp := &st.cp
+	cp.Seq++
+	cp.Lines++
+	cp.Stats.Lines++
+	mLines.Inc()
+	switch {
+	case ln.dialect == rasDialect || (st.rd.System == logrec.BlueGeneL && !rec.Corrupted):
+		cp.Stats.RAS++
+	case ln.dialect == eventDialect:
+		cp.Stats.Event++
+	default:
+		cp.Stats.Syslog++
+	}
+	if ln.oversized {
+		cp.Stats.Oversized++
+		mOversized.Inc()
+	}
+	if rec.Corrupted {
+		cp.Stats.ParseErrors++
+		mParseErrs.Inc()
+		if st.opts.Quarantine != nil {
+			if _, err := io.WriteString(st.opts.Quarantine, ln.raw+"\n"); err != nil {
+				return fmt.Errorf("ingest %v: quarantine: %w", st.rd.System, err)
+			}
+		}
+		if st.opts.MaxErrors > 0 && cp.Stats.ParseErrors > st.opts.MaxErrors {
+			return fmt.Errorf("%w: %d > %d", ErrBudgetExceeded, cp.Stats.ParseErrors, st.opts.MaxErrors)
+		}
+	}
+	if st.opts.CheckpointEvery > 0 && cp.Lines%st.opts.CheckpointEvery == 0 {
+		if err := st.checkpoint(); err != nil {
+			return fmt.Errorf("ingest %v: checkpoint: %w", st.rd.System, err)
+		}
+	}
+	return nil
 }

@@ -32,6 +32,17 @@ func chaosInput(n int) string {
 // noSleep replaces backoff sleeps in tests.
 func noSleep(time.Duration) {}
 
+// readPlain runs the loop with zero options over input, in arrival
+// order.
+func readPlain(rd Reader, input string) ([]logrec.Record, Stats, error) {
+	var recs []logrec.Record
+	cp, err := rd.ReadResilient(context.Background(), strings.NewReader(input), func(rec logrec.Record) error {
+		recs = append(recs, rec)
+		return nil
+	}, ResilientOptions{})
+	return recs, cp.Stats, err
+}
+
 // collect gathers records through a ReadResilient run.
 func collect(t *testing.T, rd Reader, r *strings.Reader, cfg faultinject.ReaderConfig, opts ResilientOptions) ([]logrec.Record, Checkpoint, error) {
 	t.Helper()
@@ -71,7 +82,7 @@ func TestResilientChaosRun(t *testing.T) {
 			recs = append(recs, rec)
 			return nil
 		},
-		ResilientOptions{Quarantine: &quarantine, Sleep: noSleep})
+		ResilientOptions{MaxRetries: 5, Quarantine: &quarantine, Sleep: noSleep})
 	if err != nil {
 		t.Fatalf("chaos run aborted: %v", err)
 	}
@@ -100,8 +111,8 @@ func TestResilientChaosRun(t *testing.T) {
 	if !reflect.DeepEqual(gotQ, wantQ) {
 		t.Errorf("quarantine mismatch: got %d lines, want %d", len(gotQ), len(wantQ))
 	}
-	if cp.Quarantined != len(wantQ) {
-		t.Errorf("cp.Quarantined = %d, want %d", cp.Quarantined, len(wantQ))
+	if cp.Stats.ParseErrors != len(wantQ) {
+		t.Errorf("cp.Stats.ParseErrors = %d, want %d", cp.Stats.ParseErrors, len(wantQ))
 	}
 
 	// Clean lines must have survived the chaos intact: every
@@ -121,7 +132,7 @@ func TestResilientResumeAfterKill(t *testing.T) {
 	cfg := faultinject.ReaderConfig{Seed: 13, ShortReads: true, TransientErrProb: 0.04, GarbleProb: 0.001, TearTailBytes: 10}
 	rd := Reader{System: logrec.Liberty, Start: time.Date(2005, 1, 1, 0, 0, 0, 0, time.UTC)}
 
-	full, fullCP, err := collect(t, rd, strings.NewReader(input), cfg, ResilientOptions{})
+	full, fullCP, err := collect(t, rd, strings.NewReader(input), cfg, ResilientOptions{MaxRetries: 5})
 	if err != nil {
 		t.Fatalf("uninterrupted run: %v", err)
 	}
@@ -136,7 +147,7 @@ func TestResilientResumeAfterKill(t *testing.T) {
 			}
 			first = append(first, rec)
 			return nil
-		}, ResilientOptions{Sleep: noSleep})
+		}, ResilientOptions{MaxRetries: 5, Sleep: noSleep})
 	if !errors.Is(err, kill) {
 		t.Fatalf("killed run: err = %v", err)
 	}
@@ -145,7 +156,7 @@ func TestResilientResumeAfterKill(t *testing.T) {
 	}
 
 	// Resumed run over a fresh, identically-faulted stream.
-	rest, restCP, err := collect(t, rd, strings.NewReader(input), cfg, ResilientOptions{Resume: &cp})
+	rest, restCP, err := collect(t, rd, strings.NewReader(input), cfg, ResilientOptions{MaxRetries: 5, Resume: &cp})
 	if err != nil {
 		t.Fatalf("resumed run: %v", err)
 	}
@@ -206,8 +217,8 @@ func TestResilientErrorBudget(t *testing.T) {
 	if !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
 	}
-	if cp.Quarantined != 11 {
-		t.Errorf("aborted at %d quarantined, want 11 (budget 10 exceeded)", cp.Quarantined)
+	if cp.Stats.ParseErrors != 11 {
+		t.Errorf("aborted at %d quarantined, want 11 (budget 10 exceeded)", cp.Stats.ParseErrors)
 	}
 	recs, _, err := collect(t, rd, strings.NewReader(b.String()), faultinject.ReaderConfig{}, ResilientOptions{})
 	if err != nil {
@@ -249,24 +260,66 @@ func TestResilientContextCancel(t *testing.T) {
 }
 
 // TestResilientPanicRecovery: a parser panic is contained to its line —
-// the run continues and the line is quarantined. The panic is forced
-// through safeParse with a nil YearTracker (a deliberate internal
-// misuse standing in for a real parser bug).
+// the line comes back as one Corrupted record, the run continues with
+// the next line, and the line is quarantined. The panic is forced
+// through the loop with a nil YearTracker (a deliberate internal misuse
+// standing in for a real parser bug): only the syslog line touches it.
 func TestResilientPanicRecovery(t *testing.T) {
+	input := strings.Join([]string{
+		"2006-03-19 04:11:02 c0-0c1s2 ec_heartbeat_stop warn node heartbeat_fault",
+		"Mar  7 14:30:05 ln1 kernel: boom",
+		"2005-06-03-15.42.50.363779 R02-M1-N0 RAS KERNEL FATAL data TLB error interrupt",
+	}, "\n") + "\n"
+	var quarantine bytes.Buffer
+	var recs []logrec.Record
+	st := &readState{
+		rd:   Reader{System: logrec.RedStorm},
+		opts: &ResilientOptions{Quarantine: &quarantine},
+		fn: func(rec logrec.Record) error {
+			recs = append(recs, rec)
+			return nil
+		},
+		ls: newLineScanner(strings.NewReader(input), 1<<20),
+	}
+	defer st.ls.release()
+	if err := st.run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if st.cp.Panics != 1 {
+		t.Fatalf("panics = %d, want 1 (nil YearTracker)", st.cp.Panics)
+	}
+	if len(recs) != 3 {
+		t.Fatalf("records = %d, want 3: the run must continue past the panic", len(recs))
+	}
+	rec := recs[1]
+	if !rec.Corrupted || rec.Raw != "Mar  7 14:30:05 ln1 kernel: boom" || rec.System != logrec.RedStorm || rec.Seq != 1 {
+		t.Errorf("panicking line must come back as one corrupted record with its raw text: %+v", rec)
+	}
+	if recs[0].Corrupted || recs[2].Corrupted {
+		t.Error("lines around the panic were damaged")
+	}
+	want := Stats{Lines: 3, ParseErrors: 1, Syslog: 1, RAS: 1, Event: 1}
+	if st.cp.Stats != want {
+		t.Errorf("stats = %+v, want %+v", st.cp.Stats, want)
+	}
+	if quarantine.String() != "Mar  7 14:30:05 ln1 kernel: boom\n" {
+		t.Errorf("quarantine = %q", quarantine.String())
+	}
+}
+
+// TestResilientPanicInCallbackPropagates: only parser panics are
+// contained; a panic in the consumer's callback is the caller's bug and
+// must reach the caller.
+func TestResilientPanicInCallbackPropagates(t *testing.T) {
+	defer func() {
+		if r := recover(); r != "consumer bug" {
+			t.Fatalf("recovered %v, want the callback's panic", r)
+		}
+	}()
 	rd := Reader{System: logrec.Liberty}
-	rec, perr, panicked := rd.safeParse("Mar  7 14:30:05 ln1 kernel: boom", nil)
-	if !panicked {
-		t.Fatal("expected a contained panic (nil YearTracker)")
-	}
-	if !perr || !rec.Corrupted {
-		t.Error("panicking line must come back as a corrupted parse error")
-	}
-	if rec.Raw != "Mar  7 14:30:05 ln1 kernel: boom" {
-		t.Errorf("raw line not preserved: %q", rec.Raw)
-	}
-	if rec.System != logrec.Liberty {
-		t.Error("system not stamped on panic record")
-	}
+	rd.ReadResilient(context.Background(), strings.NewReader("Mar  7 14:30:05 ln1 kernel: a\n"),
+		func(logrec.Record) error { panic("consumer bug") }, ResilientOptions{})
+	t.Fatal("callback panic was swallowed")
 }
 
 // TestResilientYearRolloverAcrossResume: the checkpoint carries the
@@ -310,8 +363,8 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 	path := filepath.Join(dir, "ckpt.json")
 	want := Checkpoint{
 		Lines: 42, Seq: 42, Year: 2006, LastMonth: time.February,
-		Stats:       Stats{Lines: 42, ParseErrors: 3, Oversized: 1, Syslog: 40, RAS: 1, Event: 1},
-		Quarantined: 3, Retries: 7, Panics: 1,
+		Stats:   Stats{Lines: 42, ParseErrors: 3, Oversized: 1, Syslog: 40, RAS: 1, Event: 1},
+		Retries: 7, Panics: 1,
 	}
 	if err := SaveCheckpoint(path, want); err != nil {
 		t.Fatal(err)
@@ -339,7 +392,7 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 
 // TestOversizedLineContinues: the satellite fix — an oversized line
 // becomes one Corrupted record (capped prefix) and ingestion continues,
-// in the plain ReadFunc path too.
+// with zero options too.
 func TestOversizedLineContinues(t *testing.T) {
 	lines := []string{
 		"Mar  7 14:30:05 ln1 kernel: before",
@@ -348,7 +401,7 @@ func TestOversizedLineContinues(t *testing.T) {
 	}
 	input := strings.Join(lines, "\n") + "\n"
 	rd := Reader{System: logrec.Liberty, MaxLineBytes: 100, Start: time.Date(2005, 1, 1, 0, 0, 0, 0, time.UTC)}
-	recs, stats, err := rd.Read(strings.NewReader(input))
+	recs, stats, err := readPlain(rd, input)
 	if err != nil {
 		t.Fatalf("oversized line aborted the stream: %v", err)
 	}
@@ -384,7 +437,7 @@ func TestOversizedLineContinues(t *testing.T) {
 func TestTornFinalLine(t *testing.T) {
 	input := "Mar  7 14:30:05 ln1 kernel: complete\nMar  7 14:30:06 ln1 ker"
 	rd := Reader{System: logrec.Liberty, Start: time.Date(2005, 1, 1, 0, 0, 0, 0, time.UTC)}
-	recs, stats, err := rd.Read(strings.NewReader(input))
+	recs, stats, err := readPlain(rd, input)
 	if err != nil {
 		t.Fatal(err)
 	}

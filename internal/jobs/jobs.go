@@ -44,11 +44,6 @@ type Job struct {
 // Killed reports whether the job was terminated by a failure.
 func (j Job) Killed() bool { return !j.KilledAt.IsZero() }
 
-// PlannedNodeHours is the job's total planned work.
-func (j Job) PlannedNodeHours() float64 {
-	return j.End.Sub(j.Start).Hours() * float64(len(j.Nodes))
-}
-
 // RunningAt reports whether the job occupies nodes at t (and has not been
 // killed before t).
 func (j Job) RunningAt(t time.Time) bool {

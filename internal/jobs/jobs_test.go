@@ -70,9 +70,6 @@ func TestJobPredicates(t *testing.T) {
 	if !j.Uses("ln2") || j.Uses("ln3") {
 		t.Error("Uses wrong")
 	}
-	if j.PlannedNodeHours() != 20 {
-		t.Errorf("planned node-hours = %v, want 20", j.PlannedNodeHours())
-	}
 	j.KilledAt = wStart.Add(5 * time.Hour)
 	if j.RunningAt(wStart.Add(6 * time.Hour)) {
 		t.Error("killed job must not be running after its kill")

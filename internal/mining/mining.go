@@ -59,21 +59,6 @@ type Template struct {
 // String renders the template as a space-joined pattern.
 func (t Template) String() string { return strings.Join(t.Tokens, " ") }
 
-// WildcardFraction is the fraction of variable positions — a measure of
-// how "parameterized" the underlying format string is.
-func (t Template) WildcardFraction() float64 {
-	if len(t.Tokens) == 0 {
-		return 0
-	}
-	n := 0
-	for _, tok := range t.Tokens {
-		if tok == Wildcard {
-			n++
-		}
-	}
-	return float64(n) / float64(len(t.Tokens))
-}
-
 // posTok is a (position, token) key.
 type posTok struct {
 	pos int

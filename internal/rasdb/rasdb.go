@@ -122,20 +122,6 @@ func Parse(line string) (logrec.Record, *ParseError) {
 	return rec, nil
 }
 
-// ParseStream parses many lines in order, assigning sequence numbers.
-func ParseStream(lines []string) (recs []logrec.Record, parseErrs int) {
-	recs = make([]logrec.Record, 0, len(lines))
-	for i, ln := range lines {
-		rec, perr := Parse(ln)
-		rec.Seq = uint64(i)
-		if perr != nil {
-			parseErrs++
-		}
-		recs = append(recs, rec)
-	}
-	return recs, parseErrs
-}
-
 // Mailbox models the JTAG-mailbox collection step: events generated on a
 // chip are held locally until the next poll, then relayed to the DB2
 // database in poll order. Generation timestamps are preserved (that is
@@ -151,29 +137,24 @@ type Mailbox struct {
 // DefaultMailbox returns the 1 ms poll configuration from the paper.
 func DefaultMailbox() Mailbox { return Mailbox{PollInterval: time.Millisecond} }
 
-// Collect reorders a time-sorted event stream into database arrival order:
-// records are bucketed by poll quantum, and within a quantum grouped by
-// source (the per-node mailboxes are drained one at a time). Sequence
-// numbers are reassigned to reflect arrival order.
-func (m Mailbox) Collect(recs []logrec.Record) []logrec.Record {
-	if m.PollInterval <= 0 || len(recs) == 0 {
-		return recs
+// Collect reorders a time-sorted event stream into database arrival
+// order, in place: messages are bucketed by poll quantum, and within a
+// quantum grouped by source (the per-node mailboxes are drained one at a
+// time). at reports a message's generation time and source.
+func Collect[M any](m Mailbox, msgs []M, at func(M) (t time.Time, source string)) {
+	if m.PollInterval <= 0 {
+		return
 	}
-	out := make([]logrec.Record, len(recs))
-	copy(out, recs)
-	quantum := func(r logrec.Record) int64 { return r.Time.UnixNano() / int64(m.PollInterval) }
-	sort.SliceStable(out, func(i, j int) bool {
-		qi, qj := quantum(out[i]), quantum(out[j])
+	sort.SliceStable(msgs, func(i, j int) bool {
+		ti, si := at(msgs[i])
+		tj, sj := at(msgs[j])
+		qi, qj := ti.UnixNano()/int64(m.PollInterval), tj.UnixNano()/int64(m.PollInterval)
 		if qi != qj {
 			return qi < qj
 		}
-		if out[i].Source != out[j].Source {
-			return out[i].Source < out[j].Source
+		if si != sj {
+			return si < sj
 		}
-		return out[i].Time.Before(out[j].Time)
+		return ti.Before(tj)
 	})
-	for i := range out {
-		out[i].Seq = uint64(i)
-	}
-	return out
 }

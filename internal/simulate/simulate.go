@@ -249,7 +249,8 @@ func Generate(cfg Config) (*Output, error) {
 	// order-dependent samples over the whole merged stream.
 	events := g.applyTransport()
 	if cfg.System == logrec.BlueGeneL {
-		events = mailboxOrder(events)
+		// The BG/L JTAG polling reorder.
+		rasdb.Collect(rasdb.DefaultMailbox(), events, func(e event) (time.Time, string) { return e.t, e.node })
 	}
 
 	opts := parallel.Options{Workers: cfg.Workers}
@@ -259,7 +260,7 @@ func Generate(cfg Config) (*Output, error) {
 		g.truth.CorruptedLines = res.Total()
 	}
 
-	records := parseLines(lines, cfg.System, g.start, opts)
+	records := parseLines(lines, cfg.System, g.start)
 	for i, tr := range truths {
 		if tr != nil {
 			g.truth.AlertAt[uint64(i)] = *tr
@@ -287,29 +288,9 @@ func (g *generator) applyTransport() []event {
 	if g.cfg.DisableTransportLoss {
 		return g.events
 	}
-	relay := syslogng.DefaultRelay(logServer(g.cfg.System))
-	// Count same-second syslog traffic to model contention loss without
-	// materializing logrec.Records.
-	perSecond := make(map[int64]int, len(g.events)/8+1)
-	for _, e := range g.events {
-		if e.dialect == catalog.DialectSyslog {
-			perSecond[e.t.Unix()]++
-		}
-	}
-	kept := g.events[:0]
-	for _, e := range g.events {
-		if e.dialect == catalog.DialectSyslog {
-			p := relay.BaseLossProb
-			if relay.ContentionBurst > 0 && perSecond[e.t.Unix()] > relay.ContentionBurst {
-				p += relay.ContentionLossProb
-			}
-			if g.rng.Float64() < p {
-				g.truth.Dropped++
-				continue
-			}
-		}
-		kept = append(kept, e)
-	}
+	kept, dropped := syslogng.Deliver(syslogng.DefaultRelay(logServer(g.cfg.System)), g.rng, g.events,
+		func(e event) (int64, bool) { return e.t.Unix(), e.dialect == catalog.DialectSyslog })
+	g.truth.Dropped += dropped
 	return kept
 }
 
@@ -327,23 +308,6 @@ func logServer(sys logrec.System) string {
 	default:
 		return "bglsn0"
 	}
-}
-
-// mailboxOrder applies the BG/L JTAG polling reorder to the event list.
-func mailboxOrder(events []event) []event {
-	mb := rasdb.DefaultMailbox()
-	quantum := func(e event) int64 { return e.t.UnixNano() / int64(mb.PollInterval) }
-	sort.SliceStable(events, func(i, j int) bool {
-		qi, qj := quantum(events[i]), quantum(events[j])
-		if qi != qj {
-			return qi < qj
-		}
-		if events[i].node != events[j].node {
-			return events[i].node < events[j].node
-		}
-		return events[i].t.Before(events[j].t)
-	})
-	return events
 }
 
 // render converts events to wire lines, preserving alert truth per line.
@@ -388,11 +352,17 @@ func (g *generator) render(events []event, opts parallel.Options) ([]string, []*
 }
 
 // parseLines parses wire lines back into records through the ingest
-// pipeline's chunk-parallel parser — the same dialect sniffing and
-// year-rollover inference the real reader applies (Spirit's 558-day
-// window crosses two New Years).
-func parseLines(lines []string, sys logrec.System, start time.Time, opts parallel.Options) []logrec.Record {
+// reader's per-line step — the same dialect sniffing and year-rollover
+// inference the read loop applies (Spirit's 558-day window crosses two
+// New Years). The lines are not re-framed, so a corrupted line with an
+// embedded newline stays one record.
+func parseLines(lines []string, sys logrec.System, start time.Time) []logrec.Record {
 	rd := ingest.Reader{System: sys, Start: start}
-	recs, _ := rd.ParseAll(lines, opts)
+	years := ingest.NewYearTracker(start)
+	recs := make([]logrec.Record, len(lines))
+	for i, line := range lines {
+		recs[i] = rd.ParseLine(line, years)
+		recs[i].Seq = uint64(i)
+	}
 	return recs
 }

@@ -171,19 +171,3 @@ func facilityName(f int) string {
 		return fmt.Sprintf("facility%d", f)
 	}
 }
-
-// ParseStream parses many lines, preserving order and assigning sequence
-// numbers. Unparseable lines come back as corrupted records; the count of
-// parse errors is returned alongside.
-func ParseStream(lines []string, year int, sys logrec.System) (recs []logrec.Record, parseErrs int) {
-	recs = make([]logrec.Record, 0, len(lines))
-	for i, ln := range lines {
-		rec, perr := Parse(ln, year, sys)
-		rec.Seq = uint64(i)
-		if perr != nil {
-			parseErrs++
-		}
-		recs = append(recs, rec)
-	}
-	return recs, parseErrs
-}

@@ -191,23 +191,3 @@ func TestRenderParseRoundTripWithPriority(t *testing.T) {
 		}
 	}
 }
-
-func TestParseStream(t *testing.T) {
-	lines := []string{
-		"Mar  7 14:30:05 ln1 kernel: a",
-		"garbage",
-		"Mar  7 14:30:06 ln2 kernel: b",
-	}
-	recs, errs := ParseStream(lines, 2005, logrec.Liberty)
-	if len(recs) != 3 {
-		t.Fatalf("got %d records, want 3 (corrupt preserved)", len(recs))
-	}
-	if errs != 1 {
-		t.Errorf("parse errors = %d, want 1", errs)
-	}
-	for i, r := range recs {
-		if r.Seq != uint64(i) {
-			t.Errorf("record %d Seq = %d", i, r.Seq)
-		}
-	}
-}

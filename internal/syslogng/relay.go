@@ -1,11 +1,6 @@
 package syslogng
 
-import (
-	"math/rand"
-	"sort"
-
-	"whatsupersay/internal/logrec"
-)
+import "math/rand"
 
 // Relay models the syslog-ng collection path of Thunderbird, Spirit, and
 // Liberty: each node's syslogd sends messages over UDP to a logging server
@@ -40,55 +35,35 @@ func DefaultRelay(server string) Relay {
 	}
 }
 
-// Deliver applies the loss model to a time-sorted record stream and
-// returns the messages that reach the logging server, still sorted. The
-// dropped count is returned for ground-truth accounting.
-func (rl Relay) Deliver(rng *rand.Rand, recs []logrec.Record) (kept []logrec.Record, dropped int) {
-	kept = make([]logrec.Record, 0, len(recs))
+// Deliver applies the loss model to a time-sorted message stream,
+// filtering msgs in place, and returns the messages that reach the
+// logging server, still in order, with the dropped count for
+// ground-truth accounting. relayed reports whether a message travels
+// over this relay and its timestamp's Unix second; messages on other
+// paths always arrive and draw no randomness.
+func Deliver[M any](rl Relay, rng *rand.Rand, msgs []M, relayed func(M) (sec int64, ok bool)) (kept []M, dropped int) {
 	// Count same-second occupancy to detect contention.
-	perSecond := make(map[int64]int, len(recs)/4+1)
+	perSecond := make(map[int64]int, len(msgs)/8+1)
 	if rl.ContentionBurst > 0 {
-		for _, r := range recs {
-			perSecond[r.Time.Unix()]++
+		for _, m := range msgs {
+			if sec, ok := relayed(m); ok {
+				perSecond[sec]++
+			}
 		}
 	}
-	for _, r := range recs {
-		p := rl.BaseLossProb
-		if rl.ContentionBurst > 0 && perSecond[r.Time.Unix()] > rl.ContentionBurst {
-			p += rl.ContentionLossProb
+	kept = msgs[:0]
+	for _, m := range msgs {
+		if sec, ok := relayed(m); ok {
+			p := rl.BaseLossProb
+			if rl.ContentionBurst > 0 && perSecond[sec] > rl.ContentionBurst {
+				p += rl.ContentionLossProb
+			}
+			if p > 0 && rng.Float64() < p {
+				dropped++
+				continue
+			}
 		}
-		if p > 0 && rng.Float64() < p {
-			dropped++
-			continue
-		}
-		kept = append(kept, r)
+		kept = append(kept, m)
 	}
 	return kept, dropped
-}
-
-// FileBySource groups rendered lines into the per-source file layout the
-// logging servers produced (one slice of lines per source, in time order),
-// which is the directory structure the authors collected from.
-func FileBySource(recs []logrec.Record, withPriority bool) map[string][]string {
-	out := make(map[string][]string)
-	for _, r := range recs {
-		out[r.Source] = append(out[r.Source], Render(r, withPriority))
-	}
-	return out
-}
-
-// Sources returns the source names of a per-source file map in descending
-// message-count order (ties broken by name), the ordering of Figure 2(b).
-func Sources(files map[string][]string) []string {
-	names := make([]string, 0, len(files))
-	for n := range files {
-		names = append(names, n)
-	}
-	sort.Slice(names, func(i, j int) bool {
-		if len(files[names[i]]) != len(files[names[j]]) {
-			return len(files[names[i]]) > len(files[names[j]])
-		}
-		return names[i] < names[j]
-	})
-	return names
 }

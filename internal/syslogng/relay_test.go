@@ -21,9 +21,16 @@ func relayStream(n int, sameSecond bool) []logrec.Record {
 	return recs
 }
 
+// deliver runs a record stream through the relay: every record travels
+// over it.
+func deliver(rl Relay, seed int64, recs []logrec.Record) ([]logrec.Record, int) {
+	return Deliver(rl, rand.New(rand.NewSource(seed)), recs,
+		func(r logrec.Record) (int64, bool) { return r.Time.Unix(), true })
+}
+
 func TestRelayNoLoss(t *testing.T) {
 	rl := Relay{Server: "ladmin2"} // zero probabilities
-	kept, dropped := rl.Deliver(rand.New(rand.NewSource(1)), relayStream(1000, false))
+	kept, dropped := deliver(rl, 1, relayStream(1000, false))
 	if dropped != 0 || len(kept) != 1000 {
 		t.Errorf("lossless relay dropped %d", dropped)
 	}
@@ -31,7 +38,7 @@ func TestRelayNoLoss(t *testing.T) {
 
 func TestRelayBaseLoss(t *testing.T) {
 	rl := Relay{Server: "ladmin2", BaseLossProb: 0.1}
-	kept, dropped := rl.Deliver(rand.New(rand.NewSource(2)), relayStream(20000, false))
+	kept, dropped := deliver(rl, 2, relayStream(20000, false))
 	if dropped == 0 {
 		t.Fatal("expected some drops at 10% loss")
 	}
@@ -47,9 +54,9 @@ func TestRelayBaseLoss(t *testing.T) {
 func TestRelayContentionLoss(t *testing.T) {
 	rl := Relay{Server: "ladmin2", ContentionLossProb: 0.5, ContentionBurst: 100}
 	// 5000 messages in the same second: contention penalty applies.
-	_, droppedBurst := rl.Deliver(rand.New(rand.NewSource(3)), relayStream(5000, true))
+	_, droppedBurst := deliver(rl, 3, relayStream(5000, true))
 	// 5000 messages spread over distinct seconds: no contention.
-	_, droppedSpread := rl.Deliver(rand.New(rand.NewSource(3)), relayStream(5000, false))
+	_, droppedSpread := deliver(rl, 3, relayStream(5000, false))
 	if droppedSpread != 0 {
 		t.Errorf("spread stream dropped %d without base loss", droppedSpread)
 	}
@@ -61,7 +68,7 @@ func TestRelayContentionLoss(t *testing.T) {
 func TestRelayDeterminism(t *testing.T) {
 	rl := DefaultRelay("sadmin2")
 	run := func() int {
-		_, dropped := rl.Deliver(rand.New(rand.NewSource(9)), relayStream(10000, false))
+		_, dropped := deliver(rl, 9, relayStream(10000, false))
 		return dropped
 	}
 	if run() != run() {
@@ -69,28 +76,41 @@ func TestRelayDeterminism(t *testing.T) {
 	}
 }
 
-func TestFileBySourceAndRanking(t *testing.T) {
-	base := time.Date(2005, time.March, 7, 12, 0, 0, 0, time.UTC)
-	recs := []logrec.Record{
-		{Time: base, Source: "ladmin2", Body: "a"},
-		{Time: base, Source: "ln1", Body: "b"},
-		{Time: base, Source: "ladmin2", Body: "c"},
-		{Time: base, Source: "ln2", Body: "d"},
-		{Time: base, Source: "ladmin2", Body: "e"},
+// TestRelayOtherPathsLossless: messages that do not travel over the
+// relay always arrive, keep their order, and draw no randomness — the
+// relayed ones see exactly the drops they would alone.
+func TestRelayOtherPathsLossless(t *testing.T) {
+	rl := Relay{Server: "sadmin2", BaseLossProb: 0.3}
+	mixed := relayStream(2000, false)
+	relayed := func(r logrec.Record) (int64, bool) { return r.Time.Unix(), r.Seq%2 == 0 }
+	kept, dropped := Deliver(rl, rand.New(rand.NewSource(4)), mixed, relayed)
+
+	var alone []logrec.Record
+	for _, r := range relayStream(2000, false) {
+		if r.Seq%2 == 0 {
+			alone = append(alone, r)
+		}
 	}
-	files := FileBySource(recs, false)
-	if len(files) != 3 {
-		t.Fatalf("got %d sources, want 3", len(files))
+	keptAlone, droppedAlone := deliver(rl, 4, alone)
+	if dropped != droppedAlone || dropped == 0 {
+		t.Fatalf("dropped %d with other paths mixed in, %d alone", dropped, droppedAlone)
 	}
-	if len(files["ladmin2"]) != 3 {
-		t.Errorf("ladmin2 has %d lines, want 3", len(files["ladmin2"]))
+	var odd, even int
+	last := -1
+	for _, r := range kept {
+		if int(r.Seq) <= last {
+			t.Fatal("delivery reordered the stream")
+		}
+		last = int(r.Seq)
+		if r.Seq%2 == 1 {
+			odd++
+		} else if r.Seq != keptAlone[even].Seq {
+			t.Fatalf("relayed survivor %d differs from the relay-only run", r.Seq)
+		} else {
+			even++
+		}
 	}
-	ranked := Sources(files)
-	if ranked[0] != "ladmin2" {
-		t.Errorf("top source = %q, want ladmin2", ranked[0])
-	}
-	// Ties break by name.
-	if ranked[1] != "ln1" || ranked[2] != "ln2" {
-		t.Errorf("tie order = %v", ranked[1:])
+	if odd != 1000 {
+		t.Errorf("%d of 1000 off-relay messages arrived", odd)
 	}
 }

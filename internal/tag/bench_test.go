@@ -43,33 +43,26 @@ func benchRecords(sys logrec.System, n int, alertFrac float64, seed int64) []log
 }
 
 // TestTagAllMatchesSerial: the parallel scan returns exactly the serial
-// result — same alerts, same order — across chunk sizes and worker
-// counts, for every system.
+// result — same alerts, same order — for every system, on a stream that
+// spans several chunks and ends in a partial one.
 func TestTagAllMatchesSerial(t *testing.T) {
+	n := 4*parallel.DefaultChunkSize + 1000
 	for _, sys := range logrec.Systems() {
 		tg := NewTagger(sys)
-		recs := benchRecords(sys, 20000, 0.2, int64(sys))
+		recs := benchRecords(sys, n, 0.2, int64(sys))
 		want := tg.TagAllSerial(recs)
 		if len(want) == 0 {
 			t.Fatalf("%v: no alerts in bench stream", sys)
 		}
-		for _, opts := range []parallel.Options{
-			{Workers: 1, ChunkSize: 100},
-			{Workers: 4, ChunkSize: 333},
-			{Workers: 8, ChunkSize: 4096},
-			{Workers: 3, ChunkSize: 19997},
-			{},
-		} {
-			got := tg.TagAllParallel(recs, opts)
-			if len(got) != len(want) {
-				t.Fatalf("%v opts %+v: %d alerts, want %d", sys, opts, len(got), len(want))
-			}
-			for i := range got {
-				if got[i].Record.Seq != want[i].Record.Seq || got[i].Category != want[i].Category {
-					t.Fatalf("%v opts %+v: alert %d diverged (seq %d/%d cat %s/%s)",
-						sys, opts, i, got[i].Record.Seq, want[i].Record.Seq,
-						got[i].Category.Name, want[i].Category.Name)
-				}
+		got := tg.TagAll(recs)
+		if len(got) != len(want) {
+			t.Fatalf("%v: %d alerts, want %d", sys, len(got), len(want))
+		}
+		for i := range got {
+			if got[i].Record.Seq != want[i].Record.Seq || got[i].Category != want[i].Category {
+				t.Fatalf("%v: alert %d diverged (seq %d/%d cat %s/%s)",
+					sys, i, got[i].Record.Seq, want[i].Record.Seq,
+					got[i].Category.Name, want[i].Category.Name)
 			}
 		}
 	}

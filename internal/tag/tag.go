@@ -106,15 +106,9 @@ func alertCap(n int, rate float64) int {
 // are reassembled in sequence order, so the output is identical to
 // TagAllSerial on the same records (enforced by test).
 func (t *Tagger) TagAll(recs []logrec.Record) []Alert {
-	return t.TagAllParallel(recs, parallel.Options{})
-}
-
-// TagAllParallel is TagAll with explicit pool options, for callers
-// that pin the worker count (benchmarks, equivalence tests).
-func (t *Tagger) TagAllParallel(recs []logrec.Record, opts parallel.Options) []Alert {
 	sp := obs.Default.StartSpan("tag")
 	rate := t.estimateRate(recs)
-	out := parallel.FlatMap(len(recs), opts, func(lo, hi int) []Alert {
+	out := parallel.FlatMap(len(recs), parallel.Options{}, func(lo, hi int) []Alert {
 		out := make([]Alert, 0, alertCap(hi-lo, rate))
 		for i := lo; i < hi; i++ {
 			if c, ok := t.Tag(recs[i]); ok {
