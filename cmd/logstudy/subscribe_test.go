@@ -331,22 +331,34 @@ func TestSubscribeValidation(t *testing.T) {
 		}
 	}
 
-	// SSE and DELETE on an unknown id 404.
-	resp, err := http.Get(srv.URL + "/api/subscribe/sub-999/events")
-	if err != nil {
-		t.Fatal(err)
+	// SSE and DELETE on an unknown id 404, and only the exact id
+	// Subscribe issued is known: while csub-1 is live, near misses and
+	// the old per-shard namespace are unknown.
+	if live := postSubscribe(t, srv.URL, subscribeRequest{}); live.ID != "csub-1" {
+		t.Fatalf("first subscription id %q, want csub-1", live.ID)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("events on unknown id: %d", resp.StatusCode)
-	}
-	req, _ := http.NewRequest(http.MethodDelete, srv.URL+"/api/subscribe/sub-999", nil)
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("delete unknown id: %d", resp.StatusCode)
+	for _, id := range []string{"sub-999", "csub-1x", "csub-01", "csub-+1", "csub-", "sub-1", ""} {
+		// An empty id never reaches the events handler: the mux cleans
+		// "//events" and redirects to /api/subscribe/events, the DELETE
+		// route's path (405). The cluster test covers "" directly.
+		if id != "" {
+			resp, err := http.Get(srv.URL + "/api/subscribe/" + id + "/events")
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusNotFound {
+				t.Errorf("events on id %q: %d", id, resp.StatusCode)
+			}
+		}
+		req, _ := http.NewRequest(http.MethodDelete, srv.URL+"/api/subscribe/"+id, nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("delete id %q: %d", id, resp.StatusCode)
+		}
 	}
 }

@@ -310,7 +310,7 @@ func TestRebuildsUnderWritesWasteNoScan(t *testing.T) {
 	if err := m.Init(); err != nil {
 		t.Fatal(err)
 	}
-	sub, err := reg.Register(store.Filter{}, query.AggregateOptions{}, 0)
+	h, err := reg.Register(store.Filter{}, query.AggregateOptions{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +376,7 @@ func TestRebuildsUnderWritesWasteNoScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _ := reg.AggregateOf(sub.ID)
+	got := query.MergePartials([]query.Partial{h.Snapshot()}, query.AggregateOptions{})
 	g, _ := json.Marshal(got)
 	w, _ := json.Marshal(want)
 	if string(g) != string(w) {

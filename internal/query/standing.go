@@ -11,29 +11,24 @@ import (
 	"whatsupersay/internal/view"
 )
 
-// Standing queries: subscriptions whose aggregates are maintained
-// incrementally. A Registry holds (filter, options, threshold) triples
-// and keeps, per subscription, a view.View whose state is the Partial
-// of the matched entry set. Appends arrive as store mutation
-// notifications and fold in as deltas — PartialOf over the batch's
-// matching entries, merged into the materialized state — so answering a
-// standing aggregate is MergePartials over one partial, never a rescan.
-// Seals change nothing (the entry set is identical); compaction and
-// retention invalidate the view, which rebuilds from a scan. The fence
-// that makes the incremental answer equal the batch one, and the retry
-// policy after a failed rebuild, are internal/view's.
-//
-// Thresholds are edge-triggered with a latch: an event fires when the
-// materialized total crosses from below Threshold to at or above it,
-// and the latch re-arms only if a rebuild (retention shrank the set)
-// drops the total back below. Threshold 0 never fires — the
-// subscription is then a pure materialized view.
+// Standing views: aggregates maintained incrementally. A Registry is
+// the set of standing views over one store; each is a view.View whose
+// state is the Partial of the entries matching its filter, reached
+// through the *Standing handle Register returns. Appends arrive as store
+// mutation notifications and fold in as deltas — PartialOf over the
+// batch's matching entries, merged into the materialized state — so a
+// standing aggregate is MergePartials over one snapshot, never a
+// rescan. Seals change nothing (the entry set is identical); compaction
+// and retention invalidate the view, which rebuilds from a scan. The
+// fence that makes the incremental answer equal the batch one, and the
+// retry policy after a failed rebuild, are internal/view's. Thresholds
+// are the caller's: the registry only reports that a view changed.
 
-// Standing-query telemetry.
+// Standing-view telemetry. standing_subscriptions counts the open
+// handles over every registry in the process.
 var (
 	gStandingSubs         = obs.Default.Gauge("standing_subscriptions")
 	mStandingDeltaEntries = obs.Default.Counter("standing_delta_entries_total")
-	mStandingEvents       = obs.Default.Counter("standing_events_total")
 	standingCounters      = view.Counters{
 		Deltas:   obs.Default.Counter("standing_deltas_applied_total"),
 		Rebuilds: obs.Default.Counter("standing_rebuilds_total"),
@@ -51,105 +46,68 @@ type StandingStore interface {
 	FingerprintSeq() (fp, seq uint64)
 }
 
-// StandingEvent is one threshold crossing, pushed through the
-// registry's notify sink.
-type StandingEvent struct {
-	SubscriptionID string      `json:"id"`
-	Seq            uint64      `json:"seq"` // per-subscription event counter
-	Threshold      int         `json:"threshold"`
-	Total          int         `json:"total"`
-	Aggregate      Aggregation `json:"aggregate"`
-}
-
-// StandingInfo describes one subscription's current state.
+// StandingInfo is one standing view's bookkeeping.
 type StandingInfo struct {
-	ID        string           `json:"id"`
-	Filter    store.Filter     `json:"-"`
-	Options   AggregateOptions `json:"-"`
-	Threshold int              `json:"threshold"`
-	Total     int              `json:"total"`
-	Fired     bool             `json:"fired"`
+	Total int
 	// Dirty means the materialization is not settled: a baseline or
 	// rebuild scan is running, queued, or failed; reads serve the last
 	// good state.
-	Dirty         bool   `json:"dirty,omitempty"`
-	DeltasApplied uint64 `json:"deltas_applied"`
-	Rebuilds      uint64 `json:"rebuilds"`
-	Events        uint64 `json:"events"`
+	Dirty         bool
+	DeltasApplied uint64
+	Rebuilds      uint64
 }
 
-// standingSub is one registered standing query. id/filter/opts/
-// threshold/view are immutable after creation; fired and events are
-// guarded by the view's lock (touched only in its hook and in Read).
-type standingSub struct {
-	id        string
-	filter    store.Filter
-	opts      AggregateOptions
-	threshold int
-	view      *view.View[Partial, Partial]
-
-	fired  bool // threshold latch
-	events uint64
+// Standing is a handle on one standing view. Reads after Close serve
+// the view's last state.
+type Standing struct {
+	reg    *Registry
+	filter store.Filter
+	view   *view.View[Partial, Partial]
 }
 
-// Registry maintains the standing queries over one store. Wire it up
-// with st.SetObserver(reg.OnMutation); Close stops the rebuild workers.
+// Registry is the set of standing views over one store. Wire it up with
+// st.SetObserver(reg.OnMutation); Close closes every handle.
 type Registry struct {
-	st  StandingStore
 	eng *Engine
 
 	// mu guards the fields below and is never held while taking a view's
-	// lock (the views' hooks take it the other way round).
-	mu   sync.Mutex
-	subs map[string]*standingSub
-	// order is replaced, never written in place, so OnMutation ranges
+	// lock.
+	mu sync.Mutex
+	// views is replaced, never written in place, so OnMutation ranges
 	// over a loaded copy without holding mu.
-	order []*standingSub
-	next  int
-
-	notify   func(StandingEvent)
-	onChange func(id string, total int)
+	views    []*Standing
+	onChange func(key int)
 }
 
 // NewRegistry builds a registry over st. The caller installs
 // reg.OnMutation as the store's observer.
 func NewRegistry(st StandingStore) *Registry {
-	return &Registry{st: st, eng: &Engine{Store: st}, subs: map[string]*standingSub{}}
+	return &Registry{eng: &Engine{Store: st}}
 }
 
-// Close stops every subscription's rebuild worker. The caller should
-// detach the store observer first (SetObserver(nil)); notifications
-// arriving after Close are still applied, but rebuilds no longer run.
+// Close closes every handle, stopping its rebuild worker. The caller
+// should detach the store observer first (SetObserver(nil)).
 func (r *Registry) Close() {
-	for _, sub := range r.list() {
-		sub.view.Close()
+	for _, h := range r.list() {
+		h.Close()
 	}
 }
 
-// SetNotify installs the event sink. The sink runs with the
-// subscription's view lock held and must not block or call back into
-// the registry or the store — hand the event to a channel and return.
-func (r *Registry) SetNotify(fn func(StandingEvent)) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.notify = fn
-}
-
-// SetOnChange installs a state-change hook invoked (same contract as
-// SetNotify) with the subscription id and new total after every applied
-// delta or rebuild — the shard router's merge trigger.
-func (r *Registry) SetOnChange(fn func(id string, total int)) {
+// SetOnChange installs the change hook for views registered after it:
+// it is called with the view's Register key after every applied delta
+// or rebuild. It runs with the view's lock held and must not block or
+// call back into the registry or the store.
+func (r *Registry) SetOnChange(fn func(key int)) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.onChange = fn
 }
 
-// Register adds a standing query and builds its baseline from a scan.
-// Options are normalized (defaults applied, bad quantiles scrubbed).
-// If the baseline already meets the threshold the event fires
-// immediately. Threshold <= 0 registers a pure materialized view.
-func (r *Registry) Register(f store.Filter, opts AggregateOptions, threshold int) (StandingInfo, error) {
-	sub := &standingSub{filter: f, opts: opts.Normalize(), threshold: threshold}
+// Register adds a standing view over the entries matching f and builds
+// its baseline from a scan. key is what the change hook is called with.
+// The options are not part of the view — a Partial answers every
+// AggregateOptions; the caller merges a Snapshot with its own.
+func (r *Registry) Register(f store.Filter, _ AggregateOptions, key int) (*Standing, error) {
 	scan := func() (Partial, uint64, error) {
 		p, st, err := r.eng.PartialContext(context.Background(), f)
 		return p, st.Seq, err
@@ -158,167 +116,97 @@ func (r *Registry) Register(f store.Filter, opts AggregateOptions, threshold int
 		foldDelta(dst, d)
 		mStandingDeltaEntries.Add(int64(d.Total))
 	}
-	onStep := func(p *Partial, st view.Step) {
-		if st.Changed {
-			r.evaluate(sub, p)
+	r.mu.Lock()
+	onChange := r.onChange
+	onStep := func(_ *Partial, st view.Step) {
+		if st.Changed && onChange != nil {
+			onChange(key)
 		}
 	}
-	r.mu.Lock()
-	r.next++
-	sub.id = fmt.Sprintf("sub-%d", r.next)
-	sub.view = view.New(Partial{}, scan, fold, onStep, standingCounters)
-	r.subs[sub.id] = sub
-	r.order = append(r.order[:len(r.order):len(r.order)], sub)
-	gStandingSubs.Set(float64(len(r.subs)))
+	h := &Standing{reg: r, filter: f, view: view.New(Partial{}, scan, fold, onStep, standingCounters)}
+	r.views = append(r.views[:len(r.views):len(r.views)], h)
+	gStandingSubs.Add(1)
 	r.mu.Unlock()
 
-	if err := sub.view.Init(scan); err != nil {
-		r.Unregister(sub.id)
-		return StandingInfo{}, fmt.Errorf("standing register: %w", err)
+	if err := h.view.Init(scan); err != nil {
+		h.Close()
+		return nil, fmt.Errorf("standing register: %w", err)
 	}
-	return sub.info(), nil
+	return h, nil
 }
 
-// Unregister removes a subscription; reports whether it existed.
-func (r *Registry) Unregister(id string) bool {
+// Close removes the handle from its registry and stops its view's
+// rebuild worker. A second Close does nothing.
+func (h *Standing) Close() {
+	r := h.reg
 	r.mu.Lock()
-	sub, ok := r.subs[id]
-	if ok {
-		delete(r.subs, id)
-		r.order = slices.DeleteFunc(slices.Clone(r.order), func(s *standingSub) bool { return s == sub })
-		gStandingSubs.Set(float64(len(r.subs)))
+	if i := slices.Index(r.views, h); i >= 0 {
+		r.views = slices.Delete(slices.Clone(r.views), i, i+1)
+		gStandingSubs.Add(-1)
 	}
 	r.mu.Unlock()
-	if ok {
-		sub.view.Close()
-	}
-	return ok
+	h.view.Close()
 }
 
-// list loads the current subscriptions, in registration order.
-func (r *Registry) list() []*standingSub {
+// Total returns the view's matched total.
+func (h *Standing) Total() (total int) {
+	h.view.Read(func(p *Partial, _ view.Status) { total = p.Total })
+	return total
+}
+
+// Snapshot returns a deep copy of the view's materialized Partial.
+func (h *Standing) Snapshot() (snap Partial) {
+	// Folding into an empty Partial is the deep copy.
+	h.view.Read(func(p *Partial, _ view.Status) { foldDelta(&snap, *p) })
+	return snap
+}
+
+// list loads the open handles, in registration order.
+func (r *Registry) list() []*Standing {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.order
+	return r.views
 }
 
-// List returns every subscription's info, in registration order.
+// List returns every open view's bookkeeping, in registration order.
 func (r *Registry) List() []StandingInfo {
-	subs := r.list()
-	out := make([]StandingInfo, 0, len(subs))
-	for _, sub := range subs {
-		out = append(out, sub.info())
+	views := r.list()
+	out := make([]StandingInfo, 0, len(views))
+	for _, h := range views {
+		h.view.Read(func(p *Partial, st view.Status) {
+			out = append(out, StandingInfo{
+				Total:         p.Total,
+				Dirty:         !st.Settled,
+				DeltasApplied: st.Deltas,
+				Rebuilds:      st.Rebuilds,
+			})
+		})
 	}
 	return out
-}
-
-// read runs fn on a subscription's materialized state under its view's
-// lock; reports whether the subscription exists.
-func (r *Registry) read(id string, fn func(*standingSub, *Partial)) bool {
-	r.mu.Lock()
-	sub, ok := r.subs[id]
-	r.mu.Unlock()
-	if ok {
-		sub.view.Read(func(p *Partial, _ view.Status) { fn(sub, p) })
-	}
-	return ok
-}
-
-// AggregateOf answers a standing query from its materialization — no
-// scan. The result is byte-identical to a from-scratch Aggregate over
-// the same filter and options.
-func (r *Registry) AggregateOf(id string) (agg Aggregation, ok bool) {
-	ok = r.read(id, func(sub *standingSub, p *Partial) { agg = MergePartials([]Partial{*p}, sub.opts) })
-	return agg, ok
-}
-
-// TotalOf returns a subscription's current materialized total — the
-// cheap read the shard router's threshold evaluator uses.
-func (r *Registry) TotalOf(id string) (total int, ok bool) {
-	ok = r.read(id, func(_ *standingSub, p *Partial) { total = p.Total })
-	return total, ok
-}
-
-// PartialSnapshotOf returns a deep copy of a subscription's
-// materialized Partial — the shard router merges per-shard snapshots
-// into the cluster answer.
-func (r *Registry) PartialSnapshotOf(id string) (snap Partial, opts AggregateOptions, ok bool) {
-	// Folding into an empty Partial is the deep copy.
-	ok = r.read(id, func(sub *standingSub, p *Partial) { foldDelta(&snap, *p); opts = sub.opts })
-	return snap, opts, ok
-}
-
-func (sub *standingSub) info() (info StandingInfo) {
-	sub.view.Read(func(p *Partial, st view.Status) {
-		info = StandingInfo{
-			ID:            sub.id,
-			Filter:        sub.filter,
-			Options:       sub.opts,
-			Threshold:     sub.threshold,
-			Total:         p.Total,
-			Fired:         sub.fired,
-			Dirty:         !st.Settled,
-			DeltasApplied: st.Deltas,
-			Rebuilds:      st.Rebuilds,
-			Events:        sub.events,
-		}
-	})
-	return info
 }
 
 // OnMutation is the store observer: install with
 // st.SetObserver(reg.OnMutation). It runs on the mutating goroutine
 // and never calls back into the store.
 func (r *Registry) OnMutation(m store.Mutation) {
-	for _, sub := range r.list() {
+	for _, h := range r.list() {
 		switch m.Kind {
 		case store.MutationAppend:
-			if d, n := deltaOf(sub.filter, m.Entries); n > 0 {
-				sub.view.Apply(m.Seq, d)
+			if d, n := deltaOf(h.filter, m.Entries); n > 0 {
+				h.view.Apply(m.Seq, d)
 			} else {
-				sub.view.Note(m.Seq)
+				h.view.Note(m.Seq)
 			}
 		case store.MutationSeal:
 			// The entry set is unchanged; the materialization stays exact.
-			sub.view.Note(m.Seq)
+			h.view.Note(m.Seq)
 		case store.MutationCompact, store.MutationRetention:
 			// Compaction keeps the entry set but moves physical layout;
 			// retention genuinely shrinks it. Both invalidate wholesale —
 			// the view rebuilds rather than reasoning about which
 			// segments went where.
-			sub.view.Invalidate(m.Seq)
+			h.view.Invalidate(m.Seq)
 		}
-	}
-}
-
-// evaluate runs the threshold latch and change hook after a state
-// change. It is the view's hook: the caller holds sub.view's lock.
-func (r *Registry) evaluate(sub *standingSub, p *Partial) {
-	r.mu.Lock()
-	notify, onChange := r.notify, r.onChange
-	r.mu.Unlock()
-	total := p.Total
-	if sub.threshold > 0 {
-		if !sub.fired && total >= sub.threshold {
-			sub.fired = true
-			sub.events++
-			mStandingEvents.Add(1)
-			if notify != nil {
-				notify(StandingEvent{
-					SubscriptionID: sub.id,
-					Seq:            sub.events,
-					Threshold:      sub.threshold,
-					Total:          total,
-					Aggregate:      MergePartials([]Partial{*p}, sub.opts),
-				})
-			}
-		} else if sub.fired && total < sub.threshold {
-			// Retention shrank the set back below the line: re-arm.
-			sub.fired = false
-		}
-	}
-	if onChange != nil {
-		onChange(sub.id, total)
 	}
 }
 

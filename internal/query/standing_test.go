@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"whatsupersay/internal/logrec"
+	"whatsupersay/internal/obs"
 	"whatsupersay/internal/store"
 )
 
@@ -67,23 +68,37 @@ func waitStandingClean(t *testing.T, reg *Registry) {
 	}
 }
 
-// checkStandingDifferential asserts every subscription's materialized
-// answer is byte-identical to a from-scratch rescan at this moment (the
+// standingCase is one registered view with the filter and options its
+// answer is checked under.
+type standingCase struct {
+	h    *Standing
+	f    store.Filter
+	opts AggregateOptions
+}
+
+func registerCase(t *testing.T, reg *Registry, f store.Filter, opts AggregateOptions) standingCase {
+	t.Helper()
+	h, err := reg.Register(f, opts, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return standingCase{h: h, f: f, opts: opts.Normalize()}
+}
+
+// checkStandingDifferential asserts every case's materialized answer
+// is byte-identical to a from-scratch rescan at this moment (the
 // row-decode reference, so the check shares no fold with the baseline).
-func checkStandingDifferential(t *testing.T, step string, st *store.Store, reg *Registry) {
+func checkStandingDifferential(t *testing.T, step string, st *store.Store, reg *Registry, cases []standingCase) {
 	t.Helper()
 	waitStandingClean(t, reg)
-	for _, info := range reg.List() {
-		got, ok := reg.AggregateOf(info.ID)
-		if !ok {
-			t.Fatalf("%s: subscription %s vanished", step, info.ID)
-		}
-		want, _, _ := decodeReference(t, st, info.Filter, info.Options)
+	for i, c := range cases {
+		got := MergePartials([]Partial{c.h.Snapshot()}, c.opts)
+		want, _, _ := decodeReference(t, st, c.f, c.opts)
 		g, _ := json.Marshal(got)
 		w, _ := json.Marshal(want)
 		if string(g) != string(w) {
-			t.Fatalf("%s: %s diverges from scratch\nincremental: %s\nscratch:     %s",
-				step, info.ID, g, w)
+			t.Fatalf("%s: view %d diverges from scratch\nincremental: %s\nscratch:     %s",
+				step, i, g, w)
 		}
 	}
 }
@@ -112,18 +127,17 @@ func TestStandingDifferential(t *testing.T) {
 		{store.Filter{BodyContains: "event 1"}, AggregateOptions{}},
 		{store.Filter{BodyContains: "event", Categories: []string{"APPSEV"}, Kept: &kept}, AggregateOptions{TopK: 2}},
 	}
+	var cases []standingCase
 	for _, fc := range filters {
-		if _, err := reg.Register(fc.f, fc.opts, 0); err != nil {
-			t.Fatal(err)
-		}
+		cases = append(cases, registerCase(t, reg, fc.f, fc.opts))
 	}
-	checkStandingDifferential(t, "empty baseline", st, reg)
+	checkStandingDifferential(t, "empty baseline", st, reg, cases)
 
 	// Appends, auto-sealing every 3 entries (append + seal mutations).
 	if err := st.Append(standingEntries(base, 0, 7)...); err != nil {
 		t.Fatal(err)
 	}
-	checkStandingDifferential(t, "append+autoseal", st, reg)
+	checkStandingDifferential(t, "append+autoseal", st, reg, cases)
 
 	// A second era, then an explicit seal.
 	if err := st.Append(standingEntries(base.Add(40*time.Minute), 100, 5)...); err != nil {
@@ -132,7 +146,7 @@ func TestStandingDifferential(t *testing.T) {
 	if err := st.Seal(); err != nil {
 		t.Fatal(err)
 	}
-	checkStandingDifferential(t, "seal", st, reg)
+	checkStandingDifferential(t, "seal", st, reg, cases)
 
 	// Compaction merges the small segments; the entry set is unchanged
 	// but the registry rebuilds anyway (layout invalidation).
@@ -143,7 +157,7 @@ func TestStandingDifferential(t *testing.T) {
 	if cst.Compactions == 0 {
 		t.Fatal("compaction did not run; test needs a real compact mutation")
 	}
-	checkStandingDifferential(t, "compaction rebuild", st, reg)
+	checkStandingDifferential(t, "compaction rebuild", st, reg, cases)
 
 	// A newer era sealed, then retention drops the old merged segment.
 	if err := st.Append(standingEntries(base.Add(3*time.Hour), 200, 6)...); err != nil {
@@ -159,104 +173,14 @@ func TestStandingDifferential(t *testing.T) {
 	if rst.SegmentsDropped == 0 {
 		t.Fatal("retention dropped nothing; test needs a real retention mutation")
 	}
-	checkStandingDifferential(t, "retention rebuild", st, reg)
+	checkStandingDifferential(t, "retention rebuild", st, reg, cases)
 
 	// And keep appending after the rebuild — deltas resume on the new
 	// baseline.
 	if err := st.Append(standingEntries(base.Add(4*time.Hour), 300, 4)...); err != nil {
 		t.Fatal(err)
 	}
-	checkStandingDifferential(t, "post-retention append", st, reg)
-}
-
-// TestStandingThresholdEdgeTriggered pins the latch semantics: one
-// event per crossing, no repeats while the total stays above the line,
-// re-armed only when retention drops it back below.
-func TestStandingThresholdEdgeTriggered(t *testing.T) {
-	st, err := store.Create(t.TempDir(), logrec.BlueGeneL, store.Options{FlushEvery: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	reg := NewRegistry(st)
-	defer reg.Close()
-	st.SetObserver(reg.OnMutation)
-
-	var mu sync.Mutex
-	var events []StandingEvent
-	reg.SetNotify(func(ev StandingEvent) {
-		mu.Lock()
-		events = append(events, ev)
-		mu.Unlock()
-	})
-	count := func() int {
-		mu.Lock()
-		defer mu.Unlock()
-		return len(events)
-	}
-
-	base := time.Date(2005, 6, 1, 0, 0, 0, 0, time.UTC)
-	info, err := reg.Register(store.Filter{}, AggregateOptions{}, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := count(); n != 0 {
-		t.Fatalf("event fired on empty registration: %d", n)
-	}
-
-	// Below the line: no event.
-	if err := st.Append(standingEntries(base, 0, 3)...); err != nil {
-		t.Fatal(err)
-	}
-	if n := count(); n != 0 {
-		t.Fatalf("event fired below threshold: %d", n)
-	}
-	// Crossing: exactly one.
-	if err := st.Append(standingEntries(base.Add(time.Minute), 10, 3)...); err != nil {
-		t.Fatal(err)
-	}
-	if n := count(); n != 1 {
-		t.Fatalf("crossing fired %d events, want 1", n)
-	}
-	mu.Lock()
-	ev := events[0]
-	mu.Unlock()
-	if ev.SubscriptionID != info.ID || ev.Total != 6 || ev.Threshold != 5 || ev.Aggregate.Total != 6 {
-		t.Fatalf("event payload: %+v", ev)
-	}
-	// Staying above the line: still one.
-	if err := st.Append(standingEntries(base.Add(2*time.Minute), 20, 4)...); err != nil {
-		t.Fatal(err)
-	}
-	if n := count(); n != 1 {
-		t.Fatalf("post-crossing append fired again: %d events", n)
-	}
-
-	// Retention below the line re-arms the latch.
-	if err := st.Seal(); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Append(standingEntries(base.Add(24*time.Hour), 30, 2)...); err != nil {
-		t.Fatal(err)
-	}
-	rst, err := st.ApplyRetention(base.Add(12 * time.Hour))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rst.SegmentsDropped == 0 {
-		t.Fatal("retention dropped nothing")
-	}
-	waitStandingClean(t, reg)
-	if n := count(); n != 1 {
-		t.Fatalf("retention itself fired: %d events", n)
-	}
-	// Cross again: second event.
-	if err := st.Append(standingEntries(base.Add(25*time.Hour), 40, 4)...); err != nil {
-		t.Fatal(err)
-	}
-	if n := count(); n != 2 {
-		t.Fatalf("re-crossing fired %d events, want 2", n)
-	}
+	checkStandingDifferential(t, "post-retention append", st, reg, cases)
 }
 
 // TestStandingRegisterDuringAppends races registration's fenced
@@ -290,18 +214,17 @@ func TestStandingRegisterDuringAppends(t *testing.T) {
 		}
 	}()
 	// Register mid-stream, several times.
+	var cases []standingCase
 	for i := 0; i < 5; i++ {
-		if _, err := reg.Register(store.Filter{}, AggregateOptions{}, 0); err != nil {
-			t.Fatal(err)
-		}
+		cases = append(cases, registerCase(t, reg, store.Filter{}, AggregateOptions{}))
 	}
 	wg.Wait()
-	checkStandingDifferential(t, "quiesced", st, reg)
+	checkStandingDifferential(t, "quiesced", st, reg, cases)
 
 	total := batches * per
-	for _, info := range reg.List() {
+	for i, info := range reg.List() {
 		if info.Total != total {
-			t.Fatalf("%s total = %d, want %d", info.ID, info.Total, total)
+			t.Fatalf("view %d total = %d, want %d", i, info.Total, total)
 		}
 	}
 }
@@ -324,6 +247,7 @@ func TestStandingRegisterDuringCompaction(t *testing.T) {
 
 	base := time.Date(2005, 6, 1, 0, 0, 0, 0, time.UTC)
 	compactions := 0
+	var cases []standingCase
 	for round := 0; round < 12; round++ {
 		batch := standingEntries(base.Add(time.Duration(round)*time.Hour), uint64(round*100), 12)
 		if err := st.Append(batch...); err != nil {
@@ -338,14 +262,13 @@ func TestStandingRegisterDuringCompaction(t *testing.T) {
 			}
 			compactions += cst.Compactions
 		}()
-		info, err := reg.Register(store.Filter{}, AggregateOptions{}, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		c := registerCase(t, reg, store.Filter{}, AggregateOptions{})
+		cases = append(cases, c)
 		<-done
-		checkStandingDifferential(t, fmt.Sprintf("round %d", round), st, reg)
+		checkStandingDifferential(t, fmt.Sprintf("round %d", round), st, reg, cases)
 		if round%2 == 1 {
-			reg.Unregister(info.ID)
+			c.h.Close()
+			cases = cases[:len(cases)-1]
 		}
 	}
 	if compactions == 0 {
@@ -353,8 +276,10 @@ func TestStandingRegisterDuringCompaction(t *testing.T) {
 	}
 }
 
-// TestStandingUnregister checks removal and the subscription listing.
-func TestStandingUnregister(t *testing.T) {
+// TestStandingClose checks that a closed handle leaves its registry's
+// listing and the standing_subscriptions gauge exactly once, and keeps
+// reading the state it had.
+func TestStandingClose(t *testing.T) {
 	st, err := store.Create(t.TempDir(), logrec.BlueGeneL, store.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -363,30 +288,46 @@ func TestStandingUnregister(t *testing.T) {
 	reg := NewRegistry(st)
 	defer reg.Close()
 	st.SetObserver(reg.OnMutation)
+	gauge := obs.Default.Gauge("standing_subscriptions")
+	before := gauge.Value()
 
 	a, err := reg.Register(store.Filter{}, AggregateOptions{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := reg.Register(store.Filter{}, AggregateOptions{}, 0)
+	b, err := reg.Register(store.Filter{Categories: []string{"KERNDTLB"}}, AggregateOptions{}, 0)
 	if err != nil {
+		t.Fatal(err)
+	}
+	base := time.Date(2005, 6, 1, 0, 0, 0, 0, time.UTC)
+	if err := st.Append(standingEntries(base, 0, 6)...); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(reg.List()); got != 2 {
 		t.Fatalf("listed %d, want 2", got)
 	}
-	if !reg.Unregister(a.ID) {
-		t.Fatal("unregister known id failed")
+	if got := gauge.Value() - before; got != 2 {
+		t.Fatalf("gauge counts %v views, want 2", got)
 	}
-	if reg.Unregister(a.ID) {
-		t.Fatal("double unregister succeeded")
+	a.Close()
+	a.Close()
+	if got := gauge.Value() - before; got != 1 {
+		t.Fatalf("gauge counts %v views after a double Close, want 1", got)
 	}
 	list := reg.List()
-	if len(list) != 1 || list[0].ID != b.ID {
-		t.Fatalf("listing after unregister: %+v", list)
+	if len(list) != 1 || list[0].Total != 2 || b.Total() != 2 {
+		t.Fatalf("listing after Close: %+v", list)
 	}
-	if _, ok := reg.AggregateOf(a.ID); ok {
-		t.Fatal("aggregate of removed subscription still served")
+	// The closed view no longer folds appends; it serves its last state.
+	if err := st.Append(standingEntries(base.Add(time.Hour), 10, 6)...); err != nil {
+		t.Fatal(err)
+	}
+	if a.Total() != 6 || a.Snapshot().Total != 6 || b.Total() != 4 {
+		t.Fatalf("after Close: closed view total %d, open view total %d", a.Total(), b.Total())
+	}
+	reg.Close()
+	if got := gauge.Value() - before; got != 0 {
+		t.Fatalf("gauge counts %v views after Registry.Close, want 0", got)
 	}
 }
 

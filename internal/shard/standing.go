@@ -2,6 +2,9 @@ package shard
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 
 	"whatsupersay/internal/obs"
@@ -9,28 +12,28 @@ import (
 	"whatsupersay/internal/store"
 )
 
-// Cluster standing queries: one subscription at the router fans out to
-// a per-shard query.Registry on every standing-capable shard, each
-// maintaining its shard's materialized Partial incrementally off the
-// store's mutation stream. The cluster-level answer is MergePartials
-// over per-shard snapshots — the same merge a scatter aggregate runs,
-// minus the scans — and the threshold is evaluated on the *merged*
-// total, so `serve -shards N` fires exactly one cluster-level event per
-// crossing, not N shard-level ones (per-shard registrations carry
-// threshold 0 and never fire on their own).
+// Cluster standing queries: one subscription at the router holds a
+// query.Standing handle on a per-shard registry of every
+// standing-capable shard it covers, each maintaining its shard's
+// materialized Partial incrementally off the store's mutation stream.
+// The cluster-level answer is MergePartials over the handles' snapshots
+// — the same merge a scatter aggregate runs, minus the scans — and the
+// threshold latch lives here alone, on the *merged* total, so `serve
+// -shards N` fires exactly one cluster-level event per crossing, not N
+// shard-level ones.
 //
-// Lock discipline. Three lock families are in play: each shard
-// registry's mutex, the standing mutex here, and nothing else. The
-// registry's onChange hook (called with its registry lock held) only
-// touches the standing mutex to enqueue "re-evaluate subscription X";
-// the evaluation worker takes registry locks only while holding no
-// standing mutex and vice versa. No path holds a registry lock while
-// waiting on another registry's, so the families cannot cycle.
+// Lock discipline. A view's change hook runs under that view's lock and
+// only touches the standing mutex, to enqueue "re-evaluate subscription
+// K"; the evaluation worker and every reader take view locks only while
+// holding no standing mutex. No path holds the standing mutex while
+// waiting on a view lock, so the two cannot cycle. That is also why the
+// hook does not evaluate in place: it would take the other shards' view
+// locks under its own.
 //
 // Evaluation is snapshot-based rather than delta-accounting: the worker
-// re-reads every shard's current total when poked. That makes missed or
+// re-reads every handle's current total when poked. That makes missed or
 // reordered pokes harmless (the pending set coalesces; totals are read
-// fresh), at the cost of an extra map lookup per shard per poke.
+// fresh).
 
 // Standing cluster telemetry.
 var (
@@ -72,20 +75,44 @@ type standingCapable interface {
 	SetObserver(store.Observer)
 }
 
-// clusterSub is one router-level subscription.
+// clusterSub is one router-level subscription. Everything but the latch
+// (fired, events: guarded by clusterStanding.mu) is immutable once the
+// subscription is published.
 type clusterSub struct {
-	id        string
+	key       int
 	filter    store.Filter
 	opts      query.AggregateOptions
 	threshold int
-	shardSubs map[int]string // shard id -> per-shard registry sub id
+	handles   []*query.Standing // one per covered shard
 	fired     bool
 	events    uint64
 }
 
-type shardSubKey struct {
-	shard int
-	sub   string
+// subID is a subscription's public id; subKey inverts it, accepting
+// only the exact spelling subID produces.
+func subID(key int) string { return "csub-" + strconv.Itoa(key) }
+
+func subKey(id string) (int, bool) {
+	key, err := strconv.Atoi(strings.TrimPrefix(id, "csub-"))
+	return key, err == nil && subID(key) == id
+}
+
+// total sums the handles' materialized totals.
+func (cs *clusterSub) total() int {
+	total := 0
+	for _, h := range cs.handles {
+		total += h.Total()
+	}
+	return total
+}
+
+// aggregate merges the handles' snapshots into the cluster answer.
+func (cs *clusterSub) aggregate() query.Aggregation {
+	parts := make([]query.Partial, len(cs.handles))
+	for i, h := range cs.handles {
+		parts[i] = h.Snapshot()
+	}
+	return query.MergePartials(parts, cs.opts)
 }
 
 // clusterStanding owns the cluster's standing-query state.
@@ -94,11 +121,9 @@ type clusterStanding struct {
 	regs map[int]*query.Registry // per standing-capable shard
 
 	mu      sync.Mutex
-	subs    map[string]*clusterSub
-	order   []string
-	byShard map[shardSubKey]string // reverse mapping for onChange
+	subs    map[int]*clusterSub // published subscriptions by key
 	next    int
-	pending map[string]bool // subscription ids awaiting evaluation
+	pending map[int]bool // keys awaiting evaluation
 	notify  func(ClusterEvent)
 
 	wake chan struct{}
@@ -114,9 +139,8 @@ func newClusterStanding(c *Cluster) *clusterStanding {
 	s := &clusterStanding{
 		c:       c,
 		regs:    map[int]*query.Registry{},
-		subs:    map[string]*clusterSub{},
-		byShard: map[shardSubKey]string{},
-		pending: map[string]bool{},
+		subs:    map[int]*clusterSub{},
+		pending: map[int]bool{},
 		wake:    make(chan struct{}, 1),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
@@ -127,11 +151,8 @@ func newClusterStanding(c *Cluster) *clusterStanding {
 			continue
 		}
 		reg := query.NewRegistry(sb)
-		shardID := sh.id
-		reg.SetOnChange(func(subID string, total int) {
-			s.poke(shardID, subID)
-		})
-		s.regs[shardID] = reg
+		reg.SetOnChange(s.poke)
+		s.regs[sh.id] = reg
 	}
 	go s.run()
 	return s
@@ -148,21 +169,39 @@ func (s *clusterStanding) close() {
 	}
 }
 
-// poke enqueues a subscription for re-evaluation. Runs under a shard
-// registry's lock — it must only touch the standing mutex, and must
-// not block.
-func (s *clusterStanding) poke(shard int, subID string) {
+// lookup returns the published subscription with the given public id.
+func (s *clusterStanding) lookup(id string) (*clusterSub, bool) {
+	key, ok := subKey(id)
+	if !ok {
+		return nil, false
+	}
 	s.mu.Lock()
-	id, ok := s.byShard[shardSubKey{shard, subID}]
+	defer s.mu.Unlock()
+	cs, ok := s.subs[key]
+	return cs, ok
+}
+
+// poke enqueues a subscription for re-evaluation. Runs under a view's
+// lock — it must only touch the standing mutex, and must not block. A
+// key not yet published is dropped: Subscribe queues one evaluation
+// when it publishes.
+func (s *clusterStanding) poke(key int) {
+	s.mu.Lock()
+	_, ok := s.subs[key]
 	if ok {
-		s.pending[id] = true
+		s.pending[key] = true
 	}
 	s.mu.Unlock()
 	if ok {
-		select {
-		case s.wake <- struct{}{}:
-		default:
-		}
+		s.kick()
+	}
+}
+
+// kick wakes the evaluation worker without blocking.
+func (s *clusterStanding) kick() {
+	select {
+	case s.wake <- struct{}{}:
+	default:
 	}
 }
 
@@ -179,18 +218,17 @@ func (s *clusterStanding) run() {
 		}
 		for {
 			s.mu.Lock()
-			var id string
-			for k := range s.pending {
-				id = k
+			var cs *clusterSub
+			for key := range s.pending {
+				delete(s.pending, key)
+				cs = s.subs[key]
 				break
 			}
-			if id == "" {
-				s.mu.Unlock()
-				break
-			}
-			delete(s.pending, id)
 			s.mu.Unlock()
-			s.evaluate(id)
+			if cs == nil {
+				break
+			}
+			s.evaluate(cs)
 			select {
 			case <-s.stop:
 				return
@@ -202,45 +240,29 @@ func (s *clusterStanding) run() {
 
 // evaluate recomputes one subscription's merged total and fires the
 // cluster event on an upward crossing.
-func (s *clusterStanding) evaluate(id string) {
-	s.mu.Lock()
-	cs, ok := s.subs[id]
-	if !ok {
-		s.mu.Unlock()
+func (s *clusterStanding) evaluate(cs *clusterSub) {
+	if cs.threshold <= 0 {
 		return
 	}
-	shardSubs := make(map[int]string, len(cs.shardSubs))
-	for k, v := range cs.shardSubs {
-		shardSubs[k] = v
-	}
-	threshold := cs.threshold
-	s.mu.Unlock()
-
-	// Registry reads happen with no standing mutex held (lock
-	// discipline above).
-	total := 0
-	for shard, subID := range shardSubs {
-		if t, ok := s.regs[shard].TotalOf(subID); ok {
-			total += t
-		}
-	}
+	// View reads happen with no standing mutex held (lock discipline
+	// above).
+	total := cs.total()
 
 	var ev *ClusterEvent
 	s.mu.Lock()
-	if cs, ok = s.subs[id]; ok && threshold > 0 {
-		if !cs.fired && total >= threshold {
+	if s.subs[cs.key] == cs {
+		if !cs.fired && total >= cs.threshold {
 			cs.fired = true
 			cs.events++
 			mStandingClusterEvents.Add(1)
 			ev = &ClusterEvent{
-				SubscriptionID: id,
+				SubscriptionID: subID(cs.key),
 				Seq:            cs.events,
-				Threshold:      threshold,
-				Total:          total,
-				ShardsStanding: len(shardSubs),
+				Threshold:      cs.threshold,
+				ShardsStanding: len(cs.handles),
 				ShardsTotal:    len(s.c.shards),
 			}
-		} else if cs.fired && total < threshold {
+		} else if cs.fired && total < cs.threshold {
 			// A rebuild (retention) dropped the merged total back below
 			// the line: re-arm.
 			cs.fired = false
@@ -253,30 +275,12 @@ func (s *clusterStanding) evaluate(id string) {
 		// Materialize the event's aggregate outside every lock; the
 		// snapshot may include entries that landed after the crossing
 		// instant, never fewer.
-		ev.Aggregate, ev.Total = s.merged(shardSubs, ev.Total)
+		ev.Aggregate = cs.aggregate()
+		ev.Total = ev.Aggregate.Total
 		if fn != nil {
 			fn(*ev)
 		}
 	}
-}
-
-// merged merges the per-shard materialized partials into the cluster
-// aggregation; fallbackTotal is reported if a shard sub vanished
-// mid-read (unsubscribe race).
-func (s *clusterStanding) merged(shardSubs map[int]string, fallbackTotal int) (query.Aggregation, int) {
-	parts := make([]query.Partial, 0, len(shardSubs))
-	var opts query.AggregateOptions
-	for shard, subID := range shardSubs {
-		if p, o, ok := s.regs[shard].PartialSnapshotOf(subID); ok {
-			parts = append(parts, p)
-			opts = o
-		}
-	}
-	agg := query.MergePartials(parts, opts)
-	if agg.Total == 0 && fallbackTotal != 0 && len(parts) == 0 {
-		return agg, fallbackTotal
-	}
-	return agg, agg.Total
 }
 
 // SetStandingNotify installs the cluster event sink. Called from the
@@ -288,15 +292,13 @@ func (c *Cluster) SetStandingNotify(fn func(ClusterEvent)) {
 	s.notify = fn
 }
 
-// Subscribe registers a cluster standing query: one per-shard
-// subscription (threshold 0 — the cluster evaluates the merged total)
-// on every standing-capable shard the filter's routing targets. If the
+// Subscribe registers a cluster standing query: one per-shard standing
+// view on every standing-capable shard the filter's routing targets,
+// the cluster evaluating the threshold on the merged total. If the
 // merged baseline already meets the threshold, the event fires
 // immediately.
 func (c *Cluster) Subscribe(f store.Filter, opts query.AggregateOptions, threshold int) (ClusterSubInfo, error) {
 	s := c.standing
-	opts = opts.Normalize()
-
 	var targets []int
 	for _, id := range c.targets(f) {
 		if _, ok := s.regs[id]; ok {
@@ -307,68 +309,53 @@ func (c *Cluster) Subscribe(f store.Filter, opts query.AggregateOptions, thresho
 		return ClusterSubInfo{}, fmt.Errorf("shard: no standing-capable shard serves this filter")
 	}
 
+	cs := &clusterSub{filter: f, opts: opts.Normalize(), threshold: threshold}
 	s.mu.Lock()
 	s.next++
-	id := fmt.Sprintf("csub-%d", s.next)
-	cs := &clusterSub{
-		id: id, filter: f, opts: opts, threshold: threshold,
-		shardSubs: map[int]string{},
-	}
-	s.subs[id] = cs
-	s.order = append(s.order, id)
-	gStandingClusterSubs.Set(float64(len(s.subs)))
+	cs.key = s.next
 	s.mu.Unlock()
-
 	for _, shardID := range targets {
-		info, err := s.regs[shardID].Register(f, opts, 0)
+		h, err := s.regs[shardID].Register(f, cs.opts, cs.key)
 		if err != nil {
-			c.Unsubscribe(id)
+			for _, h := range cs.handles {
+				h.Close()
+			}
 			return ClusterSubInfo{}, fmt.Errorf("shard %d: standing register: %w", shardID, err)
 		}
-		s.mu.Lock()
-		cs.shardSubs[shardID] = info.ID
-		s.byShard[shardSubKey{shardID, info.ID}] = id
-		s.mu.Unlock()
+		cs.handles = append(cs.handles, h)
 	}
-	// Pokes raced against the mapping install above are absolute-total
-	// reads, so one queued evaluation now covers everything so far —
-	// including a baseline that already crosses the threshold.
+	// Publish with the handle set complete. Pokes before this found no
+	// subscription and were dropped; totals are absolute, so one queued
+	// evaluation now covers everything so far — including a baseline that
+	// already crosses the threshold.
 	s.mu.Lock()
-	s.pending[id] = true
-	s.mu.Unlock()
-	select {
-	case s.wake <- struct{}{}:
-	default:
-	}
-	return c.subscriptionInfo(id)
-}
-
-// Unsubscribe removes a cluster subscription and its per-shard
-// registrations; reports whether it existed.
-func (c *Cluster) Unsubscribe(id string) bool {
-	s := c.standing
-	s.mu.Lock()
-	cs, ok := s.subs[id]
-	if !ok {
-		s.mu.Unlock()
-		return false
-	}
-	delete(s.subs, id)
-	delete(s.pending, id)
-	for i, v := range s.order {
-		if v == id {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			break
-		}
-	}
-	shardSubs := cs.shardSubs
-	for shard, subID := range shardSubs {
-		delete(s.byShard, shardSubKey{shard, subID})
-	}
+	s.subs[cs.key] = cs
+	s.pending[cs.key] = true
 	gStandingClusterSubs.Set(float64(len(s.subs)))
 	s.mu.Unlock()
-	for shard, subID := range shardSubs {
-		s.regs[shard].Unregister(subID)
+	s.kick()
+	return s.info(cs), nil
+}
+
+// Unsubscribe removes a cluster subscription and closes its per-shard
+// views; reports whether it existed.
+func (c *Cluster) Unsubscribe(id string) bool {
+	s := c.standing
+	key, ok := subKey(id)
+	if !ok {
+		return false
+	}
+	s.mu.Lock()
+	cs, ok := s.subs[key]
+	delete(s.subs, key)
+	delete(s.pending, key)
+	gStandingClusterSubs.Set(float64(len(s.subs)))
+	s.mu.Unlock()
+	if !ok {
+		return false
+	}
+	for _, h := range cs.handles {
+		h.Close()
 	}
 	return true
 }
@@ -378,48 +365,35 @@ func (c *Cluster) Unsubscribe(id string) bool {
 func (c *Cluster) Subscriptions() []ClusterSubInfo {
 	s := c.standing
 	s.mu.Lock()
-	ids := append([]string(nil), s.order...)
+	subs := make([]*clusterSub, 0, len(s.subs))
+	for _, cs := range s.subs {
+		subs = append(subs, cs)
+	}
 	s.mu.Unlock()
-	out := make([]ClusterSubInfo, 0, len(ids))
-	for _, id := range ids {
-		if info, err := c.subscriptionInfo(id); err == nil {
-			out = append(out, info)
-		}
+	slices.SortFunc(subs, func(a, b *clusterSub) int { return a.key - b.key })
+	out := make([]ClusterSubInfo, len(subs))
+	for i, cs := range subs {
+		out[i] = s.info(cs)
 	}
 	return out
 }
 
-// subscriptionInfo builds one subscription's info with a fresh merged
-// total.
-func (c *Cluster) subscriptionInfo(id string) (ClusterSubInfo, error) {
-	s := c.standing
+// info builds one subscription's info with a fresh merged total.
+func (s *clusterStanding) info(cs *clusterSub) ClusterSubInfo {
 	s.mu.Lock()
-	cs, ok := s.subs[id]
-	if !ok {
-		s.mu.Unlock()
-		return ClusterSubInfo{}, fmt.Errorf("shard: unknown subscription %s", id)
-	}
-	info := ClusterSubInfo{
-		ID:             id,
+	fired, events := cs.fired, cs.events
+	s.mu.Unlock()
+	return ClusterSubInfo{
+		ID:             subID(cs.key),
 		Filter:         cs.filter,
 		Options:        cs.opts,
 		Threshold:      cs.threshold,
-		Fired:          cs.fired,
-		Events:         cs.events,
-		ShardsStanding: len(cs.shardSubs),
-		ShardsTotal:    len(c.shards),
+		Total:          cs.total(),
+		Fired:          fired,
+		Events:         events,
+		ShardsStanding: len(cs.handles),
+		ShardsTotal:    len(s.c.shards),
 	}
-	shardSubs := make(map[int]string, len(cs.shardSubs))
-	for k, v := range cs.shardSubs {
-		shardSubs[k] = v
-	}
-	s.mu.Unlock()
-	for shard, subID := range shardSubs {
-		if t, ok := s.regs[shard].TotalOf(subID); ok {
-			info.Total += t
-		}
-	}
-	return info, nil
 }
 
 // StandingAggregate answers a cluster standing query from the merged
@@ -427,31 +401,16 @@ func (c *Cluster) subscriptionInfo(id string) (ClusterSubInfo, error) {
 // Aggregate over the same filter and options (pinned by differential
 // tests).
 func (c *Cluster) StandingAggregate(id string) (query.Aggregation, bool) {
-	s := c.standing
-	s.mu.Lock()
-	cs, ok := s.subs[id]
+	cs, ok := c.standing.lookup(id)
 	if !ok {
-		s.mu.Unlock()
 		return query.Aggregation{}, false
 	}
-	shardSubs := make(map[int]string, len(cs.shardSubs))
-	for k, v := range cs.shardSubs {
-		shardSubs[k] = v
-	}
-	opts := cs.opts
-	s.mu.Unlock()
-	parts := make([]query.Partial, 0, len(shardSubs))
-	for shard, subID := range shardSubs {
-		if p, _, ok := s.regs[shard].PartialSnapshotOf(subID); ok {
-			parts = append(parts, p)
-		}
-	}
-	return query.MergePartials(parts, opts), true
+	return cs.aggregate(), true
 }
 
-// StandingSettled reports whether every per-shard registry backing the
-// given subscriptions is clean (no rebuild pending) — the quiesce tests
-// and the smoke target wait on before differential checks.
+// StandingSettled reports whether every per-shard standing view is
+// clean (no rebuild pending) — the quiesce tests and the smoke target
+// wait on before differential checks.
 func (c *Cluster) StandingSettled() bool {
 	s := c.standing
 	for _, reg := range s.regs {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"whatsupersay/internal/logrec"
+	"whatsupersay/internal/obs"
 	"whatsupersay/internal/query"
 	"whatsupersay/internal/store"
 )
@@ -296,6 +297,109 @@ func TestClusterStandingImmediateFire(t *testing.T) {
 	}
 }
 
+// TestClusterStandingRearmAfterRetention pins the latch's re-arm: after
+// a crossing, retention on every shard's store drops the merged total
+// back below the threshold, which re-arms the latch without firing, and
+// the next crossing fires the subscription's second event.
+func TestClusterStandingRearmAfterRetention(t *testing.T) {
+	base := time.Date(2005, 11, 10, 0, 0, 0, 0, time.UTC)
+	c := newTestCluster(t, 2, nil, Options{Store: store.Options{FlushEvery: 1000}})
+	var trap clusterEventTrap
+	c.SetStandingNotify(trap.sink)
+	if _, err := c.Subscribe(store.Filter{}, query.AggregateOptions{}, 5); err != nil {
+		t.Fatal(err)
+	}
+	appendSpread := func(at time.Time, seq uint64, n int) {
+		t.Helper()
+		if ar, err := c.Append(standingSpread(at, seq, n)); err != nil || ar.Appended != n {
+			t.Fatalf("append: %+v, %v", ar, err)
+		}
+	}
+
+	appendSpread(base, 0, 3)
+	trap.settle(t, 0)
+	appendSpread(base.Add(time.Minute), 10, 3)
+	trap.waitCount(t, 1)
+	trap.settle(t, 1)
+
+	// Seal the crossing entries, land two newer ones in the tails, and
+	// let retention drop every sealed segment: the merged total is 2.
+	if err := c.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	appendSpread(base.Add(24*time.Hour), 20, 2)
+	dropped := 0
+	for _, sh := range c.shards {
+		rst, err := sh.backend.(*store.Store).ApplyRetention(base.Add(12 * time.Hour))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dropped += rst.SegmentsDropped
+	}
+	if dropped == 0 {
+		t.Fatal("retention dropped nothing; test needs a real retention mutation")
+	}
+	waitClusterStanding(t, c)
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		list := c.Subscriptions()
+		if len(list) == 1 && !list[0].Fired && list[0].Total == 2 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("latch did not re-arm after retention: %+v", list)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	trap.settle(t, 1)
+
+	// Re-crossing fires the second event.
+	appendSpread(base.Add(25*time.Hour), 30, 4)
+	trap.waitCount(t, 2)
+	trap.settle(t, 2)
+	trap.mu.Lock()
+	ev := trap.events[1]
+	trap.mu.Unlock()
+	if ev.Seq != 2 || ev.Total != 6 || ev.Aggregate.Total != 6 {
+		t.Fatalf("re-crossing event: %+v", ev)
+	}
+}
+
+// TestClusterStandingGaugeCountsViews: standing_subscriptions counts the
+// per-shard views in the process, not the last registry to change.
+func TestClusterStandingGaugeCountsViews(t *testing.T) {
+	const shards = 4
+	c := newTestCluster(t, shards, nil, Options{})
+	src := ""
+	for i := 0; src == ""; i++ {
+		if s := fmt.Sprintf("node%d", i); ShardFor(s, shards) == 2 {
+			src = s
+		}
+	}
+	gauge := obs.Default.Gauge("standing_subscriptions")
+	before := gauge.Value()
+	a, err := c.Subscribe(store.Filter{}, query.AggregateOptions{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := c.Subscribe(store.Filter{Sources: []string{src}}, query.AggregateOptions{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.ShardsStanding != shards || b.ShardsStanding != 1 {
+		t.Fatalf("coverage: a %+v, b %+v", a, b)
+	}
+	if got := gauge.Value() - before; got != shards+1 {
+		t.Fatalf("gauge counts %v views after two subscriptions, want %d", got, shards+1)
+	}
+	if !c.Unsubscribe(a.ID) {
+		t.Fatal("unsubscribe known id failed")
+	}
+	if got := gauge.Value() - before; got != 1 {
+		t.Fatalf("gauge counts %v views after unsubscribe, want 1", got)
+	}
+}
+
 // TestClusterUnsubscribe checks removal tears down the per-shard
 // registrations and the listing.
 func TestClusterUnsubscribe(t *testing.T) {
@@ -310,6 +414,18 @@ func TestClusterUnsubscribe(t *testing.T) {
 	}
 	if got := len(c.Subscriptions()); got != 2 {
 		t.Fatalf("listed %d, want 2", got)
+	}
+	// Only the exact id Subscribe issued resolves.
+	if a.ID != "csub-1" {
+		t.Fatalf("first subscription id %q, want csub-1", a.ID)
+	}
+	for _, id := range []string{"csub-1x", "csub-01", "csub-+1", "csub-", "sub-1", ""} {
+		if _, ok := c.StandingAggregate(id); ok {
+			t.Errorf("StandingAggregate(%q) resolved while csub-1 is live", id)
+		}
+		if c.Unsubscribe(id) {
+			t.Errorf("Unsubscribe(%q) succeeded while csub-1 is live", id)
+		}
 	}
 	if !c.Unsubscribe(a.ID) {
 		t.Fatal("unsubscribe known id failed")
