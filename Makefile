@@ -134,7 +134,9 @@ diff-smoke:
 # readers, its event counter, and the cluster's per-shard sub-id
 # reverse map, because a registry is a set of views reached through
 # handles and the cluster holds the one latch (Unregister is named in
-# its method forms); fail if a doc, comment or target names any of
+# its method forms), and the tagger's sampled alert-rate estimate, its
+# capacity rule and sample bound, because every record is tagged once;
+# fail if a doc, comment or target names any of
 # them again. Deliver and Collect live on as the
 # generic syslogng.Deliver and rasdb.Collect, so only their method forms
 # are names here, and FuzzReadFunc keeps its name. Of the root-level
@@ -142,7 +144,7 @@ diff-smoke:
 # checked: the others are the change log, the roadmap and reference
 # material, which record the deletions themselves. The one-letter
 # brackets keep this line from matching itself.
-STALE_REFS = 'BENCH_[p]ipeline|internal/[b]ench|bench-[s]moke|logstudy [b]ench|internal/[f]ailure|Disable[C]olumnar|ErrNot[I]ndexAnswerable|Index[A]nswerable|Column[S]canner|ReadAll[P]arallel|Auto[c]orrelation|Mutation[S]eq|min[P]ause|max[P]ause|Read[T]ree|ECD[F]|New[H]istogram|Spatial[C]oncentration|stats\.[P]ercentile([^s]|$$)|func [P]ercentile\(|stats\.[M]edian|func [M]edian\(|LogHistogram\) [T]otal\(|LogHistogram\.[T]otal|stats\.M[i]n\(|stats\.M[a]x\(|Parse[A]ll|Parse[S]tream|ParseEvent[S]tream|parsed[C]hunk|rolls[O]ver|re[p]arse\(|(^|[^z])Read[F]unc|\(rd Reader\) Read\(|rd\.R[e]ad\(|ingest\.[D]ialect|func [D]ialect\(|safe[P]arse|record[S]tats|TagAll[P]arallel|Render[E]vent|FileBy[S]ource|syslogng\.[S]ources|func [S]ources\(|TCP[P]ath|Relay\) [D]eliver|rl\.[D]eliver\(|Mailbox\) [C]ollect|mb\.[C]ollect\(|Mailbox(\(\)|\{\})\.[C]ollect|mailbox[O]rder|cp\.[Q]uarantined|ingest_[q]uarantined_total|MarkCorrupted[S]ources|PlannedNode[H]ours|Wildcard[F]raction|Matches[B]ody|Mean[B]urst|Standing[E]vent|Set[N]otify|Aggregate[O]f|Total[O]f|PartialSnapshot[O]f|shardSub[K]ey|by[S]hard|shard[S]ubs|standing_[e]vents_total|Registry\) [U]nregister|\.[U]nregister\('
+STALE_REFS = 'BENCH_[p]ipeline|internal/[b]ench|bench-[s]moke|logstudy [b]ench|internal/[f]ailure|Disable[C]olumnar|ErrNot[I]ndexAnswerable|Index[A]nswerable|Column[S]canner|ReadAll[P]arallel|Auto[c]orrelation|Mutation[S]eq|min[P]ause|max[P]ause|Read[T]ree|ECD[F]|New[H]istogram|Spatial[C]oncentration|stats\.[P]ercentile([^s]|$$)|func [P]ercentile\(|stats\.[M]edian|func [M]edian\(|LogHistogram\) [T]otal\(|LogHistogram\.[T]otal|stats\.M[i]n\(|stats\.M[a]x\(|Parse[A]ll|Parse[S]tream|ParseEvent[S]tream|parsed[C]hunk|rolls[O]ver|re[p]arse\(|(^|[^z])Read[F]unc|\(rd Reader\) Read\(|rd\.R[e]ad\(|ingest\.[D]ialect|func [D]ialect\(|safe[P]arse|record[S]tats|TagAll[P]arallel|Render[E]vent|FileBy[S]ource|syslogng\.[S]ources|func [S]ources\(|TCP[P]ath|Relay\) [D]eliver|rl\.[D]eliver\(|Mailbox\) [C]ollect|mb\.[C]ollect\(|Mailbox(\(\)|\{\})\.[C]ollect|mailbox[O]rder|cp\.[Q]uarantined|ingest_[q]uarantined_total|MarkCorrupted[S]ources|PlannedNode[H]ours|Wildcard[F]raction|Matches[B]ody|Mean[B]urst|Standing[E]vent|Set[N]otify|Aggregate[O]f|Total[O]f|PartialSnapshot[O]f|shardSub[K]ey|by[S]hard|shard[S]ubs|standing_[e]vents_total|Registry\) [U]nregister|\.[U]nregister\(|estimate[R]ate|alert[C]ap|sample[L]imit'
 no-stale-refs:
 	@if git grep -nE $(STALE_REFS) -- . ':(top,glob,exclude)*.md' || git grep -nE $(STALE_REFS) -- DESIGN.md README.md EXPERIMENTS.md; then \
 		echo "FAIL: stale reference to a deleted package, target or name (the bench ledger: see DESIGN.md §7 for the per-layer metric that replaced it; the decode aggregate: DESIGN.md §11)"; exit 1; fi
@@ -168,21 +170,29 @@ loadgen-smoke:
 	$(GO) test -race -count=1 -timeout $(TEST_TIMEOUT) ./internal/loadgen/ ./internal/connectors/...
 	$(call run-tests,-race -count=1 -timeout $(TEST_TIMEOUT),Loadgen|RequestDeadline|SSESurvives|Backpressure429|RetryAfter|GracefulShutdown|Graphite,./cmd/logstudy/)
 
-# Short exploratory fuzz of every parser and the streaming framer
-# (native Go fuzzing; seed corpora always run under plain `make test`).
+# Short exploratory fuzz of every parser and the streaming framer, and
+# of the BSD-syslog parser and the block framer against their
+# test-side references (native Go fuzzing; seed corpora always run
+# under plain `make test`). -fuzz is a pattern that must match exactly
+# one target, hence the anchors.
 FUZZTIME ?= 20s
 fuzz:
-	$(GO) test ./internal/syslogng -fuzz FuzzParse -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/syslogng -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/syslogng -fuzz FuzzParseMatchesReference -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/rasdb -fuzz FuzzParse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ddn -fuzz FuzzParse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ingest -fuzz FuzzReadFunc -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/ingest -fuzz FuzzFramerMatchesReference -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/filter -fuzz FuzzStreamMatchesBatch -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/store -fuzz FuzzSegmentWalk -fuzztime $(FUZZTIME)
 
 # Brief fuzz runs as part of `make verify`: a few seconds each on the
-# framer and the online-vs-batch filter differential, enough to explore
-# past the seed corpus on every PR without stalling the gate.
+# read loop, the parser and block framer differentials, and the
+# online-vs-batch filter differential, enough to explore past the seed
+# corpus on every PR without stalling the gate.
 SMOKE_FUZZTIME ?= 3s
 fuzz-smoke:
 	$(GO) test ./internal/ingest -run '^$$' -fuzz FuzzReadFunc -fuzztime $(SMOKE_FUZZTIME)
+	$(GO) test ./internal/syslogng -run '^$$' -fuzz FuzzParseMatchesReference -fuzztime $(SMOKE_FUZZTIME)
+	$(GO) test ./internal/ingest -run '^$$' -fuzz FuzzFramerMatchesReference -fuzztime $(SMOKE_FUZZTIME)
 	$(GO) test ./internal/filter -run '^$$' -fuzz FuzzStreamMatchesBatch -fuzztime $(SMOKE_FUZZTIME)

@@ -13,9 +13,10 @@
 package ingest
 
 import (
-	"bufio"
+	"bytes"
 	"context"
 	"io"
+	"strings"
 	"sync"
 	"time"
 
@@ -26,10 +27,10 @@ import (
 	"whatsupersay/internal/syslogng"
 )
 
-// Ingestion telemetry, updated per line by the one read loop
-// (ReadResilient) — each update is one atomic add on a pointer resolved
-// once at init, so the instrumented parse stays within the bench
-// overhead budget (DESIGN.md §8).
+// Ingestion telemetry, folded in by the one read loop (ReadResilient)
+// at the end of each run and before each checkpoint: the counters as
+// deltas of the run's Stats, the line sizes from a run-local tally, so
+// the per-line path touches no shared cache line (DESIGN.md §8).
 var (
 	mLines     = obs.Default.Counter("ingest_lines_total")
 	mParseErrs = obs.Default.Counter("ingest_parse_errors_total")
@@ -143,87 +144,139 @@ type Reader struct {
 // the stream: an oversized line is capped at max bytes (the rest of the
 // physical line is discarded) and reported truncated, and a final line
 // with no trailing newline — a torn tail — is still delivered. Only real
-// reader errors surface.
+// reader errors surface, after every line read before them.
+//
+// It reads the stream in 64 KiB blocks and converts each block's run of
+// complete lines with one string conversion; the lines it returns are
+// substrings of that run. A partial line carries over to the next
+// block, and a line longer than a block is assembled in its own buffer.
 type lineScanner struct {
-	br  *bufio.Reader
-	max int
-	buf []byte
+	r     io.Reader
+	max   int
+	block []byte // block[pos:n] is read but not yet framed
+	pos   int
+	n     int
+	seen  int    // block[pos:pos+seen] holds no newline
+	lines string // complete lines framed from the block, not yet returned
+	long  []byte // the first max bytes of a line longer than a block
+	longN int    // that line's length so far
+	err   error  // the reader's error, surfaced once the data before it is out
 }
 
-// scannerPool recycles lineScanners — the 64 KiB bufio buffer and the
-// line scratch buffer dominate the framer's allocations, and ingestion
-// creates one scanner per file segment (many, when resuming). A pooled
-// scanner whose scratch grew past maxPooledBuf is dropped rather than
-// pinned in the pool.
-var scannerPool = sync.Pool{New: func() any { return new(lineScanner) }}
+const blockSize = 64 * 1024
 
-const maxPooledBuf = 1 << 20
+// blockPool recycles read blocks across streams: serve frames one
+// stream per ingest request.
+var blockPool = sync.Pool{New: func() any { return new([blockSize]byte) }}
 
-func newLineScanner(r io.Reader, max int) *lineScanner {
-	ls := scannerPool.Get().(*lineScanner)
-	if ls.br == nil {
-		ls.br = bufio.NewReaderSize(r, 64*1024)
-	} else {
-		ls.br.Reset(r)
-	}
-	ls.max = max
-	ls.buf = ls.buf[:0]
-	return ls
+func newLineScanner(r io.Reader, max int) lineScanner {
+	return lineScanner{r: r, max: max, block: blockPool.Get().(*[blockSize]byte)[:]}
 }
 
-// release returns the scanner to the pool. The caller must not touch the
-// scanner — or any []byte returned by next — afterwards.
+// release returns the block to the pool and drops the reader, so the
+// pool pins neither. Lines already returned stay valid: they are
+// strings of their own.
 func (ls *lineScanner) release() {
-	if cap(ls.buf) > maxPooledBuf {
-		ls.buf = nil
-	}
-	scannerPool.Put(ls)
+	blockPool.Put((*[blockSize]byte)(ls.block))
+	*ls = lineScanner{}
 }
 
 // next returns the next line without its terminator, plus whether the
 // line was oversized-and-capped. At end of stream it returns io.EOF.
-func (ls *lineScanner) next() (line []byte, oversized bool, err error) {
-	ls.buf = ls.buf[:0]
-	discarding := false
+func (ls *lineScanner) next() (string, bool, error) {
 	for {
-		frag, ferr := ls.br.ReadSlice('\n')
-		if !discarding {
-			ls.buf = append(ls.buf, frag...)
-			if len(ls.buf) > ls.max {
-				// Cap the line; keep consuming to the newline so the
-				// next call starts on the next physical line.
-				ls.buf = ls.buf[:ls.max]
-				oversized = true
-				discarding = true
-			}
+		if i := strings.IndexByte(ls.lines, '\n'); i >= 0 {
+			line := ls.lines[:i]
+			ls.lines = ls.lines[i+1:]
+			return ls.frame(line, i+1)
 		}
-		switch {
-		case ferr == nil:
-			return ls.trim(), oversized, nil
-		case ferr == bufio.ErrBufferFull:
+		buf := ls.block[ls.pos:ls.n]
+		if i := bytes.IndexByte(buf[ls.seen:], '\n'); i >= 0 {
+			i += ls.seen
+			ls.seen = 0
+			if ls.longN > 0 {
+				ls.pos += i + 1
+				line, total := ls.takeLong(buf[:i])
+				return ls.frame(line, total+1)
+			}
+			end := bytes.LastIndexByte(buf, '\n') + 1
+			ls.lines = string(buf[:end])
+			ls.pos += end
 			continue
-		case ferr == io.EOF:
-			if len(ls.buf) == 0 {
-				return nil, false, io.EOF
-			}
-			return ls.trim(), oversized, nil
-		default:
-			return nil, false, ferr
 		}
+		if ls.err != nil {
+			if ls.err != io.EOF {
+				return "", false, ls.err
+			}
+			if ls.longN == 0 && len(buf) == 0 {
+				return "", false, io.EOF
+			}
+			// Torn tail: the last line has no newline.
+			ls.pos, ls.seen = ls.n, 0
+			line, total := ls.takeLong(buf)
+			return ls.frame(line, total)
+		}
+		ls.seen = len(buf)
+		ls.fill()
 	}
 }
 
-// trim strips the trailing newline (and a preceding carriage return)
-// from the buffered line.
-func (ls *lineScanner) trim() []byte {
-	b := ls.buf
-	if n := len(b); n > 0 && b[n-1] == '\n' {
-		b = b[:n-1]
+// fill slides the partial line to the front of the block and reads more
+// behind it. A block filled by one partial line moves into long first.
+// Like bufio, it gives up with io.ErrNoProgress after 100 empty reads.
+func (ls *lineScanner) fill() {
+	ls.n = copy(ls.block, ls.block[ls.pos:ls.n])
+	ls.pos = 0
+	if ls.n == len(ls.block) {
+		ls.appendLong(ls.block)
+		ls.n, ls.seen = 0, 0
 	}
-	if n := len(b); n > 0 && b[n-1] == '\r' {
-		b = b[:n-1]
+	for i := 0; i < 100; i++ {
+		m, err := ls.r.Read(ls.block[ls.n:])
+		ls.n += m
+		if err != nil {
+			ls.err = err
+			return
+		}
+		if m > 0 {
+			return
+		}
 	}
-	return b
+	ls.err = io.ErrNoProgress
+}
+
+// appendLong adds a block-spanning line's next bytes, keeping only the
+// first max: no framed line is longer.
+func (ls *lineScanner) appendLong(b []byte) {
+	ls.longN += len(b)
+	if room := ls.max - len(ls.long); room > 0 {
+		ls.long = append(ls.long, b[:min(room, len(b))]...)
+	}
+}
+
+// takeLong completes the line held in long with its last bytes b (b is
+// the whole line when none is held) and returns it with its length,
+// emptying long.
+func (ls *lineScanner) takeLong(b []byte) (string, int) {
+	ls.appendLong(b)
+	line, total := string(ls.long), ls.longN
+	ls.long, ls.longN = ls.long[:0], 0
+	return line, total
+}
+
+// frame caps a line of total bytes — its newline included, so a line of
+// exactly max bytes plus its newline counts as oversized — at max bytes
+// and strips one trailing carriage return from what is left; it
+// returns next's results for that line.
+func (ls *lineScanner) frame(line string, total int) (string, bool, error) {
+	oversized := total > ls.max
+	if oversized {
+		line = line[:ls.max]
+	}
+	if n := len(line); n > 0 && line[n-1] == '\r' {
+		line = line[:n-1]
+	}
+	return line, oversized, nil
 }
 
 // ParseLine is the per-line step every raw line goes through, for a

@@ -196,6 +196,7 @@ func (rd Reader) ReadResilient(ctx context.Context, r io.Reader, fn func(logrec.
 	st := &readState{rd: rd, fn: fn, opts: &opts, done: ctx.Done()}
 	if opts.Resume != nil {
 		st.cp = *opts.Resume
+		st.published = st.cp.Stats
 		st.years = RestoreYearTracker(st.cp.Year, st.cp.LastMonth)
 	} else {
 		start := rd.Start
@@ -217,6 +218,7 @@ func (rd Reader) ReadResilient(ctx context.Context, r io.Reader, fn func(logrec.
 	}
 	st.ls = newLineScanner(r, maxLine)
 	defer st.ls.release()
+	defer st.publish()
 
 	// Skip the lines a prior run already delivered. The stream is
 	// re-framed with the same capping rules, so line boundaries — and
@@ -245,9 +247,14 @@ type readState struct {
 	fn    func(logrec.Record) error
 	opts  *ResilientOptions
 	done  <-chan struct{}
-	ls    *lineScanner
+	ls    lineScanner
 	years *YearTracker
 	cp    Checkpoint
+	// published is the Stats already added to the ingest_* counters;
+	// lineBytes holds the delivered line sizes not yet merged into
+	// ingest_line_bytes.
+	published Stats
+	lineBytes obs.Tally
 }
 
 // line is one framed line in flight.
@@ -267,13 +274,27 @@ func (st *readState) snap() Checkpoint {
 	return st.cp
 }
 
-// checkpoint hands a snapshot to OnCheckpoint, if there is one.
+// checkpoint hands a snapshot to OnCheckpoint, if there is one, with
+// the telemetry brought up to it first.
 func (st *readState) checkpoint() error {
 	if st.opts.OnCheckpoint == nil {
 		return nil
 	}
+	st.publish()
 	mCheckpoints.Inc()
 	return st.opts.OnCheckpoint(st.snap())
+}
+
+// publish folds the run's progress since the last publish into the
+// shared telemetry: the line, parse-error and oversized counters by
+// their Stats deltas, and the tallied line sizes.
+func (st *readState) publish() {
+	s := st.cp.Stats
+	mLines.Add(int64(s.Lines - st.published.Lines))
+	mParseErrs.Add(int64(s.ParseErrors - st.published.ParseErrors))
+	mOversized.Add(int64(s.Oversized - st.published.Oversized))
+	mLineBytes.Merge(&st.lineBytes)
+	st.published = s
 }
 
 // run drives lines to the end of the stream. A parser panic unwinds out
@@ -322,8 +343,7 @@ func (st *readState) lines(ctx context.Context) (ln line, panicked bool, err err
 		if rerr != nil {
 			return ln, false, fmt.Errorf("ingest %v: %w", st.rd.System, rerr)
 		}
-		mLineBytes.Observe(int64(len(raw)))
-		ln.raw, ln.oversized = string(raw), oversized
+		ln.raw, ln.oversized = raw, oversized
 		ln.dialect = sniff(ln.raw)
 		parsing = true
 		rec := st.rd.parseLine(ln.raw, ln.dialect, st.years)
@@ -351,7 +371,7 @@ func (st *readState) deliver(rec *logrec.Record, ln *line) error {
 	cp.Seq++
 	cp.Lines++
 	cp.Stats.Lines++
-	mLines.Inc()
+	st.lineBytes.Observe(int64(len(ln.raw)))
 	switch {
 	case ln.dialect == rasDialect || (st.rd.System == logrec.BlueGeneL && !rec.Corrupted):
 		cp.Stats.RAS++
@@ -362,11 +382,9 @@ func (st *readState) deliver(rec *logrec.Record, ln *line) error {
 	}
 	if ln.oversized {
 		cp.Stats.Oversized++
-		mOversized.Inc()
 	}
 	if rec.Corrupted {
 		cp.Stats.ParseErrors++
-		mParseErrs.Inc()
 		if st.opts.Quarantine != nil {
 			if _, err := io.WriteString(st.opts.Quarantine, ln.raw+"\n"); err != nil {
 				return fmt.Errorf("ingest %v: quarantine: %w", st.rd.System, err)

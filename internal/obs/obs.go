@@ -161,6 +161,38 @@ func (h *Histogram) Observe(v int64) {
 	h.buckets[bucketOf(v)].Add(1)
 }
 
+// Tally is a goroutine-local Histogram: Observe is three plain adds,
+// and Histogram.Merge folds the tally in with one atomic add per used
+// bucket. A loop that observes every item keeps one and merges it at
+// its own checkpoints, so the shared histogram's cache lines are not
+// contended per item. The zero value is an empty tally.
+type Tally struct {
+	count, sum int64
+	buckets    [histBuckets + 1]int64
+}
+
+// Observe records one raw value into the tally.
+func (t *Tally) Observe(v int64) {
+	t.count++
+	t.sum += v
+	t.buckets[bucketOf(v)]++
+}
+
+// Merge adds the tally's observations to h and empties the tally. A
+// nil *Histogram drops them.
+func (h *Histogram) Merge(t *Tally) {
+	if h != nil && t.count != 0 {
+		h.count.Add(t.count)
+		h.sum.Add(t.sum)
+		for i, n := range t.buckets {
+			if n != 0 {
+				h.buckets[i].Add(n)
+			}
+		}
+	}
+	*t = Tally{}
+}
+
 // ObserveSince records the elapsed time since start, for Seconds
 // histograms.
 func (h *Histogram) ObserveSince(start time.Time) {

@@ -88,6 +88,39 @@ func TestHistogramEdges(t *testing.T) {
 	}
 }
 
+// TestTallyMergeEqualsObserve: a tally merged into a histogram leaves
+// it exactly as observing each value directly would, empties the tally,
+// and a nil histogram drops the merge.
+func TestTallyMergeEqualsObserve(t *testing.T) {
+	r := NewRegistry()
+	direct, merged := r.Histogram("direct", Bytes), r.Histogram("merged", Bytes)
+	var tl Tally
+	for _, v := range []int64{0, -5, 1, 7, 8, 130, 1 << 20, 1 << 62} {
+		direct.Observe(v)
+		tl.Observe(v)
+	}
+	merged.Observe(3)
+	direct.Observe(3)
+	merged.Merge(&tl)
+	if tl != (Tally{}) {
+		t.Fatalf("merge left the tally non-empty: %+v", tl)
+	}
+	if merged.Count() != direct.Count() || merged.Sum() != direct.Sum() {
+		t.Fatalf("merged count/sum %d/%g, direct %d/%g", merged.Count(), merged.Sum(), direct.Count(), direct.Sum())
+	}
+	for i := range direct.buckets {
+		if got, want := merged.buckets[i].Load(), direct.buckets[i].Load(); got != want {
+			t.Fatalf("bucket %d: merged %d, direct %d", i, got, want)
+		}
+	}
+	tl.Observe(1)
+	var nilHist *Histogram
+	nilHist.Merge(&tl)
+	if tl != (Tally{}) {
+		t.Fatal("merge into a nil histogram left the tally non-empty")
+	}
+}
+
 func TestSpanRecordsStage(t *testing.T) {
 	r := NewRegistry()
 	sp := r.StartSpan("tag")

@@ -438,8 +438,9 @@ func (s *Store) Len() int {
 // sealing a segment whenever the tail reaches FlushEvery entries. The
 // caller's slice is never written to: entries are copied before the
 // store normalizes them (System pinned to the store's system, Raw
-// dropped — the store does not persist wire text), so callers can
-// safely reuse their batch buffers.
+// dropped — the store does not persist wire text — and the other text
+// fields copied into memory the store owns), so callers can safely
+// reuse their batch buffers.
 func (s *Store) Append(entries ...Entry) error {
 	if len(entries) == 0 {
 		return nil
@@ -450,6 +451,7 @@ func (s *Store) Append(entries ...Entry) error {
 	for i := range batch {
 		batch[i].Record.System = s.sys
 		batch[i].Record.Raw = ""
+		ownText(&batch[i].Record)
 		frames = appendWalFrame(frames, batch[i])
 	}
 	appendSeq, sealSeq, err := func() (uint64, uint64, error) {
@@ -488,6 +490,23 @@ func (s *Store) Append(entries ...Entry) error {
 		}
 	}
 	return err
+}
+
+// ownText re-homes a record's text fields into one allocation of its
+// own. A parsed field is a substring of its whole read block, so without
+// this a tail entry or a notified Mutation would pin the caller's block
+// for as long as it lives.
+func ownText(r *logrec.Record) {
+	var b strings.Builder
+	b.Grow(len(r.Source) + len(r.Facility) + len(r.Program) + len(r.Body))
+	b.WriteString(r.Source)
+	b.WriteString(r.Facility)
+	b.WriteString(r.Program)
+	b.WriteString(r.Body)
+	s := b.String()
+	r.Source, s = s[:len(r.Source)], s[len(r.Source):]
+	r.Facility, s = s[:len(r.Facility)], s[len(r.Facility):]
+	r.Program, r.Body = s[:len(r.Program)], s[len(r.Program):]
 }
 
 // Seal flushes the whole tail into a sealed segment (no-op when empty).

@@ -114,12 +114,16 @@ func Parse(line string, year int, sys logrec.System) (logrec.Record, *ParseError
 		rec.Corrupted = true
 		return rec, &ParseError{Line: line, Reason: "line shorter than timestamp"}
 	}
-	ts, err := time.Parse(TimeLayout, rest[:15])
-	if err != nil {
-		rec.Corrupted = true
-		return rec, &ParseError{Line: line, Reason: "bad timestamp: " + err.Error()}
+	if t, ok := decodeStamp(rest[:15], year); ok {
+		rec.Time = t
+	} else {
+		ts, err := time.Parse(TimeLayout, rest[:15])
+		if err != nil {
+			rec.Corrupted = true
+			return rec, &ParseError{Line: line, Reason: "bad timestamp: " + err.Error()}
+		}
+		rec.Time = time.Date(year, ts.Month(), ts.Day(), ts.Hour(), ts.Minute(), ts.Second(), 0, time.UTC)
 	}
-	rec.Time = time.Date(year, ts.Month(), ts.Day(), ts.Hour(), ts.Minute(), ts.Second(), 0, time.UTC)
 	rest = rest[15:]
 	if !strings.HasPrefix(rest, " ") {
 		rec.Corrupted = true
@@ -136,17 +140,91 @@ func Parse(line string, year int, sys logrec.System) (logrec.Record, *ParseError
 	rec.Source = rest[:sp]
 	rest = rest[sp+1:]
 
-	// Optional "program:" or "program[pid]:" tag. A tag must be a single
-	// token ending in ':' before any space.
-	if colon := strings.Index(rest, ": "); colon > 0 && !strings.ContainsAny(rest[:colon], " \t") {
-		rec.Program = stripPID(rest[:colon])
-		rec.Body = rest[colon+2:]
-	} else if strings.HasSuffix(rest, ":") && !strings.ContainsAny(rest[:len(rest)-1], " \t") {
-		rec.Program = stripPID(rest[:len(rest)-1])
-	} else {
-		rec.Body = rest
-	}
+	rec.Program, rec.Body = splitTag(rest)
 	return rec, nil
+}
+
+// splitTag splits an optional "program:" or "program[pid]:" tag off the
+// message. A tag is a single token ending in ": " (tag and body) or in
+// ':' at the end of the line (bare tag); one scan stops at the first
+// space, tab or ": ", and a line with neither shape is all body.
+func splitTag(rest string) (program, body string) {
+	for i := 0; i < len(rest); i++ {
+		switch rest[i] {
+		case ' ', '\t':
+			return "", rest
+		case ':':
+			if i+1 == len(rest) {
+				return stripPID(rest[:i]), ""
+			}
+			if i > 0 && rest[i+1] == ' ' {
+				return stripPID(rest[:i]), rest[i+2:]
+			}
+		}
+	}
+	return "", rest
+}
+
+// monthNames is the month table: the title-case abbreviations, three
+// bytes each, in calendar order.
+const monthNames = "JanFebMarAprMayJunJulAugSepOctNovDec"
+
+// daysIn is each month's length in a leap year: time.Parse checks a
+// yearless day against year 0, which is leap, so Feb 29 always parses.
+var daysIn = [13]int{0, 31, 29, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31}
+
+// decodeStamp decodes the canonical BSD stamp "Jan _2 15:04:05" (exact
+// title-case month, day " D" or "DD", two-digit fields) at fixed offsets
+// and stamps it with year, as time.Date would: Feb 29 of a common year
+// becomes Mar 1. Any other 15 bytes report false and take the
+// time.Parse path, which alone decides what else parses and how a bad
+// stamp is described; where this answers, the two agree (pinned by
+// FuzzParseMatchesReference).
+func decodeStamp(s string, year int) (time.Time, bool) {
+	m := strings.Index(monthNames, s[:3])
+	if m < 0 || m%3 != 0 || s[3] != ' ' || s[6] != ' ' || s[9] != ':' || s[12] != ':' {
+		return time.Time{}, false
+	}
+	d0 := s[4]
+	if d0 == ' ' {
+		d0 = '0'
+	}
+	day, okD := digits2(d0, s[5])
+	hour, okH := digits2(s[7], s[8])
+	minute, okM := digits2(s[10], s[11])
+	sec, okS := digits2(s[13], s[14])
+	month := time.Month(m/3 + 1)
+	if !okD || !okH || !okM || !okS || day < 1 || day > daysIn[month] || hour > 23 || minute > 59 || sec > 59 {
+		return time.Time{}, false
+	}
+	days := daysFromCivil(int64(year), int64(month), int64(day))
+	return time.Unix(days*86400+int64(hour*3600+minute*60+sec), 0).UTC(), true
+}
+
+// digits2 decodes two ASCII decimal digits.
+func digits2(a, b byte) (int, bool) {
+	if a < '0' || a > '9' || b < '0' || b > '9' {
+		return 0, false
+	}
+	return int(a-'0')*10 + int(b-'0'), true
+}
+
+// daysFromCivil counts days from 1970-01-01 to y-m-d in the proleptic
+// Gregorian calendar (H. Hinnant's algorithm). A day past the month's
+// end carries into the next month, as time.Date normalises it.
+func daysFromCivil(y, m, d int64) int64 {
+	if m <= 2 {
+		y--
+	}
+	era := y / 400
+	if y < 0 && y%400 != 0 {
+		era--
+	}
+	yoe := y - era*400
+	mp := (m + 9) % 12 // March = 0
+	doy := (153*mp+2)/5 + d - 1
+	doe := yoe*365 + yoe/4 - yoe/100 + doy
+	return era*146097 + doe - 719468
 }
 
 // stripPID removes a trailing [pid] from a program tag.

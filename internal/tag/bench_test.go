@@ -68,24 +68,6 @@ func TestTagAllMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestTagAllPreallocation: the serial path's output capacity comes from
-// the sampled estimate, not append doubling — growth stays within the
-// estimate's headroom for a uniform stream.
-func TestTagAllPreallocation(t *testing.T) {
-	tg := NewTagger(logrec.Liberty)
-	recs := benchRecords(logrec.Liberty, 50000, 0.1, 3)
-	out := tg.TagAllSerial(recs)
-	if cap(out) > len(recs) {
-		t.Errorf("capacity %d exceeds record count %d", cap(out), len(recs))
-	}
-	// The estimate is 15% headroom plus binomial sampling noise on 512
-	// probes (sd ~13% relative at a 10% alert rate); anything past 75%
-	// slack means the sample isn't driving the capacity at all.
-	if len(out) > 0 && float64(cap(out)) > float64(len(out))*1.75 {
-		t.Errorf("capacity %d vs %d alerts: preallocation estimate too loose", cap(out), len(out))
-	}
-}
-
 // BenchmarkTagger times Tag per system on matching and non-matching
 // lines separately: the non-matching case is the prefilter's win (the
 // regexp engine never runs), the matching case its overhead ceiling.

@@ -63,53 +63,14 @@ func (t *Tagger) Tag(rec logrec.Record) (*catalog.Category, bool) {
 	return nil, false
 }
 
-// sampleLimit bounds the records probed by estimateRate.
-const sampleLimit = 512
-
-// estimateRate estimates the fraction of records that tag as alerts by
-// probing an evenly strided sample, so TagAll can preallocate its
-// output instead of growing it from nil through the append ladder. The
-// sampled records are re-tagged during the real pass — at most 512
-// duplicated Tag calls, noise against millions of records.
-func (t *Tagger) estimateRate(recs []logrec.Record) float64 {
-	n := len(recs)
-	if n == 0 {
-		return 0
-	}
-	sample := n
-	if sample > sampleLimit {
-		sample = sampleLimit
-	}
-	stride := n / sample
-	hits := 0
-	for i := 0; i < sample; i++ {
-		if _, ok := t.Tag(recs[i*stride]); ok {
-			hits++
-		}
-	}
-	return float64(hits) / float64(sample)
-}
-
-// alertCap converts a rate estimate into a preallocation capacity with
-// 15% headroom; the slack costs little and avoids a re-grow when the
-// sample undershoots.
-func alertCap(n int, rate float64) int {
-	c := int(float64(n)*rate*1.15) + 8
-	if c > n {
-		c = n
-	}
-	return c
-}
-
 // TagAll tags a record stream and returns the alerts, in input order.
 // The scan is chunk-parallel across GOMAXPROCS workers; chunk results
 // are reassembled in sequence order, so the output is identical to
 // TagAllSerial on the same records (enforced by test).
 func (t *Tagger) TagAll(recs []logrec.Record) []Alert {
 	sp := obs.Default.StartSpan("tag")
-	rate := t.estimateRate(recs)
 	out := parallel.FlatMap(len(recs), parallel.Options{}, func(lo, hi int) []Alert {
-		out := make([]Alert, 0, alertCap(hi-lo, rate))
+		var out []Alert
 		for i := lo; i < hi; i++ {
 			if c, ok := t.Tag(recs[i]); ok {
 				out = append(out, Alert{Record: recs[i], Category: c})
@@ -123,11 +84,12 @@ func (t *Tagger) TagAll(recs []logrec.Record) []Alert {
 	return out
 }
 
-// TagAllSerial is the single-threaded reference path: one pass, output
-// preallocated from the sampled alert-rate estimate.
+// TagAllSerial is the single-threaded reference path: one pass, each
+// record tagged once, the output grown from nil (alerts are a small
+// share of most logs).
 func (t *Tagger) TagAllSerial(recs []logrec.Record) []Alert {
 	sp := obs.Default.StartSpan("tag")
-	out := make([]Alert, 0, alertCap(len(recs), t.estimateRate(recs)))
+	var out []Alert
 	for _, r := range recs {
 		if c, ok := t.Tag(r); ok {
 			out = append(out, Alert{Record: r, Category: c})
