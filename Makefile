@@ -70,7 +70,9 @@ verify: build vet race no-stale-refs bench-contract diff-smoke subscribe-smoke c
 # (past the fence: installed stale, rebuilt once), failing scans, Close
 # mid-scan, seeded random schedules against a model), the
 # incremental-vs-rescan differential suites (registry and cluster,
-# every mutation class, shard counts 1/2/4/7), the
+# every mutation class, shard counts 1/2/4/7; seals and compactions are
+# notes, only retention rebuilds — the registry's close test rebuilds
+# on a retention pass), the
 # single-event-per-crossing latch tests, and the HTTP subscribe smoke
 # (POST subscribe → SSE fires exactly once per crossing, webhook
 # delivered at most once). -race because the views sit on the store
@@ -80,7 +82,10 @@ subscribe-smoke:
 	$(call run-tests,-race -count=1 -timeout $(TEST_TIMEOUT),View|Standing|Registry|Subscribe,./internal/view/ ./internal/query/ ./internal/shard/ ./cmd/logstudy/)
 
 # Correlation-mining gate: the incremental-vs-batch miner differentials
-# (every mutation class, warm starts, cluster shard counts 1/2/4/7) and
+# (every mutation class, warm starts, cluster shard counts 1/2/4/7),
+# compactions rebuilding neither the miner nor a standing view, a crash
+# restart cold-starting because only Close writes the artifact (the
+# second line fails if either test is renamed away), and
 # the /api/correlations + /api/predict HTTP smoke across layouts,
 # including the served-equals-batch prediction purity check and the
 # bounded-limit contract. -race because the miner sits on the store mutation stream;
@@ -89,6 +94,7 @@ subscribe-smoke:
 # subscribe-smoke and verify-race).
 correlate-smoke:
 	$(GO) test -race -count=1 -timeout $(TEST_TIMEOUT) ./internal/correlate/
+	$(call run-tests,-race -count=1 -timeout $(TEST_TIMEOUT),CompactionRebuildsNoView|CrashRestartColdStarts,./internal/correlate/)
 	$(call run-tests,-race -count=1 -timeout $(TEST_TIMEOUT),ClusterCorrelate|ClusterPrediction,./internal/shard/)
 	$(call run-tests,-race -count=1 -timeout $(TEST_TIMEOUT),Correlations|Predict|ListLimit|SubscriptionsLimit,./cmd/logstudy/)
 
@@ -135,7 +141,10 @@ diff-smoke:
 # reverse map, because a registry is a set of views reached through
 # handles and the cluster holds the one latch (Unregister is named in
 # its method forms), and the tagger's sampled alert-rate estimate, its
-# capacity rule and sample bound, because every record is tagged once;
+# capacity rule and sample bound, because every record is tagged once,
+# and the correlation miner's save worker, its wake, the persisted edge
+# form and the per-shard node and edge gauges, because the miner keeps
+# only columns and writes its artifact once, at Close;
 # fail if a doc, comment or target names any of
 # them again. Deliver and Collect live on as the
 # generic syslogng.Deliver and rasdb.Collect, so only their method forms
@@ -144,7 +153,7 @@ diff-smoke:
 # checked: the others are the change log, the roadmap and reference
 # material, which record the deletions themselves. The one-letter
 # brackets keep this line from matching itself.
-STALE_REFS = 'BENCH_[p]ipeline|internal/[b]ench|bench-[s]moke|logstudy [b]ench|internal/[f]ailure|Disable[C]olumnar|ErrNot[I]ndexAnswerable|Index[A]nswerable|Column[S]canner|ReadAll[P]arallel|Auto[c]orrelation|Mutation[S]eq|min[P]ause|max[P]ause|Read[T]ree|ECD[F]|New[H]istogram|Spatial[C]oncentration|stats\.[P]ercentile([^s]|$$)|func [P]ercentile\(|stats\.[M]edian|func [M]edian\(|LogHistogram\) [T]otal\(|LogHistogram\.[T]otal|stats\.M[i]n\(|stats\.M[a]x\(|Parse[A]ll|Parse[S]tream|ParseEvent[S]tream|parsed[C]hunk|rolls[O]ver|re[p]arse\(|(^|[^z])Read[F]unc|\(rd Reader\) Read\(|rd\.R[e]ad\(|ingest\.[D]ialect|func [D]ialect\(|safe[P]arse|record[S]tats|TagAll[P]arallel|Render[E]vent|FileBy[S]ource|syslogng\.[S]ources|func [S]ources\(|TCP[P]ath|Relay\) [D]eliver|rl\.[D]eliver\(|Mailbox\) [C]ollect|mb\.[C]ollect\(|Mailbox(\(\)|\{\})\.[C]ollect|mailbox[O]rder|cp\.[Q]uarantined|ingest_[q]uarantined_total|MarkCorrupted[S]ources|PlannedNode[H]ours|Wildcard[F]raction|Matches[B]ody|Mean[B]urst|Standing[E]vent|Set[N]otify|Aggregate[O]f|Total[O]f|PartialSnapshot[O]f|shardSub[K]ey|by[S]hard|shard[S]ubs|standing_[e]vents_total|Registry\) [U]nregister|\.[U]nregister\(|estimate[R]ate|alert[C]ap|sample[L]imit'
+STALE_REFS = 'BENCH_[p]ipeline|internal/[b]ench|bench-[s]moke|logstudy [b]ench|internal/[f]ailure|Disable[C]olumnar|ErrNot[I]ndexAnswerable|Index[A]nswerable|Column[S]canner|ReadAll[P]arallel|Auto[c]orrelation|Mutation[S]eq|min[P]ause|max[P]ause|Read[T]ree|ECD[F]|New[H]istogram|Spatial[C]oncentration|stats\.[P]ercentile([^s]|$$)|func [P]ercentile\(|stats\.[M]edian|func [M]edian\(|LogHistogram\) [T]otal\(|LogHistogram\.[T]otal|stats\.M[i]n\(|stats\.M[a]x\(|Parse[A]ll|Parse[S]tream|ParseEvent[S]tream|parsed[C]hunk|rolls[O]ver|re[p]arse\(|(^|[^z])Read[F]unc|\(rd Reader\) Read\(|rd\.R[e]ad\(|ingest\.[D]ialect|func [D]ialect\(|safe[P]arse|record[S]tats|TagAll[P]arallel|Render[E]vent|FileBy[S]ource|syslogng\.[S]ources|func [S]ources\(|TCP[P]ath|Relay\) [D]eliver|rl\.[D]eliver\(|Mailbox\) [C]ollect|mb\.[C]ollect\(|Mailbox(\(\)|\{\})\.[C]ollect|mailbox[O]rder|cp\.[Q]uarantined|ingest_[q]uarantined_total|MarkCorrupted[S]ources|PlannedNode[H]ours|Wildcard[F]raction|Matches[B]ody|Mean[B]urst|Standing[E]vent|Set[N]otify|Aggregate[O]f|Total[O]f|PartialSnapshot[O]f|shardSub[K]ey|by[S]hard|shard[S]ubs|standing_[e]vents_total|Registry\) [U]nregister|\.[U]nregister\(|estimate[R]ate|alert[C]ap|sample[L]imit|wake[S]ave|save[L]oop|artifact[E]dge|correlate_[e]dges|correlate_[n]odes'
 no-stale-refs:
 	@if git grep -nE $(STALE_REFS) -- . ':(top,glob,exclude)*.md' || git grep -nE $(STALE_REFS) -- DESIGN.md README.md EXPERIMENTS.md; then \
 		echo "FAIL: stale reference to a deleted package, target or name (the bench ledger: see DESIGN.md §7 for the per-layer metric that replaced it; the decode aggregate: DESIGN.md §11)"; exit 1; fi

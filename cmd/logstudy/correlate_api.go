@@ -16,7 +16,7 @@ package main
 // are counted exactly (see internal/shard).
 //
 // Both endpoints carry a "settled" field: false while a baseline scan
-// or compaction/retention re-baseline is still installing, so clients
+// or a retention re-baseline is still installing, so clients
 // can tell a warming view from a quiet system.
 
 import (

@@ -51,7 +51,7 @@ type serveBackend struct {
 	beginShutdown func()
 	// closeStore closes the cluster, in durability order: drain the
 	// ingest queues (every batch a client got a 200 for reaches the wal),
-	// seal, detach observers, close miners (final artifact save, so the
+	// seal, detach observers, close miners (their one artifact save, so the
 	// next open warm-starts), close registries, close stores. Must be
 	// called exactly once, after the server stops.
 	closeStore func() error

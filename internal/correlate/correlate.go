@@ -10,14 +10,14 @@
 //
 // The representation is chosen so that the online incremental graph is
 // *provably* byte-identical to a from-scratch batch mine over the same
-// entries. The maintained state is all-integer:
-//
-//   - per-node timestamp columns (sorted Unix nanoseconds) — a pure
-//     function of the entry multiset, order-independent by construction;
-//   - per-ordered-pair accumulators {Pairs, LagSum} — and pair counting
-//     is bilinear over disjoint multiset unions, so folding an appended
-//     batch Δ into columns A,B updates every edge exactly by
-//     cross(A,ΔB) + cross(ΔA,B) + cross(ΔA,ΔB).
+// entries. The maintained state is per-node timestamp columns (sorted
+// Unix nanoseconds) — a pure function of the entry multiset,
+// order-independent by construction — and folding an appended batch is
+// a merge of its columns into them. Edges are computed when the graph
+// is read: per ordered node pair, the co-occurrence pair count and lag
+// sum over the two columns (EdgesFromColumns), which is also the merge
+// step across shards, where per-shard edge counts would miss the pairs
+// whose two events landed on different shards.
 //
 // A pair (ta, tb) counts for edge A→B iff 0 < tb-ta ≤ Window: strict
 // precedence, so equal timestamps contribute nothing and tie order
@@ -28,6 +28,7 @@ package correlate
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -154,43 +155,54 @@ func (c Config) nodeOf(en store.Entry) (string, bool) {
 // edgeKey is one ordered node pair.
 type edgeKey struct{ a, b string }
 
-// edgeAccum is the integer edge state: co-occurrence pair count and the
-// sum of pair lags in nanoseconds. Int64 addition is commutative and
-// associative (even on overflow), which is what makes incremental ==
-// batch exact rather than approximate.
+// edgeAccum is one edge's integer state: co-occurrence pair count and
+// the sum of pair lags in nanoseconds.
 type edgeAccum struct {
 	Pairs  int64
 	LagSum int64
 }
 
-// graphState is the maintained integer state: per-node sorted timestamp
-// columns plus per-pair accumulators. Both are pure functions of the
-// entry multiset (given a config), never of arrival order.
-type graphState struct {
-	cols  map[string][]int64
-	edges map[edgeKey]edgeAccum
-}
+// columns is the miner's state and each appended batch's delta: per-node
+// sorted timestamp columns. Nodes with no events are absent.
+type columns map[string][]int64
 
-func newGraphState() *graphState {
-	return &graphState{cols: map[string][]int64{}, edges: map[edgeKey]edgeAccum{}}
-}
-
-// clone deep-copies the state.
-func (s *graphState) clone() graphState {
-	c := graphState{cols: make(map[string][]int64, len(s.cols)), edges: make(map[edgeKey]edgeAccum, len(s.edges))}
-	for node, col := range s.cols {
-		c.cols[node] = append([]int64(nil), col...)
+// add appends one entry's timestamp to its node's column, if cfg mines it.
+func (c Config) add(cols columns, en store.Entry) {
+	if node, ok := c.nodeOf(en); ok {
+		cols[node] = append(cols[node], en.Record.Time.UnixNano())
 	}
-	for k, v := range s.edges {
-		c.edges[k] = v
+}
+
+// sorted sorts every column in place: a scan delivers time order, an
+// append batch arrival order, and merge needs both sorted.
+func (cols columns) sorted() columns {
+	for _, c := range cols {
+		slices.Sort(c)
+	}
+	return cols
+}
+
+// merge folds d into cols: a disjoint multiset union, so folding batches
+// in any order yields the columns of their union.
+func (cols columns) merge(d columns) {
+	for node, col := range d {
+		cols[node] = view.MergeSorted(cols[node], col)
+	}
+}
+
+// clone deep-copies the columns.
+func (cols columns) clone() columns {
+	c := make(columns, len(cols))
+	for node, col := range cols {
+		c[node] = slices.Clone(col)
 	}
 	return c
 }
 
 // events returns the total event count across columns.
-func (s *graphState) events() int {
+func (cols columns) events() int {
 	n := 0
-	for _, c := range s.cols {
+	for _, c := range cols {
 		n += len(c)
 	}
 	return n
@@ -232,94 +244,10 @@ func cross(xs, ys []int64, window int64) (pairs, lagSum int64) {
 	return pairs, lagSum
 }
 
-// delta is one appended batch reduced to per-node new-event columns
-// (each sorted). It is what the miner buffers while a baseline scan is
-// in flight.
-type delta struct {
-	cols map[string][]int64
-	n    int // total new events
-}
-
-// deltaOf reduces an appended batch to its per-node columns under cfg.
-func deltaOf(cfg Config, entries []store.Entry) delta {
-	d := delta{cols: map[string][]int64{}}
-	for _, en := range entries {
-		node, ok := cfg.nodeOf(en)
-		if !ok {
-			continue
-		}
-		d.cols[node] = append(d.cols[node], en.Record.Time.UnixNano())
-		d.n++
-	}
-	for node := range d.cols {
-		c := d.cols[node]
-		sort.Slice(c, func(i, j int) bool { return c[i] < c[j] })
-	}
-	return d
-}
-
-// fold applies one delta to the state: every edge accumulator gains the
-// cross terms the new events introduce, then the new columns merge in.
-// Because cross is bilinear over disjoint unions, the result is exactly
-// the state a batch mine over the union would build.
-func (s *graphState) fold(d delta, window int64) {
-	if d.n == 0 {
-		return
-	}
-	// New-vs-old and new-vs-new cross terms. Existing nodes with no new
-	// events only gain pairs against nodes that do have new events.
-	dnodes := make([]string, 0, len(d.cols))
-	for node := range d.cols {
-		dnodes = append(dnodes, node)
-	}
-	sort.Strings(dnodes)
-	snodes := make([]string, 0, len(s.cols))
-	for node := range s.cols {
-		snodes = append(snodes, node)
-	}
-	sort.Strings(snodes)
-
-	addEdge := func(a, b string, pairs, lagSum int64) {
-		if pairs == 0 {
-			return
-		}
-		k := edgeKey{a, b}
-		acc := s.edges[k]
-		acc.Pairs += pairs
-		acc.LagSum += lagSum
-		s.edges[k] = acc
-	}
-	for _, a := range snodes {
-		oldA := s.cols[a]
-		for _, b := range dnodes {
-			// old A → new B.
-			p, l := cross(oldA, d.cols[b], window)
-			addEdge(a, b, p, l)
-		}
-	}
-	for _, a := range dnodes {
-		newA := d.cols[a]
-		for _, b := range snodes {
-			// new A → old B.
-			p, l := cross(newA, s.cols[b], window)
-			addEdge(a, b, p, l)
-		}
-		for _, b := range dnodes {
-			// new A → new B (covers self-edges within the batch).
-			p, l := cross(newA, d.cols[b], window)
-			addEdge(a, b, p, l)
-		}
-	}
-	for node, col := range d.cols {
-		s.cols[node] = view.MergeSorted(s.cols[node], col)
-	}
-}
-
-// EdgesFromColumns recomputes every pair accumulator from scratch over
-// the given columns — the batch reference the incremental fold must
-// agree with, and the merge step for cluster views (per-shard edge
-// counts do NOT sum across shards, because a pair's two events can land
-// on different shards; merged columns recompute exactly).
+// EdgesFromColumns computes every pair accumulator over the given
+// columns — the one edge computation, on every read path. Per-shard
+// edge counts do NOT sum across shards, because a pair's two events can
+// land on different shards; merged columns compute them exactly.
 func EdgesFromColumns(cols map[string][]int64, window time.Duration) map[edgeKey]edgeAccum {
 	w := window.Nanoseconds()
 	nodes := make([]string, 0, len(cols))
@@ -340,24 +268,12 @@ func EdgesFromColumns(cols map[string][]int64, window time.Duration) map[edgeKey
 }
 
 // columnsOf builds the per-node columns for an entry stream under cfg.
-// Scan order is canonical (nondecreasing time), so per-node appends stay
-// sorted; out-of-order input is sorted defensively.
-func columnsOf(cfg Config, entries []store.Entry) map[string][]int64 {
-	cols := map[string][]int64{}
+func columnsOf(cfg Config, entries []store.Entry) columns {
+	cols := columns{}
 	for _, en := range entries {
-		node, ok := cfg.nodeOf(en)
-		if !ok {
-			continue
-		}
-		cols[node] = append(cols[node], en.Record.Time.UnixNano())
+		cfg.add(cols, en)
 	}
-	for node := range cols {
-		c := cols[node]
-		if !sort.SliceIsSorted(c, func(i, j int) bool { return c[i] < c[j] }) {
-			sort.Slice(c, func(i, j int) bool { return c[i] < c[j] })
-		}
-	}
-	return cols
+	return cols.sorted()
 }
 
 // Node is one graph node in the rendered view.
@@ -396,26 +312,26 @@ type Graph struct {
 	Edges  []Edge `json:"edges"`
 }
 
-// render builds the Graph view of a state.
-func render(cfg Config, s *graphState) Graph {
+// GraphFromColumns renders the graph of the given columns: edges
+// computed over them, then sorted. It is the one read path — the
+// miner's snapshot, the cluster's merged view and the batch reference.
+func GraphFromColumns(cfg Config, cols map[string][]int64) Graph {
 	cfg = cfg.withDefaults()
-	g := Graph{Window: cfg.Window, NodeMode: cfg.NodeMode.String(), Events: s.events()}
-	g.Nodes = make([]Node, 0, len(s.cols))
-	for node, col := range s.cols {
+	edges := EdgesFromColumns(cols, cfg.Window)
+	g := Graph{Window: cfg.Window, NodeMode: cfg.NodeMode.String(), Events: columns(cols).events()}
+	g.Nodes = make([]Node, 0, len(cols))
+	for node, col := range cols {
 		g.Nodes = append(g.Nodes, Node{Name: node, Count: len(col)})
 	}
 	sort.Slice(g.Nodes, func(i, j int) bool { return g.Nodes[i].Name < g.Nodes[j].Name })
-	g.Edges = make([]Edge, 0, len(s.edges))
-	for k, acc := range s.edges {
-		if acc.Pairs == 0 {
-			continue
-		}
+	g.Edges = make([]Edge, 0, len(edges))
+	for k, acc := range edges {
 		e := Edge{
 			Source:      k.a,
 			Target:      k.b,
 			Pairs:       acc.Pairs,
-			SourceCount: len(s.cols[k.a]),
-			TargetCount: len(s.cols[k.b]),
+			SourceCount: len(cols[k.a]),
+			TargetCount: len(cols[k.b]),
 			MeanLag:     time.Duration(acc.LagSum / acc.Pairs),
 		}
 		if e.SourceCount > 0 {
@@ -433,14 +349,6 @@ func render(cfg Config, s *graphState) Graph {
 		return g.Edges[i].Target < g.Edges[j].Target
 	})
 	return g
-}
-
-// GraphFromColumns renders the graph a batch mine over the given
-// columns produces — the cluster merge path and the batch reference.
-func GraphFromColumns(cfg Config, cols map[string][]int64) Graph {
-	cfg = cfg.withDefaults()
-	s := &graphState{cols: cols, edges: EdgesFromColumns(cols, cfg.Window)}
-	return render(cfg, s)
 }
 
 // MineEntries is the from-scratch batch reference: columns then edges
@@ -470,28 +378,16 @@ type Scanner interface {
 
 // scanColumns streams a store's entries into per-node columns and
 // returns them with the scan's sequence number (ScanStats.Seq).
-func scanColumns(st Scanner, cfg Config) (map[string][]int64, uint64, error) {
-	cols := map[string][]int64{}
+func scanColumns(st Scanner, cfg Config) (columns, uint64, error) {
+	cols := columns{}
 	stats, err := st.Scan(store.Filter{}, func(en store.Entry) error {
-		node, ok := cfg.nodeOf(en)
-		if !ok {
-			return nil
-		}
-		cols[node] = append(cols[node], en.Record.Time.UnixNano())
+		cfg.add(cols, en)
 		return nil
 	})
 	if err != nil {
 		return nil, 0, err
 	}
-	// Canonical scan order is nondecreasing in time, but be defensive:
-	// the state's invariants all assume sorted columns.
-	for node := range cols {
-		c := cols[node]
-		if !sort.SliceIsSorted(c, func(i, j int) bool { return c[i] < c[j] }) {
-			sort.Slice(c, func(i, j int) bool { return c[i] < c[j] })
-		}
-	}
-	return cols, stats.Seq, nil
+	return cols.sorted(), stats.Seq, nil
 }
 
 // FilterEdges applies the /api/correlations query knobs to a rendered
@@ -518,11 +414,9 @@ func FilterEdges(edges []Edge, minSupport int64, minConfidence float64, node str
 // counting over merged columns is exactly pair counting over the union
 // entry set; per-shard edge counts would miss cross-shard pairs).
 func MergeColumns(parts []map[string][]int64) map[string][]int64 {
-	out := map[string][]int64{}
+	out := columns{}
 	for _, p := range parts {
-		for node, col := range p {
-			out[node] = view.MergeSorted(out[node], col)
-		}
+		out.merge(p)
 	}
 	return out
 }

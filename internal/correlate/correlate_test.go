@@ -108,7 +108,7 @@ func TestMineEntriesOrderIndependent(t *testing.T) {
 }
 
 // TestFoldMatchesBatch: folding random batch splits must equal the
-// from-scratch mine — the bilinearity the online miner rests on.
+// from-scratch mine — the multiset union the online miner rests on.
 func TestFoldMatchesBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	base := time.Date(2004, 3, 1, 0, 0, 0, 0, time.UTC)
@@ -116,16 +116,16 @@ func TestFoldMatchesBatch(t *testing.T) {
 		entries := randomEntries(rng, base, 50+rng.Intn(200))
 		for _, cfg := range testConfigs() {
 			cfg = cfg.withDefaults()
-			s := newGraphState()
+			s := columns{}
 			for lo := 0; lo < len(entries); {
 				hi := lo + 1 + rng.Intn(40)
 				if hi > len(entries) {
 					hi = len(entries)
 				}
-				s.fold(deltaOf(cfg, entries[lo:hi]), cfg.Window.Nanoseconds())
+				s.merge(columnsOf(cfg, entries[lo:hi]))
 				lo = hi
 			}
-			got := graphJSON(t, render(cfg, s))
+			got := graphJSON(t, GraphFromColumns(cfg, s))
 			want := graphJSON(t, MineEntries(cfg, entries))
 			if got != want {
 				t.Fatalf("trial %d cfg %s: incremental fold diverged\ngot:  %s\nwant: %s",

@@ -138,7 +138,7 @@ func TestMinerDifferential(t *testing.T) {
 	}
 	checkMinerDifferential(t, "seal", st, miners)
 
-	// Compaction: entry set unchanged, miner must survive the rebuild.
+	// Compaction: entry set unchanged, the miner keeps its columns.
 	cst, err := st.Compact()
 	if err != nil {
 		t.Fatal(err)
@@ -146,7 +146,7 @@ func TestMinerDifferential(t *testing.T) {
 	if cst.Compactions == 0 {
 		t.Fatal("compaction did not run; test needs a real compact mutation")
 	}
-	checkMinerDifferential(t, "compaction rebuild", st, miners)
+	checkMinerDifferential(t, "compaction", st, miners)
 
 	// Retention drops the oldest segment — the graph's decay: aged-out
 	// events must leave the columns and every touched edge must shrink
@@ -259,6 +259,16 @@ func TestMinerVersionAdvances(t *testing.T) {
 	}
 }
 
+// waitRegistrySettled polls until the registry's first view is settled.
+func waitRegistrySettled(t *testing.T, reg *query.Registry) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); reg.List()[0].Dirty; time.Sleep(2 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("subscription did not settle")
+		}
+	}
+}
+
 // countingStore counts the scans run through it: the miner baselines
 // with Scan, a standing registry with ScanColumns.
 type countingStore struct {
@@ -277,8 +287,8 @@ func (c *countingStore) ScanColumns(f store.Filter, v store.ColumnVisitor) (stor
 }
 
 // TestRebuildsUnderWritesWasteNoScan: a miner and a standing
-// subscription over one store, rebuilt by compactions while a writer
-// commits every millisecond, scan exactly once per build — the first
+// subscription over one store, rebuilt by retention passes while a
+// writer commits every millisecond, scan exactly once per build — the first
 // install, each rebuild, each counted failure — because a scan's own
 // snapshot is its fence and no commit can overtake it. Both still equal
 // a from-scratch answer once the writes stop.
@@ -332,15 +342,15 @@ func TestRebuildsUnderWritesWasteNoScan(t *testing.T) {
 			}
 		}
 	}()
-	go func() { // compactor
+	go func() { // retention: each pass drops the oldest baseline segment
 		defer wg.Done()
-		for {
+		for k := 1; ; k++ {
 			select {
 			case <-stop:
 				return
 			case <-time.After(20 * time.Millisecond):
 			}
-			if _, err := st.Compact(); err != nil {
+			if _, err := st.ApplyRetention(base.Add(time.Duration(k*200) * time.Minute)); err != nil {
 				t.Error(err)
 				return
 			}
@@ -351,16 +361,12 @@ func TestRebuildsUnderWritesWasteNoScan(t *testing.T) {
 	wg.Wait()
 
 	waitSettled(t, m)
-	for deadline := time.Now().Add(5 * time.Second); reg.List()[0].Dirty; time.Sleep(2 * time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("subscription did not settle")
-		}
-	}
+	waitRegistrySettled(t, reg)
 
 	ms := m.Stats()
 	minerBuilds := 1 + int64(ms.Rebuilds) + correlateCounters.Failures.Value() - minerFailures0
 	if ms.Rebuilds == 0 {
-		t.Fatal("no compaction rebuilt the miner; the test needs rebuilds under writes")
+		t.Fatal("no retention pass rebuilt the miner; the test needs rebuilds under writes")
 	}
 	if got := mCorrelateBaselines.Value() - baselines0; got != minerBuilds || cs.scans.Load() != minerBuilds {
 		t.Fatalf("miner: %d baseline scans (%d through the store) for %d builds", got, cs.scans.Load(), minerBuilds)
@@ -372,6 +378,68 @@ func TestRebuildsUnderWritesWasteNoScan(t *testing.T) {
 	}
 
 	checkMinerDifferential(t, "after writes", st, []*Miner{m})
+	want, _, err := (&query.Engine{Store: st}).Aggregate(store.Filter{}, query.AggregateOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := query.MergePartials([]query.Partial{h.Snapshot()}, query.AggregateOptions{})
+	g, _ := json.Marshal(got)
+	w, _ := json.Marshal(want)
+	if string(g) != string(w) {
+		t.Fatalf("standing aggregate diverges from a scan\nstanding: %s\nscan:     %s", g, w)
+	}
+}
+
+// TestCompactionRebuildsNoView: compaction keeps the entry set, so a
+// miner and a standing view over a compacting store scan once each —
+// their first install — and never rebuild, while both answers stay
+// equal to a from-scratch one.
+func TestCompactionRebuildsNoView(t *testing.T) {
+	st, err := store.Create(t.TempDir(), logrec.Liberty, store.Options{FlushEvery: 4, CompactTarget: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	cs := &countingStore{Store: st}
+	reg := query.NewRegistry(cs)
+	m := NewMiner(cs, Config{}, "")
+	st.SetObserver(func(mu store.Mutation) {
+		reg.OnMutation(mu)
+		m.OnMutation(mu)
+	})
+	defer func() {
+		st.SetObserver(nil)
+		m.Close()
+		reg.Close()
+	}()
+	if err := m.Init(); err != nil {
+		t.Fatal(err)
+	}
+	h, err := reg.Register(store.Filter{}, query.AggregateOptions{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	base := time.Date(2004, 3, 1, 0, 0, 0, 0, time.UTC)
+	const rounds = 5
+	for i := 0; i < rounds; i++ {
+		// 12 entries seal three segments for the compaction to merge.
+		if err := st.Append(minerEntries(base.Add(time.Duration(i)*time.Hour), uint64(i*100), 12)...); err != nil {
+			t.Fatal(err)
+		}
+		if cst, err := st.Compact(); err != nil || cst.Compactions == 0 {
+			t.Fatalf("round %d: need a real compact mutation: %+v, %v", i, cst, err)
+		}
+	}
+
+	checkMinerDifferential(t, "after compactions", st, []*Miner{m})
+	waitRegistrySettled(t, reg)
+	if ms := m.Stats(); ms.Rebuilds != 0 || cs.scans.Load() != 1 {
+		t.Fatalf("miner: %d rebuilds, %d scans; want 0 and its Init's 1", ms.Rebuilds, cs.scans.Load())
+	}
+	if info := reg.List()[0]; info.Rebuilds != 0 || cs.columnScans.Load() != 1 {
+		t.Fatalf("registry: %d rebuilds, %d scans; want 0 and its Init's 1", info.Rebuilds, cs.columnScans.Load())
+	}
 	want, _, err := (&query.Engine{Store: st}).Aggregate(store.Filter{}, query.AggregateOptions{})
 	if err != nil {
 		t.Fatal(err)

@@ -10,22 +10,21 @@ import (
 )
 
 // Miner maintains the correlation graph online, off the store mutation
-// stream, as a view.View whose state is the graph's integer state and
-// whose delta is one appended batch's per-node columns — so every
-// append lands in the state exactly once however delivery interleaves
-// with scanning (the fence is internal/view's). Seals are no-ops (the
-// entry set is unchanged); compaction and retention invalidate the view
-// and its worker re-baselines — retention IS the graph's decay:
-// aged-out events leave the columns on rebuild, and every edge shrinks
-// to exactly the batch mine of what remains.
+// stream, as a view.View whose state is the per-node timestamp columns
+// and whose delta is one appended batch's columns — so every append
+// lands in the state exactly once however delivery interleaves with
+// scanning (the fence is internal/view's). Edges are computed when the
+// graph is read. Seals and compactions are no-ops (the entry set is
+// unchanged); retention invalidates the view and its worker
+// re-baselines — retention IS the graph's decay: aged-out events leave
+// the columns on rebuild, and every edge shrinks to exactly the batch
+// mine of what remains.
 //
 // The store supports at most one observer; the serve layer multiplexes
 // one observer func across the standing registry and the miner.
 
 // Correlation-miner telemetry.
 var (
-	gCorrelateNodes       = obs.Default.Gauge("correlate_nodes")
-	gCorrelateEdges       = obs.Default.Gauge("correlate_edges")
 	mCorrelateDeltaEvents = obs.Default.Counter("correlate_delta_events_total")
 	mCorrelateBaselines   = obs.Default.Counter("correlate_baseline_scans_total")
 	mCorrelateWarmStarts  = obs.Default.Counter("correlate_warm_starts_total")
@@ -39,13 +38,12 @@ var (
 // MinerStats describes a miner's current state.
 type MinerStats struct {
 	Nodes  int `json:"nodes"`
-	Edges  int `json:"edges"`
 	Events int `json:"events"`
 	// Dirty means the state is not settled: a baseline or rebuild scan
 	// is running, queued, or failed; reads serve the last good state.
 	Dirty bool `json:"dirty,omitempty"`
 	// DeltasApplied counts folded append batches; Rebuilds counts
-	// re-baselines after compaction/retention; WarmStart reports whether
+	// re-baselines after retention; WarmStart reports whether
 	// the initial state came from a persisted artifact instead of a scan.
 	DeltasApplied uint64 `json:"deltas_applied"`
 	Rebuilds      uint64 `json:"rebuilds"`
@@ -56,25 +54,21 @@ type MinerStats struct {
 type Miner struct {
 	st  query.StandingStore
 	cfg Config
-	// artifactPath, when nonempty, is where the graph persists (written
-	// atomically, loaded for warm starts). See persist.go.
+	// artifactPath, when nonempty, is where Close persists the columns
+	// (written atomically, loaded for warm starts). See persist.go.
 	artifactPath string
 
-	view *view.View[graphState, delta]
+	view *view.View[columns, columns]
 	// lastSeq and version are guarded by the view's lock (written in its
 	// hook, read inside Read). lastSeq is the highest mutation sequence
-	// the installed state reflects (appends folded, seals noted). The
-	// saver persists only when lastSeq equals the sequence number
+	// the installed state reflects (appends folded, seals and compactions
+	// noted). Close persists only when lastSeq equals the sequence number
 	// FingerprintSeq pairs with the fingerprint, so an artifact's
 	// fingerprint always describes exactly the state written with it.
 	// version counts state changes; the live-prediction cache keys on it.
 	lastSeq   uint64
 	version   uint64
 	warmStart atomic.Bool
-
-	saveCh   chan struct{}
-	stop     chan struct{}
-	saveDone chan struct{}
 }
 
 // NewMiner builds a miner over st. The caller wires the observer
@@ -83,21 +77,12 @@ type Miner struct {
 // lost between baseline and observation. artifactPath may be empty to
 // disable persistence.
 func NewMiner(st query.StandingStore, cfg Config, artifactPath string) *Miner {
-	m := &Miner{
-		st:           st,
-		cfg:          cfg.withDefaults(),
-		artifactPath: artifactPath,
-		saveCh:       make(chan struct{}, 1),
-		stop:         make(chan struct{}),
-		saveDone:     make(chan struct{}),
+	m := &Miner{st: st, cfg: cfg.withDefaults(), artifactPath: artifactPath}
+	fold := func(s *columns, d columns) {
+		s.merge(d)
+		mCorrelateDeltaEvents.Add(int64(d.events()))
 	}
-	window := m.cfg.Window.Nanoseconds()
-	fold := func(s *graphState, d delta) {
-		s.fold(d, window)
-		mCorrelateDeltaEvents.Add(int64(d.n))
-	}
-	m.view = view.New(*newGraphState(), m.scan, fold, m.onStep, correlateCounters)
-	go m.saveLoop()
+	m.view = view.New(columns{}, m.scan, fold, m.onStep, correlateCounters)
 	return m
 }
 
@@ -112,11 +97,11 @@ func (m *Miner) Config() Config { return m.cfg }
 func (m *Miner) Init() error {
 	art := m.loadMatchingArtifact()
 	warm := false
-	err := m.view.Init(func() (graphState, uint64, error) {
+	err := m.view.Init(func() (columns, uint64, error) {
 		if art != nil {
 			if fp, seq := m.st.FingerprintSeq(); fp == art.Fingerprint {
 				warm = true
-				return art.state(), seq, nil
+				return art.Cols, seq, nil
 			}
 		}
 		return m.scan()
@@ -128,12 +113,10 @@ func (m *Miner) Init() error {
 	return err
 }
 
-// Close stops the workers, then writes a final artifact so the next
-// open can warm-start. Detach the observer first.
+// Close stops the view's rebuild worker, then writes the artifact so
+// the next open can warm-start. Detach the observer first.
 func (m *Miner) Close() {
-	close(m.stop)
 	m.view.Close()
-	<-m.saveDone
 	m.save()
 }
 
@@ -142,48 +125,41 @@ func (m *Miner) Close() {
 func (m *Miner) OnMutation(mu store.Mutation) {
 	switch mu.Kind {
 	case store.MutationAppend:
-		if d := deltaOf(m.cfg, mu.Entries); d.n > 0 {
+		if d := columnsOf(m.cfg, mu.Entries); len(d) > 0 {
 			m.view.Apply(mu.Seq, d)
 		} else {
 			m.view.Note(mu.Seq)
 		}
-	case store.MutationSeal:
-		// Entry set unchanged; columns and edges stay exact — but the
-		// fingerprint moved, so the saver re-saves under the new one.
+	case store.MutationSeal, store.MutationCompact:
+		// Entry set unchanged; the columns stay exact. Noting the Seq
+		// keeps lastSeq level with the moved fingerprint for Close's save.
 		m.view.Note(mu.Seq)
-	case store.MutationCompact, store.MutationRetention:
+	case store.MutationRetention:
 		m.view.Invalidate(mu.Seq)
 	}
 }
 
 // scan is the baseline producer: a batch mine of the store, fenced at
 // the scan's sequence number.
-func (m *Miner) scan() (graphState, uint64, error) {
+func (m *Miner) scan() (columns, uint64, error) {
 	mCorrelateBaselines.Add(1)
-	cols, seq, err := scanColumns(m.st, m.cfg)
-	if err != nil {
-		return graphState{}, 0, err
-	}
-	return graphState{cols: cols, edges: EdgesFromColumns(cols, m.cfg.Window)}, seq, nil
+	return scanColumns(m.st, m.cfg)
 }
 
 // onStep is the view's hook (its lock is held): note the sequence
-// number the state now reflects, publish a change, poke the saver.
-func (m *Miner) onStep(s *graphState, st view.Step) {
+// number the state now reflects and count a change.
+func (m *Miner) onStep(_ *columns, st view.Step) {
 	m.lastSeq = st.Seq
 	if st.Changed {
 		m.version++
-		gCorrelateNodes.Set(float64(len(s.cols)))
-		gCorrelateEdges.Set(float64(len(s.edges)))
 	}
-	m.wakeSave()
 }
 
-// Snapshot renders the current graph. The integer state is copied
-// under the lock; rendering runs outside it.
+// Snapshot renders the current graph. The columns are copied under the
+// lock; edges are computed outside it.
 func (m *Miner) Snapshot() Graph {
-	st, _ := m.snapshotState()
-	return render(m.cfg, &st)
+	cols, _ := m.ColumnsSnapshot()
+	return GraphFromColumns(m.cfg, cols)
 }
 
 // ColumnsSnapshot deep-copies the per-node columns — the cluster tier
@@ -192,23 +168,16 @@ func (m *Miner) Snapshot() Graph {
 // advances on every applied delta or installed rebuild; both come from
 // one critical section, so a cache keyed on the version never files
 // older columns under a newer version.
-func (m *Miner) ColumnsSnapshot() (map[string][]int64, uint64) {
-	st, version := m.snapshotState()
-	return st.cols, version
-}
-
-// snapshotState copies the integer state under the lock.
-func (m *Miner) snapshotState() (st graphState, version uint64) {
-	m.view.Read(func(s *graphState, _ view.Status) { st, version = s.clone(), m.version })
-	return st, version
+func (m *Miner) ColumnsSnapshot() (cols map[string][]int64, version uint64) {
+	m.view.Read(func(s *columns, _ view.Status) { cols, version = s.clone(), m.version })
+	return cols, version
 }
 
 // Stats reports the miner's current counters.
 func (m *Miner) Stats() (out MinerStats) {
-	m.view.Read(func(s *graphState, st view.Status) {
+	m.view.Read(func(s *columns, st view.Status) {
 		out = MinerStats{
-			Nodes:         len(s.cols),
-			Edges:         len(s.edges),
+			Nodes:         len(*s),
 			Events:        s.events(),
 			Dirty:         !st.Settled,
 			DeltasApplied: st.Deltas,

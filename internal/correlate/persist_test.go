@@ -2,6 +2,7 @@ package correlate
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"runtime"
 	"testing"
@@ -84,6 +85,77 @@ func TestMinerWarmStart(t *testing.T) {
 	checkMinerDifferential(t, "post-warm-start append", st2, []*Miner{m2})
 }
 
+// TestMinerCrashRestartColdStarts: the artifact is written only by
+// Close, so a process that dies after appends and seals leaves none and
+// the next open rebuilds from a scan — to exactly the batch mine.
+func TestMinerCrashRestartColdStarts(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.Create(dir, logrec.Liberty, store.Options{FlushEvery: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Window: 30 * time.Minute}
+	saves0 := mCorrelateSaves.Value()
+	m := NewMiner(st, cfg, ArtifactPath(dir))
+	st.SetObserver(m.OnMutation)
+	if err := m.Init(); err != nil {
+		t.Fatal(err)
+	}
+	base := time.Date(2004, 3, 1, 0, 0, 0, 0, time.UTC)
+	var all []store.Entry
+	for i := 0; i < 3; i++ {
+		batch := minerEntries(base.Add(time.Duration(i)*time.Hour), uint64(i*100), 9)
+		all = append(all, batch...)
+		if err := st.Append(batch...); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Seal(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitSettled(t, m)
+	if got := mCorrelateSaves.Value() - saves0; got != 0 {
+		t.Fatalf("%d saves before any Close", got)
+	}
+	if _, err := os.Stat(ArtifactPath(dir)); !os.IsNotExist(err) {
+		t.Fatalf("artifact written before Close: %v", err)
+	}
+
+	// The crash: the miner is never closed. The store's own files are
+	// what a reopen recovers either way.
+	st.SetObserver(nil)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st2, _, err := store.Open(dir, store.Options{FlushEvery: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	m2 := NewMiner(st2, cfg, ArtifactPath(dir))
+	st2.SetObserver(m2.OnMutation)
+	if err := m2.Init(); err != nil {
+		t.Fatal(err)
+	}
+	if m2.Stats().WarmStart {
+		t.Fatal("a crash restart warm-started")
+	}
+	waitSettled(t, m2)
+	if got, want := graphJSON(t, m2.Snapshot()), graphJSON(t, MineEntries(cfg, all)); got != want {
+		t.Fatalf("cold-started graph diverges\ngot:  %s\nwant: %s", got, want)
+	}
+	if got := mCorrelateSaves.Value() - saves0; got != 0 {
+		t.Fatalf("%d saves before any Close", got)
+	}
+	st2.SetObserver(nil)
+	m2.Close()
+	if got := mCorrelateSaves.Value() - saves0; got != 1 {
+		t.Fatalf("Close saved %d times, want 1", got)
+	}
+	// Release the abandoned miner's rebuild worker.
+	m.view.Close()
+}
+
 // TestMinerWarmStartRejects pins the guards: a config change or a store
 // mutated behind the artifact's back must fall back to a scan (and
 // still produce the exact batch answer).
@@ -154,8 +226,9 @@ func TestMinerWarmStartRejects(t *testing.T) {
 	checkMinerDifferential(t, "stale fingerprint", st2, []*Miner{m2})
 }
 
-// TestCorruptArtifactIgnored: a truncated or garbage artifact is a
-// cache miss, not an error.
+// TestCorruptArtifactIgnored: a truncated or garbage artifact, one in
+// the old encoding, or one without columns is a cache miss, not an
+// error — even when its fingerprint matches the store.
 func TestCorruptArtifactIgnored(t *testing.T) {
 	dir := t.TempDir()
 	st, err := store.Create(dir, logrec.Liberty, store.Options{})
@@ -163,28 +236,41 @@ func TestCorruptArtifactIgnored(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	if err := os.WriteFile(ArtifactPath(dir), []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	m := NewMiner(st, Config{}, ArtifactPath(dir))
-	st.SetObserver(m.OnMutation)
-	defer func() {
+	base := time.Date(2004, 3, 1, 0, 0, 0, 0, time.UTC)
+	for i, form := range []string{
+		"{not json",
+		`{"version":1,"config_key":%q,"fingerprint":%d,"cols":{}}`,
+		`{"version":2,"config_key":%q,"fingerprint":%d,"cols":null}`,
+	} {
+		// Each artifact names the store's current fingerprint.
+		fp, _ := st.FingerprintSeq()
+		body := form
+		if i > 0 {
+			body = fmt.Sprintf(form, Config{}.Key(), fp)
+		}
+		if err := os.WriteFile(ArtifactPath(dir), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		m := NewMiner(st, Config{}, ArtifactPath(dir))
+		st.SetObserver(m.OnMutation)
+		if err := m.Init(); err != nil {
+			t.Fatal(err)
+		}
+		if m.Stats().WarmStart {
+			t.Fatalf("artifact %s warm-started", body)
+		}
+		// The scanned state takes a fold.
+		if err := st.Append(minerEntries(base.Add(time.Duration(i)*time.Hour), uint64(i*10), 5)...); err != nil {
+			t.Fatal(err)
+		}
+		checkMinerDifferential(t, body, st, []*Miner{m})
 		st.SetObserver(nil)
 		m.Close()
-	}()
-	if err := m.Init(); err != nil {
-		t.Fatal(err)
 	}
-	if m.Stats().WarmStart {
-		t.Fatal("corrupt artifact warm-started")
-	}
-	checkMinerDifferential(t, "corrupt artifact", st, []*Miner{m})
 }
 
-// TestMinerCloseLeavesNoGoroutines: Close takes both workers down — the
-// rebuild worker after it has re-baselined on a compaction, the save
-// worker after it has written an artifact (before Close's own final
-// save, so the file proves the worker ran).
+// TestMinerCloseLeavesNoGoroutines: Close takes the view's rebuild
+// worker down after it has re-baselined on a retention pass.
 func TestMinerCloseLeavesNoGoroutines(t *testing.T) {
 	dir := t.TempDir()
 	st, err := store.Create(dir, logrec.Liberty, store.Options{FlushEvery: 3})
@@ -206,27 +292,17 @@ func TestMinerCloseLeavesNoGoroutines(t *testing.T) {
 	if err := st.Seal(); err != nil {
 		t.Fatal(err)
 	}
-	if cst, err := st.Compact(); err != nil || cst.Compactions == 0 {
-		t.Fatalf("need a real compact mutation: %+v, %v", cst, err)
+	if rst, err := st.ApplyRetention(base.Add(4 * time.Minute)); err != nil || rst.SegmentsDropped == 0 {
+		t.Fatalf("need a real retention mutation: %+v, %v", rst, err)
 	}
 	waitSettled(t, m)
 	if stats := m.Stats(); stats.Rebuilds == 0 {
 		t.Fatalf("the rebuild worker never ran: %+v", stats)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if _, err := os.Stat(ArtifactPath(dir)); err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("the save worker never wrote an artifact")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
 
 	st.SetObserver(nil)
 	m.Close()
-	deadline = time.Now().Add(5 * time.Second)
+	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > before {
 		if time.Now().After(deadline) {
 			buf := make([]byte, 1<<20)

@@ -18,11 +18,12 @@ import (
 // mutation notifications and fold in as deltas — PartialOf over the
 // batch's matching entries, merged into the materialized state — so a
 // standing aggregate is MergePartials over one snapshot, never a
-// rescan. Seals change nothing (the entry set is identical); compaction
-// and retention invalidate the view, which rebuilds from a scan. The
-// fence that makes the incremental answer equal the batch one, and the
-// retry policy after a failed rebuild, are internal/view's. Thresholds
-// are the caller's: the registry only reports that a view changed.
+// rescan. Seals and compactions change nothing (the entry set is
+// identical); retention invalidates the view, which rebuilds from a
+// scan. The fence that makes the incremental answer equal the batch
+// one, and the retry policy after a failed rebuild, are internal/view's.
+// Thresholds are the caller's: the registry only reports that a view
+// changed.
 
 // Standing-view telemetry. standing_subscriptions counts the open
 // handles over every registry in the process.
@@ -197,14 +198,12 @@ func (r *Registry) OnMutation(m store.Mutation) {
 			} else {
 				h.view.Note(m.Seq)
 			}
-		case store.MutationSeal:
+		case store.MutationSeal, store.MutationCompact:
 			// The entry set is unchanged; the materialization stays exact.
 			h.view.Note(m.Seq)
-		case store.MutationCompact, store.MutationRetention:
-			// Compaction keeps the entry set but moves physical layout;
-			// retention genuinely shrinks it. Both invalidate wholesale —
-			// the view rebuilds rather than reasoning about which
-			// segments went where.
+		case store.MutationRetention:
+			// Retention shrinks the entry set: the view rebuilds rather
+			// than reasoning about which entries went.
 			h.view.Invalidate(m.Seq)
 		}
 	}

@@ -59,7 +59,7 @@ func (cc *clusterCorrelate) init() error {
 	return firstErr
 }
 
-// close closes every miner (final artifact save). The caller has
+// close closes every miner (its one artifact save). The caller has
 // already sealed the backends and detached the observers, so each
 // artifact's fingerprint matches the store a reopen will see.
 func (cc *clusterCorrelate) close() {

@@ -108,8 +108,8 @@ func TestClusterCorrelateDifferential(t *testing.T) {
 			}
 			checkClusterCorrelateDifferential(t, "seal", c)
 
-			// Per-shard compaction: entry sets unchanged, every
-			// touched miner re-baselines.
+			// Per-shard compaction: entry sets unchanged, every miner
+			// keeps its columns.
 			if _, err := c.Append(correlateClusterEntries(base.Add(40*time.Minute), 100, 13)); err != nil {
 				t.Fatal(err)
 			}
@@ -127,7 +127,7 @@ func TestClusterCorrelateDifferential(t *testing.T) {
 			if compactions == 0 {
 				t.Fatal("no shard compacted; test needs a real compact mutation")
 			}
-			checkClusterCorrelateDifferential(t, "compaction rebuild", c)
+			checkClusterCorrelateDifferential(t, "compaction", c)
 
 			// Retention decays old segments on every shard.
 			if _, err := c.Append(correlateClusterEntries(base.Add(3*time.Hour), 200, 18)); err != nil {

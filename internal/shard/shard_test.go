@@ -504,8 +504,8 @@ func TestFlatLayoutIsAPlainStoreDirectory(t *testing.T) {
 
 // TestClusterCloseLeavesNoGoroutines: everything Create starts — shard
 // workers, the standing evaluator, one registry rebuild worker and one
-// miner rebuild + save worker per shard — is gone once Close returns,
-// on every layout, after a compaction has made the rebuild workers
+// miner rebuild worker per shard — is gone once Close returns, on every
+// layout, after a retention pass has made the rebuild workers
 // re-baseline (a worker that never ran proves nothing about its exit).
 func TestClusterCloseLeavesNoGoroutines(t *testing.T) {
 	for _, shards := range []int{1, 2, 4} {
@@ -525,22 +525,22 @@ func TestClusterCloseLeavesNoGoroutines(t *testing.T) {
 			if err := c.Seal(); err != nil {
 				t.Fatal(err)
 			}
-			var compacted []int
+			var retained []int
 			for _, sh := range c.shards {
-				cst, err := sh.backend.(*store.Store).Compact()
+				rst, err := sh.backend.(*store.Store).ApplyRetention(base.Add(22 * time.Minute))
 				if err != nil {
 					t.Fatal(err)
 				}
-				if cst.Compactions > 0 {
-					compacted = append(compacted, sh.id)
+				if rst.SegmentsDropped > 0 {
+					retained = append(retained, sh.id)
 				}
 			}
-			if len(compacted) == 0 {
-				t.Fatal("no shard compacted; test needs a real compact mutation")
+			if len(retained) == 0 {
+				t.Fatal("no shard dropped a segment; test needs a real retention mutation")
 			}
 			waitCorrelateSettled(t, c)
 			waitClusterStanding(t, c)
-			for _, id := range compacted {
+			for _, id := range retained {
 				if st := c.correlate.miners[id].Stats(); st.Rebuilds == 0 {
 					t.Fatalf("shard %d: the miner's rebuild worker never ran: %+v", id, st)
 				}

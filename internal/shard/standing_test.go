@@ -134,7 +134,7 @@ func TestClusterStandingDifferential(t *testing.T) {
 			checkClusterStandingDifferential(t, "seal", c, all)
 
 			// Per-shard compaction merges the small segments; entry sets
-			// are unchanged but every touched registry must rebuild.
+			// are unchanged, so every registry keeps its views.
 			compactions := 0
 			for _, sh := range c.shards {
 				st, ok := sh.backend.(*store.Store)
@@ -150,7 +150,7 @@ func TestClusterStandingDifferential(t *testing.T) {
 			if compactions == 0 {
 				t.Fatal("no shard compacted; test needs a real compact mutation")
 			}
-			checkClusterStandingDifferential(t, "compaction rebuild", c, all)
+			checkClusterStandingDifferential(t, "compaction", c, all)
 
 			// Era 3 sealed, then retention drops the old sealed segments.
 			appendAll(standingSpread(base.Add(5*time.Hour), 2000, 60))

@@ -32,8 +32,8 @@
 // overtake a build, so a build never rescans.
 //
 // A mutation that changes the source in a way no delta describes
-// (compaction, retention) invalidates the view: it goes stale and the
-// view's worker rebuilds from a scan. A stale view keeps serving, and
+// (retention) invalidates the view: it goes stale and the view's worker
+// rebuilds from a scan. A stale view keeps serving, and
 // keeps folding appends into, its last good state. An invalidation
 // delivered during a build is remembered as the highest such sequence
 // number: if it is past the fence the candidate may predate it, so the
@@ -156,8 +156,8 @@ func (v *View[S, D]) Close() {
 // Apply delivers the delta of mutation seq.
 func (v *View[S, D]) Apply(seq uint64, d D) { v.deliver(seq, &d) }
 
-// Note delivers a mutation that leaves the state as it is (a seal; an
-// append with nothing in it for this view).
+// Note delivers a mutation that leaves the state as it is (a seal, a
+// compaction, an append with nothing in it for this view).
 func (v *View[S, D]) Note(seq uint64) { v.deliver(seq, nil) }
 
 func (v *View[S, D]) deliver(seq uint64, d *D) {
