@@ -46,10 +46,12 @@ race:
 # fenced, installed and re-baselined; its generated schedules re-run).
 # The segment column projection's once-only build — eight scans racing
 # to a fresh segment while a compaction drops it, and a sticky build
-# error — re-runs ten times on top.
+# error — and the in-place tail read — Scan and ScanColumns beside
+# appends and seals, each answer the acknowledged entries as of its
+# Seq — re-run ten times on top.
 verify-race:
 	$(GO) test -race -count=1 -shuffle=on -timeout $(TEST_TIMEOUT) ./internal/store/... ./internal/view/... ./internal/query/... ./cmd/logstudy/...
-	$(call run-tests,-race -count=10 -timeout $(TEST_TIMEOUT),Projection,./internal/store/)
+	$(call run-tests,-race -count=10 -timeout $(TEST_TIMEOUT),Projection|TailSnapshot,./internal/store/)
 
 # Focused race pass over the cluster's failure envelope: the
 # scatter-gather router, circuit breakers, per-shard kill/recovery
@@ -144,8 +146,10 @@ diff-smoke:
 # capacity rule and sample bound, because every record is tagged once,
 # and the correlation miner's save worker, its wake, the persisted edge
 # form and the per-shard node and edge gauges, because the miner keeps
-# only columns and writes its artifact once, at Close;
-# fail if a doc, comment or target names any of
+# only columns and writes its artifact once, at Close, and the segment's
+# decoded sparse-index arrays and the standing registry's row-form delta,
+# because walks binary-search the column projection and a delta is a
+# column fold; fail if a doc, comment or target names any of
 # them again. Deliver and Collect live on as the
 # generic syslogng.Deliver and rasdb.Collect, so only their method forms
 # are names here, and FuzzReadFunc keeps its name. Of the root-level
@@ -153,7 +157,7 @@ diff-smoke:
 # checked: the others are the change log, the roadmap and reference
 # material, which record the deletions themselves. The one-letter
 # brackets keep this line from matching itself.
-STALE_REFS = 'BENCH_[p]ipeline|internal/[b]ench|bench-[s]moke|logstudy [b]ench|internal/[f]ailure|Disable[C]olumnar|ErrNot[I]ndexAnswerable|Index[A]nswerable|Column[S]canner|ReadAll[P]arallel|Auto[c]orrelation|Mutation[S]eq|min[P]ause|max[P]ause|Read[T]ree|ECD[F]|New[H]istogram|Spatial[C]oncentration|stats\.[P]ercentile([^s]|$$)|func [P]ercentile\(|stats\.[M]edian|func [M]edian\(|LogHistogram\) [T]otal\(|LogHistogram\.[T]otal|stats\.M[i]n\(|stats\.M[a]x\(|Parse[A]ll|Parse[S]tream|ParseEvent[S]tream|parsed[C]hunk|rolls[O]ver|re[p]arse\(|(^|[^z])Read[F]unc|\(rd Reader\) Read\(|rd\.R[e]ad\(|ingest\.[D]ialect|func [D]ialect\(|safe[P]arse|record[S]tats|TagAll[P]arallel|Render[E]vent|FileBy[S]ource|syslogng\.[S]ources|func [S]ources\(|TCP[P]ath|Relay\) [D]eliver|rl\.[D]eliver\(|Mailbox\) [C]ollect|mb\.[C]ollect\(|Mailbox(\(\)|\{\})\.[C]ollect|mailbox[O]rder|cp\.[Q]uarantined|ingest_[q]uarantined_total|MarkCorrupted[S]ources|PlannedNode[H]ours|Wildcard[F]raction|Matches[B]ody|Mean[B]urst|Standing[E]vent|Set[N]otify|Aggregate[O]f|Total[O]f|PartialSnapshot[O]f|shardSub[K]ey|by[S]hard|shard[S]ubs|standing_[e]vents_total|Registry\) [U]nregister|\.[U]nregister\(|estimate[R]ate|alert[C]ap|sample[L]imit|wake[S]ave|save[L]oop|artifact[E]dge|correlate_[e]dges|correlate_[n]odes'
+STALE_REFS = 'BENCH_[p]ipeline|internal/[b]ench|bench-[s]moke|logstudy [b]ench|internal/[f]ailure|Disable[C]olumnar|ErrNot[I]ndexAnswerable|Index[A]nswerable|Column[S]canner|ReadAll[P]arallel|Auto[c]orrelation|Mutation[S]eq|min[P]ause|max[P]ause|Read[T]ree|ECD[F]|New[H]istogram|Spatial[C]oncentration|stats\.[P]ercentile([^s]|$$)|func [P]ercentile\(|stats\.[M]edian|func [M]edian\(|LogHistogram\) [T]otal\(|LogHistogram\.[T]otal|stats\.M[i]n\(|stats\.M[a]x\(|Parse[A]ll|Parse[S]tream|ParseEvent[S]tream|parsed[C]hunk|rolls[O]ver|re[p]arse\(|(^|[^z])Read[F]unc|\(rd Reader\) Read\(|rd\.R[e]ad\(|ingest\.[D]ialect|func [D]ialect\(|safe[P]arse|record[S]tats|TagAll[P]arallel|Render[E]vent|FileBy[S]ource|syslogng\.[S]ources|func [S]ources\(|TCP[P]ath|Relay\) [D]eliver|rl\.[D]eliver\(|Mailbox\) [C]ollect|mb\.[C]ollect\(|Mailbox(\(\)|\{\})\.[C]ollect|mailbox[O]rder|cp\.[Q]uarantined|ingest_[q]uarantined_total|MarkCorrupted[S]ources|PlannedNode[H]ours|Wildcard[F]raction|Matches[B]ody|Mean[B]urst|Standing[E]vent|Set[N]otify|Aggregate[O]f|Total[O]f|PartialSnapshot[O]f|shardSub[K]ey|by[S]hard|shard[S]ubs|standing_[e]vents_total|Registry\) [U]nregister|\.[U]nregister\(|estimate[R]ate|alert[C]ap|sample[L]imit|wake[S]ave|save[L]oop|artifact[E]dge|correlate_[e]dges|correlate_[n]odes|idx[O]ffsets|idx[N]anos|delta[O]f'
 no-stale-refs:
 	@if git grep -nE $(STALE_REFS) -- . ':(top,glob,exclude)*.md' || git grep -nE $(STALE_REFS) -- DESIGN.md README.md EXPERIMENTS.md; then \
 		echo "FAIL: stale reference to a deleted package, target or name (the bench ledger: see DESIGN.md §7 for the per-layer metric that replaced it; the decode aggregate: DESIGN.md §11)"; exit 1; fi
@@ -196,12 +200,14 @@ fuzz:
 	$(GO) test ./internal/store -fuzz FuzzSegmentWalk -fuzztime $(FUZZTIME)
 
 # Brief fuzz runs as part of `make verify`: a few seconds each on the
-# read loop, the parser and block framer differentials, and the
-# online-vs-batch filter differential, enough to explore past the seed
-# corpus on every PR without stalling the gate.
+# read loop, the parser and block framer differentials, the
+# online-vs-batch filter differential, and the segment walk against its
+# sequential-decode reference, enough to explore past the seed corpus
+# on every PR without stalling the gate.
 SMOKE_FUZZTIME ?= 3s
 fuzz-smoke:
 	$(GO) test ./internal/ingest -run '^$$' -fuzz FuzzReadFunc -fuzztime $(SMOKE_FUZZTIME)
 	$(GO) test ./internal/syslogng -run '^$$' -fuzz FuzzParseMatchesReference -fuzztime $(SMOKE_FUZZTIME)
 	$(GO) test ./internal/ingest -run '^$$' -fuzz FuzzFramerMatchesReference -fuzztime $(SMOKE_FUZZTIME)
 	$(GO) test ./internal/filter -run '^$$' -fuzz FuzzStreamMatchesBatch -fuzztime $(SMOKE_FUZZTIME)
+	$(GO) test ./internal/store -run '^$$' -fuzz FuzzSegmentWalk -fuzztime $(SMOKE_FUZZTIME)

@@ -17,63 +17,51 @@ import (
 // and sorted once. Every filter is served this way, a message predicate
 // included (the store compares body bytes in place). The row-decode
 // composition Aggregate(Select(f, 0)) is what the differential tests
-// pin it byte-identical to.
+// pin it byte-identical to. The unsealed tail arrives as one more
+// SegmentColumns (store.FoldEntries), and a standing view's delta is
+// built by the same fold, so every Partial production builds comes out
+// of addColumns.
 
 // partialBuilder folds a columnar scan into a Partial. It implements
 // store.ColumnVisitor.
 type partialBuilder struct {
-	ctx  context.Context
-	p    Partial
-	seen int
+	ctx context.Context
+	p   Partial
 }
 
-// SealedColumns folds one segment's matched columns: every count map is
-// incremented once per distinct dictionary value, not once per record.
+// SealedColumns folds one segment's (or the tail's) matched columns.
 func (b *partialBuilder) SealedColumns(sc *store.SegmentColumns) error {
-	// One cancellation poll per segment: a segment fold is tens of
-	// microseconds, well under the deadline resolution anyone sets.
+	// One cancellation poll per segment and one for the tail: a fold is
+	// tens of microseconds, well under the deadline resolution anyone
+	// sets.
 	if err := b.ctx.Err(); err != nil {
 		return fmt.Errorf("query: scan aborted: %w", err)
 	}
-	b.p.Total += sc.Matched
-	b.p.Kept += sc.Kept
+	b.p.addColumns(sc)
+	return nil
+}
+
+// addColumns folds matched columns into p: every count map is
+// incremented once per distinct dictionary value, not once per record.
+func (p *Partial) addColumns(sc *store.SegmentColumns) {
+	p.Total += sc.Matched
+	p.Kept += sc.Kept
 	for i, n := range sc.SrcCounts {
 		if n > 0 {
-			b.p.BySource[sc.Sources[i]] += n
+			p.BySource[sc.Sources[i]] += n
 		}
 	}
 	for i, n := range sc.CatCounts {
 		if n > 0 {
 			cat := sc.Categories[i]
-			b.p.ByCategory[cat] += n
-			b.p.ByType[typeCodeOf(sc.System, cat)] += n
+			p.ByCategory[cat] += n
+			p.ByType[typeCodeOf(sc.System, cat)] += n
 		}
 	}
 	for v, n := range sc.SevCounts {
 		if n > 0 {
-			b.p.BySeverity[logrec.Severity(v).String()] += n
+			p.BySeverity[logrec.Severity(v).String()] += n
 		}
 	}
-	b.p.Times = append(b.p.Times, sc.Times...)
-	return nil
-}
-
-// TailEntry folds one matching unsealed-tail entry, exactly as
-// PartialOf does per entry.
-func (b *partialBuilder) TailEntry(en store.Entry) error {
-	if b.seen++; b.seen%ctxCheckStride == 0 {
-		if err := b.ctx.Err(); err != nil {
-			return fmt.Errorf("query: scan aborted: %w", err)
-		}
-	}
-	b.p.Total++
-	if en.Kept {
-		b.p.Kept++
-	}
-	b.p.ByCategory[en.Category]++
-	b.p.ByType[typeCode(en)]++
-	b.p.BySeverity[en.Record.Severity.String()]++
-	b.p.BySource[en.Record.Source]++
-	b.p.Times = append(b.p.Times, en.Record.Time.UnixNano())
-	return nil
+	p.Times = append(p.Times, sc.Times...)
 }

@@ -51,9 +51,9 @@ func newPartial() Partial {
 	}
 }
 
-// PartialOf folds a canonically ordered entry set into its Partial.
-// MergePartials of the result alone reproduces Aggregate(entries, opts)
-// byte for byte — Aggregate is implemented that way.
+// PartialOf folds a canonically ordered entry set into its Partial, row
+// by row: the reference the columnar fold (addColumns) is pinned to. MergePartials of the result alone reproduces Aggregate(entries,
+// opts) byte for byte — Aggregate is implemented that way.
 func PartialOf(entries []store.Entry) Partial {
 	p := newPartial()
 	p.Total = len(entries)
@@ -65,7 +65,7 @@ func PartialOf(entries []store.Entry) Partial {
 			p.Kept++
 		}
 		p.ByCategory[en.Category]++
-		p.ByType[typeCode(en)]++
+		p.ByType[typeCodeOf(en.Record.System, en.Category)]++
 		p.BySeverity[en.Record.Severity.String()]++
 		p.BySource[en.Record.Source]++
 		p.Times = append(p.Times, en.Record.Time.UnixNano())

@@ -381,26 +381,21 @@ type Aggregation struct {
 }
 
 // Aggregate folds a canonically ordered entry set into the standard
-// aggregation. It is a pure function: the engine calls it on entries
-// scanned from segments, the differential tests call it on entries
-// converted straight from the batch pipeline, and the two must agree
-// byte-for-byte.
+// aggregation. It is a pure function and the row-form reference: the
+// differential tests call it on selected entries, or on entries
+// converted straight from the batch pipeline, and the engine's columnar
+// answer must agree with it byte-for-byte.
 //
-// It is implemented as the one-partial merge, which is what makes the
-// sharded scatter-gather path trustworthy by construction: a cluster
-// answer is MergePartials over per-shard PartialOf folds, a single-node
-// answer is MergePartials over one whole-set fold, and both run the
-// same accumulation and ranking code.
+// It is implemented as the one-partial merge over PartialOf, so it ends
+// in the same MergePartials — accumulation and ranking — as every
+// served answer, single-node or gathered across shards.
 func Aggregate(entries []store.Entry, opts AggregateOptions) Aggregation {
 	return MergePartials([]Partial{PartialOf(entries)}, opts)
 }
 
-// typeCode maps an entry to its category's H/S/I code via the catalog,
-// or "?" for ad-hoc categories the catalog does not know.
-func typeCode(en store.Entry) string { return typeCodeOf(en.Record.System, en.Category) }
-
-// typeCodeOf is typeCode keyed by (system, category) directly — the
-// columnar path calls it once per distinct category, not per record.
+// typeCodeOf maps a category of sys to its H/S/I code via the catalog,
+// or "?" for ad-hoc categories the catalog does not know. The columnar
+// fold calls it once per distinct category, not per record.
 func typeCodeOf(sys logrec.System, category string) string {
 	if c, ok := catalog.Lookup(sys, category); ok {
 		return c.Type.Code()

@@ -15,10 +15,11 @@ import (
 // the set of standing views over one store; each is a view.View whose
 // state is the Partial of the entries matching its filter, reached
 // through the *Standing handle Register returns. Appends arrive as store
-// mutation notifications and fold in as deltas — PartialOf over the
-// batch's matching entries, merged into the materialized state — so a
-// standing aggregate is MergePartials over one snapshot, never a
-// rescan. Seals and compactions change nothing (the entry set is
+// mutation notifications and fold in as deltas — the batch's matching
+// entries folded to columns (store.FoldEntries) and then to a Partial
+// exactly as a scan folds a segment, merged into the materialized
+// state — so a standing aggregate is MergePartials over one snapshot,
+// never a rescan. Seals and compactions change nothing (the entry set is
 // identical); retention invalidates the view, which rebuilds from a
 // scan. The fence that makes the incremental answer equal the batch
 // one, and the retry policy after a failed rebuild, are internal/view's.
@@ -193,11 +194,16 @@ func (r *Registry) OnMutation(m store.Mutation) {
 	for _, h := range r.list() {
 		switch m.Kind {
 		case store.MutationAppend:
-			if d, n := deltaOf(h.filter, m.Entries); n > 0 {
-				h.view.Apply(m.Seq, d)
-			} else {
+			// The batch's matches fold as a scan folds a segment; their
+			// times come out sorted, as foldDelta's merge needs.
+			sc := store.FoldEntries(h.filter, m.Entries)
+			if sc.Matched == 0 {
 				h.view.Note(m.Seq)
+				continue
 			}
+			d := newPartial()
+			d.addColumns(sc)
+			h.view.Apply(m.Seq, d)
 		case store.MutationSeal, store.MutationCompact:
 			// The entry set is unchanged; the materialization stays exact.
 			h.view.Note(m.Seq)
@@ -207,25 +213,6 @@ func (r *Registry) OnMutation(m store.Mutation) {
 			h.view.Invalidate(m.Seq)
 		}
 	}
-}
-
-// deltaOf folds a batch's entries matching f into a delta Partial,
-// returning the matched count. Times are sorted — append batches
-// arrive in arrival order, and foldDelta's merge needs both sides
-// nondecreasing.
-func deltaOf(f store.Filter, entries []store.Entry) (Partial, int) {
-	matched := entries[:0:0]
-	for _, en := range entries {
-		if f.Match(en) {
-			matched = append(matched, en)
-		}
-	}
-	if len(matched) == 0 {
-		return Partial{}, 0
-	}
-	p := PartialOf(matched)
-	slices.Sort(p.Times)
-	return p, len(matched)
 }
 
 // foldDelta merges a delta into the materialized state in place. Counts

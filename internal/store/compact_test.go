@@ -486,11 +486,6 @@ func (v *timesVisitor) SealedColumns(sc *SegmentColumns) error {
 	return nil
 }
 
-func (v *timesVisitor) TailEntry(en Entry) error {
-	v.times = append(v.times, en.Record.Time.UnixNano())
-	return nil
-}
-
 // TestScanSeqIsExact: ScanStats.Seq is exactly the mutation sequence
 // number of the snapshot a scan read. With appenders, a sealer and a
 // compactor racing them, every Scan and every ScanColumns matched

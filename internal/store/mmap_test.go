@@ -166,7 +166,8 @@ func TestCloseUnmapsInventory(t *testing.T) {
 	}
 }
 
-// countingVisitor tallies a ScanColumns pass.
+// countingVisitor tallies a ScanColumns pass, the sealed segments'
+// columns apart from the tail's.
 type countingVisitor struct {
 	sealedMatched int
 	sealedKept    int
@@ -175,18 +176,15 @@ type countingVisitor struct {
 }
 
 func (v *countingVisitor) SealedColumns(sc *SegmentColumns) error {
-	v.sealedMatched += sc.Matched
-	v.sealedKept += sc.Kept
+	if sc.Segment == "" {
+		v.tail += sc.Matched
+		v.tailKept += sc.Kept
+	} else {
+		v.sealedMatched += sc.Matched
+		v.sealedKept += sc.Kept
+	}
 	if len(sc.Times) != sc.Matched {
 		return errors.New("times length diverges from matched count")
-	}
-	return nil
-}
-
-func (v *countingVisitor) TailEntry(en Entry) error {
-	v.tail++
-	if en.Kept {
-		v.tailKept++
 	}
 	return nil
 }

@@ -50,18 +50,6 @@ func (v *summaryVisitor) SealedColumns(sc *SegmentColumns) error {
 	return nil
 }
 
-func (v *summaryVisitor) TailEntry(en Entry) error {
-	v.Matched++
-	if en.Kept {
-		v.Kept++
-	}
-	v.Sources[en.Record.Source]++
-	v.Categories[en.Category]++
-	v.Severities[int(en.Record.Severity)]++
-	v.Times = append(v.Times, en.Record.Time.UnixNano())
-	return nil
-}
-
 // TestProjectionBuiltOnceUnderConcurrentFirstTouch: Open, seal and
 // compaction build no projection; eight scans that reach a fresh
 // segment at once build its projection exactly once, even while a

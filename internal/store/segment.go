@@ -24,8 +24,9 @@ import (
 //	         ordinals; then distinct severities, each (value, posting set)
 //	sparse   one entry per indexInterval records: (byte offset into the
 //	index    records region, Δt-nanos of the block's first record) —
-//	         enough to seek a time-range scan or decode one index block
-//	         for a postings hit without touching the rest of the segment
+//	         written under the checksum so that older readers, which
+//	         seek through it, still open the segment; never read here
+//	         (walks binary-search the column projection's timestamps)
 //	footer   fixed 64 bytes: recordsOff dictsOff postingsOff indexOff
 //	         count u64 ×5 | minNanos maxNanos u64 ×2 | crc32(file[:crc])
 //	         u32 | magic "GSLA" u32
@@ -42,9 +43,8 @@ const (
 	// footer: 5 offsets/counts + 2 timestamps (u64) + crc (u32) + magic (u32).
 	segFooterLen = 5*8 + 2*8 + 4 + 4
 
-	// indexInterval is the sparse-index stride: one index point per this
-	// many records. Postings scans decode at most indexInterval-1 extra
-	// records to reach a hit; time seeks land within one block.
+	// indexInterval is the written sparse index's stride: one index point
+	// per this many records.
 	indexInterval = 64
 )
 
@@ -96,10 +96,6 @@ type segment struct {
 	// columnar scan sizes its ordinal count array by it.
 	maxSev logrec.Severity
 
-	// idxOffsets[i] / idxNanos[i] locate record ordinal i*indexInterval.
-	idxOffsets []uint32
-	idxNanos   []int64
-
 	// The column projection (projection.go), built once on first walk;
 	// a build error is kept and returned to every later walk.
 	colOnce sync.Once
@@ -117,8 +113,8 @@ func buildSegment(sys logrec.System, entries []Entry) []byte {
 		srcD, catD       dict
 		progD, facD      dict
 		sevOrds          = map[logrec.Severity][]uint32{}
-		idxOffs          []uint32
-		idxNanos         []int64
+		indexOffs        []uint32
+		indexNanos       []int64
 		minN             = entries[0].Record.Time.UnixNano()
 		maxN             = entries[len(entries)-1].Record.Time.UnixNano()
 		srcOrds, catOrds [][]uint32
@@ -137,8 +133,8 @@ func buildSegment(sys logrec.System, entries []Entry) []byte {
 	for i, en := range entries {
 		nanos := en.Record.Time.UnixNano()
 		if i%indexInterval == 0 {
-			idxOffs = append(idxOffs, uint32(len(e.b)-recordsOff))
-			idxNanos = append(idxNanos, nanos)
+			indexOffs = append(indexOffs, uint32(len(e.b)-recordsOff))
+			indexNanos = append(indexNanos, nanos)
 		}
 		srcID := srcD.id(en.Record.Source)
 		catID := catD.id(en.Category)
@@ -189,10 +185,10 @@ func buildSegment(sys logrec.System, entries []Entry) []byte {
 	}
 
 	indexOff := len(e.b)
-	e.uvarint(uint64(len(idxOffs)))
-	for i := range idxOffs {
-		e.uvarint(uint64(idxOffs[i]))
-		e.uvarint(uint64(idxNanos[i] - minN))
+	e.uvarint(uint64(len(indexOffs)))
+	for i := range indexOffs {
+		e.uvarint(uint64(indexOffs[i]))
+		e.uvarint(uint64(indexNanos[i] - minN))
 	}
 
 	e.u64(uint64(recordsOff))
@@ -208,8 +204,9 @@ func buildSegment(sys logrec.System, entries []Entry) []byte {
 }
 
 // parseSegment validates blob (magic, version, footer checksum) and
-// decodes its metadata — dictionaries, postings, sparse index. Records
-// stay encoded. Any validation failure returns an error; a segment that
+// decodes its metadata — dictionaries and postings; the sparse index
+// region is covered by the checksum but not decoded. Records stay
+// encoded. Any validation failure returns an error; a segment that
 // fails here is never served from.
 func parseSegment(name string, blob []byte) (*segment, error) {
 	if len(blob) < segHdrLen+segFooterLen {
@@ -283,21 +280,6 @@ func parseSegment(name string, blob []byte) (*segment, error) {
 	}
 	if d.err != nil || d.off != indexOff {
 		return nil, fmt.Errorf("store: segment %s: bad postings", name)
-	}
-
-	nIdx := d.uvarint()
-	want := (g.count + indexInterval - 1) / indexInterval
-	if d.err != nil || int(nIdx) != want {
-		return nil, fmt.Errorf("store: segment %s: bad sparse index", name)
-	}
-	g.idxOffsets = make([]uint32, 0, nIdx)
-	g.idxNanos = make([]int64, 0, nIdx)
-	for i := uint64(0); i < nIdx; i++ {
-		g.idxOffsets = append(g.idxOffsets, uint32(d.uvarint()))
-		g.idxNanos = append(g.idxNanos, g.minNanos+int64(d.uvarint()))
-	}
-	if d.err != nil || d.off != bodyLen {
-		return nil, fmt.Errorf("store: segment %s: bad sparse index", name)
 	}
 	return g, nil
 }
@@ -476,11 +458,14 @@ func (g *segment) candidates(f Filter) ([]uint32, bool) {
 }
 
 // walk drives a segment scan over its column projection: postings
-// planning, sparse-index seeking, time pruning, and predicate matching
-// all happen here, and every matching record's ordinal is handed to
-// visit. Both read paths sit on top of it — the entry scan materializes
-// each match, the columnar scan counts ordinals — which is what
-// guarantees the two report identical ScanStats for identical filters.
+// planning, time pruning and predicate matching all happen here, and
+// every matching record's ordinal is handed to visit. Both read paths
+// sit on top of it — the entry scan materializes each match, the
+// columnar scan counts ordinals — which is what guarantees the two
+// report identical ScanStats for identical filters. A walk accounts
+// the records it examines, each with its encoded bytes: the whole time
+// window for a range walk, the candidates inside it for a postings
+// walk, in both cases only up to a refusal.
 func (g *segment) walk(c *columns, f Filter, st *ScanStats, visit func(int) error) error {
 	ords, constrained := g.candidates(f)
 	if constrained {
@@ -489,112 +474,58 @@ func (g *segment) walk(c *columns, f Filter, st *ScanStats, visit func(int) erro
 	return g.walkRange(c, f, st, visit)
 }
 
-// span plans a walk of the time window. The sparse index seeks to
-// start, the first record of the block before the first block starting
-// at or after From (records at exactly From may end that block when the
-// next one starts at the same instant); [lo, hi) are the records inside
-// [From, To); and the walk examines [start, end) — through the first
-// record at or past To, which is what tells a sequential reader to
-// stop. The accounting is the one a record-by-record decode from start
-// would report.
-func (g *segment) span(c *columns, f Filter) (start, lo, hi, end int) {
-	var fromN, toN int64
-	block := 0
+// window maps the filter's time window [From, To) to the ordinal range
+// [lo, hi) of the records inside it, by binary search on the projected
+// timestamps.
+func (g *segment) window(c *columns, f Filter) (lo, hi int) {
+	hi = g.count
 	if !f.From.IsZero() {
-		fromN = f.From.UnixNano()
-		block = sort.Search(len(g.idxNanos), func(i int) bool { return g.idxNanos[i] >= fromN })
-		if block > 0 {
-			block--
-		}
+		lo, _ = slices.BinarySearch(c.nanos, f.From.UnixNano())
 	}
 	if !f.To.IsZero() {
-		toN = f.To.UnixNano()
+		hi, _ = slices.BinarySearch(c.nanos, f.To.UnixNano())
 	}
-	if block >= len(g.idxOffsets) {
-		return 0, 0, 0, 0
-	}
-	start = block * indexInterval
-	lo, hi, end = start, g.count, g.count
-	if fromN != 0 {
-		lo, _ = slices.BinarySearch(c.nanos[start:], fromN)
-		lo += start
-	}
-	if toN != 0 {
-		hi, _ = slices.BinarySearch(c.nanos[start:], toN)
-		if hi += start; hi < g.count {
-			end = hi + 1
-		}
-	}
-	return start, min(lo, hi), hi, end
+	return min(lo, hi), hi
 }
 
 // walkRange walks the time window.
 func (g *segment) walkRange(c *columns, f Filter, st *ScanStats, visit func(int) error) error {
 	bodyPat := bodyPattern(f)
-	start, lo, hi, end := g.span(c, f)
+	lo, hi := g.window(c, f)
 	for i := lo; i < hi; i++ {
 		if !c.match(g.blob, &f, bodyPat, i) {
 			continue
 		}
 		st.Matched++
 		if err := visit(i); err != nil {
-			c.account(st, start, i+1)
+			c.account(st, lo, i+1)
 			return err
 		}
 	}
-	c.account(st, start, end)
+	c.account(st, lo, hi)
 	return nil
 }
 
-// walkOrdinals visits the candidate ordinals, accounting for each index
-// block they fall in the records from the block's start through its
-// last candidate — what decoding the block sequentially to reach them
-// would have read.
+// walkOrdinals walks the candidate ordinals inside the time window: the
+// candidate list clipped to [lo, hi) by two binary searches on it.
 func (g *segment) walkOrdinals(c *columns, ords []uint32, f Filter, st *ScanStats, visit func(int) error) error {
-	bodyPat := bodyPattern(f)
-	var fromN, toN int64
-	if !f.From.IsZero() {
-		fromN = f.From.UnixNano()
-	}
-	if !f.To.IsZero() {
-		toN = f.To.UnixNano()
-	}
 	if len(ords) > 0 && int(ords[len(ords)-1]) >= g.count {
 		return fmt.Errorf("store: segment %s: posting ordinal %d out of range", g.name, ords[len(ords)-1])
 	}
-	i := 0
-	for i < len(ords) {
-		block := int(ords[i]) / indexInterval
-		// Time-prune whole blocks: the block's records span
-		// [idxNanos[block], idxNanos[block+1]] — closed, since records
-		// sharing the next block's first instant may end this one.
-		if toN != 0 && g.idxNanos[block] >= toN {
-			return nil // blocks are time-ordered; nothing later can match
-		}
-		end := i
-		for end < len(ords) && int(ords[end])/indexInterval == block {
-			end++
-		}
-		if fromN != 0 && block+1 < len(g.idxNanos) && g.idxNanos[block+1] < fromN {
-			i = end // the whole block predates the window
+	bodyPat := bodyPattern(f)
+	lo, hi := g.window(c, f)
+	a, _ := slices.BinarySearch(ords, uint32(lo))
+	b, _ := slices.BinarySearch(ords, uint32(hi))
+	for _, o := range ords[a:b] {
+		k := int(o)
+		c.account(st, k, k+1)
+		if !c.match(g.blob, &f, bodyPat, k) {
 			continue
 		}
-		first := block * indexInterval
-		for _, o := range ords[i:end] {
-			k := int(o)
-			if n := c.nanos[k]; (fromN != 0 && n < fromN) || (toN != 0 && n >= toN) || !c.match(g.blob, &f, bodyPat, k) {
-				continue
-			}
-			st.Matched++
-			if err := visit(k); err != nil {
-				// A refusal ends the walk mid-block, before the block's
-				// bytes are counted.
-				st.RecordsScanned += k + 1 - first
-				return err
-			}
+		st.Matched++
+		if err := visit(k); err != nil {
+			return err
 		}
-		c.account(st, first, int(ords[end-1])+1)
-		i = end
 	}
 	return nil
 }
@@ -648,8 +579,8 @@ func (g *segment) scanColumns(f Filter, st *ScanStats, sc *SegmentColumns) error
 	if f.Kept != nil || f.BodyContains != "" {
 		return g.walkRange(c, f, st, visit)
 	}
-	start, lo, hi, end := g.span(c, f)
-	c.account(st, start, end)
+	lo, hi := g.window(c, f)
+	c.account(st, lo, hi)
 	for i := lo; i < hi; i++ {
 		sc.add(c, i)
 	}

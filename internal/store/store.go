@@ -5,9 +5,13 @@
 //
 //	MANIFEST            store identity (format version, system)
 //	seg-00000000.seg    sealed, immutable, checksum-footed segments
-//	seg-00000001.seg      (sorted records + dictionaries + posting sets
-//	...                    + sparse time index; see segment.go)
+//	seg-00000001.seg      (sorted records + dictionaries + posting sets;
+//	...                    see segment.go)
 //	wal.log             the unsealed tail, as CRC-framed appends
+//
+// Scans run over each segment's column projection (projection.go) and
+// count the records they examine; the tail is aggregated in the same
+// columnar form (FoldEntries).
 //
 // Crash safety: segments are written to a temp file, fsynced, renamed
 // into place, and the directory fsynced, so a sealed segment is either
@@ -31,6 +35,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -149,11 +154,17 @@ type Store struct {
 	sys  logrec.System
 	opts Options
 
-	mu      sync.RWMutex
-	segs    []*segment
+	mu   sync.RWMutex
+	segs []*segment
+	// tail is append-only between seals: its elements are never written
+	// in place (a seal sorts a copy), so a scan reads the prefix it
+	// snapshotted without copying it.
 	tail    []Entry
 	wal     *os.File
 	nextSeg int
+	// pubSegs and pubTail are this store's share of the process-wide
+	// size gauges (publishSizes).
+	pubSegs, pubTail int
 
 	// compactMu serializes compaction and retention passes with each
 	// other (never held while waiting on mu readers; lock order is
@@ -449,6 +460,12 @@ func (s *Store) Append(entries ...Entry) error {
 	copy(batch, entries)
 	var frames []byte
 	for i := range batch {
+		// The column projection and the entry fold both keep a severity
+		// in one byte; anything wider would seal into a segment no scan
+		// could read.
+		if sev := batch[i].Record.Severity; sev < 0 || sev > math.MaxUint8 {
+			return fmt.Errorf("store: append: severity %d out of range", sev)
+		}
 		batch[i].Record.System = s.sys
 		batch[i].Record.Raw = ""
 		ownText(&batch[i].Record)
@@ -550,9 +567,12 @@ func (s *Store) sealLocked(n int) error {
 	sp := obs.Default.StartSpan("store_seal")
 	defer sp.End()
 
-	// Seal the n oldest entries by canonical order, keeping the rest.
-	sortEntries(s.tail)
-	batch, rest := s.tail[:n], s.tail[n:]
+	// Seal the n oldest entries by canonical order, keeping the rest. The
+	// sort runs on a copy, since scans may be reading the tail itself,
+	// and the rest stays in that copy.
+	sorted := slices.Clone(s.tail)
+	sortEntries(sorted)
+	batch, rest := sorted[:n], sorted[n:]
 	blob := buildSegment(s.sys, batch)
 
 	if err := s.crashPoint(crashSealBeforeSegment); err != nil {
@@ -579,7 +599,7 @@ func (s *Store) sealLocked(n int) error {
 	mSealEntries.Add(int64(n))
 
 	// The wal now only needs to cover the remainder.
-	s.tail = append([]Entry(nil), rest...)
+	s.tail = rest
 	return s.rewriteWalLocked()
 }
 
@@ -626,15 +646,17 @@ func (s *Store) rewriteWalLocked() error {
 }
 
 // Close stops background maintenance, seals any remaining tail, closes
-// the wal, and releases the store's segment mappings. In-flight scans
-// finish safely on their own references; the store itself is unusable
-// afterwards (scans see an empty inventory).
+// the wal, releases the store's segment mappings, and retires its share
+// of the size gauges. In-flight scans finish safely on their own
+// references; the store itself is unusable afterwards (scans see an
+// empty inventory).
 func (s *Store) Close() error {
 	s.stopBackground()
 	err := s.Seal()
 	s.mu.Lock()
 	releaseAll(s.segs)
 	s.segs = nil
+	s.setSizes(0, 0)
 	s.mu.Unlock()
 	if err != nil {
 		if s.wal != nil {
@@ -691,21 +713,19 @@ type Filter struct {
 	// BodyContains, when nonempty, selects entries whose message body
 	// contains it as a substring. It is the one predicate the segment
 	// indexes cannot narrow: sealed segments compare it against the body
-	// bytes in place (columns.match), the tail against the decoded
-	// entry (match), on both read paths alike.
+	// bytes in place (columns.match), the tail and FoldEntries against
+	// the entry (match), on both read paths alike.
 	BodyContains string
 }
 
 // Match reports whether en satisfies every predicate in f — the
-// entry-at-a-time form of the filter, exported for layers that classify
-// entries outside a scan (the standing-query registry applies it to
-// each appended entry to decide which materialized aggregates the
-// entry's delta touches).
-func (f Filter) Match(en Entry) bool { return f.match(en) }
+// entry-at-a-time form of the filter that reference implementations
+// select with.
+func (f Filter) Match(en Entry) bool { return f.match(&en) }
 
-// match applies every predicate to a decoded entry (the tail path,
+// match applies every predicate to an entry (the tail and FoldEntries,
 // where nothing is indexed).
-func (f Filter) match(en Entry) bool {
+func (f *Filter) match(en *Entry) bool {
 	t := en.Record.Time
 	if !f.From.IsZero() && t.Before(f.From) {
 		return false
@@ -747,7 +767,10 @@ func containsSev(xs []logrec.Severity, x logrec.Severity) bool {
 }
 
 // ScanStats accounts one scan's work — the observability the query
-// layer reports per request.
+// layer reports per request. RecordsScanned counts the records the scan
+// examined: in a segment, those in the time window, or only the
+// window's postings candidates, each with its encoded bytes in
+// BytesScanned; plus every tail entry.
 type ScanStats struct {
 	Segments        int   `json:"segments"`
 	SegmentsScanned int   `json:"segments_scanned"`
@@ -778,9 +801,9 @@ type ScanStats struct {
 //
 // Ties continue: a segment or tail entry at exactly the bound's time is
 // still handed over, because only its seq says whether it sorts before
-// e — that is the caller's to decide. A ColumnVisitor's TailEntry may
-// return it with the same meaning; a SealedColumns refusal names no
-// single entry, so it only ends its own (already walked) segment.
+// e — that is the caller's to decide. A ColumnVisitor's SealedColumns
+// refusal names no single entry, so it only ends its own (already
+// walked) segment, or the tail.
 var ErrPastBound = errors.New("store: past the caller's bound")
 
 // Scan streams every entry matching f to fn: sealed segments first (in
@@ -793,7 +816,20 @@ func (s *Store) Scan(f Filter, fn func(Entry) error) (ScanStats, error) {
 	defer sp.End()
 	return s.scan(f, mScanSegments, func(g *segment, st *ScanStats, bound *int64) error {
 		return g.scan(f, st, bound, fn)
-	}, fn)
+	}, func(tail []Entry, st *ScanStats, bound int64) error {
+		for i := range tail {
+			en := &tail[i]
+			nanos := en.Record.Time.UnixNano()
+			if nanos > bound || !f.match(en) {
+				continue
+			}
+			st.Matched++
+			if err := lowerBound(fn(*en), nanos, &bound); err != nil && !errors.Is(err, ErrPastBound) {
+				return err
+			}
+		}
+		return nil
+	})
 }
 
 // lowerBound passes a callback's verdict on the entry at nanos through,
@@ -806,20 +842,21 @@ func lowerBound(err error, nanos int64, bound *int64) error {
 }
 
 // scan is the one read skeleton under Scan and ScanColumns: snapshot
-// the segment list and tail under the read lock, prune segments against
-// the filter's time window and the running ErrPastBound bound, hand
-// every surviving segment to perSegment (which walks it, accounts its
-// work in st, and may lower the bound), then match the tail entry by
-// entry into tailFn, and publish the work counters (segments holds the
-// caller's scanned-segments counter). Everything ScanStats reports is
-// counted here or in segment.walk, which is why the two read paths
-// report identical stats for identical filters against identical
-// content.
-func (s *Store) scan(f Filter, segments *obs.Counter, perSegment func(*segment, *ScanStats, *int64) error, tailFn func(Entry) error) (ScanStats, error) {
+// the segment list and tail under the read lock (the tail's own prefix,
+// capped so an append cannot reach it), prune segments against the
+// filter's time window and the running ErrPastBound bound, hand every
+// surviving segment to perSegment (which walks it, accounts its work in
+// st, and may lower the bound), then the tail to perTail (which counts
+// its matches; every tail entry counts as scanned), and publish the work
+// counters (segments holds the caller's scanned-segments counter).
+// Everything ScanStats reports is counted here, in segment.walk or in
+// the two tail callbacks, which is why the two read paths report
+// identical stats for identical filters against identical content.
+func (s *Store) scan(f Filter, segments *obs.Counter, perSegment func(*segment, *ScanStats, *int64) error, perTail func([]Entry, *ScanStats, int64) error) (ScanStats, error) {
 	var st ScanStats
 	s.mu.RLock()
 	segs := append([]*segment(nil), s.segs...)
-	tail := append([]Entry(nil), s.tail...)
+	tail := s.tail[:len(s.tail):len(s.tail)]
 	st.Seq = s.mutSeq
 	retainAll(segs)
 	s.mu.RUnlock()
@@ -848,16 +885,9 @@ func (s *Store) scan(f Filter, segments *obs.Counter, perSegment func(*segment, 
 		}
 	}
 	st.TailEntries = len(tail)
-	for _, en := range tail {
-		st.RecordsScanned++
-		nanos := en.Record.Time.UnixNano()
-		if nanos > bound || !f.match(en) {
-			continue
-		}
-		st.Matched++
-		if err := lowerBound(tailFn(en), nanos, &bound); err != nil && !errors.Is(err, ErrPastBound) {
-			return st, err
-		}
+	st.RecordsScanned += len(tail)
+	if err := perTail(tail, &st, bound); err != nil && !errors.Is(err, ErrPastBound) {
+		return st, err
 	}
 	segments.Add(int64(st.SegmentsScanned))
 	mScanRecords.Add(int64(st.RecordsScanned))
@@ -902,10 +932,17 @@ func (s *Store) TailLen() int {
 	return len(s.tail)
 }
 
-// publishSizes refreshes the store gauges; callers hold mu.
-func (s *Store) publishSizes() {
-	gSegments.Set(float64(len(s.segs)))
-	gTailEntries.Set(float64(len(s.tail)))
+// publishSizes moves the process-wide size gauges by this store's
+// change since it last published, so that they sum over every open
+// store; callers hold mu.
+func (s *Store) publishSizes() { s.setSizes(len(s.segs), len(s.tail)) }
+
+// setSizes sets this store's share of the size gauges; Close retires it
+// with (0, 0). Callers hold mu.
+func (s *Store) setSizes(segs, tail int) {
+	gSegments.Add(float64(segs - s.pubSegs))
+	gTailEntries.Add(float64(tail - s.pubTail))
+	s.pubSegs, s.pubTail = segs, tail
 }
 
 func unixNano(n int64) time.Time { return time.Unix(0, n).UTC() }

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
+	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -62,7 +64,7 @@ func collect(t *testing.T, s *Store, f Filter) []Entry {
 func linearFilter(entries []Entry, f Filter) []Entry {
 	var out []Entry
 	for _, en := range entries {
-		if f.match(en) {
+		if f.Match(en) {
 			out = append(out, en)
 		}
 	}
@@ -193,7 +195,7 @@ func TestScanStatsPruning(t *testing.T) {
 	if stt.SegmentsScanned != 1 || stt.SegmentsPruned != 2 {
 		t.Errorf("want 1 scanned / 2 pruned, got %+v", stt)
 	}
-	// A predicate scan decodes only the blocks holding candidates.
+	// A predicate scan examines only its candidates.
 	stt, err = st.Scan(Filter{Sources: []string{"sm0"}}, func(Entry) error { return nil })
 	if err != nil {
 		t.Fatal(err)
@@ -300,13 +302,14 @@ func TestPostingsCodec(t *testing.T) {
 	}
 }
 
-// TestFromOnBlockStartInstantSealedEqualsTail pins the sparse-index
-// seeks against a run of same-instant records longer than one index
-// block: the run ends block 0 and starts block 1, so block 1's index
-// point is exactly the run's instant. A window opening on, just before,
-// or just after that instant must match the same records sealed as it
-// did in the tail — through the range walk (time-only filter) and the
-// postings walk (category filter), for Scan and ScanColumns alike.
+// TestFromOnBlockStartInstantSealedEqualsTail pins the time seeks
+// against a run of same-instant records longer than one block of the
+// written sparse index (where the decode-era walk lost records): the
+// run ends block 0 and starts block 1, so block 1's index point is
+// exactly the run's instant. A window opening on, just before, or just
+// after that instant must match the same records sealed as it did in
+// the tail — through the range walk (time-only filter) and the postings
+// walk (category filter), for Scan and ScanColumns alike.
 func TestFromOnBlockStartInstantSealedEqualsTail(t *testing.T) {
 	instant := time.Date(2004, 8, 15, 1, 8, 58, 0, time.UTC)
 	var entries []Entry
@@ -457,5 +460,206 @@ func TestPastBoundTiesAcrossSegments(t *testing.T) {
 		if st.SegmentsScanned != 2 || st.SegmentsPruned != 1 || st.Segments != st.SegmentsScanned+st.SegmentsPruned {
 			t.Errorf("%+v: stats %+v, want 2 scanned + 1 pruned by the bound", f, st)
 		}
+	}
+}
+
+// TestSizeGaugesSumOverStores: store_segments and store_tail_entries sum
+// over every open store in the process, and a closed store retires its
+// share — rather than reading whichever store published last.
+func TestSizeGaugesSumOverStores(t *testing.T) {
+	segs0, tail0 := gSegments.Value(), gTailEntries.Value()
+	open := func(n int) *Store {
+		t.Helper()
+		s, err := Create(t.TempDir(), logrec.Thunderbird, Options{FlushEvery: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Append(makeEntries(t, n, int64(n))...); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	a := open(53) // 5 segments, 3 tail entries
+	defer a.Close()
+	b := open(24) // 2 segments, 4 tail entries
+	if segs, tail := gSegments.Value()-segs0, gTailEntries.Value()-tail0; segs != 7 || tail != 7 {
+		t.Fatalf("two stores: store_segments %v, store_tail_entries %v, want 7 and 7", segs, tail)
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if segs, tail := gSegments.Value()-segs0, gTailEntries.Value()-tail0; segs != 5 || tail != 3 {
+		t.Fatalf("after a close: store_segments %v, store_tail_entries %v, want 5 and 3", segs, tail)
+	}
+}
+
+// TestTailSnapshotUnderAppendAndSeal: a scan reads the unsealed tail in
+// place, without copying it, while appends grow the tail and seals sort
+// a copy of it away. Scan and ScanColumns, racing two appenders and a
+// sealer over batches that arrive out of time order, each answer
+// exactly the entries acknowledged as of their ScanStats.Seq: every
+// entry whole, none twice. Under -race the test also fails if anything
+// writes a tail element a scan may be reading.
+func TestTailSnapshotUnderAppendAndSeal(t *testing.T) {
+	st, err := Create(t.TempDir(), logrec.Thunderbird, Options{FlushEvery: 45})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	var mu sync.Mutex
+	acked := map[uint64][]Entry{} // append Seq -> the normalized batch
+	st.SetObserver(func(m Mutation) {
+		if m.Kind == MutationAppend {
+			mu.Lock()
+			acked[m.Seq] = m.Entries
+			mu.Unlock()
+		}
+	})
+	// summaryOf is what a ScanColumns pass over entries must report.
+	summaryOf := func(entries []Entry) *summaryVisitor {
+		v := newSummaryVisitor()
+		for _, en := range entries {
+			v.Matched++
+			if en.Kept {
+				v.Kept++
+			}
+			v.Sources[en.Record.Source]++
+			v.Categories[en.Category]++
+			v.Severities[int(en.Record.Severity)]++
+			v.Times = append(v.Times, en.Record.Time.UnixNano())
+		}
+		slices.Sort(v.Times)
+		return v
+	}
+	type answer struct {
+		seq  uint64
+		keys []string        // Scan: every match's full content
+		cols *summaryVisitor // ScanColumns
+	}
+	scanOnce := func(columns bool) (answer, error) {
+		var a answer
+		var stats ScanStats
+		var err error
+		if columns {
+			a.cols = newSummaryVisitor()
+			stats, err = st.ScanColumns(Filter{}, a.cols)
+			slices.Sort(a.cols.Times)
+		} else {
+			stats, err = st.Scan(Filter{}, func(en Entry) error {
+				a.keys = append(a.keys, entryKey(en))
+				return nil
+			})
+			sort.Strings(a.keys)
+		}
+		a.seq = stats.Seq
+		return a, err
+	}
+
+	const appenders, perAppender, perBatch = 2, 40, 6
+	base := time.Date(2004, 3, 1, 0, 0, 0, 0, time.UTC)
+	stop := make(chan struct{})
+	var writers, loops sync.WaitGroup
+	for w := 0; w < appenders; w++ {
+		writers.Add(1)
+		go func(w int) {
+			defer writers.Done()
+			for b := 0; b < perAppender; b++ {
+				batch := makeEntries(t, perBatch, int64(w*perAppender+b))
+				for i := range batch {
+					// Each batch is older than the one before it, newest
+					// entry first, so every seal reorders the tail.
+					id := (w*perAppender+b)*perBatch + i
+					batch[i].Record.Seq = uint64(id)
+					batch[i].Record.Time = base.Add(-time.Duration(id) * time.Second)
+				}
+				if err := st.Append(batch...); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	loop := func(step func() error) {
+		loops.Add(1)
+		go func() {
+			defer loops.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := step(); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	loop(st.Seal)
+	var answers []answer
+	var answersMu sync.Mutex
+	for _, columns := range []bool{false, true} {
+		loop(func() error {
+			a, err := scanOnce(columns)
+			answersMu.Lock()
+			answers = append(answers, a)
+			answersMu.Unlock()
+			return err
+		})
+	}
+	writers.Wait()
+	close(stop)
+	loops.Wait()
+
+	// Every Append has returned, so every batch a scan saw was notified.
+	if len(answers) == 0 {
+		t.Fatal("no scan ran against the writers")
+	}
+	for _, a := range answers {
+		var want []Entry
+		for seq, batch := range acked {
+			if seq <= a.seq {
+				want = append(want, batch...)
+			}
+		}
+		if a.cols != nil {
+			if !reflect.DeepEqual(a.cols, summaryOf(want)) {
+				t.Fatalf("ScanColumns at Seq %d: %d matched, %d acknowledged", a.seq, a.cols.Matched, len(want))
+			}
+			continue
+		}
+		keys := make([]string, len(want))
+		for i, en := range want {
+			keys[i] = entryKey(en)
+		}
+		sort.Strings(keys)
+		if !slices.Equal(a.keys, keys) {
+			t.Fatalf("Scan at Seq %d: %d entries, %d acknowledged", a.seq, len(a.keys), len(keys))
+		}
+	}
+}
+
+// TestAppendRefusesWideSeverity: a severity the column projection
+// cannot hold in a byte is refused at Append, before the wal, rather
+// than sealed into a segment every later scan would fail on.
+func TestAppendRefusesWideSeverity(t *testing.T) {
+	s, err := Create(t.TempDir(), logrec.Thunderbird, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for _, sev := range []logrec.Severity{-1, 256} {
+		batch := makeEntries(t, 3, 1)
+		batch[1].Record.Severity = sev
+		if err := s.Append(batch...); err == nil {
+			t.Fatalf("severity %d appended", sev)
+		}
+	}
+	if s.Len() != 0 {
+		t.Fatalf("a refused batch left %d entries", s.Len())
+	}
+	if err := s.Seal(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -6,20 +6,23 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"sort"
+	"slices"
 	"testing"
 	"time"
 
 	"whatsupersay/internal/logrec"
 )
 
-// The reference walk: the varint walk the column projection replaced,
-// kept here with its behaviour unchanged. It decodes records in place
-// from the sparse index's seek point on every walk, so it shares
-// nothing with the projection but decodeRawAt — which is what
-// FuzzSegmentWalk pins the column walks against: the same entries, the
-// same SegmentColumns and the same ScanStats, ErrPastBound refusals
-// included.
+// The reference walk: a sequential varint decode of the whole segment
+// on every walk. It decides each record's time window and postings
+// membership from the record's own decoded fields, so it shares nothing
+// with the column projection or the posting sets but decodeRawAt —
+// which is what FuzzSegmentWalk pins the column walks against: the same
+// entries, the same SegmentColumns and the same ScanStats, ErrPastBound
+// refusals included. The stats it derives are the records a walk
+// examines, each with its encoded bytes, through a refusal: every
+// record in the window for a filter naming no postings dimension, the
+// window's candidates for one that does.
 
 // matchRawRef applies the Kept flag and the body substring to a raw
 // record, comparing the body bytes in place.
@@ -30,50 +33,32 @@ func (g *segment) matchRawRef(f *Filter, r raw, bodyPat []byte) bool {
 	return len(bodyPat) == 0 || bytes.Contains(g.blob[r.bodyOff:r.bodyOff+r.bodyLen], bodyPat)
 }
 
-func (g *segment) walkRef(f Filter, st *ScanStats, visit func(raw) error) error {
-	ords, constrained := g.candidates(f)
-	if constrained {
-		return g.walkOrdinalsRef(ords, f, st, visit)
-	}
-	return g.walkRangeRef(f, st, visit)
+// candidateRef reports whether r is a candidate of the filter's
+// postings dimensions (every record is, for a filter naming none).
+func (g *segment) candidateRef(f *Filter, r raw) bool {
+	return (len(f.Sources) == 0 || slices.Contains(f.Sources, g.sources[r.srcID])) &&
+		(len(f.Categories) == 0 || slices.Contains(f.Categories, g.categories[r.catID])) &&
+		(len(f.Severities) == 0 || slices.Contains(f.Severities, r.sev))
 }
 
-// walkRangeRef walks the time window sequentially, seeking the start
-// block through the sparse index and stopping at the first record past
-// To.
-func (g *segment) walkRangeRef(f Filter, st *ScanStats, visit func(raw) error) error {
+func (g *segment) walkRef(f Filter, st *ScanStats, visit func(raw) error) error {
 	bodyPat := bodyPattern(f)
-	var fromN, toN int64
-	block := 0
-	if !f.From.IsZero() {
-		fromN = f.From.UnixNano()
-		block = sort.Search(len(g.idxNanos), func(i int) bool { return g.idxNanos[i] >= fromN })
-		if block > 0 {
-			block--
-		}
-	}
-	if !f.To.IsZero() {
-		toN = f.To.UnixNano()
-	}
-	if block >= len(g.idxOffsets) {
-		return nil
-	}
-	off := g.recordsOff + int(g.idxOffsets[block])
-	start := off
-	defer func() { st.BytesScanned += int64(off - start) }()
-	for ord := block * indexInterval; ord < g.count; ord++ {
+	off := g.recordsOff
+	for ord := 0; ord < g.count; ord++ {
 		r, next, err := g.decodeRawAt(off)
 		if err != nil {
 			return err
 		}
+		size := next - off
 		off = next
-		st.RecordsScanned++
-		if toN != 0 && r.nanos >= toN {
-			return nil
+		if !f.To.IsZero() && r.nanos >= f.To.UnixNano() {
+			return nil // records are time-ordered: nothing later is inside
 		}
-		if fromN != 0 && r.nanos < fromN {
+		if (!f.From.IsZero() && r.nanos < f.From.UnixNano()) || !g.candidateRef(&f, r) {
 			continue
 		}
+		st.RecordsScanned++
+		st.BytesScanned += int64(size)
 		if !g.matchRawRef(&f, r, bodyPat) {
 			continue
 		}
@@ -81,59 +66,6 @@ func (g *segment) walkRangeRef(f Filter, st *ScanStats, visit func(raw) error) e
 		if err := visit(r); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// walkOrdinalsRef decodes exactly the index blocks containing candidate
-// ordinals, sequentially within each block.
-func (g *segment) walkOrdinalsRef(ords []uint32, f Filter, st *ScanStats, visit func(raw) error) error {
-	bodyPat := bodyPattern(f)
-	var fromN, toN int64
-	if !f.From.IsZero() {
-		fromN = f.From.UnixNano()
-	}
-	if !f.To.IsZero() {
-		toN = f.To.UnixNano()
-	}
-	i := 0
-	for i < len(ords) {
-		block := int(ords[i]) / indexInterval
-		if toN != 0 && g.idxNanos[block] >= toN {
-			return nil
-		}
-		end := i
-		for end < len(ords) && int(ords[end])/indexInterval == block {
-			end++
-		}
-		if fromN != 0 && block+1 < len(g.idxNanos) && g.idxNanos[block+1] < fromN {
-			i = end
-			continue
-		}
-		off := g.recordsOff + int(g.idxOffsets[block])
-		start := off
-		want := ords[i:end]
-		for ord := block * indexInterval; len(want) > 0 && ord < g.count; ord++ {
-			r, next, err := g.decodeRawAt(off)
-			if err != nil {
-				return err
-			}
-			off = next
-			st.RecordsScanned++
-			if uint32(ord) != want[0] {
-				continue
-			}
-			want = want[1:]
-			if (fromN != 0 && r.nanos < fromN) || (toN != 0 && r.nanos >= toN) || !g.matchRawRef(&f, r, bodyPat) {
-				continue
-			}
-			st.Matched++
-			if err := visit(r); err != nil {
-				return err
-			}
-		}
-		st.BytesScanned += int64(off - start)
-		i = end
 	}
 	return nil
 }
@@ -197,15 +129,15 @@ func walkFuzzEntries(rng *rand.Rand, n int, ties uint8) []Entry {
 	return out
 }
 
-// walkFuzzFilters draws filters over g: time bounds at, one nanosecond
-// before and one after index-block starts (and at record times), and
-// the Kept flag, a body substring and source/category/severity
-// postings, alone and combined.
-func walkFuzzFilters(rng *rand.Rand, g *segment, entries []Entry) []Filter {
+// walkFuzzFilters draws filters over entries: time bounds at, one
+// nanosecond before and one after every 64th record's time (and at
+// random record times), and the Kept flag, a body substring and
+// source/category/severity postings, alone and combined.
+func walkFuzzFilters(rng *rand.Rand, entries []Entry) []Filter {
 	var instants []time.Time
-	for _, n := range g.idxNanos {
-		for _, d := range []int64{-1, 0, 1} {
-			instants = append(instants, unixNano(n+d))
+	for i := 0; i < len(entries); i += 64 {
+		for _, d := range []time.Duration{-1, 0, 1} {
+			instants = append(instants, entries[i].Record.Time.Add(d))
 		}
 	}
 	for i := 0; i < 4; i++ {
@@ -259,7 +191,7 @@ type walkOutcome struct {
 
 // FuzzSegmentWalk pins the column walks to the reference walk: for
 // random sealed segments (many equal timestamps included) and filters
-// cutting at, just before and just after index-block starts, the entry
+// cutting at, just before and just after every 64th record, the entry
 // scan — unbounded and refusing with ErrPastBound from its k-th entry
 // on — and the columnar fold must report exactly what the reference
 // does.
@@ -277,7 +209,7 @@ func FuzzSegmentWalk(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, fl := range walkFuzzFilters(rng, g, entries) {
+		for i, fl := range walkFuzzFilters(rng, entries) {
 			for _, limit := range []int{0, 1 + int(refuseAfter)%40} {
 				scan := func(walk func(Filter, *ScanStats, *int64, func(Entry) error) error) walkOutcome {
 					o := walkOutcome{Bound: 1<<63 - 1}
@@ -310,4 +242,55 @@ func FuzzSegmentWalk(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestWalkCountsExaminedRecords: a walk's ScanStats count the records
+// it examined. A filter naming only postings examines exactly its
+// candidates, so it reports RecordsScanned == Matched; a time-only
+// window examines exactly the records inside it, hi - lo of them — on
+// the entry scan and the columnar fold alike.
+func TestWalkCountsExaminedRecords(t *testing.T) {
+	entries := walkFuzzEntries(rand.New(rand.NewSource(7)), 500, 96)
+	g, err := parseSegment("stats.seg", buildSegment(logrec.Thunderbird, entries))
+	if err != nil {
+		t.Fatal(err)
+	}
+	walks := func(f Filter) []ScanStats {
+		var row, col ScanStats
+		bound := int64(1<<63 - 1)
+		if err := g.scan(f, &row, &bound, func(Entry) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+		if err := g.scanColumns(f, &col, newSegmentColumns(g)); err != nil {
+			t.Fatal(err)
+		}
+		return []ScanStats{row, col}
+	}
+	for _, f := range []Filter{
+		{Sources: []string{"cn12"}},
+		{Categories: []string{"ECC", "GM_PAR"}},
+		{Severities: []logrec.Severity{logrec.SevFatal}},
+		{Sources: []string{"sm0"}, Categories: []string{"PBS_CON"}},
+	} {
+		for _, st := range walks(f) {
+			if st.Matched == 0 || st.RecordsScanned != st.Matched || st.BytesScanned <= 0 {
+				t.Errorf("postings-only %+v: %+v, want RecordsScanned == Matched > 0", f, st)
+			}
+		}
+	}
+	from, to := entries[130].Record.Time, entries[390].Record.Time.Add(time.Nanosecond)
+	var lo, hi int
+	for _, en := range entries {
+		if en.Record.Time.Before(from) {
+			lo++
+		}
+		if en.Record.Time.Before(to) {
+			hi++
+		}
+	}
+	for _, st := range walks(Filter{From: from, To: to}) {
+		if st.RecordsScanned != hi-lo || st.Matched != hi-lo {
+			t.Errorf("window [%d, %d): %+v, want %d records examined and matched", lo, hi, st, hi-lo)
+		}
+	}
 }
