@@ -48,10 +48,12 @@ race:
 # to a fresh segment while a compaction drops it, and a sticky build
 # error — and the in-place tail read — Scan and ScanColumns beside
 # appends and seals, each answer the acknowledged entries as of its
-# Seq — re-run ten times on top.
+# Seq — re-run ten times on top, with the kill windows of an Append
+# that seals several segments and then rewrites the wal once, and that
+# Append's byte-level layout.
 verify-race:
 	$(GO) test -race -count=1 -shuffle=on -timeout $(TEST_TIMEOUT) ./internal/store/... ./internal/view/... ./internal/query/... ./cmd/logstudy/...
-	$(call run-tests,-race -count=10 -timeout $(TEST_TIMEOUT),Projection|TailSnapshot,./internal/store/)
+	$(call run-tests,-race -count=10 -timeout $(TEST_TIMEOUT),Projection|TailSnapshot|KillDuringAppendSealWindows|MultiSealAppendLayout,./internal/store/)
 
 # Focused race pass over the cluster's failure envelope: the
 # scatter-gather router, circuit breakers, per-shard kill/recovery

@@ -24,6 +24,7 @@ import (
 	"whatsupersay/internal/ingest"
 	"whatsupersay/internal/logrec"
 	"whatsupersay/internal/query"
+	"whatsupersay/internal/report"
 	"whatsupersay/internal/shard"
 	"whatsupersay/internal/simulate"
 	"whatsupersay/internal/store"
@@ -929,5 +930,37 @@ func TestCloseLeavesNoGoroutines(t *testing.T) {
 				time.Sleep(5 * time.Millisecond)
 			}
 		})
+	}
+}
+
+// TestBuildStoreLeavesNoGoroutines: `build-store -in` — one Append that
+// seals many segments, the closing Seal, a compaction, Close — returns
+// through runMain with exit code 0 and leaves nothing running behind it.
+func TestBuildStoreLeavesNoGoroutines(t *testing.T) {
+	in := filepath.Join(t.TempDir(), "spirit.log")
+	if err := run(testArgs("generate", "-system", "spirit", "-o", in), io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	dir := filepath.Join(t.TempDir(), "store")
+	var out, errw strings.Builder
+	if code := runMain([]string{"build-store", "-system", "spirit", "-dir", dir, "-in", in, "-flush-every", "1000", "-compact"}, &out, &errw); code != 0 {
+		t.Fatalf("build-store exited %d: %s", code, errw.String())
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines before build-store, %d after it returned:\n%s", before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	st, rep, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if rep.Segments < 2 || rep.TailEntries != 0 || !strings.Contains(out.String(), fmt.Sprintf("stored %s alerts", report.Comma(int64(st.Len())))) {
+		t.Fatalf("reopened %+v holding %d entries; build-store said: %s", rep, st.Len(), out.String())
 	}
 }

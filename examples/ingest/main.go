@@ -68,7 +68,7 @@ func run() error {
 	expert := tag.NewTagger(logrec.Liberty)
 	for _, r := range recs {
 		if _, ok := set.Tag(r); ok {
-			if c, ok2 := expert.Tag(r); ok2 {
+			if c, ok2 := expert.Tag(&r); ok2 {
 				alerts = append(alerts, tag.Alert{Record: r, Category: c})
 			}
 		}

@@ -165,10 +165,10 @@ func TestTaggingInvariantUnderAnonymization(t *testing.T) {
 		{Program: "kernel", Body: "GM: LANai is not running. Allowing port=0 open for debugging"},
 	}
 	for _, r := range recs {
-		_, before := tg.Tag(r)
+		_, before := tg.Tag(&r)
 		anon := r
 		anon.Body = a.Line(r.Body)
-		_, after := tg.Tag(anon)
+		_, after := tg.Tag(&anon)
 		if before != after {
 			t.Errorf("tagging changed under anonymization for %q", r.Body)
 		}

@@ -135,7 +135,7 @@ func (c *Category) PrefilterLiterals() (lits []string, exact bool) {
 // hold. The body check short-circuits through the literal prefilter —
 // a record that lacks the rule's mandatory substrings is rejected
 // without any regexp execution.
-func (c *Category) Matches(r logrec.Record) bool {
+func (c *Category) Matches(r *logrec.Record) bool {
 	if c.Facility != "" && r.Facility != c.Facility {
 		return false
 	}

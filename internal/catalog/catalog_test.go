@@ -152,11 +152,11 @@ func TestMatchesChecksConstraints(t *testing.T) {
 		t.Fatal("KERNDTLB missing")
 	}
 	rec := logrec.Record{Facility: "KERNEL", Body: "data TLB error interrupt"}
-	if !c.Matches(rec) {
+	if !c.Matches(&rec) {
 		t.Error("matching record rejected")
 	}
 	rec.Facility = "APP"
-	if c.Matches(rec) {
+	if c.Matches(&rec) {
 		t.Error("facility constraint ignored")
 	}
 
@@ -165,11 +165,11 @@ func TestMatchesChecksConstraints(t *testing.T) {
 		t.Fatal("PBS_CHK missing")
 	}
 	rec = logrec.Record{Program: "pbs_mom", Body: "task_check, cannot tm_reply to 1.l task 1"}
-	if !p.Matches(rec) {
+	if !p.Matches(&rec) {
 		t.Error("matching pbs record rejected")
 	}
 	rec.Program = "kernel"
-	if p.Matches(rec) {
+	if p.Matches(&rec) {
 		t.Error("program constraint ignored")
 	}
 }

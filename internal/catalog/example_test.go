@@ -21,7 +21,7 @@ func ExampleLookup() {
 		c.Type.Code(), c.Name, c.Raw, c.Filtered, float64(c.Raw)/float64(c.Filtered)/1e6)
 	body := c.Gen(rand.New(rand.NewSource(1)))
 	fmt.Printf("generated body matches its own rule: %v\n",
-		c.Matches(logrec.Record{Program: c.Program, Body: body}))
+		c.Matches(&logrec.Record{Program: c.Program, Body: body}))
 	// Output:
 	// H / EXT_CCISS: raw 103818910, filtered 29 (mean burst ~3.6M)
 	// generated body matches its own rule: true

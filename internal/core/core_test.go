@@ -56,7 +56,7 @@ func TestStudyPipelineInvariants(t *testing.T) {
 			t.Errorf("%v records not sorted", s.System)
 		}
 		for i := 1; i < len(s.Alerts); i++ {
-			if s.Alerts[i].Record.Before(s.Alerts[i-1].Record) {
+			if s.Alerts[i].Record.Before(&s.Alerts[i-1].Record) {
 				t.Errorf("%v alerts not sorted", s.System)
 				break
 			}

@@ -26,7 +26,8 @@ func MineTemplates(s *Study, cfg mining.Config, maxBodies int) MiningReport {
 	}
 	bodies := make([]string, 0, n)
 	labels := make([]string, 0, n)
-	for _, r := range s.Records[:n] {
+	for i := range s.Records[:n] {
+		r := &s.Records[i]
 		bodies = append(bodies, r.Body)
 		if c, ok := s.Tagger.Tag(r); ok {
 			labels = append(labels, c.Name)

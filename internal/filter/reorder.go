@@ -155,7 +155,7 @@ type alertHeap struct {
 
 func (h alertHeap) Len() int { return len(h.alerts) }
 func (h alertHeap) Less(i, j int) bool {
-	return h.alerts[i].Record.Before(h.alerts[j].Record)
+	return h.alerts[i].Record.Before(&h.alerts[j].Record)
 }
 func (h alertHeap) Swap(i, j int) { h.alerts[i], h.alerts[j] = h.alerts[j], h.alerts[i] }
 

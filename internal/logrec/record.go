@@ -131,8 +131,9 @@ func (r Record) Key() string {
 }
 
 // Before reports whether r should sort before other: by time, then by
-// sequence number as a tiebreak.
-func (r Record) Before(other Record) bool {
+// sequence number as a tiebreak. Both sides are compared in place, since
+// a sort calls it on every comparison.
+func (r *Record) Before(other *Record) bool {
 	if !r.Time.Equal(other.Time) {
 		return r.Time.Before(other.Time)
 	}
@@ -142,10 +143,10 @@ func (r Record) Before(other Record) bool {
 // SortRecords sorts records in place into canonical order (time, then
 // sequence number). All downstream analyses assume this order.
 func SortRecords(recs []Record) {
-	sort.Slice(recs, func(i, j int) bool { return recs[i].Before(recs[j]) })
+	sort.Slice(recs, func(i, j int) bool { return recs[i].Before(&recs[j]) })
 }
 
 // IsSorted reports whether recs is in canonical order.
 func IsSorted(recs []Record) bool {
-	return sort.SliceIsSorted(recs, func(i, j int) bool { return recs[i].Before(recs[j]) })
+	return sort.SliceIsSorted(recs, func(i, j int) bool { return recs[i].Before(&recs[j]) })
 }

@@ -90,16 +90,16 @@ func TestRecordBefore(t *testing.T) {
 	a := Record{Time: t0, Seq: 1}
 	b := Record{Time: t0.Add(time.Second), Seq: 0}
 	c := Record{Time: t0, Seq: 2}
-	if !a.Before(b) {
+	if !a.Before(&b) {
 		t.Error("earlier time should sort first")
 	}
-	if b.Before(a) {
+	if b.Before(&a) {
 		t.Error("Before must not be symmetric for distinct times")
 	}
-	if !a.Before(c) {
+	if !a.Before(&c) {
 		t.Error("same time: lower Seq should sort first")
 	}
-	if a.Before(a) {
+	if a.Before(&a) {
 		t.Error("a record must not be before itself")
 	}
 }

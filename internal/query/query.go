@@ -181,9 +181,9 @@ const firstKPrealloc = 64
 // cmpHeld is canonical (time, seq) order, then arrival order.
 func cmpHeld(a, b heldEntry) int {
 	switch {
-	case a.en.Record.Before(b.en.Record):
+	case a.en.Record.Before(&b.en.Record):
 		return -1
-	case b.en.Record.Before(a.en.Record):
+	case b.en.Record.Before(&a.en.Record):
 		return 1
 	}
 	return cmp.Compare(a.ord, b.ord)

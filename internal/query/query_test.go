@@ -112,7 +112,7 @@ func TestEngineSelectOrdersAndLimits(t *testing.T) {
 		t.Fatalf("select: %d entries, stats %+v", len(got), stt)
 	}
 	for i := 1; i < len(got); i++ {
-		if got[i].Record.Before(got[i-1].Record) {
+		if got[i].Record.Before(&got[i-1].Record) {
 			t.Fatal("select output not in canonical order")
 		}
 	}

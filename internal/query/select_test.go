@@ -27,9 +27,9 @@ func selectReference(model []store.Entry, f store.Filter, limit int) []store.Ent
 	}
 	slices.SortStableFunc(out, func(a, b store.Entry) int {
 		switch {
-		case a.Record.Before(b.Record):
+		case a.Record.Before(&b.Record):
 			return -1
-		case b.Record.Before(a.Record):
+		case b.Record.Before(&a.Record):
 			return 1
 		}
 		return 0

@@ -249,7 +249,7 @@ func (c *Cluster) Select(ctx context.Context, f store.Filter, limit int) ([]stor
 	for _, a := range ok {
 		merged = append(merged, a.entries...)
 	}
-	sort.SliceStable(merged, func(i, j int) bool { return merged[i].Record.Before(merged[j].Record) })
+	sort.SliceStable(merged, func(i, j int) bool { return merged[i].Record.Before(&merged[j].Record) })
 	if limit > 0 && len(merged) > limit {
 		merged = merged[:limit]
 	}

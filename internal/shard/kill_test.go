@@ -67,7 +67,7 @@ func checkClusterExactlyOnce(t *testing.T, dir string, want []store.Entry) *Clus
 		t.Fatalf("post-recovery select: %v (coverage %+v)", err, cov)
 	}
 	sorted := append([]store.Entry(nil), want...)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Record.Before(sorted[j].Record) })
+	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Record.Before(&sorted[j].Record) })
 	if !reflect.DeepEqual(got, sorted) {
 		t.Fatalf("exactly-once violated: recovered %d entries, want %d", len(got), len(sorted))
 	}

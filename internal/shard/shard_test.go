@@ -205,7 +205,7 @@ func TestMergedAggregateMatchesSingleStore(t *testing.T) {
 					ref = append(ref, en)
 				}
 			}
-			sort.SliceStable(ref, func(i, j int) bool { return ref[i].Record.Before(ref[j].Record) })
+			sort.SliceStable(ref, func(i, j int) bool { return ref[i].Record.Before(&ref[j].Record) })
 			want, err := json.Marshal(query.Aggregate(ref, tc.opts))
 			if err != nil {
 				t.Fatal(err)
@@ -259,7 +259,7 @@ func TestSelectMergesCanonicalOrderAcrossShards(t *testing.T) {
 					want = append(want, en)
 				}
 			}
-			sort.SliceStable(want, func(i, j int) bool { return want[i].Record.Before(want[j].Record) })
+			sort.SliceStable(want, func(i, j int) bool { return want[i].Record.Before(&want[j].Record) })
 			if tc.limit > 0 && len(want) > tc.limit {
 				want = want[:tc.limit]
 			}

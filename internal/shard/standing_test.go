@@ -76,7 +76,7 @@ func checkClusterStandingDifferential(t *testing.T, step string, c *Cluster, all
 				ref = append(ref, en)
 			}
 		}
-		sort.SliceStable(ref, func(i, j int) bool { return ref[i].Record.Before(ref[j].Record) })
+		sort.SliceStable(ref, func(i, j int) bool { return ref[i].Record.Before(&ref[j].Record) })
 		want, _ := json.Marshal(query.Aggregate(ref, info.Options))
 		g, _ := json.Marshal(got)
 		if string(g) != string(want) {

@@ -433,7 +433,7 @@ func TestTruthMatchesTagging(t *testing.T) {
 			continue
 		}
 		_, truthSaysAlert := out.Truth.AlertAt[r.Seq]
-		_, taggerSaysAlert := tg.Tag(r)
+		_, taggerSaysAlert := tg.Tag(&r)
 		if truthSaysAlert != taggerSaysAlert {
 			mismatch++
 		}
@@ -540,7 +540,7 @@ func TestBGLSeverityRatio(t *testing.T) {
 			continue
 		}
 		fatalAll++
-		if _, ok := tg.Tag(r); ok {
+		if _, ok := tg.Tag(&r); ok {
 			fatalAlert++
 		}
 	}

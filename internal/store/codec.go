@@ -21,6 +21,12 @@ func (e *enc) str(s string) {
 	e.b = append(e.b, s...)
 }
 
+// uvarintLen is the length of v's uvarint encoding.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// zigzag maps a signed value to the unsigned one its varint encodes.
+func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
+
 // dec decodes the wire formats with sticky error handling: the first
 // malformed field poisons the decoder and every later read returns the
 // zero value, so decode paths can run straight-line and check err once.

@@ -192,7 +192,11 @@ func (s *Store) compactOnce() (bool, mergeSize, uint64, error) {
 	// store's own references are released separately at commit.
 	defer releaseAll(run)
 
-	var merged []Entry
+	n := 0
+	for _, g := range run {
+		n += g.count
+	}
+	merged := make([]Entry, 0, n)
 	inputs := make([]string, 0, len(run))
 	for _, g := range run {
 		ents, err := g.entries()

@@ -2,6 +2,9 @@ package store
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -133,14 +136,19 @@ func TestKillAfterWalRenamed(t *testing.T) {
 // TestKillDuringAppendSealWindows drives the same windows through
 // Append's automatic seal (tail reaching FlushEvery), with a remainder
 // left in the tail — the remainder must survive alongside the sealed
-// prefix.
+// prefix. The multi cases append 3.5 segments' worth of shuffled entries
+// at once: Append seals three segments and then rewrites the wal once,
+// so the seal windows are hit three times and the wal windows once. A
+// kill at the k-th hit leaves a wal whose epoch trails the inventory by
+// up to k segments, and Open must subtract exactly their entries.
 func TestKillDuringAppendSealWindows(t *testing.T) {
-	for _, point := range []string{
+	points := []string{
 		crashSealBeforeSegment,
 		crashSealSegmentRenamed,
 		crashWalTmpWritten,
 		crashWalRenamed,
-	} {
+	}
+	for _, point := range points {
 		t.Run(point, func(t *testing.T) {
 			dir := t.TempDir()
 			entries := makeEntries(t, 130, 59)
@@ -157,6 +165,92 @@ func TestKillDuringAppendSealWindows(t *testing.T) {
 			reopenAndCheck(t, dir, entries)
 		})
 	}
+	for _, point := range points {
+		hitsPerAppend := 3
+		if point == crashWalTmpWritten || point == crashWalRenamed {
+			hitsPerAppend = 1
+		}
+		for occ := 1; occ <= 3; occ++ {
+			t.Run(fmt.Sprintf("multi/%s/%d", point, occ), func(t *testing.T) {
+				dir := t.TempDir()
+				entries := makeEntries(t, 350, int64(60+occ))
+				rand.New(rand.NewSource(int64(occ))).Shuffle(len(entries), func(i, j int) {
+					entries[i], entries[j] = entries[j], entries[i]
+				})
+				st, err := Create(dir, logrec.Thunderbird, Options{FlushEvery: 100})
+				if err != nil {
+					t.Fatal(err)
+				}
+				hits := map[string]int{}
+				SetCrashHook(func(_, p string) error {
+					if hits[p]++; p == point && hits[p] == occ {
+						return errKill
+					}
+					return nil
+				})
+				t.Cleanup(func() { SetCrashHook(nil) })
+				err = st.Append(entries...)
+				switch killed := occ <= hitsPerAppend; {
+				case killed && !errors.Is(err, errKill):
+					t.Fatalf("append survived the kill at hit %d: %v", occ, err)
+				case !killed && err != nil:
+					t.Fatalf("append: %v", err)
+				case !killed && hits[point] != hitsPerAppend:
+					t.Fatalf("%s hit %d times in one Append, want %d", point, hits[point], hitsPerAppend)
+				}
+				// Abandoned: no Close, like a real process death. Every
+				// segment committed before the kill is still in the wal.
+				committed := map[string]int{
+					crashSealBeforeSegment:  occ - 1,
+					crashSealSegmentRenamed: occ,
+					crashWalTmpWritten:      3,
+				}[point]
+				if occ > hitsPerAppend {
+					committed = 0
+				}
+				want := dupWindow(t, dir)
+				if want != committed*100 {
+					t.Fatalf("the wal trails %d entries of segments, want %d", want, committed*100)
+				}
+				rep := reopenAndCheck(t, dir, entries)
+				if rep.TailDedupedEntries != want {
+					t.Fatalf("TailDedupedEntries = %d, want %d (the entries of segments at or after the wal's epoch)", rep.TailDedupedEntries, want)
+				}
+			})
+		}
+	}
+}
+
+// dupWindow counts the entries of the segments in dir numbered at or
+// after the wal's epoch: the ones a seal committed before the kill
+// stopped it from rewriting the wal, which still holds their frames.
+func dupWindow(t *testing.T, dir string) int {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join(dir, walName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, epoch, _, damage := replayWal(raw, logrec.Thunderbird)
+	if damage != nil || epoch < 0 {
+		t.Fatalf("wal after the kill: epoch %d, damage %v", epoch, damage)
+	}
+	paths, err := filepath.Glob(filepath.Join(dir, "seg-*.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, path := range paths {
+		if segNum(filepath.Base(path)) < epoch {
+			continue
+		}
+		g, err := openSegmentFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n += g.count
+		g.release()
+	}
+	return n
 }
 
 // compactKilledStore builds a sealed multi-segment store and triggers a

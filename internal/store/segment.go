@@ -59,11 +59,21 @@ type Entry struct {
 }
 
 // entryBefore orders entries canonically: time, then sequence number.
-func entryBefore(a, b Entry) bool { return a.Record.Before(b.Record) }
+func entryBefore(a, b *Entry) bool { return a.Record.Before(&b.Record) }
 
 // sortEntries sorts entries into canonical order.
 func sortEntries(entries []Entry) {
-	sort.SliceStable(entries, func(i, j int) bool { return entryBefore(entries[i], entries[j]) })
+	sort.SliceStable(entries, func(i, j int) bool { return entryBefore(&entries[i], &entries[j]) })
+}
+
+// entriesSorted reports whether entries are already in canonical order.
+func entriesSorted(entries []Entry) bool {
+	for i := 1; i < len(entries); i++ {
+		if entryBefore(&entries[i], &entries[i-1]) {
+			return false
+		}
+	}
+	return true
 }
 
 // segment is one sealed, immutable, checksum-verified block of entries.

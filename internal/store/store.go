@@ -157,7 +157,8 @@ type Store struct {
 	mu   sync.RWMutex
 	segs []*segment
 	// tail is append-only between seals: its elements are never written
-	// in place (a seal sorts a copy), so a scan reads the prefix it
+	// in place (a seal reads it as it stands when it is already sorted,
+	// and sorts a copy otherwise), so a scan reads the prefix it
 	// snapshotted without copying it.
 	tail    []Entry
 	wal     *os.File
@@ -446,19 +447,20 @@ func (s *Store) Len() int {
 }
 
 // Append durably logs entries to the wal and adds them to the tail,
-// sealing a segment whenever the tail reaches FlushEvery entries. The
-// caller's slice is never written to: entries are copied before the
-// store normalizes them (System pinned to the store's system, Raw
-// dropped — the store does not persist wire text — and the other text
-// fields copied into memory the store owns), so callers can safely
-// reuse their batch buffers.
+// then seals every full FlushEvery prefix of the tail (sealLocked): one
+// Append costs one sort and one wal rewrite however many segments its
+// batch fills. The caller's slice is never written to: entries are
+// copied before the store normalizes them (System pinned to the store's
+// system, Raw dropped — the store does not persist wire text — and the
+// other text fields copied into memory the store owns), so callers can
+// safely reuse their batch buffers.
 func (s *Store) Append(entries ...Entry) error {
 	if len(entries) == 0 {
 		return nil
 	}
 	batch := make([]Entry, len(entries))
 	copy(batch, entries)
-	var frames []byte
+	size := 0
 	for i := range batch {
 		// The column projection and the entry fold both keep a severity
 		// in one byte; anything wider would seal into a segment no scan
@@ -469,7 +471,11 @@ func (s *Store) Append(entries ...Entry) error {
 		batch[i].Record.System = s.sys
 		batch[i].Record.Raw = ""
 		ownText(&batch[i].Record)
-		frames = appendWalFrame(frames, batch[i])
+		size += walFrameLen(&batch[i])
+	}
+	frames := make([]byte, 0, size)
+	for i := range batch {
+		frames = appendWalFrame(frames, &batch[i])
 	}
 	appendSeq, sealSeq, err := func() (uint64, uint64, error) {
 		s.mu.Lock()
@@ -484,17 +490,16 @@ func (s *Store) Append(entries ...Entry) error {
 		}
 		s.tail = append(s.tail, batch...)
 		// Seq assignment happens here, after the effects and under mu —
-		// the ordering ScanStats.Seq relies on.
+		// the ordering ScanStats.Seq relies on. Each committed segment
+		// takes a number of its own, in seal order.
 		aSeq := s.nextSeqLocked()
 		var sSeq uint64
-		for len(s.tail) >= s.opts.flushEvery() {
-			if err := s.sealLocked(s.opts.flushEvery()); err != nil {
-				return aSeq, sSeq, err
-			}
+		n, err := s.sealLocked(s.opts.flushEvery())
+		for ; n > 0; n-- {
 			sSeq = s.nextSeqLocked()
 		}
 		s.publishSizes()
-		return aSeq, sSeq, nil
+		return aSeq, sSeq, err
 	}()
 	if appendSeq != 0 {
 		// Notify outside mu: observers may re-enter the store (Scan,
@@ -531,76 +536,89 @@ func (s *Store) Seal() error {
 	sealSeq, err := func() (uint64, error) {
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		n := len(s.tail)
-		if err := s.sealLocked(n); err != nil {
-			return 0, err
-		}
+		n, err := s.sealLocked(len(s.tail))
 		s.publishSizes()
 		if n == 0 {
-			return 0, nil
+			return 0, err
 		}
-		return s.nextSeqLocked(), nil
+		return s.nextSeqLocked(), err
 	}()
-	if err != nil {
-		return err
-	}
 	if sealSeq != 0 {
 		s.notify(Mutation{Kind: MutationSeal, Seq: sealSeq})
 	}
-	return nil
+	return err
 }
 
-// sealLocked seals the first n tail entries: sort, encode, write to a
-// temp file, fsync, rename into place, fsync the directory, then drop
-// the sealed prefix and rewrite the wal to the remainder. The two
-// durability steps are ordered segment-first: a kill between them
-// leaves a wal whose epoch trails the inventory, which Open detects and
-// dedupes, so a crash anywhere in the seal neither loses nor
-// double-serves an acknowledged entry.
-func (s *Store) sealLocked(n int) error {
-	if n <= 0 || len(s.tail) == 0 {
-		return nil
-	}
-	if n > len(s.tail) {
-		n = len(s.tail)
+// sealLocked seals the tail's canonical-order prefix into consecutive
+// segments of size entries, as many as the tail fills (Append passes
+// FlushEvery; Seal the whole tail, one segment), and returns how many
+// committed. The tail is sorted once, and only when it is out of order;
+// each segment is encoded, written to a temp file, fsynced, renamed
+// into place and the directory fsynced, and after the last one the wal
+// is rewritten once, to the remainder. The durability steps are ordered
+// segments-first: a kill after the k-th rename leaves a wal whose epoch
+// trails the inventory by k, which Open detects and dedupes, so a crash
+// anywhere in the seal neither loses nor double-serves an acknowledged
+// entry.
+func (s *Store) sealLocked(size int) (int, error) {
+	if size <= 0 || len(s.tail) < size {
+		return 0, nil
 	}
 	sp := obs.Default.StartSpan("store_seal")
 	defer sp.End()
 
-	// Seal the n oldest entries by canonical order, keeping the rest. The
-	// sort runs on a copy, since scans may be reading the tail itself,
-	// and the rest stays in that copy.
-	sorted := slices.Clone(s.tail)
-	sortEntries(sorted)
-	batch, rest := sorted[:n], sorted[n:]
-	blob := buildSegment(s.sys, batch)
-
-	if err := s.crashPoint(crashSealBeforeSegment); err != nil {
-		return err
+	// Scans may be reading the tail in place, so it is never sorted in
+	// place: an out-of-order tail is sorted in a copy, which then keeps
+	// the remainder.
+	rest := s.tail
+	if !entriesSorted(rest) {
+		rest = slices.Clone(rest)
+		sortEntries(rest)
 	}
-	name := fmt.Sprintf(segPattern, s.nextSeg)
-	path := filepath.Join(s.dir, name)
-	if err := AtomicWriteFile(path, blob); err != nil {
-		return fmt.Errorf("store: seal %s: %w", name, err)
+	n := 0
+	var err error
+	for len(rest) >= size {
+		if err = s.crashPoint(crashSealBeforeSegment); err != nil {
+			break
+		}
+		name := fmt.Sprintf(segPattern, s.nextSeg)
+		path := filepath.Join(s.dir, name)
+		if err = AtomicWriteFile(path, buildSegment(s.sys, rest[:size])); err != nil {
+			err = fmt.Errorf("store: seal %s: %w", name, err)
+			break
+		}
+		if err = s.crashPoint(crashSealSegmentRenamed); err != nil {
+			break
+		}
+		// Self-check by reopening the durable file — this is also what
+		// maps the new segment, releasing the heap blob built above to
+		// the GC.
+		g, gerr := openSegmentFile(path)
+		if gerr != nil {
+			// Can't happen for bytes we just built; treat as corruption bug.
+			err = fmt.Errorf("store: seal %s: self-check failed: %w", name, gerr)
+			break
+		}
+		s.segs = append(s.segs, g)
+		sortSegments(s.segs)
+		s.nextSeg++
+		mSealEntries.Add(int64(size))
+		rest = rest[size:]
+		n++
 	}
-	if err := s.crashPoint(crashSealSegmentRenamed); err != nil {
-		return err
+	if n == 0 {
+		return 0, err
 	}
-	// Self-check by reopening the durable file — this is also what maps
-	// the new segment, releasing the heap blob built above to the GC.
-	g, err := openSegmentFile(path)
-	if err != nil {
-		// Can't happen for bytes we just built; treat as corruption bug.
-		return fmt.Errorf("store: seal %s: self-check failed: %w", name, err)
-	}
-	s.segs = append(s.segs, g)
-	sortSegments(s.segs)
-	s.nextSeg++
-	mSealEntries.Add(int64(n))
-
-	// The wal now only needs to cover the remainder.
+	// The tail drops what committed (an emptied one lets its backing
+	// array go); the wal then only needs to cover the remainder.
 	s.tail = rest
-	return s.rewriteWalLocked()
+	if len(rest) == 0 {
+		s.tail = nil
+	}
+	if err != nil {
+		return n, err
+	}
+	return n, s.rewriteWalLocked()
 }
 
 // rewriteWalLocked atomically replaces the wal with a header at the
@@ -612,9 +630,13 @@ func (s *Store) sealLocked(n int) error {
 // truncated-but-unwritten middle state the previous truncate-then-write
 // protocol could die in.
 func (s *Store) rewriteWalLocked() error {
-	frames := appendWalHeader(nil, s.nextSeg)
-	for _, en := range s.tail {
-		frames = appendWalFrame(frames, en)
+	size := walHeaderLen
+	for i := range s.tail {
+		size += walFrameLen(&s.tail[i])
+	}
+	frames := appendWalHeader(make([]byte, 0, size), s.nextSeg)
+	for i := range s.tail {
+		frames = appendWalFrame(frames, &s.tail[i])
 	}
 	walPath := filepath.Join(s.dir, walName)
 	tmp := walPath + ".tmp"

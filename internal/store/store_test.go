@@ -1,12 +1,19 @@
 package store
 
 import (
+	"bytes"
+	"cmp"
+	"errors"
 	"fmt"
+	"io/fs"
+	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -276,6 +283,100 @@ func TestSealIsAtomicOnDisk(t *testing.T) {
 	}
 }
 
+// TestMultiSealAppendLayout: an Append that fills several segments at
+// once writes exactly the files a seal per FlushEvery would have — each
+// segment a FlushEvery cut of the canonically sorted tail, in order —
+// and leaves the wal at the new epoch holding the remainder's frames in
+// canonical order. The cases cover a tail sorted in a copy (shuffled,
+// or out of order across two appends) and one sealed as it stands.
+func TestMultiSealAppendLayout(t *testing.T) {
+	const flush = 100
+	shuffled := func(seed int64) []Entry {
+		en := makeEntries(t, 350, seed)
+		rand.New(rand.NewSource(seed)).Shuffle(len(en), func(i, j int) { en[i], en[j] = en[j], en[i] })
+		return en
+	}
+	cases := []struct {
+		name    string
+		batches [][]Entry
+	}{
+		{"shuffled", [][]Entry{shuffled(71)}},
+		{"sorted", [][]Entry{makeEntries(t, 350, 72)}},
+		{"tail-then-batch", func() [][]Entry { en := shuffled(73); return [][]Entry{en[:30], en[30:]} }()},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			st, err := Create(dir, logrec.Thunderbird, Options{FlushEvery: flush})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			var ref []Entry
+			for _, b := range tc.batches {
+				if err := st.Append(b...); err != nil {
+					t.Fatal(err)
+				}
+				ref = append(ref, b...)
+			}
+			// The reference order, computed independently of sortEntries.
+			slices.SortStableFunc(ref, func(a, b Entry) int {
+				if c := a.Record.Time.Compare(b.Record.Time); c != 0 {
+					return c
+				}
+				return cmp.Compare(a.Record.Seq, b.Record.Seq)
+			})
+			nSegs := len(ref) / flush
+			for k := 0; k <= nSegs; k++ {
+				got, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf(segPattern, k)))
+				if k == nSegs {
+					if !errors.Is(err, fs.ErrNotExist) {
+						t.Fatalf("segment %d of %d written (err %v)", k+1, nSegs, err)
+					}
+					break
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, buildSegment(logrec.Thunderbird, ref[k*flush:(k+1)*flush])) {
+					t.Fatalf("segment %d differs from the reference cut", k)
+				}
+			}
+			want := appendWalHeader(nil, nSegs)
+			for i := nSegs * flush; i < len(ref); i++ {
+				want = appendWalFrame(want, &ref[i])
+			}
+			got, err := os.ReadFile(filepath.Join(dir, walName))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("wal: %d bytes, want the header at epoch %d and %d frames (%d bytes)", len(got), nSegs, len(ref)-nSegs*flush, len(want))
+			}
+			if n := st.TailLen(); n != len(ref)-nSegs*flush {
+				t.Fatalf("tail holds %d entries, want %d", n, len(ref)-nSegs*flush)
+			}
+		})
+	}
+}
+
+// TestWalFrameLenIsExact: the length Append and the wal rewrite size
+// their buffers by is the length appendWalFrame writes.
+func TestWalFrameLenIsExact(t *testing.T) {
+	entries := makeEntries(t, 200, 74)
+	entries[0].Record.Time = time.Unix(0, -1).UTC() // a negative varint
+	entries[1].Record.Seq = math.MaxUint64
+	entries[2].Record.Body = strings.Repeat("x", 300) // a two-byte length
+	for i := range entries {
+		if got, want := len(appendWalFrame(nil, &entries[i])), walFrameLen(&entries[i]); got != want {
+			t.Fatalf("entry %d: frame is %d bytes, walFrameLen says %d", i, got, want)
+		}
+	}
+	if got := len(appendWalHeader(nil, math.MaxInt)); got > walHeaderLen {
+		t.Fatalf("header is %d bytes, over walHeaderLen %d", got, walHeaderLen)
+	}
+}
+
 func TestPostingsCodec(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 50; trial++ {
@@ -443,7 +544,7 @@ func TestPastBoundTiesAcrossSegments(t *testing.T) {
 			if refused && en.Record.Time.After(at) {
 				t.Errorf("%+v: handed (%v, %d) after the scan was bounded at T", f, en.Record.Time, en.Record.Seq)
 			}
-			if pivot.Before(en.Record) {
+			if pivot.Before(&en.Record) {
 				refused = true
 				return ErrPastBound
 			}

@@ -35,23 +35,37 @@ const (
 	walHeaderMagic = "WALH"
 )
 
+// walHeaderLen bounds the encoded header frame's length (magic plus
+// the epoch's uvarint).
+const walHeaderLen = walFrameHdr + len(walHeaderMagic) + binary.MaxVarintLen64
+
 // appendWalHeader encodes the mandatory header frame that opens every
 // wal: the seal epoch, CRC-framed like any other frame so a torn or
 // garbled header reads as damage, never as a bogus epoch.
 func appendWalHeader(b []byte, epoch int) []byte {
-	var p enc
-	p.b = append(p.b, walHeaderMagic...)
-	p.uvarint(uint64(epoch))
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(p.b)))
-	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(p.b))
-	return append(b, p.b...)
+	e, start := openWalFrame(b)
+	e.b = append(e.b, walHeaderMagic...)
+	e.uvarint(uint64(epoch))
+	return closeWalFrame(e.b, start)
+}
+
+// walFrameLen is the exact encoded length of en's wal frame, so a
+// buffer of many frames is sized once.
+func walFrameLen(en *Entry) int {
+	r := &en.Record
+	n := walFrameHdr + uvarintLen(r.Seq) + uvarintLen(zigzag(r.Time.UnixNano())) +
+		uvarintLen(uint64(r.Severity)) + 1
+	for _, s := range [...]string{r.Source, en.Category, r.Program, r.Facility, r.Body} {
+		n += uvarintLen(uint64(len(s))) + len(s)
+	}
+	return n
 }
 
 // appendWalFrame encodes one entry as a wal frame onto b. The payload
 // is self-contained (absolute timestamp, full strings): wal entries
 // predate the dictionaries a seal would build.
-func appendWalFrame(b []byte, en Entry) []byte {
-	var p enc
+func appendWalFrame(b []byte, en *Entry) []byte {
+	p, start := openWalFrame(b)
 	p.uvarint(en.Record.Seq)
 	p.varint(en.Record.Time.UnixNano())
 	p.str(en.Record.Source)
@@ -68,10 +82,22 @@ func appendWalFrame(b []byte, en Entry) []byte {
 		flags |= entryFlagCorrupted
 	}
 	p.byte(flags)
+	return closeWalFrame(p.b, start)
+}
 
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(p.b)))
-	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(p.b))
-	return append(b, p.b...)
+// openWalFrame reserves a frame header at the end of b and returns an
+// encoder that appends the payload in place after it.
+func openWalFrame(b []byte) (enc, int) {
+	return enc{b: append(b, make([]byte, walFrameHdr)...)}, len(b)
+}
+
+// closeWalFrame fills in the header reserved at b[start:] — the
+// payload's length and CRC — once the payload follows it.
+func closeWalFrame(b []byte, start int) []byte {
+	payload := b[start+walFrameHdr:]
+	binary.LittleEndian.PutUint32(b[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(b[start+4:], crc32.ChecksumIEEE(payload))
+	return b
 }
 
 // decodeWalEntry decodes one frame payload.

@@ -79,7 +79,7 @@ func BenchmarkTagger(b *testing.B) {
 		b.Run(sys.ShortName()+"/match", func(b *testing.B) {
 			hits := 0
 			for i := 0; i < b.N; i++ {
-				if _, ok := tg.Tag(match[i%len(match)]); ok {
+				if _, ok := tg.Tag(&match[i%len(match)]); ok {
 					hits++
 				}
 			}
@@ -89,7 +89,7 @@ func BenchmarkTagger(b *testing.B) {
 		})
 		b.Run(sys.ShortName()+"/miss", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, ok := tg.Tag(miss[i%len(miss)]); ok {
+				if _, ok := tg.Tag(&miss[i%len(miss)]); ok {
 					b.Fatal("match in non-matching stream")
 				}
 			}

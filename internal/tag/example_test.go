@@ -22,7 +22,7 @@ func ExampleTagger() {
 		},
 	}
 	for _, r := range recs {
-		if c, ok := tg.Tag(r); ok {
+		if c, ok := tg.Tag(&r); ok {
 			fmt.Printf("%s/%s: %s\n", c.Type.Code(), c.Name, r.Body)
 		} else {
 			fmt.Printf("not an alert: %s\n", r.Body)

@@ -53,8 +53,9 @@ func NewTagger(sys logrec.System) *Tagger {
 func (t *Tagger) Rules() []*catalog.Category { return t.rules }
 
 // Tag returns the category tagging rec, or false if no rule matches (the
-// record is not an alert).
-func (t *Tagger) Tag(rec logrec.Record) (*catalog.Category, bool) {
+// record is not an alert). rec is only read, in place: no rule tried
+// copies it.
+func (t *Tagger) Tag(rec *logrec.Record) (*catalog.Category, bool) {
 	for _, c := range t.rules {
 		if c.Matches(rec) {
 			return c, true
@@ -72,7 +73,7 @@ func (t *Tagger) TagAll(recs []logrec.Record) []Alert {
 	out := parallel.FlatMap(len(recs), parallel.Options{}, func(lo, hi int) []Alert {
 		var out []Alert
 		for i := lo; i < hi; i++ {
-			if c, ok := t.Tag(recs[i]); ok {
+			if c, ok := t.Tag(&recs[i]); ok {
 				out = append(out, Alert{Record: recs[i], Category: c})
 			}
 		}
@@ -90,9 +91,9 @@ func (t *Tagger) TagAll(recs []logrec.Record) []Alert {
 func (t *Tagger) TagAllSerial(recs []logrec.Record) []Alert {
 	sp := obs.Default.StartSpan("tag")
 	var out []Alert
-	for _, r := range recs {
-		if c, ok := t.Tag(r); ok {
-			out = append(out, Alert{Record: r, Category: c})
+	for i := range recs {
+		if c, ok := t.Tag(&recs[i]); ok {
+			out = append(out, Alert{Record: recs[i], Category: c})
 		}
 	}
 	sp.End()
@@ -183,9 +184,9 @@ func (c Confusion) FalseNegativeRate() float64 {
 // tagger over a record stream.
 func CompareSeverityBaseline(recs []logrec.Record, expert *Tagger, baseline SeverityTagger) Confusion {
 	var c Confusion
-	for _, r := range recs {
-		_, isAlert := expert.Tag(r)
-		tagged := baseline.Tag(r)
+	for i := range recs {
+		_, isAlert := expert.Tag(&recs[i])
+		tagged := baseline.Tag(recs[i])
 		switch {
 		case isAlert && tagged:
 			c.TruePositive++
@@ -216,7 +217,8 @@ func BreakdownBySeverity(recs []logrec.Record, expert *Tagger) SeverityBreakdown
 		Messages: make(map[logrec.Severity]int),
 		Alerts:   make(map[logrec.Severity]int),
 	}
-	for _, r := range recs {
+	for i := range recs {
+		r := &recs[i]
 		b.Messages[r.Severity]++
 		b.Total++
 		if _, ok := expert.Tag(r); ok {
@@ -249,6 +251,6 @@ func AwkSource(c *catalog.Category) string {
 // sequence), which the filtering algorithms require.
 func SortAlerts(alerts []Alert) {
 	sort.SliceStable(alerts, func(i, j int) bool {
-		return alerts[i].Record.Before(alerts[j].Record)
+		return alerts[i].Record.Before(&alerts[j].Record)
 	})
 }

@@ -30,7 +30,8 @@ func TestEveryCategoryTaggable(t *testing.T) {
 		tg := NewTagger(sys)
 		for _, c := range catalog.BySystem(sys) {
 			for i := 0; i < 10; i++ {
-				got, ok := tg.Tag(recFor(c, rng, at))
+				r := recFor(c, rng, at)
+				got, ok := tg.Tag(&r)
 				if !ok {
 					t.Fatalf("%s: generated record untagged", c.Key())
 				}
@@ -53,7 +54,7 @@ func TestBenignBodiesUntagged(t *testing.T) {
 		{Body: "task_check, cannot tm_reply to 1.l task 1"}, // right body, wrong program
 	}
 	for _, r := range benign {
-		if c, ok := tg.Tag(r); ok {
+		if c, ok := tg.Tag(&r); ok {
 			t.Errorf("benign record tagged as %s: %+v", c.Name, r)
 		}
 	}
@@ -208,10 +209,12 @@ func TestOverlappingPatternDisambiguation(t *testing.T) {
 	sev, _ := catalog.Lookup(logrec.BlueGeneL, "APPSEV")
 	res, _ := catalog.Lookup(logrec.BlueGeneL, "APPRES")
 	at := time.Date(2005, 6, 3, 0, 0, 0, 0, time.UTC)
-	if got, _ := tg.Tag(recFor(sev, rng, at)); got.Name != "APPSEV" {
+	r := recFor(sev, rng, at)
+	if got, _ := tg.Tag(&r); got.Name != "APPSEV" {
 		t.Errorf("LOGIN_MESSAGE variant tagged %s", got.Name)
 	}
-	if got, _ := tg.Tag(recFor(res, rng, at)); got.Name != "APPRES" {
+	r = recFor(res, rng, at)
+	if got, _ := tg.Tag(&r); got.Name != "APPRES" {
 		t.Errorf("LOAD_MESSAGE variant tagged %s", got.Name)
 	}
 }
