@@ -151,15 +151,17 @@ diff-smoke:
 # only columns and writes its artifact once, at Close, and the segment's
 # decoded sparse-index arrays and the standing registry's row-form delta,
 # because walks binary-search the column projection and a delta is a
-# column fold; fail if a doc, comment or target names any of
-# them again. Deliver and Collect live on as the
+# column fold, and the chunked worker pool of generation and tagging
+# with its autotune, its options, the loadgen generator-worker knob and
+# its six pool metrics, because every stage is one serial pass; fail
+# if a doc, comment or target names any of them again. Deliver and Collect live on as the
 # generic syslogng.Deliver and rasdb.Collect, so only their method forms
 # are names here, and FuzzReadFunc keeps its name. Of the root-level
 # Markdown files only the design notes, README and experiments are
 # checked: the others are the change log, the roadmap and reference
 # material, which record the deletions themselves. The one-letter
 # brackets keep this line from matching itself.
-STALE_REFS = 'BENCH_[p]ipeline|internal/[b]ench|bench-[s]moke|logstudy [b]ench|internal/[f]ailure|Disable[C]olumnar|ErrNot[I]ndexAnswerable|Index[A]nswerable|Column[S]canner|ReadAll[P]arallel|Auto[c]orrelation|Mutation[S]eq|min[P]ause|max[P]ause|Read[T]ree|ECD[F]|New[H]istogram|Spatial[C]oncentration|stats\.[P]ercentile([^s]|$$)|func [P]ercentile\(|stats\.[M]edian|func [M]edian\(|LogHistogram\) [T]otal\(|LogHistogram\.[T]otal|stats\.M[i]n\(|stats\.M[a]x\(|Parse[A]ll|Parse[S]tream|ParseEvent[S]tream|parsed[C]hunk|rolls[O]ver|re[p]arse\(|(^|[^z])Read[F]unc|\(rd Reader\) Read\(|rd\.R[e]ad\(|ingest\.[D]ialect|func [D]ialect\(|safe[P]arse|record[S]tats|TagAll[P]arallel|Render[E]vent|FileBy[S]ource|syslogng\.[S]ources|func [S]ources\(|TCP[P]ath|Relay\) [D]eliver|rl\.[D]eliver\(|Mailbox\) [C]ollect|mb\.[C]ollect\(|Mailbox(\(\)|\{\})\.[C]ollect|mailbox[O]rder|cp\.[Q]uarantined|ingest_[q]uarantined_total|MarkCorrupted[S]ources|PlannedNode[H]ours|Wildcard[F]raction|Matches[B]ody|Mean[B]urst|Standing[E]vent|Set[N]otify|Aggregate[O]f|Total[O]f|PartialSnapshot[O]f|shardSub[K]ey|by[S]hard|shard[S]ubs|standing_[e]vents_total|Registry\) [U]nregister|\.[U]nregister\(|estimate[R]ate|alert[C]ap|sample[L]imit|wake[S]ave|save[L]oop|artifact[E]dge|correlate_[e]dges|correlate_[n]odes|idx[O]ffsets|idx[N]anos|delta[O]f'
+STALE_REFS = 'BENCH_[p]ipeline|internal/[b]ench|bench-[s]moke|logstudy [b]ench|internal/[f]ailure|Disable[C]olumnar|ErrNot[I]ndexAnswerable|Index[A]nswerable|Column[S]canner|ReadAll[P]arallel|Auto[c]orrelation|Mutation[S]eq|min[P]ause|max[P]ause|Read[T]ree|ECD[F]|New[H]istogram|Spatial[C]oncentration|stats\.[P]ercentile([^s]|$$)|func [P]ercentile\(|stats\.[M]edian|func [M]edian\(|LogHistogram\) [T]otal\(|LogHistogram\.[T]otal|stats\.M[i]n\(|stats\.M[a]x\(|Parse[A]ll|Parse[S]tream|ParseEvent[S]tream|parsed[C]hunk|rolls[O]ver|re[p]arse\(|(^|[^z])Read[F]unc|\(rd Reader\) Read\(|rd\.R[e]ad\(|ingest\.[D]ialect|func [D]ialect\(|safe[P]arse|record[S]tats|TagAll[P]arallel|Render[E]vent|FileBy[S]ource|syslogng\.[S]ources|func [S]ources\(|TCP[P]ath|Relay\) [D]eliver|rl\.[D]eliver\(|Mailbox\) [C]ollect|mb\.[C]ollect\(|Mailbox(\(\)|\{\})\.[C]ollect|mailbox[O]rder|cp\.[Q]uarantined|ingest_[q]uarantined_total|MarkCorrupted[S]ources|PlannedNode[H]ours|Wildcard[F]raction|Matches[B]ody|Mean[B]urst|Standing[E]vent|Set[N]otify|Aggregate[O]f|Total[O]f|PartialSnapshot[O]f|shardSub[K]ey|by[S]hard|shard[S]ubs|standing_[e]vents_total|Registry\) [U]nregister|\.[U]nregister\(|estimate[R]ate|alert[C]ap|sample[L]imit|wake[S]ave|save[L]oop|artifact[E]dge|correlate_[e]dges|correlate_[n]odes|idx[O]ffsets|idx[N]anos|delta[O]f|internal/[p]arallel|parallel\.(Do|FlatMap|Tasks|Options)|Sim[W]orkers|autotune[M]inWork|parallel_(chunks|chunk_seconds|queue_depth|busy_nanos|worker_nanos|autotune)'
 no-stale-refs:
 	@if git grep -nE $(STALE_REFS) -- . ':(top,glob,exclude)*.md' || git grep -nE $(STALE_REFS) -- DESIGN.md README.md EXPERIMENTS.md; then \
 		echo "FAIL: stale reference to a deleted package, target or name (the bench ledger: see DESIGN.md §7 for the per-layer metric that replaced it; the decode aggregate: DESIGN.md §11)"; exit 1; fi

@@ -656,7 +656,7 @@ func runAnalyze(args []string, w io.Writer) error {
 	} else {
 		alerts = tag.NewTagger(sys).TagAll(recs)
 	}
-	tag.SortAlerts(alerts)
+	// Both taggers keep ReadAll's canonical record order.
 	filtered := filter.Simultaneous{T: filter.DefaultThreshold}.Filter(alerts)
 	fmt.Fprintf(w, "alerts: %s raw, %s after Algorithm 3.1 (T=5s), %d categories observed\n\n",
 		report.Comma(int64(len(alerts))), report.Comma(int64(len(filtered))), tag.CategoriesObserved(alerts))

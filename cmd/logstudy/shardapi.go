@@ -229,8 +229,8 @@ func (a *shardAPI) handleIngest(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "ingest: %v", err)
 		return
 	}
+	// ReadAll's records are canonical and tagging keeps their order.
 	alerts := tag.NewTagger(sys).TagAll(recs)
-	tag.SortAlerts(alerts)
 	filtered := filter.Simultaneous{T: filter.DefaultThreshold}.Filter(alerts)
 	entries := store.FromAlerts(alerts, filtered)
 

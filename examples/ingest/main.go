@@ -73,7 +73,7 @@ func run() error {
 			}
 		}
 	}
-	tag.SortAlerts(alerts)
+	// ReadAll's records are canonical, so the alerts are too.
 	filtered := filter.Simultaneous{}.Filter(alerts)
 	fmt.Printf("external rules tagged %s alerts; %s after filtering\n",
 		report.Comma(int64(len(alerts))), report.Comma(int64(len(filtered))))

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -66,7 +67,7 @@ func TestStudyPipelineInvariants(t *testing.T) {
 
 func TestFromRecords(t *testing.T) {
 	src := study(t, logrec.Liberty)
-	s := FromRecords(logrec.Liberty, src.Records)
+	s := FromRecords(logrec.Liberty, slices.Clone(src.Records))
 	if len(s.Alerts) != len(src.Alerts) {
 		t.Errorf("FromRecords alerts = %d, want %d", len(s.Alerts), len(src.Alerts))
 	}

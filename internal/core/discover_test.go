@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -142,7 +143,7 @@ func TestThresholdSweepKnee(t *testing.T) {
 
 func TestJobImpactNoGroundTruth(t *testing.T) {
 	src := study(t, logrec.Liberty)
-	s := FromRecords(logrec.Liberty, src.Records)
+	s := FromRecords(logrec.Liberty, slices.Clone(src.Records))
 	imp := JobImpact(s, "PBS_CHK", 1, time.Hour)
 	if imp.Jobs != 0 || imp.GroundTruthKilled != 0 {
 		t.Error("ingested studies have no ground truth to overlay")

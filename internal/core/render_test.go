@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -45,7 +46,7 @@ func TestRenderFigure1WithoutTimeline(t *testing.T) {
 	// A study built from ingested records has no timeline; the renderer
 	// must still print the state machine.
 	src := study(t, logrec.Liberty)
-	s := FromRecords(logrec.Liberty, src.Records[:1000])
+	s := FromRecords(logrec.Liberty, slices.Clone(src.Records[:1000]))
 	var b strings.Builder
 	RenderFigure1(&b, s)
 	out := b.String()

@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"compress/gzip"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -45,9 +46,8 @@ func New(cfg simulate.Config) (*Study, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Study{System: cfg.System, Source: out, Lines: out.Lines}
-	s.Records = make([]logrec.Record, len(out.Records))
-	copy(s.Records, out.Records)
+	// The study sorts its records, and Source keeps them in line order.
+	s := &Study{System: cfg.System, Source: out, Lines: out.Lines, Records: slices.Clone(out.Records)}
 	s.finish()
 	return s, nil
 }
@@ -83,21 +83,22 @@ func NewAll(scale float64, seed int64) ([]*Study, error) {
 }
 
 // FromRecords builds a study from already-parsed records (e.g. ingested
-// from real log text). The records are copied and sorted.
+// from real log text). The study takes ownership of recs: it becomes
+// Study.Records, sorted in place into canonical order when it is not
+// already (ingest.ReadAll's output is), so the caller must not keep
+// using the slice.
 func FromRecords(sys logrec.System, recs []logrec.Record) *Study {
-	s := &Study{System: sys}
-	s.Records = make([]logrec.Record, len(recs))
-	copy(s.Records, recs)
+	s := &Study{System: sys, Records: recs}
 	s.finish()
 	return s
 }
 
-// finish runs tagging and filtering over the sorted records.
+// finish sorts the records canonically, then tags and filters them.
+// Tagging keeps input order, so the alerts come out canonical too.
 func (s *Study) finish() {
 	logrec.SortRecords(s.Records)
 	s.Tagger = tag.NewTagger(s.System)
 	s.Alerts = s.Tagger.TagAll(s.Records)
-	tag.SortAlerts(s.Alerts)
 	s.Filtered = filter.Simultaneous{T: filter.DefaultThreshold}.Filter(s.Alerts)
 }
 

@@ -16,6 +16,7 @@ import (
 	"bytes"
 	"context"
 	"io"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -317,11 +318,16 @@ func (rd Reader) parseLine(line string, d dialect, years *YearTracker) logrec.Re
 // ReadAll ingests, sorts canonically, and reports dialect stats — the
 // common entry point for analysis. It is the one read loop with zero
 // options: no retry, no budget, no checkpoint, so a reader error fails
-// it at once.
+// it at once. The record slice grows by doubling rather than by
+// append's ~1.25× for large slices, so a whole log's records are zeroed
+// and copied about once, not many times over.
 func ReadAll(r io.Reader, sys logrec.System, start time.Time) ([]logrec.Record, Stats, error) {
 	rd := Reader{System: sys, Start: start}
 	var recs []logrec.Record
 	cp, err := rd.ReadResilient(context.Background(), r, func(rec logrec.Record) error {
+		if len(recs) == cap(recs) {
+			recs = slices.Grow(recs, max(len(recs), 256))
+		}
 		recs = append(recs, rec)
 		return nil
 	}, ResilientOptions{})

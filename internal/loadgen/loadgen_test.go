@@ -29,17 +29,15 @@ func testConfig() Config {
 // TestPlanDeterminism pins the loadgen reproducibility contract: the
 // same seed + workload config produces an identical offered-load
 // schedule and identical synthetic record stream, no matter how many
-// workers the generator or the harness uses.
+// clients the harness uses.
 func TestPlanDeterminism(t *testing.T) {
 	base := testConfig()
 
 	cfgA := base
-	cfgA.SimWorkers = 1
 	cfgA.Ingesters = 2
 	cfgA.Queriers = 1
 
 	cfgB := base
-	cfgB.SimWorkers = 4
 	cfgB.Ingesters = 16
 	cfgB.Queriers = 8
 
@@ -53,7 +51,7 @@ func TestPlanDeterminism(t *testing.T) {
 	}
 
 	if fa, fb := planA.Fingerprint(), planB.Fingerprint(); fa != fb {
-		t.Fatalf("plan fingerprint differs across worker counts: %s vs %s", fa, fb)
+		t.Fatalf("plan fingerprint differs across client counts: %s vs %s", fa, fb)
 	}
 	if len(planA.Batches) != len(planB.Batches) {
 		t.Fatalf("batch counts differ: %d vs %d", len(planA.Batches), len(planB.Batches))

@@ -34,9 +34,6 @@ type Config struct {
 	// Scale is the simulate volume scale (default 0.0005 — enough lines
 	// to sustain a ramp without minutes of generation).
 	Scale float64
-	// SimWorkers bounds generator goroutines (0 = GOMAXPROCS). A
-	// throughput knob only: the plan is identical at any value.
-	SimWorkers int
 
 	// Ingesters (K) and Queriers (M) are the concurrent client counts
 	// (defaults 8 and 4).
@@ -152,15 +149,10 @@ type Plan struct {
 
 // BuildPlan generates the synthetic content and derives the query mix
 // and ramp schedule. The result depends only on Config fields that name
-// the workload — not on SimWorkers, Ingesters, or Queriers.
+// the workload — not on Ingesters or Queriers.
 func BuildPlan(cfg Config) (*Plan, error) {
 	cfg = cfg.withDefaults()
-	out, err := simulate.Generate(simulate.Config{
-		System:  cfg.System,
-		Scale:   cfg.Scale,
-		Seed:    cfg.Seed,
-		Workers: cfg.SimWorkers,
-	})
+	out, err := simulate.Generate(simulate.Config{System: cfg.System, Scale: cfg.Scale, Seed: cfg.Seed})
 	if err != nil {
 		return nil, fmt.Errorf("loadgen: %w", err)
 	}
@@ -181,7 +173,7 @@ func BuildPlan(cfg Config) (*Plan, error) {
 	}
 
 	// Distinct sources in first-appearance order, so the query sampler is
-	// deterministic regardless of how the generator parallelized.
+	// deterministic.
 	seen := make(map[string]bool)
 	var sources []string
 	for _, r := range out.Records {

@@ -11,8 +11,9 @@
 package logrec
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 )
@@ -133,20 +134,57 @@ func (r Record) Key() string {
 // Before reports whether r should sort before other: by time, then by
 // sequence number as a tiebreak. Both sides are compared in place, since
 // a sort calls it on every comparison.
-func (r *Record) Before(other *Record) bool {
-	if !r.Time.Equal(other.Time) {
-		return r.Time.Before(other.Time)
+func (r *Record) Before(other *Record) bool { return Compare(r, other) < 0 }
+
+// Compare orders two records canonically — by time, then by sequence
+// number — returning -1, 0 or +1, in the form the slices sorts take.
+func Compare(a, b *Record) int {
+	if c := a.Time.Compare(b.Time); c != 0 {
+		return c
 	}
-	return r.Seq < other.Seq
+	return cmp.Compare(a.Seq, b.Seq)
 }
 
 // SortRecords sorts records in place into canonical order (time, then
 // sequence number). All downstream analyses assume this order.
+//
+// A log is written in time order, so its records arrive sorted but for
+// a few stragglers — corrupted lines, whose time reads zero. One pass
+// sets the stragglers aside and closes the gaps, the stragglers are
+// sorted on their own, and a merge from the back puts them in place:
+// linear work, where a general sort of the nearly sorted slice costs
+// ~log n comparisons per record. Input in no order at all sets most of
+// itself aside and so costs one general sort plus two copies.
 func SortRecords(recs []Record) {
-	sort.Slice(recs, func(i, j int) bool { return recs[i].Before(&recs[j]) })
+	var late []Record
+	kept := 0
+	for i := range recs {
+		if kept > 0 && Compare(&recs[i], &recs[kept-1]) < 0 {
+			late = append(late, recs[i])
+			continue
+		}
+		if kept != i {
+			recs[kept] = recs[i]
+		}
+		kept++
+	}
+	if len(late) == 0 {
+		return
+	}
+	slices.SortFunc(late, func(a, b Record) int { return Compare(&a, &b) })
+	i, j := kept-1, len(late)-1
+	for w := len(recs) - 1; j >= 0; w-- {
+		if i >= 0 && Compare(&recs[i], &late[j]) > 0 {
+			recs[w] = recs[i]
+			i--
+		} else {
+			recs[w] = late[j]
+			j--
+		}
+	}
 }
 
 // IsSorted reports whether recs is in canonical order.
 func IsSorted(recs []Record) bool {
-	return sort.SliceIsSorted(recs, func(i, j int) bool { return recs[i].Before(&recs[j]) })
+	return slices.IsSortedFunc(recs, func(a, b Record) int { return Compare(&a, &b) })
 }

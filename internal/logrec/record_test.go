@@ -1,7 +1,9 @@
 package logrec
 
 import (
+	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -149,6 +151,53 @@ func TestSortRecordsPropertyIdempotentAndOrdered(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSortRecordsMatchesReference: SortRecords returns exactly the
+// records a general sort returns — sorted input, a few zero-time
+// stragglers (corrupted lines), a few stragglers anywhere, a late spike
+// that strands everything after it, and input in no order at all.
+func TestSortRecordsMatchesReference(t *testing.T) {
+	base := time.Date(2005, 1, 1, 0, 0, 0, 0, time.UTC)
+	rng := rand.New(rand.NewSource(7))
+	shapes := map[string]func(i, n int) time.Time{
+		"sorted": func(i, n int) time.Time { return base.Add(time.Duration(i/3) * time.Second) },
+		"zero stragglers": func(i, n int) time.Time {
+			if rng.Intn(100) == 0 {
+				return time.Time{}
+			}
+			return base.Add(time.Duration(i/3) * time.Second)
+		},
+		"stragglers anywhere": func(i, n int) time.Time {
+			if rng.Intn(100) == 0 {
+				return base.Add(time.Duration(rng.Intn(n)) * time.Second)
+			}
+			return base.Add(time.Duration(i) * time.Second)
+		},
+		"late spike": func(i, n int) time.Time {
+			if i == n/3 {
+				return base.Add(time.Duration(2*n) * time.Second)
+			}
+			return base.Add(time.Duration(i) * time.Second)
+		},
+		"random": func(i, n int) time.Time { return base.Add(time.Duration(rng.Intn(50)) * time.Second) },
+	}
+	for name, at := range shapes {
+		for _, n := range []int{0, 1, 2, 15, 16, 17, 100, 5000} {
+			recs := make([]Record, n)
+			for i := range recs {
+				recs[i] = Record{Time: at(i, n), Seq: uint64(i), Body: fmt.Sprint(i)}
+			}
+			want := append([]Record(nil), recs...)
+			sort.Slice(want, func(i, j int) bool { return want[i].Before(&want[j]) })
+			SortRecords(recs)
+			for i := range recs {
+				if recs[i] != want[i] {
+					t.Fatalf("%s n=%d: record %d is %s, want %s", name, n, i, recs[i].Key(), want[i].Key())
+				}
+			}
+		}
 	}
 }
 

@@ -184,8 +184,8 @@ func mustCat(sys logrec.System, name string) *catalog.Category {
 // alertTasks builds the per-system alert task list. Each task is one
 // category — or one correlated category group, which must share an RNG
 // stream to keep its cross-category structure — and runs on its own
-// derived seed, so the task set (and each task's output) is independent
-// of worker count.
+// derived seed, so the task set (and each task's output) depends only
+// on the config.
 func (g *generator) alertTasks() []task {
 	switch g.cfg.System {
 	case logrec.BlueGeneL:

@@ -230,7 +230,7 @@ func bglLoc(g *generator) string {
 // backgroundTasks builds the per-system background shard tasks. Each
 // budget is cut into fixed-size shards (see bgShardSize) whose
 // boundaries depend only on the budget, so the shard set — and each
-// shard's derived RNG stream — is identical at any worker count. It
+// shard's derived RNG stream — depends only on the config. It
 // runs after the alert tasks have merged, because the BG/L budgets are
 // ratios of the generated alert counts.
 func (g *generator) backgroundTasks() []task {

@@ -4,20 +4,17 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-
-	"whatsupersay/internal/parallel"
 )
 
 // Sharded generation. Event synthesis is decomposed into independent
 // tasks — one per alert category (or correlated category group) and one
 // per fixed-size background shard — each running on its own
 // deterministically derived RNG with a private event buffer and a
-// private incident list. Tasks fan out across workers and merge back in
-// task order, with incident IDs renumbered by running offset, so the
-// generated log is a pure function of (Config minus Workers): the same
-// seed yields byte-identical output whether the tasks ran on one
-// goroutine or sixteen (enforced by test). The derived seeds depend
-// only on the task's label, never on worker count or scheduling.
+// private incident list. Tasks run one after another and merge in task
+// order, with incident IDs renumbered by running offset, so the
+// generated log is a pure function of Config (pinned by the golden
+// test). The derived seeds depend only on the task's label, so a task
+// draws the same stream wherever it falls in the run.
 
 // task is one independent unit of event synthesis.
 type task struct {
@@ -65,22 +62,18 @@ func (g *generator) merge(s *generator) {
 	g.nextInc += s.nextInc
 }
 
-// runTasks executes tasks across workers and merges their results in
-// task order.
-func (g *generator) runTasks(tasks []task, workers int) {
-	done := parallel.Tasks(len(tasks), workers, func(i int) []*generator {
-		s := g.fork(tasks[i].label)
-		tasks[i].run(s)
-		return []*generator{s}
-	})
-	for _, s := range done {
+// runTasks runs each task on its own fork and merges it, in task order.
+func (g *generator) runTasks(tasks []task) {
+	for _, t := range tasks {
+		s := g.fork(t.label)
+		t.run(s)
 		g.merge(s)
 	}
 }
 
-// bgShardSize is the fixed background shard size. It must never depend
-// on the worker count: shard boundaries (and therefore every shard's
-// RNG stream) are a function of the message budget alone.
+// bgShardSize is the fixed background shard size: shard boundaries (and
+// therefore every shard's RNG stream) are a function of the message
+// budget alone.
 const bgShardSize = 1 << 15
 
 // shardTasks splits an n-message budget into fixed-size shard tasks.

@@ -16,8 +16,10 @@
 package simulate
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -29,7 +31,6 @@ import (
 	"whatsupersay/internal/logrec"
 	"whatsupersay/internal/obs"
 	"whatsupersay/internal/opcontext"
-	"whatsupersay/internal/parallel"
 	"whatsupersay/internal/rasdb"
 	"whatsupersay/internal/syslogng"
 )
@@ -55,13 +56,8 @@ type Config struct {
 	// keeping background volume scaled down.
 	AlertScale float64
 	// Seed makes the log reproducible. The same (System, Scale, Seed)
-	// always yields byte-identical output, regardless of Workers.
+	// always yields byte-identical output.
 	Seed int64
-	// Workers bounds the goroutines used for event synthesis, rendering,
-	// and re-parsing (0 = GOMAXPROCS). It is a throughput knob only:
-	// every shard draws from its own deterministically derived RNG, so
-	// the output is byte-identical at any worker count.
-	Workers int
 	// CorruptionProb is the per-line damage probability (default 2e-4,
 	// roughly the prevalence the paper describes as routine but rare).
 	CorruptionProb float64
@@ -235,14 +231,14 @@ func Generate(cfg Config) (*Output, error) {
 	g.truth.AlertAt = make(map[uint64]AlertTruth)
 	g.timeline = g.fork("timeline").buildTimeline()
 
-	// Synthesis fans out across workers in two waves — alert categories,
-	// then background shards (whose BG/L budgets are ratios of the
-	// generated alert counts) — each task on its own derived RNG, merged
-	// in task order. See shard.go for the determinism contract.
-	g.runTasks(g.alertTasks(), cfg.Workers)
-	g.runTasks(g.backgroundTasks(), cfg.Workers)
+	// Synthesis runs in two waves — alert categories, then background
+	// shards (whose BG/L budgets are ratios of the generated alert
+	// counts) — each task on its own derived RNG, merged in task order.
+	// See shard.go for the determinism contract.
+	g.runTasks(g.alertTasks())
+	g.runTasks(g.backgroundTasks())
 
-	sort.SliceStable(g.events, func(i, j int) bool { return g.events[i].t.Before(g.events[j].t) })
+	g.events = sortByTime(g.events)
 	g.truth.Emitted = len(g.events)
 
 	// Transport and corruption stay serial on the master RNG: both are
@@ -253,8 +249,7 @@ func Generate(cfg Config) (*Output, error) {
 		rasdb.Collect(rasdb.DefaultMailbox(), events, func(e event) (time.Time, string) { return e.t, e.node })
 	}
 
-	opts := parallel.Options{Workers: cfg.Workers}
-	lines, truths := g.render(events, opts)
+	lines, truths := g.render(events)
 	if cfg.CorruptionProb > 0 {
 		res := corrupt.DefaultInjector(cfg.CorruptionProb).Apply(g.rng, lines)
 		g.truth.CorruptedLines = res.Total()
@@ -311,44 +306,63 @@ func logServer(sys logrec.System) string {
 }
 
 // render converts events to wire lines, preserving alert truth per line.
-// Rendering is a pure per-event function, so it fills the output slices
-// chunk-parallel in place. Each chunk reuses one scratch buffer through
-// the dialects' append renderers and carves its truth pointers from one
-// chunk-local backing array, so the steady-state cost is one allocation
-// per line (the line's string) instead of three to five.
-func (g *generator) render(events []event, opts parallel.Options) ([]string, []*AlertTruth) {
+// One scratch buffer serves every line through the dialects' append
+// renderers, and the truth pointers are carved from one backing array,
+// so the steady-state cost is one allocation per line (the line's
+// string) instead of three to five.
+func (g *generator) render(events []event) ([]string, []*AlertTruth) {
 	lines := make([]string, len(events))
 	truths := make([]*AlertTruth, len(events))
 	withPri := g.cfg.System == logrec.RedStorm
-	parallel.Do(len(events), opts, func(lo, hi int) {
-		var buf []byte
-		// Capacity hi-lo guarantees no reallocation, so the pointers
-		// handed out below stay valid.
-		vals := make([]AlertTruth, 0, hi-lo)
-		for i := lo; i < hi; i++ {
-			e := events[i]
-			rec := logrec.Record{
-				Time: e.t, System: g.cfg.System, Source: e.node,
-				Severity: e.severity, Facility: e.facility,
-				Program: e.program, Body: e.body,
-			}
-			buf = buf[:0]
-			switch e.dialect {
-			case catalog.DialectRAS:
-				buf = rasdb.AppendLine(buf, rec)
-			case catalog.DialectEvent:
-				buf = ddn.AppendEventLine(buf, rec)
-			default:
-				buf = syslogng.AppendLine(buf, rec, withPri)
-			}
-			lines[i] = string(buf)
-			if e.cat != nil {
-				vals = append(vals, AlertTruth{Category: e.cat.Name, Incident: e.incident})
-				truths[i] = &vals[len(vals)-1]
-			}
+	var buf []byte
+	// Capacity len(events) guarantees no reallocation, so the pointers
+	// handed out below stay valid.
+	vals := make([]AlertTruth, 0, len(events))
+	for i := range events {
+		e := &events[i]
+		rec := logrec.Record{
+			Time: e.t, System: g.cfg.System, Source: e.node,
+			Severity: e.severity, Facility: e.facility,
+			Program: e.program, Body: e.body,
 		}
-	})
+		buf = buf[:0]
+		switch e.dialect {
+		case catalog.DialectRAS:
+			buf = rasdb.AppendLine(buf, rec)
+		case catalog.DialectEvent:
+			buf = ddn.AppendEventLine(buf, rec)
+		default:
+			buf = syslogng.AppendLine(buf, rec, withPri)
+		}
+		lines[i] = string(buf)
+		if e.cat != nil {
+			vals = append(vals, AlertTruth{Category: e.cat.Name, Incident: e.incident})
+			truths[i] = &vals[len(vals)-1]
+		}
+	}
 	return lines, truths
+}
+
+// sortByTime returns events in stable time order. A stable sort's
+// output is unique, so any stable sort gives this order; this one sorts
+// a permutation by (time, original position) and gathers once, rather
+// than swapping the ~120-byte events themselves on every exchange.
+func sortByTime(events []event) []event {
+	idx := make([]int32, len(events))
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	slices.SortFunc(idx, func(a, b int32) int {
+		if c := events[a].t.Compare(events[b].t); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	out := make([]event, len(events))
+	for i, j := range idx {
+		out[i] = events[j]
+	}
+	return out
 }
 
 // parseLines parses wire lines back into records through the ingest

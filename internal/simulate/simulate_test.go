@@ -592,3 +592,28 @@ func TestScaleControlsVolume(t *testing.T) {
 		t.Errorf("2x scale volume ratio = %.2f, want ~2 (alerts are constant, background dominates)", ratio)
 	}
 }
+
+// TestIncidentIDsDense: the merge renumbering yields densely numbered,
+// unique incident IDs — every alert line's truth points at a real
+// incident.
+func TestIncidentIDsDense(t *testing.T) {
+	out, err := Generate(Config{System: logrec.Liberty, Scale: 0.0002, Seed: 13})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[int64]bool, len(out.Truth.Incidents))
+	for _, inc := range out.Truth.Incidents {
+		if inc.ID < 1 || inc.ID > int64(len(out.Truth.Incidents)) {
+			t.Fatalf("incident ID %d outside [1, %d]", inc.ID, len(out.Truth.Incidents))
+		}
+		if seen[inc.ID] {
+			t.Fatalf("duplicate incident ID %d", inc.ID)
+		}
+		seen[inc.ID] = true
+	}
+	for seq, tr := range out.Truth.AlertAt {
+		if !seen[tr.Incident] {
+			t.Fatalf("line %d: alert truth references unknown incident %d", seq, tr.Incident)
+		}
+	}
+}

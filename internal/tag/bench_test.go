@@ -8,7 +8,6 @@ import (
 
 	"whatsupersay/internal/catalog"
 	"whatsupersay/internal/logrec"
-	"whatsupersay/internal/parallel"
 )
 
 // benchRecords builds a synthetic record stream for one system without
@@ -42,15 +41,19 @@ func benchRecords(sys logrec.System, n int, alertFrac float64, seed int64) []log
 	return recs
 }
 
-// TestTagAllMatchesSerial: the parallel scan returns exactly the serial
-// result — same alerts, same order — for every system, on a stream that
-// spans several chunks and ends in a partial one.
+// TestTagAllMatchesSerial: TagAll returns exactly what tagging each
+// record on its own returns — same alerts, same order — for every
+// system, on a stream long enough that the result grows many times.
 func TestTagAllMatchesSerial(t *testing.T) {
-	n := 4*parallel.DefaultChunkSize + 1000
 	for _, sys := range logrec.Systems() {
 		tg := NewTagger(sys)
-		recs := benchRecords(sys, n, 0.2, int64(sys))
-		want := tg.TagAllSerial(recs)
+		recs := benchRecords(sys, 20000, 0.2, int64(sys))
+		var want []Alert
+		for i := range recs {
+			if c, ok := tg.Tag(&recs[i]); ok {
+				want = append(want, Alert{Record: recs[i], Category: c})
+			}
+		}
 		if len(want) == 0 {
 			t.Fatalf("%v: no alerts in bench stream", sys)
 		}
@@ -59,7 +62,7 @@ func TestTagAllMatchesSerial(t *testing.T) {
 			t.Fatalf("%v: %d alerts, want %d", sys, len(got), len(want))
 		}
 		for i := range got {
-			if got[i].Record.Seq != want[i].Record.Seq || got[i].Category != want[i].Category {
+			if got[i] != want[i] {
 				t.Fatalf("%v: alert %d diverged (seq %d/%d cat %s/%s)",
 					sys, i, got[i].Record.Seq, want[i].Record.Seq,
 					got[i].Category.Name, want[i].Category.Name)
@@ -97,20 +100,12 @@ func BenchmarkTagger(b *testing.B) {
 	}
 }
 
-// BenchmarkTagAll times the full scan, serial vs parallel.
+// BenchmarkTagAll times the full scan.
 func BenchmarkTagAll(b *testing.B) {
 	tg := NewTagger(logrec.Spirit)
 	recs := benchRecords(logrec.Spirit, 100000, 0.15, 5)
-	b.Run("serial", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			tg.TagAllSerial(recs)
-		}
-		b.ReportMetric(float64(len(recs))*float64(b.N)/b.Elapsed().Seconds(), "records/s")
-	})
-	b.Run("parallel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			tg.TagAll(recs)
-		}
-		b.ReportMetric(float64(len(recs))*float64(b.N)/b.Elapsed().Seconds(), "records/s")
-	})
+	for i := 0; i < b.N; i++ {
+		tg.TagAll(recs)
+	}
+	b.ReportMetric(float64(len(recs))*float64(b.N)/b.Elapsed().Seconds(), "records/s")
 }

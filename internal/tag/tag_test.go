@@ -1,7 +1,9 @@
 package tag
 
 import (
+	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 	"time"
 
@@ -186,6 +188,33 @@ func TestSortAlerts(t *testing.T) {
 	}
 	if alerts[0].Time() != at.Unix() {
 		t.Error("Alert.Time() must expose the record time")
+	}
+}
+
+// TestSortAlertsMatchesStableSort: SortAlerts is a stable sort — alerts
+// that compare equal keep their input order — on sorted, nearly sorted
+// and shuffled input with many equal keys.
+func TestSortAlertsMatchesStableSort(t *testing.T) {
+	at := time.Date(2005, 1, 1, 0, 0, 0, 0, time.UTC)
+	c, _ := catalog.Lookup(logrec.Liberty, "PBS_CHK")
+	rng := rand.New(rand.NewSource(11))
+	for _, swaps := range []int{0, 3, 2000} {
+		alerts := make([]Alert, 2000)
+		for i := range alerts {
+			alerts[i] = Alert{Record: logrec.Record{Time: at.Add(time.Duration(i/40) * time.Second), Seq: uint64(i / 20), Source: fmt.Sprint(i)}, Category: c}
+		}
+		for k := 0; k < swaps; k++ {
+			i, j := rng.Intn(len(alerts)), rng.Intn(len(alerts))
+			alerts[i], alerts[j] = alerts[j], alerts[i]
+		}
+		want := append([]Alert(nil), alerts...)
+		sort.SliceStable(want, func(i, j int) bool { return want[i].Record.Before(&want[j].Record) })
+		SortAlerts(alerts)
+		for i := range alerts {
+			if alerts[i] != want[i] {
+				t.Fatalf("swaps=%d: alert %d is %s, want %s", swaps, i, alerts[i].Record.Key(), want[i].Record.Key())
+			}
+		}
 	}
 }
 
