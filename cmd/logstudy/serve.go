@@ -30,7 +30,7 @@ import (
 //	GET  /api/query      matching entries (filter params + limit)
 //	GET  /api/aggregate  the standard aggregation over the match
 //	GET  /api/segments   every shard's sealed-segment inventory
-//	GET  /api/shards     every shard's breaker, queue and store state
+//	GET  /api/shards     every shard's breaker, pending ingest and store state
 //	POST /api/ingest     raw log lines -> tag -> filter -> append
 //	GET  /healthz        liveness and the shard count
 //

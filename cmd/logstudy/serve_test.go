@@ -84,7 +84,10 @@ func (l layout) create(t *testing.T, dir string, opts shard.Options) *shard.Clus
 // serveCluster serves c through the real handler.
 func serveCluster(t *testing.T, c *shard.Cluster, opts apiOptions) *httptest.Server {
 	t.Helper()
-	handler, _ := newShardAPI(c, opts)
+	handler, _, err := newShardAPI(c, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	srv := httptest.NewServer(handler)
 	t.Cleanup(srv.Close)
 	return srv
@@ -459,6 +462,54 @@ func TestIngestMatchesBatchPipeline(t *testing.T) {
 			}
 			if string(got.Aggregate) != string(want) {
 				t.Fatalf("ingested aggregate diverges from batch pipeline\nserved: %s\nbatch:  %s", got.Aggregate, want)
+			}
+		})
+	}
+}
+
+// TestConcurrentIngestMatchesSerial: the API holds one machine model
+// and one tagger for every ingest, so two POSTs racing through one API
+// must leave the same /api/aggregate as the same two bodies posted one
+// after the other. Run under -race, it also shows the shared pieces are
+// only read.
+func TestConcurrentIngestMatchesSerial(t *testing.T) {
+	lines := strings.SplitAfter(ingestTestBody(t), "\n")
+	bodies := []string{strings.Join(lines[:len(lines)/2], ""), strings.Join(lines[len(lines)/2:], "")}
+	aggregateAfter := func(t *testing.T, l layout, concurrent bool) string {
+		srv, _ := newTestServer(t, l, nil, shard.Options{Store: store.Options{FlushEvery: 500}})
+		if concurrent {
+			statuses := make(chan int, len(bodies))
+			for _, body := range bodies {
+				go func() {
+					resp, err := http.Post(srv.URL+"/api/ingest", "text/plain", strings.NewReader(body))
+					if err != nil {
+						statuses <- -1
+						return
+					}
+					io.Copy(io.Discard, resp.Body)
+					resp.Body.Close()
+					statuses <- resp.StatusCode
+				}()
+			}
+			for range bodies {
+				if status := <-statuses; status != http.StatusOK {
+					t.Fatalf("concurrent ingest answered %d, want 200", status)
+				}
+			}
+		} else {
+			for _, body := range bodies {
+				postLines(t, srv.URL, body, http.StatusOK)
+			}
+		}
+		var got aggResponse
+		getJSON(t, srv.URL+"/api/aggregate", &got)
+		return string(got.Aggregate)
+	}
+	for _, l := range []layout{flat, twoShards, fourShards} {
+		t.Run(l.name, func(t *testing.T) {
+			serial, concurrent := aggregateAfter(t, l, false), aggregateAfter(t, l, true)
+			if concurrent != serial {
+				t.Fatalf("concurrent ingest diverges from serial\nconcurrent: %s\nserial:     %s", concurrent, serial)
 			}
 		})
 	}

@@ -49,8 +49,8 @@ type serveBackend struct {
 	// beginShutdown releases long-lived streams (SSE) so the HTTP
 	// server's graceful Shutdown is not held open by them.
 	beginShutdown func()
-	// closeStore closes the cluster, in durability order: drain the
-	// ingest queues (every batch a client got a 200 for reaches the wal),
+	// closeStore closes the cluster, in durability order: wait out the
+	// in-flight appends (every batch a client got a 200 for reaches the wal),
 	// seal, detach observers, close miners (their one artifact save, so the
 	// next open warm-starts), close registries, close stores. Must be
 	// called exactly once, after the server stops.
@@ -104,7 +104,11 @@ func openServeBackend(cfg serveBackendConfig, w io.Writer) (*serveBackend, error
 			reportOpen(w, fmt.Sprintf("%s shard %d", c.System().ShortName(), id), rep.Stores[id])
 		}
 	}
-	handler, hub := newShardAPI(c, cfg.APIOpts)
+	handler, hub, err := newShardAPI(c, cfg.APIOpts)
+	if err != nil {
+		c.Close()
+		return nil, err
+	}
 	b := &serveBackend{
 		handler:       handler,
 		beginShutdown: hub.beginShutdown,
@@ -175,8 +179,8 @@ func serveAndWait(ctx context.Context, b *serveBackend, addr string, reqTimeout,
 	if b.pump != nil {
 		b.pump.Close()
 	}
-	// closeStore drains the ingest queues before sealing: every batch a
-	// client got a 200 for is on disk when this returns.
+	// closeStore waits out in-flight appends before sealing: every batch
+	// a client got a 200 for is on disk when this returns.
 	if err := b.closeStore(); err != nil && serveErr == nil {
 		serveErr = err
 	}
@@ -186,8 +190,8 @@ func serveAndWait(ctx context.Context, b *serveBackend, addr string, reqTimeout,
 	return serveErr
 }
 
-// clusterGather flattens the cluster's live aggregate, per-shard queue
-// and breaker health, and standing subscriptions into graphite samples.
+// clusterGather flattens the cluster's live aggregate, per-shard
+// pending-ingest and breaker health, and standing subscriptions into graphite samples.
 // It runs on the pump's ticker goroutine, never on a request path.
 func clusterGather(c *shard.Cluster) func() []graphite.Metric {
 	return func() []graphite.Metric {

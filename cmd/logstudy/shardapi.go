@@ -6,6 +6,7 @@ import (
 	"math"
 	"net/http"
 	"strconv"
+	"time"
 
 	"whatsupersay/internal/cluster"
 	"whatsupersay/internal/filter"
@@ -20,21 +21,30 @@ import (
 // responses carry a coverage block and a partial flag (HTTP 200 while
 // any queried shard answers — degraded, never dead; 503 with the
 // coverage block when none does), ingest backpressure becomes 429 +
-// Retry-After, and GET /api/shards reports per-shard breaker and queue
-// state.
+// Retry-After, and GET /api/shards reports per-shard breaker and
+// admission state.
 type shardAPI struct {
 	c    *shard.Cluster
 	opts apiOptions
 	hub  *pushHub
+	// logStart (the machine's collection start, which dates the year-less
+	// syslog stamps) and tagger serve every ingest; both are read-only,
+	// so concurrent requests share them.
+	logStart time.Time
+	tagger   *tag.Tagger
 }
 
 // newShardAPI builds the HTTP handler for one open cluster, and the push
 // hub whose beginShutdown releases its SSE streams.
-func newShardAPI(c *shard.Cluster, opts apiOptions) (http.Handler, *pushHub) {
+func newShardAPI(c *shard.Cluster, opts apiOptions) (http.Handler, *pushHub, error) {
 	if opts.MaxBody == 0 {
 		opts.MaxBody = defaultMaxBody
 	}
-	a := &shardAPI{c: c, opts: opts, hub: newPushHub()}
+	m, err := cluster.New(c.System())
+	if err != nil {
+		return nil, nil, err
+	}
+	a := &shardAPI{c: c, opts: opts, hub: newPushHub(), logStart: m.LogStart, tagger: tag.NewTagger(c.System())}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/api/query", instrument("/api/query", a.handleQuery))
 	mux.HandleFunc("/api/aggregate", instrument("/api/aggregate", a.handleAggregate))
@@ -67,7 +77,7 @@ func newShardAPI(c *shard.Cluster, opts apiOptions) (http.Handler, *pushHub) {
 	// (correlate_api.go).
 	mux.HandleFunc("/api/correlations", instrument("/api/correlations", a.handleCorrelations))
 	mux.HandleFunc("/api/predict", instrument("/api/predict", a.handlePredict))
-	return opts.withRequestDeadlines(mux), a.hub
+	return opts.withRequestDeadlines(mux), a.hub, nil
 }
 
 // writeGathered answers a scatter-gather request: 200 with the coverage
@@ -145,8 +155,9 @@ func (a *shardAPI) handleAggregate(w http.ResponseWriter, r *http.Request) {
 	writeGathered(w, cov, map[string]any{"stats": stats, "aggregate": agg})
 }
 
-// handleShards is the operator view: every shard's breaker state, queue
-// depth, failure counters, and store size — quarantined shards included.
+// handleShards is the operator view: every shard's breaker state,
+// pending ingest, failure counters, and store size — quarantined shards
+// included.
 func (a *shardAPI) handleShards(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		httpError(w, http.StatusMethodNotAllowed, "use GET")
@@ -193,8 +204,8 @@ type ingestResponse struct {
 // store.FromAlerts conversion build-store uses, so served aggregates
 // stay differential-equal to the batch pipeline no matter which path
 // loaded the records, then routes the entries by source hash. The 200
-// is written only after every shard's worker applied its slice: an
-// acked batch is in the wal. A shard whose bounded queue is full turns
+// is written only after every shard applied its slice: an acked batch
+// is in the wal. A shard already at its admission bound turns
 // the whole response into 429 + Retry-After — but slices routed to
 // healthy shards have already durably landed, and the store does not
 // dedup, so the client must NOT replay the full batch: resend only the
@@ -207,19 +218,13 @@ func (a *shardAPI) handleIngest(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "use POST")
 		return
 	}
-	sys := a.c.System()
-	m, err := cluster.New(sys)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
 	body := r.Body
 	if a.opts.MaxBody > 0 {
 		// The cap also closes the connection on overrun, so a client
 		// streaming an unbounded body cannot hold the handler hostage.
 		body = http.MaxBytesReader(w, r.Body, a.opts.MaxBody)
 	}
-	recs, stats, err := ingest.ReadAll(body, sys, m.LogStart)
+	recs, stats, err := ingest.ReadAll(body, a.c.System(), a.logStart)
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -230,7 +235,7 @@ func (a *shardAPI) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// ReadAll's records are canonical and tagging keeps their order.
-	alerts := tag.NewTagger(sys).TagAll(recs)
+	alerts := a.tagger.TagAll(recs)
 	filtered := filter.Simultaneous{T: filter.DefaultThreshold}.Filter(alerts)
 	entries := store.FromAlerts(alerts, filtered)
 

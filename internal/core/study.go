@@ -9,7 +9,6 @@ import (
 	"bytes"
 	"compress/gzip"
 	"fmt"
-	"slices"
 	"sync"
 	"time"
 
@@ -24,7 +23,8 @@ type Study struct {
 	// System is the machine under study.
 	System logrec.System
 	// Source is the synthetic log and its ground truth; nil when the
-	// study was built from ingested text.
+	// study was built from ingested text. Its Records are nil: the study
+	// owns them, as Records below.
 	Source *simulate.Output
 	// Lines is the raw log text, one message per line.
 	Lines []string
@@ -46,8 +46,10 @@ func New(cfg simulate.Config) (*Study, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The study sorts its records, and Source keeps them in line order.
-	s := &Study{System: cfg.System, Source: out, Lines: out.Lines, Records: slices.Clone(out.Records)}
+	// The study takes the generator's records and sorts them in place;
+	// Source gives them up, so nothing reads them in line order after.
+	s := &Study{System: cfg.System, Source: out, Lines: out.Lines, Records: out.Records}
+	out.Records = nil
 	s.finish()
 	return s, nil
 }

@@ -11,7 +11,7 @@
 // satisfied by method set, not by declaration) so this package needs no
 // dependency on the shard router: *store.Store satisfies it, a
 // *FaultyStore wrapping one satisfies it, and the router accepts either
-// through its own interface, a subset of this one.
+// through its own interface, which has the same methods.
 package shardfault
 
 import (
@@ -36,9 +36,11 @@ var ErrInjectedAppend = errors.New("shardfault: injected append failure")
 var ErrInjectedScan = errors.New("shardfault: injected scan failure")
 
 // StoreBackend is the store surface the shard router consumes, mirrored
-// here so FaultyStore can interpose on any implementation, plus the
-// FingerprintSeq a shard's miner keys its saved state on (passed through
-// unfaulted).
+// here so FaultyStore can interpose on any implementation.
+// FingerprintSeq and SetObserver, which feed a shard's standing registry
+// and correlation miner, pass through unfaulted: an injected append
+// failure happens before delegation and never notifies the observer,
+// which sees only committed mutations.
 type StoreBackend interface {
 	Append(entries ...store.Entry) error
 	Scan(f store.Filter, fn func(store.Entry) error) (store.ScanStats, error)
@@ -50,6 +52,7 @@ type StoreBackend interface {
 	Segments() []store.SegmentInfo
 	Fingerprint() uint64
 	FingerprintSeq() (fp, seq uint64)
+	SetObserver(store.Observer)
 	System() logrec.System
 }
 
@@ -62,10 +65,10 @@ type StoreFaults struct {
 	FailAppends int
 	// AppendHold, when non-nil, makes every Append block until the
 	// channel is closed — the wedged disk that backs a shard's ingest
-	// queue up into backpressure.
+	// up into backpressure.
 	AppendHold <-chan struct{}
 	// AppendDelay stalls every Append for this long before delegating —
-	// a slow (not wedged) disk, for tests that need the queue's drain
+	// a slow (not wedged) disk, for tests that need the shard's drain
 	// rate measurably degraded rather than stopped.
 	AppendDelay time.Duration
 	// FailScans fails the next N Scan or ScanColumns calls with
@@ -83,7 +86,7 @@ type StoreFaults struct {
 
 // FaultyStore wraps a backend with injectable faults. Fault state is
 // mutex-guarded: tests mutate it (Heal, SetFaults) while the router's
-// workers exercise the store concurrently.
+// appends and scans exercise the store concurrently.
 type FaultyStore struct {
 	StoreBackend
 
@@ -136,17 +139,6 @@ func (f *FaultyStore) Append(entries ...store.Entry) error {
 		return fmt.Errorf("%w", ErrInjectedAppend)
 	}
 	return f.StoreBackend.Append(entries...)
-}
-
-// SetObserver delegates the mutation-observer hook when the wrapped
-// backend supports it (a real *store.Store does), so a faulted shard
-// still feeds its standing-query registry. Injected append failures
-// happen before delegation and never notify — matching the contract
-// that observers only see committed mutations.
-func (f *FaultyStore) SetObserver(fn store.Observer) {
-	if o, ok := f.StoreBackend.(interface{ SetObserver(store.Observer) }); ok {
-		o.SetObserver(fn)
-	}
 }
 
 // scanFault applies the read faults Scan and ScanColumns share: the

@@ -40,8 +40,13 @@ var (
 	gCacheEntries   = obs.Default.Gauge("query_cache_entries")
 )
 
-// aggCache is a bounded LRU over aggregate results.
-type aggCache struct {
+// Cache is a bounded LRU over aggregate results. An Engine holds one
+// keyed by its store's fingerprint; the shard router holds one keyed by
+// a *combined* fingerprint — the fold of only the shards a query fans
+// out to — so a mutation on one shard invalidates exactly the cached
+// queries whose source routing touched that shard, and source-pinned
+// queries on quiet shards keep hitting while a hot shard churns.
+type Cache struct {
 	mu      sync.Mutex
 	max     int
 	order   *list.List               // front = most recent
@@ -54,14 +59,17 @@ type aggEntry struct {
 	scan store.ScanStats
 }
 
-func newAggCache(max int) *aggCache {
-	if max <= 0 {
-		max = DefaultCacheSize
+// NewCache builds a bounded LRU aggregate cache (DefaultCacheSize
+// entries when size <= 0).
+func NewCache(size int) *Cache {
+	if size <= 0 {
+		size = DefaultCacheSize
 	}
-	return &aggCache{max: max, order: list.New(), entries: map[string]*list.Element{}}
+	return &Cache{max: size, order: list.New(), entries: map[string]*list.Element{}}
 }
 
-func (c *aggCache) get(key string) (Aggregation, store.ScanStats, bool) {
+// Get returns the cached aggregation for key, if present.
+func (c *Cache) Get(key string) (Aggregation, store.ScanStats, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
@@ -75,7 +83,10 @@ func (c *aggCache) get(key string) (Aggregation, store.ScanStats, bool) {
 	return en.agg, en.scan, true
 }
 
-func (c *aggCache) put(key string, agg Aggregation, scan store.ScanStats) {
+// Put stores an aggregation under key, evicting LRU entries past the
+// bound. Callers must only cache complete answers: a degraded partial
+// result is a property of the moment's failures, not of the key.
+func (c *Cache) Put(key string, agg Aggregation, scan store.ScanStats) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {
@@ -93,8 +104,8 @@ func (c *aggCache) put(key string, agg Aggregation, scan store.ScanStats) {
 	gCacheEntries.Set(float64(c.order.Len()))
 }
 
-// Len returns the live entry count (test hook).
-func (c *aggCache) len() int {
+// Len reports the live entry count.
+func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.order.Len()
@@ -104,7 +115,7 @@ func (c *aggCache) len() int {
 // entries (DefaultCacheSize when size <= 0). Call before serving; an
 // engine without a cache computes every aggregate from a scan.
 func (e *Engine) EnableCache(size int) {
-	e.cache = newAggCache(size)
+	e.cache = NewCache(size)
 }
 
 // CacheLen reports the cache's live entry count (0 when disabled).
@@ -112,40 +123,11 @@ func (e *Engine) CacheLen() int {
 	if e.cache == nil {
 		return 0
 	}
-	return e.cache.len()
+	return e.cache.Len()
 }
 
-// Cache is the aggregate cache in exported form, for layers above one
-// engine. The shard router keys it by a *combined* fingerprint — the
-// fold of only the shards a query fans out to — so a mutation on one
-// shard invalidates exactly the cached queries whose source routing
-// touched that shard, and source-pinned queries on quiet shards keep
-// hitting while a hot shard churns.
-type Cache struct{ c *aggCache }
-
-// NewCache builds a bounded LRU aggregate cache (DefaultCacheSize
-// entries when size <= 0).
-func NewCache(size int) *Cache { return &Cache{c: newAggCache(size)} }
-
-// Get returns the cached aggregation for key, if present.
-func (c *Cache) Get(key string) (Aggregation, store.ScanStats, bool) { return c.c.get(key) }
-
-// Put stores an aggregation under key, evicting LRU entries past the
-// bound. Callers must only cache complete answers: a degraded partial
-// result is a property of the moment's failures, not of the key.
-func (c *Cache) Put(key string, agg Aggregation, st store.ScanStats) { c.c.put(key, agg, st) }
-
-// Len reports the live entry count.
-func (c *Cache) Len() int { return c.c.len() }
-
-// Key canonicalizes (fingerprint, filter, options) into a cache key —
-// the same encoding the engine's internal cache uses, exported so the
-// shard router's combined-fingerprint cache shares its soundness
-// argument.
-func Key(fp uint64, f store.Filter, opts AggregateOptions) string { return cacheKey(fp, f, opts) }
-
-// cacheKey canonicalizes (fingerprint, filter, options) into the cache
-// key. Filter slices are order-sensitive here on purpose: two requests
+// Key canonicalizes (fingerprint, filter, options) into the cache key.
+// Filter slices are order-sensitive here on purpose: two requests
 // naming the same sources in different orders are semantically equal
 // but key differently — a harmless extra miss, never a wrong hit.
 // Options, by contrast, are normalized before keying: defaults are
@@ -153,7 +135,7 @@ func Key(fp uint64, f store.Filter, opts AggregateOptions) string { return cache
 // and explicit default quantiles) produce byte-identical answers and
 // must share one key — distinct keys would double entries and evict
 // real ones.
-func cacheKey(fp uint64, f store.Filter, opts AggregateOptions) string {
+func Key(fp uint64, f store.Filter, opts AggregateOptions) string {
 	opts = opts.Normalize()
 	var b strings.Builder
 	fmt.Fprintf(&b, "%016x|%d|%d|", fp, f.From.UnixNano(), f.To.UnixNano())

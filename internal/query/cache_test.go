@@ -123,37 +123,37 @@ func TestCacheSurvivesCompaction(t *testing.T) {
 }
 
 func TestCacheLRUEviction(t *testing.T) {
-	c := newAggCache(2)
-	c.put("a", Aggregation{Total: 1}, store.ScanStats{})
-	c.put("b", Aggregation{Total: 2}, store.ScanStats{})
-	if _, _, ok := c.get("a"); !ok { // touch a: b becomes LRU
+	c := NewCache(2)
+	c.Put("a", Aggregation{Total: 1}, store.ScanStats{})
+	c.Put("b", Aggregation{Total: 2}, store.ScanStats{})
+	if _, _, ok := c.Get("a"); !ok { // touch a: b becomes LRU
 		t.Fatal("a missing")
 	}
-	c.put("c", Aggregation{Total: 3}, store.ScanStats{})
-	if _, _, ok := c.get("b"); ok {
+	c.Put("c", Aggregation{Total: 3}, store.ScanStats{})
+	if _, _, ok := c.Get("b"); ok {
 		t.Fatal("LRU entry b not evicted")
 	}
 	for _, k := range []string{"a", "c"} {
-		if _, _, ok := c.get(k); !ok {
+		if _, _, ok := c.Get(k); !ok {
 			t.Fatalf("%s evicted wrongly", k)
 		}
 	}
-	if c.len() != 2 {
-		t.Fatalf("len = %d, want 2", c.len())
+	if c.Len() != 2 {
+		t.Fatalf("len = %d, want 2", c.Len())
 	}
 }
 
 func TestCacheKeyDistinguishesFilters(t *testing.T) {
 	kept := true
-	base := cacheKey(1, store.Filter{}, AggregateOptions{})
+	base := Key(1, store.Filter{}, AggregateOptions{})
 	variants := []string{
-		cacheKey(2, store.Filter{}, AggregateOptions{}),
-		cacheKey(1, store.Filter{Sources: []string{"a"}}, AggregateOptions{}),
-		cacheKey(1, store.Filter{Categories: []string{"a"}}, AggregateOptions{}),
-		cacheKey(1, store.Filter{Severities: []logrec.Severity{logrec.SevErr}}, AggregateOptions{}),
-		cacheKey(1, store.Filter{Kept: &kept}, AggregateOptions{}),
-		cacheKey(1, store.Filter{}, AggregateOptions{TopK: 3}),
-		cacheKey(1, store.Filter{}, AggregateOptions{Quantiles: []float64{0.5}}),
+		Key(2, store.Filter{}, AggregateOptions{}),
+		Key(1, store.Filter{Sources: []string{"a"}}, AggregateOptions{}),
+		Key(1, store.Filter{Categories: []string{"a"}}, AggregateOptions{}),
+		Key(1, store.Filter{Severities: []logrec.Severity{logrec.SevErr}}, AggregateOptions{}),
+		Key(1, store.Filter{Kept: &kept}, AggregateOptions{}),
+		Key(1, store.Filter{}, AggregateOptions{TopK: 3}),
+		Key(1, store.Filter{}, AggregateOptions{Quantiles: []float64{0.5}}),
 	}
 	seen := map[string]bool{base: true}
 	for i, k := range variants {
@@ -163,15 +163,15 @@ func TestCacheKeyDistinguishesFilters(t *testing.T) {
 		seen[k] = true
 	}
 	// A source and a category with the same value must not collide.
-	a := cacheKey(1, store.Filter{Sources: []string{"x"}}, AggregateOptions{})
-	b := cacheKey(1, store.Filter{Categories: []string{"x"}}, AggregateOptions{})
+	a := Key(1, store.Filter{Sources: []string{"x"}}, AggregateOptions{})
+	b := Key(1, store.Filter{Categories: []string{"x"}}, AggregateOptions{})
 	if a == b {
 		t.Error("source/category keys collide")
 	}
 	if !reflect.DeepEqual(
-		cacheKey(1, store.Filter{Sources: []string{"x"}}, AggregateOptions{}),
+		Key(1, store.Filter{Sources: []string{"x"}}, AggregateOptions{}),
 		a,
 	) {
-		t.Error("cacheKey not deterministic")
+		t.Error("Key not deterministic")
 	}
 }

@@ -61,7 +61,7 @@ type Engine struct {
 
 	// cache, when non-nil, memoizes Aggregate results keyed by the
 	// store fingerprint, filter, and options (see cache.go).
-	cache *aggCache
+	cache *Cache
 }
 
 // Select returns the entries matching f in canonical (time, sequence)
@@ -109,8 +109,8 @@ func (e *Engine) Aggregate(f store.Filter, opts AggregateOptions) (Aggregation, 
 func (e *Engine) AggregateContext(ctx context.Context, f store.Filter, opts AggregateOptions) (Aggregation, store.ScanStats, error) {
 	var key string
 	if e.cache != nil {
-		key = cacheKey(e.Store.Fingerprint(), f, opts)
-		if agg, st, ok := e.cache.get(key); ok {
+		key = Key(e.Store.Fingerprint(), f, opts)
+		if agg, st, ok := e.cache.Get(key); ok {
 			return agg, st, nil
 		}
 	}
@@ -120,7 +120,7 @@ func (e *Engine) AggregateContext(ctx context.Context, f store.Filter, opts Aggr
 	}
 	agg := MergePartials([]Partial{p}, opts)
 	if e.cache != nil {
-		e.cache.put(key, agg, st)
+		e.cache.Put(key, agg, st)
 	}
 	return agg, st, nil
 }

@@ -1,9 +1,6 @@
 package shard
 
 import (
-	crand "crypto/rand"
-	"encoding/binary"
-	"math/rand"
 	"sync"
 	"time"
 )
@@ -11,18 +8,16 @@ import (
 // A circuit breaker guards each shard: K consecutive failures (appends,
 // scans, or timeouts — any path that touches the backend) open it, an
 // open breaker fails calls fast instead of queueing more work onto a
-// struggling store, and after a jittered backoff a single half-open
-// probe is let through to test recovery. Probe success closes the
-// breaker; probe failure re-opens it with doubled backoff, up to a cap.
+// struggling store, and after a backoff a single half-open probe is let
+// through to test recovery. Probe success closes the breaker; probe
+// failure re-opens it with doubled backoff, up to a cap. Each shard's
+// store has exactly one router in front of it (one process owns a
+// cluster directory), so the backoff is plain: there is no fleet of
+// routers whose probes could arrive in sync.
 //
-// Jitter exists for the fleet, not the shard: when several routers
-// front the same degraded backend, un-jittered backoffs expire in sync
-// and the probes arrive as a thundering herd. The jitter is drawn from
-// a seeded source so tests replay transitions exactly.
-//
-// Time is injected (clock) for the same reason: breaker tests advance a
-// fake clock instead of sleeping, so open→half-open→closed is stepped
-// through deterministically under -race.
+// Time is injected (clock): breaker tests advance a fake clock instead
+// of sleeping, so open→half-open→closed is stepped through
+// deterministically under -race.
 
 // Breaker states, in escalation order. Exported only as the strings
 // Health reports.
@@ -56,7 +51,6 @@ type breaker struct {
 	mu sync.Mutex
 
 	clock     func() time.Time
-	rng       *rand.Rand
 	threshold int
 	base, max time.Duration
 
@@ -67,7 +61,7 @@ type breaker struct {
 	probing     bool          // a half-open probe is in flight
 }
 
-func newBreaker(threshold int, base, max time.Duration, seed int64, clock func() time.Time) *breaker {
+func newBreaker(threshold int, base, max time.Duration, clock func() time.Time) *breaker {
 	if threshold <= 0 {
 		threshold = DefaultFailureThreshold
 	}
@@ -82,7 +76,6 @@ func newBreaker(threshold int, base, max time.Duration, seed int64, clock func()
 	}
 	return &breaker{
 		clock:     clock,
-		rng:       rand.New(rand.NewSource(seed)),
 		threshold: threshold,
 		base:      base,
 		max:       max,
@@ -165,7 +158,8 @@ func (b *breaker) cancelProbe() {
 	}
 }
 
-// open transitions to the open state with the next (jittered) backoff;
+// open transitions to the open state with the next backoff: the base
+// wait on the first opening, doubled per failed probe up to the cap;
 // callers hold mu.
 func (b *breaker) open() {
 	b.state = stateOpen
@@ -174,27 +168,7 @@ func (b *breaker) open() {
 	} else if b.backoff = b.backoff * 2; b.backoff > b.max {
 		b.backoff = b.max
 	}
-	// Wait in [backoff/2, backoff): full expected magnitude, decorrelated
-	// expiry across routers.
-	wait := b.backoff/2 + time.Duration(b.rng.Int63n(int64(b.backoff/2)+1))
-	b.retryAt = b.clock().Add(wait)
-}
-
-// resolveSeed picks the cluster's jitter seed: an explicit non-zero
-// Options.Seed is kept verbatim so tests replay breaker transitions
-// exactly; zero (the production default) draws a random seed so
-// distinct routers fronting the same degraded backend expire their
-// backoffs decorrelated — the thundering-herd protection the jitter
-// exists for, which a shared constant seed would silently undo.
-func resolveSeed(seed int64) int64 {
-	if seed != 0 {
-		return seed
-	}
-	var buf [8]byte
-	if _, err := crand.Read(buf[:]); err != nil {
-		return time.Now().UnixNano()
-	}
-	return int64(binary.LittleEndian.Uint64(buf[:]))
+	b.retryAt = b.clock().Add(b.backoff)
 }
 
 // snapshot returns the state for Health without perturbing it.

@@ -31,7 +31,7 @@ func (c *fakeClock) Advance(d time.Duration) {
 
 func TestBreakerOpensAtThresholdAndProbes(t *testing.T) {
 	clk := newFakeClock()
-	b := newBreaker(3, 100*time.Millisecond, time.Second, 7, clk.Now)
+	b := newBreaker(3, 100*time.Millisecond, time.Second, clk.Now)
 
 	// Closed: failures below the threshold keep admitting calls.
 	for i := 0; i < 2; i++ {
@@ -56,8 +56,8 @@ func TestBreakerOpensAtThresholdAndProbes(t *testing.T) {
 		t.Fatal("open breaker admitted a call before the backoff")
 	}
 
-	// The jittered wait is within [base/2, base): advancing a full base
-	// must always reach the half-open window.
+	// The first wait is the base backoff: advancing it reaches the
+	// half-open window.
 	clk.Advance(100 * time.Millisecond)
 	if !b.Allow() {
 		t.Fatal("half-open probe refused after the backoff")
@@ -72,8 +72,8 @@ func TestBreakerOpensAtThresholdAndProbes(t *testing.T) {
 	if state, _, _ := b.snapshot(); state != "open" {
 		t.Fatalf("failed probe left state %s", state)
 	}
-	clk.Advance(100 * time.Millisecond) // half the doubled backoff's max — may or may not open yet
-	clk.Advance(100 * time.Millisecond) // a full doubled base is always enough
+	clk.Advance(100 * time.Millisecond) // half the doubled backoff
+	clk.Advance(100 * time.Millisecond) // the full doubled backoff
 	if !b.Allow() {
 		t.Fatal("probe refused after doubled backoff")
 	}
@@ -88,7 +88,7 @@ func TestBreakerOpensAtThresholdAndProbes(t *testing.T) {
 
 func TestBreakerBackoffCapped(t *testing.T) {
 	clk := newFakeClock()
-	b := newBreaker(1, 100*time.Millisecond, 250*time.Millisecond, 1, clk.Now)
+	b := newBreaker(1, 100*time.Millisecond, 250*time.Millisecond, clk.Now)
 	for i := 0; i < 10; i++ {
 		if b.Allow() {
 			b.Failure()
@@ -109,7 +109,7 @@ func TestBreakerBackoffCapped(t *testing.T) {
 // the probing flag wedged the breaker shut until process restart.
 func TestCancelProbeReleasesHalfOpen(t *testing.T) {
 	clk := newFakeClock()
-	b := newBreaker(1, 100*time.Millisecond, time.Second, 9, clk.Now)
+	b := newBreaker(1, 100*time.Millisecond, time.Second, clk.Now)
 	b.Allow()
 	b.Failure() // open
 	clk.Advance(100 * time.Millisecond)
@@ -138,7 +138,7 @@ func TestCancelProbeReleasesHalfOpen(t *testing.T) {
 // perturb a closed breaker.
 func TestCancelProbeNoopsWithoutProbe(t *testing.T) {
 	clk := newFakeClock()
-	b := newBreaker(2, 100*time.Millisecond, time.Second, 9, clk.Now)
+	b := newBreaker(2, 100*time.Millisecond, time.Second, clk.Now)
 	b.cancelProbe()
 	if state, _, _ := b.snapshot(); state != "ok" {
 		t.Fatalf("stray cancelProbe moved a closed breaker to %s", state)
@@ -148,29 +148,24 @@ func TestCancelProbeNoopsWithoutProbe(t *testing.T) {
 	}
 }
 
-func TestResolveSeed(t *testing.T) {
-	if got := resolveSeed(42); got != 42 {
-		t.Fatalf("explicit seed rewritten to %d", got)
-	}
-	// Zero means "randomize at open": two resolutions colliding is a
-	// ~2^-63 event, so inequality is a safe assertion that production
-	// routers do not all share one jitter stream.
-	if a, b := resolveSeed(0), resolveSeed(0); a == b {
-		t.Fatalf("default seeds identical (%d): jitter would expire in sync across routers", a)
-	}
-}
-
-func TestBreakerJitterDeterministic(t *testing.T) {
-	run := func() time.Time {
-		clk := newFakeClock()
-		b := newBreaker(1, 100*time.Millisecond, time.Second, 42, clk.Now)
-		b.Allow()
+// TestBreakerBackoffExact: the open-state wait is the plain doubling
+// backoff, so the next half-open probe is due exactly one backoff after
+// each opening.
+func TestBreakerBackoffExact(t *testing.T) {
+	clk := newFakeClock()
+	b := newBreaker(1, 100*time.Millisecond, time.Second, clk.Now)
+	for _, backoff := range []time.Duration{100 * time.Millisecond, 200 * time.Millisecond, 400 * time.Millisecond} {
+		if !b.Allow() {
+			t.Fatalf("breaker refused the call due at backoff %v", backoff)
+		}
+		openedAt := clk.Now()
 		b.Failure()
 		b.mu.Lock()
-		defer b.mu.Unlock()
-		return b.retryAt
-	}
-	if a, b := run(), run(); !a.Equal(b) {
-		t.Fatalf("same seed, different jitter: %v vs %v", a, b)
+		retryAt := b.retryAt
+		b.mu.Unlock()
+		if want := openedAt.Add(backoff); !retryAt.Equal(want) {
+			t.Fatalf("retryAt = %v, want open time + %v = %v", retryAt, backoff, want)
+		}
+		clk.Advance(backoff)
 	}
 }

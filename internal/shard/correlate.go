@@ -8,7 +8,7 @@ import (
 	"whatsupersay/internal/store"
 )
 
-// Cluster correlation mining: every standing-capable shard runs its own
+// Cluster correlation mining: every healthy shard runs its own
 // correlate.Miner off the same multiplexed mutation observer the
 // standing registry uses, persisting its artifact next to the shard's
 // manifest. The cluster-level graph is NOT a sum of per-shard graphs —
@@ -31,17 +31,16 @@ type clusterCorrelate struct {
 	cached   *correlate.PredictionReport
 }
 
-// newClusterCorrelate builds one miner per standing-capable shard.
+// newClusterCorrelate builds one miner per healthy shard.
 // Observers are wired (multiplexed with the standing registry) and
 // miners initialized by Open, after both tiers exist.
 func newClusterCorrelate(c *Cluster) *clusterCorrelate {
 	cc := &clusterCorrelate{c: c, cfg: c.opts.Correlate, miners: map[int]*correlate.Miner{}}
 	for _, sh := range c.shards {
-		sb, ok := sh.backend.(standingCapable)
-		if !ok || sh.backend == nil {
+		if sh.backend == nil {
 			continue
 		}
-		cc.miners[sh.id] = correlate.NewMiner(sb, cc.cfg, correlate.ArtifactPath(sh.dir))
+		cc.miners[sh.id] = correlate.NewMiner(sh.backend, cc.cfg, correlate.ArtifactPath(sh.dir))
 	}
 	return cc
 }
@@ -158,23 +157,13 @@ func (c *Cluster) CorrelateSettled() bool {
 	return true
 }
 
-// observerFor multiplexes one shard's mutation stream across the
-// standing registry and the correlation miner — the store supports a
-// single observer, so the fan-out lives here.
+// observerFor multiplexes one healthy shard's mutation stream across
+// its standing registry and its correlation miner — the store supports
+// a single observer, so the fan-out lives here.
 func (c *Cluster) observerFor(id int) store.Observer {
-	reg := c.standing.regs[id]
-	miner := c.correlate.miners[id]
-	switch {
-	case reg != nil && miner != nil:
-		return func(mu store.Mutation) {
-			reg.OnMutation(mu)
-			miner.OnMutation(mu)
-		}
-	case reg != nil:
-		return reg.OnMutation
-	case miner != nil:
-		return miner.OnMutation
-	default:
-		return nil
+	reg, miner := c.standing.regs[id], c.correlate.miners[id]
+	return func(mu store.Mutation) {
+		reg.OnMutation(mu)
+		miner.OnMutation(mu)
 	}
 }

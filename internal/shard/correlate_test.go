@@ -236,7 +236,7 @@ func TestClusterPredictionReport(t *testing.T) {
 // two reads files the pre-append report under the post-append version,
 // and the next ask is served that stale report from the cache. Readers
 // race the appends to open that window; after every append returns
-// (the shard workers have run the observers by then) the served report
+// (Append has run the observers by then) the served report
 // must count every event appended so far.
 func TestClusterPredictionCacheNeverStale(t *testing.T) {
 	c, _, err := Create(t.TempDir(), logrec.Liberty, 2, Options{Store: store.Options{FlushEvery: 1 << 20}})

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"strings"
 	"sync"
@@ -412,7 +413,7 @@ func TestSlowShardRetriesThenAnswers(t *testing.T) {
 }
 
 // TestIngestBackpressure wedges one shard's appends and fills its
-// bounded queue: the overflow batch is rejected immediately with a
+// admission bound: the overflow batch is rejected immediately with a
 // Retry-After hint, while a sibling shard keeps accepting.
 func TestIngestBackpressure(t *testing.T) {
 	dir := t.TempDir()
@@ -448,9 +449,9 @@ func TestIngestBackpressure(t *testing.T) {
 	hold := make(chan struct{})
 	faulty(0).SetFaults(shardfault.StoreFaults{AppendHold: hold})
 
-	// First batch occupies the worker (blocked inside Append); second
-	// fills the depth-1 queue. Appends block waiting on done, so run
-	// them from goroutines and poll Health for the queue state.
+	// First batch holds the shard (blocked inside Append); second waits
+	// behind it, filling the depth-1 bound. Appends block until applied,
+	// so run them from goroutines and poll Health for the admission state.
 	var wg sync.WaitGroup
 	results := make([]AppendReport, 2)
 	for i := 0; i < 2; i++ {
@@ -492,18 +493,66 @@ func TestIngestBackpressure(t *testing.T) {
 		t.Fatalf("sibling shard starved: %+v", r)
 	}
 
-	// Release the disk: the queued batches drain and land.
+	// Release the disk: the held batches apply and land.
 	close(hold)
 	wg.Wait()
-	if !c.WaitQueuesIdle(5 * time.Second) {
-		t.Fatal("queues never drained after release")
-	}
 	if results[0].Appended != 1 || results[1].Appended != 1 {
 		t.Fatalf("held batches did not land: %+v %+v", results[0], results[1])
 	}
 	// The two held batches landed; the rejected overflow batch did not.
 	if n := c.Health()[0].Entries; n != 2 {
 		t.Fatalf("shard 0 holds %d entries, want 2", n)
+	}
+}
+
+// TestAppendAppliesSlicesConcurrently: one Append whose sources span
+// two shards applies the slices side by side. With shard 0's appends
+// held, shard 1's slice must land while shard 0's is still waiting on
+// the disk; applied one after the other, it would not land until the
+// hold is released.
+func TestAppendAppliesSlicesConcurrently(t *testing.T) {
+	dir := t.TempDir()
+	open, faulty := faultyOpen(dir)
+	c, _, err := Create(dir, logrec.Thunderbird, 2, Options{Store: store.Options{FlushEvery: 1000}, OpenStore: open})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	var batch []store.Entry
+	perShard := [2]int{}
+	for i := 0; perShard[0] < 3 || perShard[1] < 3; i++ {
+		src := fmt.Sprintf("cn%d", i)
+		perShard[ShardFor(src, 2)]++
+		batch = append(batch, store.Entry{Record: logrec.Record{Seq: uint64(i), Time: time.Date(2004, 3, 1, 0, 0, i, 0, time.UTC),
+			System: logrec.Thunderbird, Source: src}, Category: "ECC", Kept: true})
+	}
+	hold := make(chan struct{})
+	faulty(0).SetFaults(shardfault.StoreFaults{AppendHold: hold})
+	done := make(chan AppendReport, 1)
+	go func() {
+		r, err := c.Append(batch)
+		if err != nil {
+			t.Error(err)
+		}
+		done <- r
+	}()
+
+	deadline := time.Now().Add(5 * time.Second)
+	for c.Health()[1].Entries != perShard[1] {
+		if time.Now().After(deadline) {
+			close(hold)
+			t.Fatalf("shard 1 never took its slice while shard 0 was held: %+v", c.Health())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if n := c.Health()[0].Entries; n != 0 {
+		t.Fatalf("held shard 0 holds %d entries before release", n)
+	}
+	close(hold)
+	r := <-done
+	if r.Appended != len(batch) || r.PerShard[0] != perShard[0] || r.PerShard[1] != perShard[1] {
+		t.Fatalf("report %+v, want %v per shard", r, perShard)
 	}
 }
 

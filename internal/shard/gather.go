@@ -294,26 +294,3 @@ func (c *Cluster) Aggregate(ctx context.Context, f store.Filter, opts query.Aggr
 	}
 	return agg, cov, st, nil
 }
-
-// WaitQueuesIdle blocks until no shard has queued or in-flight ingest
-// batches, or the timeout passes — a test convenience for asserting on
-// queue state without sleeps.
-func (c *Cluster) WaitQueuesIdle(timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
-	for {
-		idle := true
-		for _, sh := range c.shards {
-			if sh.depth.Load() != 0 || sh.inflight.Load() != 0 {
-				idle = false
-				break
-			}
-		}
-		if idle {
-			return true
-		}
-		if time.Now().After(deadline) {
-			return false
-		}
-		time.Sleep(time.Millisecond)
-	}
-}

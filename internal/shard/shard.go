@@ -6,15 +6,16 @@
 //
 // The point is the failure envelope, not the fan-out. Every shard is
 // guarded by a circuit breaker (open after K consecutive failures,
-// half-open probes after a jittered backoff); every per-shard query
+// half-open probes after a doubling backoff); every per-shard query
 // attempt runs under its own deadline with bounded retries; a shard
 // that is down, slow, or corrupt degrades a query instead of killing
 // it — the merged response carries explicit coverage metadata (shards
 // total/queried/answered, per-shard error strings) and a partial flag.
-// Ingest is backpressured per shard: each shard has a bounded queue of
-// append batches drained by one worker, and a full queue rejects new
-// batches immediately (the HTTP layer turns that into 429 +
-// Retry-After) so one hot shard cannot starve the rest. A shard whose
+// Ingest is backpressured per shard: each shard applies one slice at a
+// time, in the caller's goroutine, and admits at most a bounded number
+// of slices waiting behind it; past that bound a new slice is rejected
+// immediately (the HTTP layer turns that into 429 + Retry-After) so one
+// hot shard cannot starve the rest. A shard whose
 // directory fails to open is quarantined at startup while its siblings
 // serve.
 package shard
@@ -43,19 +44,16 @@ const (
 	shardDirPattern     = "shard-%02d"
 )
 
-// DefaultQueueDepth bounds each shard's pending ingest batches.
+// DefaultQueueDepth bounds the ingest slices waiting on each shard
+// behind the one being applied.
 const DefaultQueueDepth = 64
 
 // DefaultQueryTimeout is the per-shard, per-attempt query deadline.
 const DefaultQueryTimeout = 5 * time.Second
 
-// DefaultRetryAfter is the backpressure hint returned with a queue-full
-// rejection.
+// DefaultRetryAfter is the backpressure hint returned with an ingest
+// rejection before any slice has been timed.
 const DefaultRetryAfter = time.Second
-
-// ErrQueueFull is the per-shard ingest backpressure signal: the shard's
-// bounded queue is at capacity and the batch was not enqueued.
-var ErrQueueFull = errors.New("shard: ingest queue full")
 
 // ErrBreakerOpen is the fail-fast signal for a shard whose breaker is
 // open: the shard is presumed down and the call was not attempted.
@@ -66,9 +64,10 @@ var ErrBreakerOpen = errors.New("shard: breaker open")
 // directory repaired.
 var ErrQuarantined = errors.New("shard: quarantined")
 
-// Backend is the store surface the router consumes. *store.Store
-// satisfies it; so does internal/faultinject's FaultyStore wrapper,
-// which is how the failure envelope is tested deterministically.
+// Backend is the store surface the router consumes, its standing
+// registry and correlation miner included (SetObserver, FingerprintSeq).
+// *store.Store satisfies it; so does internal/faultinject's FaultyStore
+// wrapper, which is how the failure envelope is tested deterministically.
 type Backend interface {
 	Append(entries ...store.Entry) error
 	Scan(f store.Filter, fn func(store.Entry) error) (store.ScanStats, error)
@@ -79,6 +78,8 @@ type Backend interface {
 	TailLen() int
 	Segments() []store.SegmentInfo
 	Fingerprint() uint64
+	FingerprintSeq() (fp, seq uint64)
+	SetObserver(store.Observer)
 	System() logrec.System
 }
 
@@ -87,8 +88,9 @@ type Options struct {
 	// Store tunes each shard's underlying store (flush size, compaction
 	// cadence, retention — all per shard).
 	Store store.Options
-	// QueueDepth bounds each shard's pending ingest batches (default
-	// DefaultQueueDepth).
+	// QueueDepth bounds the ingest slices admitted to wait on each shard
+	// behind the one being applied (default DefaultQueueDepth); a slice
+	// past it is rejected with a Retry-After hint.
 	QueueDepth int
 	// FailureThreshold is K: consecutive failures before the shard's
 	// breaker opens (default DefaultFailureThreshold).
@@ -104,17 +106,12 @@ type Options struct {
 	// failing shard before reporting it degraded (default 1; negative
 	// disables retries).
 	Retries int
-	// RetryAfter is the hint returned with queue-full rejections
-	// (default DefaultRetryAfter).
+	// RetryAfter is the hint returned with ingest rejections before any
+	// slice has been timed (default DefaultRetryAfter).
 	RetryAfter time.Duration
 	// CacheSize, when positive, enables the combined-fingerprint
 	// aggregate cache with this many entries.
 	CacheSize int
-	// Seed drives breaker-backoff jitter. Zero (the production default)
-	// draws a random seed at Open so separate routers' backoffs expire
-	// decorrelated; tests set a non-zero seed to replay transitions
-	// exactly.
-	Seed int64
 	// Clock is the breaker's time source (default time.Now; tests
 	// inject a fake to step open → half-open transitions).
 	Clock func() time.Time
@@ -213,7 +210,7 @@ func Shape(dir string) (logrec.System, int, error) {
 }
 
 // shardState is one shard slot: its backend (nil when quarantined), its
-// breaker, its bounded ingest queue, and its telemetry.
+// breaker, its ingest admission state, and its telemetry.
 type shardState struct {
 	id      int
 	dir     string
@@ -221,13 +218,14 @@ type shardState struct {
 	openErr string  // why, when quarantined
 	br      *breaker
 
-	queue    chan ingestBatch
-	workerWG sync.WaitGroup
-	inflight atomic.Int32 // batches being applied right now (0 or 1)
-	depth    atomic.Int32 // batches enqueued and not yet picked up
-	// drain is an EWMA of how long one queued batch takes to apply,
-	// maintained by the worker. It turns a queue-full rejection into an
-	// honest Retry-After: (pending batches + 1) × drain time.
+	// appendMu serializes the shard's appends: one slice applies at a
+	// time. pending counts the admitted slices, the one applying and
+	// those waiting on appendMu; it is bounded by QueueDepth+1.
+	appendMu sync.Mutex
+	pending  atomic.Int32
+	// drain is an EWMA of how long one slice takes to apply, timed under
+	// appendMu. It turns a rejection into an honest Retry-After:
+	// (pending slices + 1) × drain time.
 	drain DrainEWMA
 
 	totalFailures atomic.Int64
@@ -239,11 +237,6 @@ type shardState struct {
 	cRejects  *obs.Counter
 }
 
-type ingestBatch struct {
-	entries []store.Entry
-	done    chan error
-}
-
 // Cluster is one open sharded store.
 type Cluster struct {
 	dir  string
@@ -253,7 +246,7 @@ type Cluster struct {
 	shards []*shardState
 	cache  *query.Cache
 	// standing owns the cluster's standing-query state: one incremental
-	// registry per standing-capable shard plus the merged-threshold
+	// registry per healthy shard plus the merged-threshold
 	// evaluator (see standing.go). Always non-nil after Open.
 	standing *clusterStanding
 	// correlate owns the per-shard correlation miners and the merged
@@ -263,7 +256,9 @@ type Cluster struct {
 
 	cacheHits, cacheMisses atomic.Int64
 
-	mu     sync.RWMutex // guards closed against in-flight Appends
+	// mu guards closed: every Append holds the read lock until it
+	// returns, so Close's write lock waits out in-flight appends.
+	mu     sync.RWMutex
 	closed bool
 }
 
@@ -356,7 +351,6 @@ func Open(dir string, opts Options) (*Cluster, *OpenReport, error) {
 			return store.Open(d, o)
 		}
 	}
-	opts.Seed = resolveSeed(opts.Seed)
 	c := &Cluster{dir: dir, sys: sys, opts: opts}
 	if opts.CacheSize > 0 {
 		c.cache = query.NewCache(opts.CacheSize)
@@ -374,9 +368,6 @@ func Open(dir string, opts Options) (*Cluster, *OpenReport, error) {
 		} else {
 			sh.backend = backend
 			rep.Stores[i] = srep
-			sh.queue = make(chan ingestBatch, opts.queueDepth())
-			sh.workerWG.Add(1)
-			go c.runWorker(sh)
 		}
 		c.shards = append(c.shards, sh)
 	}
@@ -386,10 +377,8 @@ func Open(dir string, opts Options) (*Cluster, *OpenReport, error) {
 	// single observer), then install miner baselines — in that order, so
 	// no mutation slips between a baseline scan and observation.
 	for _, sh := range c.shards {
-		if sb, ok := sh.backend.(standingCapable); ok && sh.backend != nil {
-			if obsFn := c.observerFor(sh.id); obsFn != nil {
-				sb.SetObserver(obsFn)
-			}
+		if sh.backend != nil {
+			sh.backend.SetObserver(c.observerFor(sh.id))
 		}
 	}
 	if err := c.correlate.init(); err != nil {
@@ -402,10 +391,9 @@ func Open(dir string, opts Options) (*Cluster, *OpenReport, error) {
 func newShardState(id int, dir string, opts Options) *shardState {
 	label := fmt.Sprintf("%d", id)
 	sh := &shardState{
-		id:  id,
-		dir: dir,
-		br: newBreaker(opts.FailureThreshold, opts.BreakerBackoff, opts.BreakerMaxWait,
-			opts.Seed+int64(id), opts.Clock),
+		id:        id,
+		dir:       dir,
+		br:        newBreaker(opts.FailureThreshold, opts.BreakerBackoff, opts.BreakerMaxWait, opts.Clock),
 		gQueue:    obs.Default.Gauge(fmt.Sprintf("shard_queue_depth{shard=%q}", label)),
 		gBreaker:  obs.Default.Gauge(fmt.Sprintf("shard_breaker_state{shard=%q}", label)),
 		cFailures: obs.Default.Counter(fmt.Sprintf("shard_failures_total{shard=%q}", label)),
@@ -415,33 +403,16 @@ func newShardState(id int, dir string, opts Options) *shardState {
 	return sh
 }
 
-// runWorker drains one shard's ingest queue. One worker per shard keeps
-// appends ordered per shard and makes the queue the unit of
-// backpressure: while an append is slow, batches pile into the bounded
-// queue and overflow is rejected at enqueue time.
-func (c *Cluster) runWorker(sh *shardState) {
-	defer sh.workerWG.Done()
-	for b := range sh.queue {
-		sh.depth.Add(-1)
-		sh.gQueue.Set(float64(sh.depth.Load()))
-		sh.inflight.Store(1)
-		t0 := time.Now()
-		b.done <- c.applyAppend(sh, b.entries)
-		sh.drain.Observe(time.Since(t0))
-		sh.inflight.Store(0)
-	}
-}
-
-// DrainEWMA tracks how long one queued batch takes to apply, as an
+// DrainEWMA tracks how long one ingest slice takes to apply, as an
 // exponentially weighted moving average (weight 1/8 — smooth enough to
 // ride out one slow fsync, fresh enough to follow a real slowdown
-// within a few batches). It is the drain-rate estimator behind every
-// shard queue's Retry-After.
+// within a few slices). It is the drain-rate estimator behind every
+// shard's Retry-After.
 type DrainEWMA struct {
 	nanos atomic.Int64
 }
 
-// Observe folds one batch's apply time into the average.
+// Observe folds one slice's apply time into the average.
 func (e *DrainEWMA) Observe(d time.Duration) {
 	n := d.Nanoseconds()
 	if n <= 0 {
@@ -462,14 +433,14 @@ func (e *DrainEWMA) Observe(d time.Duration) {
 // Value returns the current average (0 before any observation).
 func (e *DrainEWMA) Value() time.Duration { return time.Duration(e.nanos.Load()) }
 
-// RetryAfterEstimate converts queue state into a client backoff hint:
-// the pending batches ahead of the client plus its own, each paying the
-// observed drain time. A drain-derived estimate is clamped to [1s, 60s]
-// — never zero, since a zero Retry-After invites an instant retry
-// storm. With no drain observations yet it returns the configured
-// fallback verbatim (1s when unset): an operator-chosen sub-second hint
-// is honored internally, and the HTTP layer ceils it to "1" on the
-// wire.
+// RetryAfterEstimate converts admission state into a client backoff
+// hint: the pending slices ahead of the client plus its own, each
+// paying the observed drain time. A drain-derived estimate is clamped
+// to [1s, 60s] — never zero, since a zero Retry-After invites an
+// instant retry storm. With no drain observations yet it returns the
+// configured fallback verbatim (1s when unset): an operator-chosen
+// sub-second hint is honored internally, and the HTTP layer ceils it to
+// "1" on the wire.
 func RetryAfterEstimate(pending int, drain, fallback time.Duration) time.Duration {
 	if drain <= 0 {
 		if fallback > 0 {
@@ -487,13 +458,35 @@ func RetryAfterEstimate(pending int, drain, fallback time.Duration) time.Duratio
 	return est
 }
 
-// applyAppend runs one batch against the shard under its breaker.
-func (c *Cluster) applyAppend(sh *shardState, entries []store.Entry) error {
-	if !sh.br.Allow() {
-		return fmt.Errorf("shard %d: %w", sh.id, ErrBreakerOpen)
+// admit reserves a place for one slice on the shard: granted while
+// fewer than limit slices are pending. It reports the pending count it
+// found, which prices a refused caller's Retry-After.
+func (sh *shardState) admit(limit int32) (pending int, ok bool) {
+	for {
+		n := sh.pending.Load()
+		if n >= limit {
+			return int(n), false
+		}
+		if sh.pending.CompareAndSwap(n, n+1) {
+			sh.gQueue.Set(float64(n))
+			return int(n), true
+		}
 	}
-	err := sh.backend.Append(entries...)
-	c.observe(sh, err)
+}
+
+// applyAppend applies one admitted slice under the shard's append mutex
+// and its breaker, then gives its admission back.
+func (c *Cluster) applyAppend(sh *shardState, entries []store.Entry) error {
+	sh.appendMu.Lock()
+	t0 := time.Now()
+	err := ErrBreakerOpen
+	if sh.br.Allow() {
+		err = sh.backend.Append(entries...)
+		c.observe(sh, err)
+	}
+	sh.drain.Observe(time.Since(t0))
+	sh.appendMu.Unlock()
+	sh.gQueue.Set(float64(max(sh.pending.Add(-1)-1, 0)))
 	if err != nil {
 		return fmt.Errorf("shard %d: %w", sh.id, err)
 	}
@@ -521,8 +514,8 @@ type AppendReport struct {
 	// Appended counts entries durably accepted, summed over PerShard.
 	Appended int         `json:"appended"`
 	PerShard map[int]int `json:"per_shard,omitempty"`
-	// Rejected counts entries bounced by a full ingest queue —
-	// backpressure, retry after RetryAfter.
+	// Rejected counts entries bounced because their shard already had
+	// QueueDepth slices waiting — backpressure, retry after RetryAfter.
 	Rejected   map[int]int   `json:"rejected,omitempty"`
 	RetryAfter time.Duration `json:"-"`
 	// RejectedSources lists, per rejected shard, the distinct sources in
@@ -537,10 +530,12 @@ type AppendReport struct {
 }
 
 // Append routes entries to their shards by source hash and applies each
-// shard's slice through its bounded queue, waiting for the outcomes.
-// Shards whose queue is full reject immediately (Rejected +
-// RetryAfter); shards that are quarantined or fail record Errors; the
-// rest append. An error is returned only for a closed cluster.
+// shard's slice, waiting for the outcomes. The first admitted slice
+// applies in the calling goroutine and the others concurrently on their
+// own. Shards with QueueDepth slices already waiting reject at once
+// (Rejected + RetryAfter); shards that are quarantined or fail record
+// Errors; the rest append. An error is returned only for a closed
+// cluster.
 func (c *Cluster) Append(entries []store.Entry) (AppendReport, error) {
 	rep := AppendReport{PerShard: map[int]int{}, Rejected: map[int]int{}, Errors: map[int]string{}, RejectedSources: map[int][]string{}, RetryAfter: c.opts.retryAfter()}
 	if len(entries) == 0 {
@@ -555,15 +550,15 @@ func (c *Cluster) Append(entries []store.Entry) (AppendReport, error) {
 	// Route in two passes, count then fill, so each entry is copied at
 	// most once into a slice that never regrows — and not at all when one
 	// shard takes the whole batch (every batch, with one shard): Append
-	// returns only after that shard's worker is done with the slice, and
-	// the store copies what it keeps.
+	// returns only after that shard is done with the slice, and the store
+	// copies what it keeps.
 	ids := make([]int, len(entries))
 	counts := make([]int, len(c.shards))
 	for i := range entries {
 		ids[i] = ShardFor(entries[i].Record.Source, len(c.shards))
 		counts[ids[i]]++
 	}
-	parts := make(map[int][]store.Entry)
+	parts := make([][]store.Entry, len(c.shards))
 	if counts[ids[0]] == len(entries) {
 		parts[ids[0]] = entries
 	} else {
@@ -574,44 +569,54 @@ func (c *Cluster) Append(entries []store.Entry) (AppendReport, error) {
 			parts[id] = append(parts[id], entries[i])
 		}
 	}
-	type pending struct {
-		id   int
-		n    int
-		done chan error
-	}
-	var waits []pending
+	// Admit every slice before applying any, so a wedged shard delays
+	// neither its siblings' admission nor their appends.
+	limit := int32(c.opts.queueDepth() + 1)
+	var admitted []int
 	for id, batch := range parts {
+		if len(batch) == 0 {
+			continue
+		}
 		sh := c.shards[id]
 		if sh.backend == nil {
 			rep.Errors[id] = fmt.Sprintf("%v: %s", ErrQuarantined, sh.openErr)
 			continue
 		}
-		b := ingestBatch{entries: batch, done: make(chan error, 1)}
-		select {
-		case sh.queue <- b:
-			sh.depth.Add(1)
-			sh.gQueue.Set(float64(sh.depth.Load()))
-			waits = append(waits, pending{id: id, n: len(batch), done: b.done})
-		default:
+		pending, ok := sh.admit(limit)
+		if !ok {
 			sh.cRejects.Inc()
-			rep.Rejected[id] += len(batch)
+			rep.Rejected[id] = len(batch)
 			rep.RejectedSources[id] = sourcesOf(batch)
 			// The slowest rejecting shard sets the report's hint: retrying
-			// sooner than its queue can drain would just bounce again.
-			pending := int(sh.depth.Load() + sh.inflight.Load())
-			est := RetryAfterEstimate(pending, sh.drain.Value(), c.opts.retryAfter())
-			if est > rep.RetryAfter {
+			// sooner than its pending slices can drain would just bounce
+			// again.
+			if est := RetryAfterEstimate(pending, sh.drain.Value(), c.opts.retryAfter()); est > rep.RetryAfter {
 				rep.RetryAfter = est
 			}
-		}
-	}
-	for _, p := range waits {
-		if err := <-p.done; err != nil {
-			rep.Errors[p.id] = err.Error()
 			continue
 		}
-		rep.PerShard[p.id] += p.n
-		rep.Appended += p.n
+		admitted = append(admitted, id)
+	}
+	errs := make([]error, len(admitted))
+	var wg sync.WaitGroup
+	for i := 1; i < len(admitted); i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = c.applyAppend(c.shards[admitted[i]], parts[admitted[i]])
+		}()
+	}
+	if len(admitted) > 0 {
+		errs[0] = c.applyAppend(c.shards[admitted[0]], parts[admitted[0]])
+	}
+	wg.Wait()
+	for i, id := range admitted {
+		if errs[i] != nil {
+			rep.Errors[id] = errs[i].Error()
+			continue
+		}
+		rep.PerShard[id] = len(parts[id])
+		rep.Appended += len(parts[id])
 	}
 	return rep, nil
 }
@@ -643,9 +648,11 @@ func (c *Cluster) Seal() error {
 	return nil
 }
 
-// Close stops the ingest workers and closes every healthy shard
+// Close waits out in-flight appends and closes every healthy shard
 // (sealing tails). Quarantined shards have nothing to close.
 func (c *Cluster) Close() error {
+	// The write lock waits for every Append, each of which holds the read
+	// lock until its slices have applied; later Appends see closed.
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -653,7 +660,7 @@ func (c *Cluster) Close() error {
 	}
 	c.closed = true
 	c.mu.Unlock()
-	// Shutdown order matters for warm starts: stop ingest, seal every
+	// Shutdown order matters for warm starts: with ingest stopped, seal every
 	// tail while the observers are still attached (the miners note the
 	// post-seal fingerprint), detach, close the miners (each writes its
 	// final artifact under that fingerprint), stop the standing tier,
@@ -664,15 +671,13 @@ func (c *Cluster) Close() error {
 		if sh.backend == nil {
 			continue
 		}
-		close(sh.queue)
-		sh.workerWG.Wait()
 		if err := sh.backend.Seal(); err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("shard %d: %w", sh.id, err)
 		}
 	}
 	for _, sh := range c.shards {
-		if sb, ok := sh.backend.(standingCapable); ok && sh.backend != nil {
-			sb.SetObserver(nil)
+		if sh.backend != nil {
+			sh.backend.SetObserver(nil)
 		}
 	}
 	c.correlate.close()
@@ -727,8 +732,8 @@ type Health struct {
 	// RetryInMs, when the breaker is open, is the time until the next
 	// half-open probe is admitted.
 	RetryInMs int64 `json:"retry_in_ms,omitempty"`
-	// QueueDepth is the shard's pending ingest batches; Inflight is 1
-	// while a batch is being applied.
+	// QueueDepth is the ingest slices admitted and waiting behind the one
+	// being applied; Inflight is 1 while a slice is being applied.
 	QueueDepth int `json:"queue_depth"`
 	Inflight   int `json:"inflight"`
 	// Entries/TailEntries/Segments describe the shard's store (zero for
@@ -747,9 +752,10 @@ func (c *Cluster) Health() []Health {
 			Dir:           sh.dir,
 			TotalFailures: sh.totalFailures.Load(),
 			LastError:     sh.lastErr.Load().(string),
-			QueueDepth:    int(sh.depth.Load()),
-			Inflight:      int(sh.inflight.Load()),
 		}
+		pending := int(sh.pending.Load())
+		h.Inflight = min(pending, 1)
+		h.QueueDepth = pending - h.Inflight
 		if sh.backend == nil {
 			h.State = "quarantined"
 			h.LastError = sh.openErr

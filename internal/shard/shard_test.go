@@ -502,8 +502,8 @@ func TestFlatLayoutIsAPlainStoreDirectory(t *testing.T) {
 	}
 }
 
-// TestClusterCloseLeavesNoGoroutines: everything Create starts — shard
-// workers, the standing evaluator, one registry rebuild worker and one
+// TestClusterCloseLeavesNoGoroutines: everything Create starts — the
+// standing evaluator, one registry rebuild worker and one
 // miner rebuild worker per shard — is gone once Close returns, on every
 // layout, after a retention pass has made the rebuild workers
 // re-baseline (a worker that never ran proves nothing about its exit).

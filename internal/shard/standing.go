@@ -13,8 +13,8 @@ import (
 )
 
 // Cluster standing queries: one subscription at the router holds a
-// query.Standing handle on a per-shard registry of every
-// standing-capable shard it covers, each maintaining its shard's
+// query.Standing handle on a per-shard registry of every healthy shard
+// it covers, each maintaining its shard's
 // materialized Partial incrementally off the store's mutation stream.
 // The cluster-level answer is MergePartials over the handles' snapshots
 // — the same merge a scatter aggregate runs, minus the scans — and the
@@ -49,7 +49,7 @@ type ClusterEvent struct {
 	Total          int               `json:"total"`
 	Aggregate      query.Aggregation `json:"aggregate"`
 	// ShardsStanding is how many shards materialize this subscription
-	// (quarantined or standing-incapable shards are not covered).
+	// (quarantined shards are not covered).
 	ShardsStanding int `json:"shards_standing"`
 	ShardsTotal    int `json:"shards_total"`
 }
@@ -65,14 +65,6 @@ type ClusterSubInfo struct {
 	Events         uint64                 `json:"events"`
 	ShardsStanding int                    `json:"shards_standing"`
 	ShardsTotal    int                    `json:"shards_total"`
-}
-
-// standingCapable is the backend surface per-shard registries need:
-// the scan/seq side plus the observer hook. *store.Store satisfies it;
-// fault-injection wrappers delegate.
-type standingCapable interface {
-	query.StandingStore
-	SetObserver(store.Observer)
 }
 
 // clusterSub is one router-level subscription. Everything but the latch
@@ -118,7 +110,7 @@ func (cs *clusterSub) aggregate() query.Aggregation {
 // clusterStanding owns the cluster's standing-query state.
 type clusterStanding struct {
 	c    *Cluster
-	regs map[int]*query.Registry // per standing-capable shard
+	regs map[int]*query.Registry // per healthy shard
 
 	mu      sync.Mutex
 	subs    map[int]*clusterSub // published subscriptions by key
@@ -131,7 +123,7 @@ type clusterStanding struct {
 	done chan struct{}
 }
 
-// newClusterStanding builds a registry for every standing-capable shard
+// newClusterStanding builds a registry for every healthy shard
 // and starts the evaluation worker. Called once from Open, which wires
 // the store observers afterwards (multiplexed with the correlation
 // miners — the store supports a single observer).
@@ -146,11 +138,10 @@ func newClusterStanding(c *Cluster) *clusterStanding {
 		done:    make(chan struct{}),
 	}
 	for _, sh := range c.shards {
-		sb, ok := sh.backend.(standingCapable)
-		if !ok || sh.backend == nil {
+		if sh.backend == nil {
 			continue
 		}
-		reg := query.NewRegistry(sb)
+		reg := query.NewRegistry(sh.backend)
 		reg.SetOnChange(s.poke)
 		s.regs[sh.id] = reg
 	}
@@ -293,7 +284,7 @@ func (c *Cluster) SetStandingNotify(fn func(ClusterEvent)) {
 }
 
 // Subscribe registers a cluster standing query: one per-shard standing
-// view on every standing-capable shard the filter's routing targets,
+// view on every healthy shard the filter's routing targets,
 // the cluster evaluating the threshold on the merged total. If the
 // merged baseline already meets the threshold, the event fires
 // immediately.
