@@ -50,10 +50,11 @@ race:
 # appends and seals, each answer the acknowledged entries as of its
 # Seq — re-run ten times on top, with the kill windows of an Append
 # that seals several segments and then rewrites the wal once, and that
-# Append's byte-level layout.
+# Append's byte-level layout, and compaction's k-way merge against the
+# decode-sort-encode it replaced.
 verify-race:
 	$(GO) test -race -count=1 -shuffle=on -timeout $(TEST_TIMEOUT) ./internal/store/... ./internal/view/... ./internal/query/... ./cmd/logstudy/...
-	$(call run-tests,-race -count=10 -timeout $(TEST_TIMEOUT),Projection|TailSnapshot|KillDuringAppendSealWindows|MultiSealAppendLayout,./internal/store/)
+	$(call run-tests,-race -count=10 -timeout $(TEST_TIMEOUT),Projection|TailSnapshot|KillDuringAppendSealWindows|MultiSealAppendLayout|CompactMergeMatchesBuildSegment,./internal/store/)
 
 # Focused race pass over the cluster's failure envelope: the
 # scatter-gather router, circuit breakers, per-shard kill/recovery
@@ -211,12 +212,14 @@ fuzz:
 	$(GO) test ./internal/ingest -fuzz FuzzFramerMatchesReference -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/filter -fuzz FuzzStreamMatchesBatch -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/store -fuzz FuzzSegmentWalk -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/store -fuzz FuzzCompactMerge -fuzztime $(FUZZTIME)
 
 # Brief fuzz runs as part of `make verify`: a few seconds each on the
 # read loop, the parser and block framer differentials, the
-# online-vs-batch filter differential, and the segment walk against its
-# sequential-decode reference, enough to explore past the seed corpus
-# on every PR without stalling the gate.
+# online-vs-batch filter differential, the segment walk against its
+# sequential-decode reference, and compaction's merge against
+# buildSegment over the sorted concatenation of its inputs, enough to
+# explore past the seed corpus on every PR without stalling the gate.
 SMOKE_FUZZTIME ?= 3s
 fuzz-smoke:
 	$(GO) test ./internal/ingest -run '^$$' -fuzz FuzzReadFunc -fuzztime $(SMOKE_FUZZTIME)
@@ -224,3 +227,4 @@ fuzz-smoke:
 	$(GO) test ./internal/ingest -run '^$$' -fuzz FuzzFramerMatchesReference -fuzztime $(SMOKE_FUZZTIME)
 	$(GO) test ./internal/filter -run '^$$' -fuzz FuzzStreamMatchesBatch -fuzztime $(SMOKE_FUZZTIME)
 	$(GO) test ./internal/store -run '^$$' -fuzz FuzzSegmentWalk -fuzztime $(SMOKE_FUZZTIME)
+	$(GO) test ./internal/store -run '^$$' -fuzz FuzzCompactMerge -fuzztime $(SMOKE_FUZZTIME)

@@ -171,14 +171,21 @@ func SortRecords(recs []Record) {
 	if len(late) == 0 {
 		return
 	}
-	slices.SortFunc(late, func(a, b Record) int { return Compare(&a, &b) })
+	// The stragglers are sorted as a permutation of their indexes, so the
+	// sort moves ints, not records; it is the same pdqsort over the same
+	// comparisons, so it leaves tied records in the same order.
+	perm := make([]int, len(late))
+	for k := range perm {
+		perm[k] = k
+	}
+	slices.SortFunc(perm, func(a, b int) int { return Compare(&late[a], &late[b]) })
 	i, j := kept-1, len(late)-1
 	for w := len(recs) - 1; j >= 0; w-- {
-		if i >= 0 && Compare(&recs[i], &late[j]) > 0 {
+		if l := &late[perm[j]]; i >= 0 && Compare(&recs[i], l) > 0 {
 			recs[w] = recs[i]
 			i--
 		} else {
-			recs[w] = late[j]
+			recs[w] = *l
 			j--
 		}
 	}
@@ -186,5 +193,10 @@ func SortRecords(recs []Record) {
 
 // IsSorted reports whether recs is in canonical order.
 func IsSorted(recs []Record) bool {
-	return slices.IsSortedFunc(recs, func(a, b Record) int { return Compare(&a, &b) })
+	for i := 1; i < len(recs); i++ {
+		if Compare(&recs[i], &recs[i-1]) < 0 {
+			return false
+		}
+	}
+	return true
 }

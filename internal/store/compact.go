@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"whatsupersay/internal/logrec"
 	"whatsupersay/internal/obs"
 )
 
@@ -192,22 +193,14 @@ func (s *Store) compactOnce() (bool, mergeSize, uint64, error) {
 	// store's own references are released separately at commit.
 	defer releaseAll(run)
 
-	n := 0
-	for _, g := range run {
-		n += g.count
+	blob, n, err := mergeSegments(s.sys, run)
+	if err != nil {
+		return false, mergeSize{}, 0, err
 	}
-	merged := make([]Entry, 0, n)
 	inputs := make([]string, 0, len(run))
 	for _, g := range run {
-		ents, err := g.entries()
-		if err != nil {
-			return false, mergeSize{}, 0, fmt.Errorf("store: compact read %s: %w", g.name, err)
-		}
-		merged = append(merged, ents...)
 		inputs = append(inputs, g.name)
 	}
-	sortEntries(merged)
-	blob := buildSegment(s.sys, merged)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -294,7 +287,131 @@ func (s *Store) compactOnce() (bool, mergeSize, uint64, error) {
 		return false, mergeSize{}, 0, err
 	}
 	s.publishSizes()
-	return true, mergeSize{segments: len(run), entries: len(merged)}, s.nextSeqLocked(), nil
+	return true, mergeSize{segments: len(run), entries: n}, s.nextSeqLocked(), nil
+}
+
+// mergeSegments k-way merges run, each segment in canonical order,
+// into one segment, in encoded form: every record is decoded in place
+// (decodeRawAt), its dictionary ids are translated through per-input
+// tables filled on first use, and its body bytes are copied straight
+// from the input's mapping. No Entry is built. A tie on (time, seq)
+// goes to the earlier input, so the output is byte for byte what
+// buildSegment makes of the stable-sorted concatenation of the inputs.
+// It returns the output and its record count; an undecodable or
+// out-of-order input record is an error naming its segment.
+func mergeSegments(sys logrec.System, run []*segment) ([]byte, int, error) {
+	type input struct {
+		g         *segment
+		off, left int
+		head      raw
+		// Input id -> output id + 1, 0 until the input id is first used.
+		src, cat, prog, fac []uint32
+	}
+	size, n := 0, 0
+	ins := make([]input, len(run))
+	for i, g := range run {
+		size += len(g.blob)
+		n += g.count
+		ins[i] = input{
+			g: g, off: g.recordsOff, left: g.count,
+			src: make([]uint32, len(g.sources)), cat: make([]uint32, len(g.categories)),
+			prog: make([]uint32, len(g.programs)), fac: make([]uint32, len(g.facilities)),
+		}
+	}
+	// advance decodes input i's next record into its head; false when
+	// the input is exhausted.
+	advance := func(i int) (bool, error) {
+		in := &ins[i]
+		if in.left == 0 {
+			return false, nil
+		}
+		r, next, err := in.g.decodeRawAt(in.off)
+		if err != nil {
+			return false, fmt.Errorf("store: compact read %s: %w", in.g.name, err)
+		}
+		if in.off != in.g.recordsOff && (r.nanos < in.head.nanos || r.nanos == in.head.nanos && r.seq < in.head.seq) {
+			return false, fmt.Errorf("store: compact read %s: record out of order at offset %d", in.g.name, in.off)
+		}
+		in.head, in.off, in.left = r, next, in.left-1
+		return true, nil
+	}
+	less := func(a, b int) bool {
+		ra, rb := &ins[a].head, &ins[b].head
+		if ra.nanos != rb.nanos {
+			return ra.nanos < rb.nanos
+		}
+		if ra.seq != rb.seq {
+			return ra.seq < rb.seq
+		}
+		return a < b
+	}
+	// heap is a binary min-heap, by head record, of the inputs that
+	// still hold records.
+	heap := make([]int, 0, len(ins))
+	down := func(i int) {
+		for {
+			c := 2*i + 1
+			if c >= len(heap) {
+				return
+			}
+			if c+1 < len(heap) && less(heap[c+1], heap[c]) {
+				c++
+			}
+			if !less(heap[c], heap[i]) {
+				return
+			}
+			heap[i], heap[c] = heap[c], heap[i]
+			i = c
+		}
+	}
+	for i := range ins {
+		ok, err := advance(i)
+		if err != nil {
+			return nil, 0, err
+		}
+		if ok {
+			heap = append(heap, i)
+		}
+	}
+	for i := len(heap)/2 - 1; i >= 0; i-- {
+		down(i)
+	}
+
+	// The output is about the inputs' bytes (its tables are no larger
+	// than theirs) plus a few bytes per record: the time deltas and
+	// posting gaps of a merged span take wider varints.
+	w := newSegWriter(sys, size+4*n)
+	for len(heap) > 0 {
+		in := &ins[heap[0]]
+		r := in.head
+		r.srcID = remap(in.src, r.srcID, &w.srcD, in.g.sources)
+		r.catID = remap(in.cat, r.catID, &w.catD, in.g.categories)
+		r.progID = remap(in.prog, r.progID, &w.progD, in.g.programs)
+		r.facID = remap(in.fac, r.facID, &w.facD, in.g.facilities)
+		r.flags &= entryFlagKept | entryFlagCorrupted
+		writeRecord(w, &r, in.g.blob[r.bodyOff:r.bodyOff+r.bodyLen])
+		ok, err := advance(heap[0])
+		if err != nil {
+			return nil, 0, err
+		}
+		if !ok {
+			heap[0] = heap[len(heap)-1]
+			heap = heap[:len(heap)-1]
+		}
+		down(0)
+	}
+	return w.finish(), n, nil
+}
+
+// remap translates an input dictionary id into the output's, through
+// tab (output id + 1 per input id, 0 until first use): the output
+// interns the string the first time an output record uses it, as
+// buildSegment does.
+func remap(tab []uint32, id uint32, d *dict, vals []string) uint32 {
+	if tab[id] == 0 {
+		tab[id] = d.id(vals[id]) + 1
+	}
+	return tab[id] - 1
 }
 
 // ApplyRetention drops every sealed segment whose newest record is

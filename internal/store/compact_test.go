@@ -1,11 +1,14 @@
 package store
 
 import (
+	"bytes"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -645,4 +648,216 @@ func TestScanSeqIsExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	quiet("after a compaction")
+}
+
+// mergeInputs draws k canonically sorted inputs holding n entries in
+// all (each input at least one) for the merge differential. Times come
+// from one shared span, a quarter of them a year early, so the inputs'
+// time ranges overlap; seqs come from a small range, and ties (in
+// 256ths) is the chance an entry takes the time and seq of an earlier
+// one, most often one that went to another input. The corrupted and
+// kept flags vary, and each input meets the strings of every dictionary
+// in its own order, so each numbers them differently.
+func mergeInputs(rng *rand.Rand, k, n int, ties uint8) [][]Entry {
+	sources := []string{"sn373", "admin1", "cn12", "cn13", "sm0"}
+	cats := []string{"ECC", "KERNDTLB", "PBS_CON", "GM_PAR"}
+	progs := []string{"kernel", "pbs_mom", ""}
+	facs := []string{"kern", "daemon", ""}
+	sevs := []logrec.Severity{logrec.SeverityUnknown, logrec.SevErr, logrec.SevFatal, logrec.SevInfo}
+	base := time.Date(2005, 6, 1, 0, 0, 0, 0, time.UTC)
+	k = max(1, min(k, n))
+	out := make([][]Entry, k)
+	var all []Entry
+	for i := 0; i < n; i++ {
+		en := Entry{
+			Record: logrec.Record{
+				Seq:       uint64(rng.Intn(max(1, n/2))),
+				Time:      base.Add(time.Duration(rng.Int63n(int64(n) * int64(time.Second)))),
+				System:    logrec.Thunderbird,
+				Source:    sources[rng.Intn(len(sources))],
+				Severity:  sevs[rng.Intn(len(sevs))],
+				Program:   progs[rng.Intn(len(progs))],
+				Facility:  facs[rng.Intn(len(facs))],
+				Body:      fmt.Sprintf("body %d", i),
+				Corrupted: rng.Intn(4) == 0,
+			},
+			Category: cats[rng.Intn(len(cats))],
+			Kept:     rng.Intn(2) == 0,
+		}
+		if rng.Intn(4) == 0 {
+			en.Record.Time = en.Record.Time.AddDate(-1, 0, 0)
+		}
+		if rng.Intn(8) == 0 {
+			en.Record.Body = ""
+		}
+		if len(all) > 0 && rng.Intn(256) < int(ties) {
+			p := &all[rng.Intn(len(all))].Record
+			en.Record.Time, en.Record.Seq = p.Time, p.Seq
+		}
+		all = append(all, en)
+		in := i
+		if i >= k {
+			in = rng.Intn(k)
+		}
+		out[in] = append(out[in], en)
+	}
+	for _, in := range out {
+		sortEntries(in)
+	}
+	return out
+}
+
+// checkMergeDifferential merges the segments built from inputs, in
+// input order, and requires the output to be byte for byte what
+// buildSegment makes of the stable-sorted concatenation of the entries
+// those segments hold — what compaction wrote when it decoded, sorted
+// and re-encoded.
+func checkMergeDifferential(t *testing.T, inputs [][]Entry) {
+	t.Helper()
+	var run []*segment
+	var concat []Entry
+	for i, in := range inputs {
+		g, err := parseSegment(fmt.Sprintf(segPattern, i), buildSegment(logrec.Thunderbird, in))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ents, err := g.entries()
+		if err != nil {
+			t.Fatal(err)
+		}
+		concat = append(concat, ents...)
+		run = append(run, g)
+	}
+	sortEntries(concat)
+	want := buildSegment(logrec.Thunderbird, concat)
+	got, n, err := mergeSegments(logrec.Thunderbird, run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != len(concat) {
+		t.Fatalf("merge reports %d records, want %d", n, len(concat))
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("merge of %d inputs (%d records): %d bytes differ from the %d-byte reference", len(inputs), n, len(got), len(want))
+	}
+}
+
+// TestCompactMergeMatchesBuildSegment pins the k-way merge compaction
+// runs to the decode-sort-encode it replaced, byte for byte: inputs
+// whose time ranges overlap or arrive latest-first, equal (time, seq)
+// keys across inputs, every corrupted/kept combination, and inputs that
+// number the same strings differently.
+func TestCompactMergeMatchesBuildSegment(t *testing.T) {
+	at := func(sec int, seq uint64, src, cat string, corrupted, kept bool) Entry {
+		return Entry{
+			Record: logrec.Record{
+				Seq: seq, Time: time.Date(2005, 6, 1, 0, 0, sec, 0, time.UTC), System: logrec.Thunderbird,
+				Source: src, Program: "kernel", Facility: "kern", Severity: logrec.SevErr,
+				Body: fmt.Sprintf("%s %d %d", src, sec, seq), Corrupted: corrupted,
+			},
+			Category: cat,
+			Kept:     kept,
+		}
+	}
+	rng := rand.New(rand.NewSource(36))
+	cases := []struct {
+		name   string
+		inputs [][]Entry
+	}{
+		{"overlapping", mergeInputs(rng, 4, 600, 0)},
+		{"equal-keys", mergeInputs(rng, 3, 400, 200)},
+		{"many-small", mergeInputs(rng, 40, 90, 64)},
+		{"one-input", mergeInputs(rng, 1, 150, 32)},
+		{"latest-first", [][]Entry{
+			{at(10, 5, "cn12", "ECC", false, true), at(11, 6, "cn13", "ECC", true, false)},
+			{at(1, 1, "cn13", "GM_PAR", true, true), at(2, 2, "cn12", "ECC", false, false)},
+		}},
+		// Every flag combination, with the same (time, seq) in each input:
+		// the tie goes to the earlier input.
+		{"flags-tied", [][]Entry{
+			{at(5, 1, "a", "X", false, false), at(5, 1, "b", "Y", true, false)},
+			{at(5, 1, "c", "X", false, true), at(5, 1, "a", "Y", true, true)},
+			{at(5, 1, "b", "Y", true, true), at(6, 0, "c", "X", false, false)},
+		}},
+		// The same strings, numbered in opposite orders by the two inputs.
+		{"renumbered-dicts", [][]Entry{
+			{at(1, 1, "a", "X", false, false), at(3, 3, "b", "Y", false, true), at(5, 5, "c", "Z", false, false)},
+			{at(2, 2, "c", "Z", true, false), at(4, 4, "b", "Y", false, false), at(6, 6, "a", "X", false, true)},
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) { checkMergeDifferential(t, tc.inputs) })
+	}
+}
+
+// FuzzCompactMerge is TestCompactMergeMatchesBuildSegment's property
+// over random runs: k inputs, n entries, the tie rate in 256ths.
+func FuzzCompactMerge(f *testing.F) {
+	f.Add(int64(1), uint8(4), uint16(600), uint8(0))
+	f.Add(int64(2), uint8(2), uint16(300), uint8(255))
+	f.Add(int64(3), uint8(12), uint16(40), uint8(128))
+	f.Add(int64(4), uint8(1), uint16(1), uint8(0))
+	f.Fuzz(func(t *testing.T, seed int64, k uint8, n uint16, ties uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		checkMergeDifferential(t, mergeInputs(rng, 1+int(k)%16, 1+int(n)%1000, ties))
+	})
+}
+
+// TestCompactCorruptInputFailsCleanly: a checksum-valid input holding
+// one undecodable record (an out-of-range source id) fails the merge
+// before anything is staged. Compact returns an error naming that
+// segment and leaves no temp file and no COMPACT record; the inventory
+// and every answer are what they were.
+func TestCompactCorruptInputFailsCleanly(t *testing.T) {
+	dir := t.TempDir()
+	entries := makeEntries(t, 500, 37)
+	st := buildSealed(t, dir, entries, 100, 0)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	bad := fmt.Sprintf(segPattern, 1)
+	corruptSourceID(t, filepath.Join(dir, bad), 50)
+	st, rep, err := Open(dir, Options{FlushEvery: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if rep.Segments != 5 || len(rep.CorruptSegments) != 0 {
+		t.Fatalf("the damage is past the checksum, so Open must keep every segment: %+v", rep)
+	}
+	answers := func() []string {
+		var out []string
+		for _, f := range []Filter{
+			{},
+			{To: entries[100].Record.Time},
+			{From: entries[250].Record.Time},
+			{Sources: []string{"cn12"}},
+			{BodyContains: "body 4"},
+		} {
+			var keys []string
+			_, err := st.Scan(f, func(en Entry) error { keys = append(keys, entryKey(en)); return nil })
+			v := newSummaryVisitor()
+			_, cerr := st.ScanColumns(f, v)
+			out = append(out, fmt.Sprintf("%q %v | %+v %v", keys, err, *v, cerr))
+		}
+		return out
+	}
+	segs, fp, before := st.Segments(), st.Fingerprint(), answers()
+
+	_, err = st.Compact()
+	if err == nil || !strings.Contains(err.Error(), bad) {
+		t.Fatalf("Compact over a run holding %s: err %v, want one naming it", bad, err)
+	}
+	if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(tmps) != 0 {
+		t.Fatalf("temp files left: %v", tmps)
+	}
+	if cm, err := readCompactManifest(dir); err != nil || len(cm.Pending) != 0 {
+		t.Fatalf("COMPACT holds %+v (err %v), want no record", cm, err)
+	}
+	if !reflect.DeepEqual(st.Segments(), segs) || st.Fingerprint() != fp {
+		t.Fatalf("inventory changed: %+v, want %+v", st.Segments(), segs)
+	}
+	if after := answers(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("answers changed:\n%q\nwant\n%q", after, before)
+	}
 }

@@ -18,8 +18,9 @@ import (
 // parse metadata), happens exactly once per segment however many scans
 // race to it, and costs projectionBytesPerRecord bytes per record on
 // the heap. What still decodes a record is materializing a match into
-// an Entry (decodeAt, at the offset the projection recorded) and the
-// bulk entries() read compaction and Open use.
+// an Entry (decodeAt, at the offset the projection recorded), the bulk
+// entries() read of Open's seal dup window, and compaction's merge,
+// which decodes each record in place (decodeRawAt) to copy it onward.
 
 // Projection telemetry: bytes of projection resident in live segments,
 // and how many projections have been built.

@@ -192,34 +192,7 @@ func TestProjectionErrorIsSticky(t *testing.T) {
 	if len(paths) != 1 {
 		t.Fatalf("fixture has %d segments", len(paths))
 	}
-	blob, err := os.ReadFile(paths[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := parseSegment("probe", blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Point record n-5's source id one past the dictionary: skip its
-	// seq and time varints; the id itself is a one-byte varint.
-	off := g.recordsOff
-	for i := 0; i < n-5; i++ {
-		if _, off, err = g.decodeRawAt(off); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for k := 0; k < 2; k++ {
-		_, w := binary.Uvarint(blob[off:])
-		off += w
-	}
-	if len(g.sources) >= 0x80 || blob[off] >= 0x80 {
-		t.Fatal("fixture's source ids are not one-byte varints")
-	}
-	blob[off] = byte(len(g.sources))
-	binary.LittleEndian.PutUint32(blob[len(blob)-8:], crc32.ChecksumIEEE(blob[:len(blob)-8]))
-	if err := os.WriteFile(paths[0], blob, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	corruptSourceID(t, paths[0], n-5)
 
 	builds := mColumnBuilds.Value()
 	s, rep, err := Open(dir, Options{FlushEvery: n})
@@ -252,5 +225,40 @@ func TestProjectionErrorIsSticky(t *testing.T) {
 	}
 	if d := mColumnBuilds.Value() - builds; d != 1 {
 		t.Fatalf("%d build attempts, want 1", d)
+	}
+}
+
+// corruptSourceID points record k's source id of the segment file at
+// path one past its dictionary and recomputes the footer checksum: the
+// segment still opens, and only decoding record k fails.
+func corruptSourceID(t *testing.T, path string, k int) {
+	t.Helper()
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := parseSegment("probe", blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Skip record k's seq and time varints; the id itself is a one-byte
+	// varint.
+	off := g.recordsOff
+	for i := 0; i < k; i++ {
+		if _, off, err = g.decodeRawAt(off); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for j := 0; j < 2; j++ {
+		_, w := binary.Uvarint(blob[off:])
+		off += w
+	}
+	if len(g.sources) >= 0x80 || blob[off] >= 0x80 {
+		t.Fatal("fixture's source ids are not one-byte varints")
+	}
+	blob[off] = byte(len(g.sources))
+	binary.LittleEndian.PutUint32(blob[len(blob)-8:], crc32.ChecksumIEEE(blob[:len(blob)-8]))
+	if err := os.WriteFile(path, blob, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }

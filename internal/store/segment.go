@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -61,11 +60,6 @@ type Entry struct {
 // entryBefore orders entries canonically: time, then sequence number.
 func entryBefore(a, b *Entry) bool { return a.Record.Before(&b.Record) }
 
-// sortEntries sorts entries into canonical order.
-func sortEntries(entries []Entry) {
-	sort.SliceStable(entries, func(i, j int) bool { return entryBefore(&entries[i], &entries[j]) })
-}
-
 // entriesSorted reports whether entries are already in canonical order.
 func entriesSorted(entries []Entry) bool {
 	for i := 1; i < len(entries); i++ {
@@ -115,102 +109,164 @@ type segment struct {
 
 const entryFlagKept, entryFlagCorrupted = 1, 2
 
-// buildSegment encodes entries (which must be sorted; Seal sorts) into
-// the segment wire form.
-func buildSegment(sys logrec.System, entries []Entry) []byte {
-	var (
-		e                enc
-		srcD, catD       dict
-		progD, facD      dict
-		sevOrds          = map[logrec.Severity][]uint32{}
-		indexOffs        []uint32
-		indexNanos       []int64
-		minN             = entries[0].Record.Time.UnixNano()
-		maxN             = entries[len(entries)-1].Record.Time.UnixNano()
-		srcOrds, catOrds [][]uint32
-	)
-	e.b = append(e.b, segMagic...)
-	e.byte(segVersion)
-	e.byte(byte(sys))
+// segWriter encodes one segment a record at a time, records arriving in
+// canonical order: buildSegment feeds it entries, the seal feeds it the
+// tail through its sort permutation, and compaction feeds it records
+// decoded from its inputs, their dictionary ids translated into the
+// writer's own. Dictionaries number strings in first-seen order, so the
+// bytes depend only on the record sequence, not on who fed it. The
+// buffer is sized once, from the caller's estimate of the output.
+type segWriter struct {
+	e                enc
+	n                int
+	minN, maxN       int64
+	recordsOff       int
+	srcD, catD       dict
+	progD, facD      dict
+	srcOrds, catOrds [][]uint32
+	sevOrds          map[logrec.Severity][]uint32
+	indexOffs        []uint32
+	indexNanos       []int64
+}
 
-	recordsOff := len(e.b)
-	post := func(lists *[][]uint32, id uint32, ord uint32) {
-		for uint32(len(*lists)) <= id {
-			*lists = append(*lists, nil)
-		}
-		(*lists)[id] = append((*lists)[id], ord)
+func newSegWriter(sys logrec.System, sizeHint int) *segWriter {
+	w := &segWriter{e: enc{b: make([]byte, 0, sizeHint)}, sevOrds: map[logrec.Severity][]uint32{}}
+	w.e.b = append(w.e.b, segMagic...)
+	w.e.byte(segVersion)
+	w.e.byte(byte(sys))
+	w.recordsOff = len(w.e.b)
+	return w
+}
+
+// writeRecord encodes one record whose dictionary ids are already the
+// writer's own; body is its text, from an entry or in place from a
+// segment blob.
+func writeRecord[B string | []byte](w *segWriter, r *raw, body B) {
+	i := uint32(w.n)
+	if w.n == 0 {
+		w.minN = r.nanos
 	}
-	for i, en := range entries {
-		nanos := en.Record.Time.UnixNano()
-		if i%indexInterval == 0 {
-			indexOffs = append(indexOffs, uint32(len(e.b)-recordsOff))
-			indexNanos = append(indexNanos, nanos)
-		}
-		srcID := srcD.id(en.Record.Source)
-		catID := catD.id(en.Category)
-		post(&srcOrds, srcID, uint32(i))
-		post(&catOrds, catID, uint32(i))
-		sevOrds[en.Record.Severity] = append(sevOrds[en.Record.Severity], uint32(i))
-
-		e.uvarint(en.Record.Seq)
-		e.uvarint(uint64(nanos - minN))
-		e.uvarint(uint64(srcID))
-		e.uvarint(uint64(catID))
-		e.uvarint(uint64(progD.id(en.Record.Program)))
-		e.uvarint(uint64(facD.id(en.Record.Facility)))
-		e.uvarint(uint64(en.Record.Severity))
-		var flags byte
-		if en.Kept {
-			flags |= entryFlagKept
-		}
-		if en.Record.Corrupted {
-			flags |= entryFlagCorrupted
-		}
-		e.byte(flags)
-		e.str(en.Record.Body)
+	w.maxN = r.nanos
+	if w.n%indexInterval == 0 {
+		w.indexOffs = append(w.indexOffs, uint32(len(w.e.b)-w.recordsOff))
+		w.indexNanos = append(w.indexNanos, r.nanos)
 	}
+	post(&w.srcOrds, r.srcID, i)
+	post(&w.catOrds, r.catID, i)
+	w.sevOrds[r.sev] = append(w.sevOrds[r.sev], i)
 
+	e := &w.e
+	e.uvarint(r.seq)
+	e.uvarint(uint64(r.nanos - w.minN))
+	e.uvarint(uint64(r.srcID))
+	e.uvarint(uint64(r.catID))
+	e.uvarint(uint64(r.progID))
+	e.uvarint(uint64(r.facID))
+	e.uvarint(uint64(r.sev))
+	e.byte(r.flags)
+	e.uvarint(uint64(len(body)))
+	e.b = append(e.b, body...)
+	w.n++
+}
+
+// post appends ordinal ord to id's posting list.
+func post(lists *[][]uint32, id uint32, ord uint32) {
+	for uint32(len(*lists)) <= id {
+		*lists = append(*lists, nil)
+	}
+	(*lists)[id] = append((*lists)[id], ord)
+}
+
+// addEntry encodes en, interning its strings.
+func (w *segWriter) addEntry(en *Entry) {
+	r := raw{
+		seq:    en.Record.Seq,
+		nanos:  en.Record.Time.UnixNano(),
+		srcID:  w.srcD.id(en.Record.Source),
+		catID:  w.catD.id(en.Category),
+		progID: w.progD.id(en.Record.Program),
+		facID:  w.facD.id(en.Record.Facility),
+		sev:    en.Record.Severity,
+	}
+	if en.Kept {
+		r.flags |= entryFlagKept
+	}
+	if en.Record.Corrupted {
+		r.flags |= entryFlagCorrupted
+	}
+	writeRecord(w, &r, en.Record.Body)
+}
+
+// finish appends the dictionaries, postings, sparse index and footer
+// and returns the segment.
+func (w *segWriter) finish() []byte {
+	e := &w.e
 	dictsOff := len(e.b)
-	appendDict(&e, srcD.vals)
-	appendDict(&e, catD.vals)
-	appendDict(&e, progD.vals)
-	appendDict(&e, facD.vals)
+	appendDict(e, w.srcD.vals)
+	appendDict(e, w.catD.vals)
+	appendDict(e, w.progD.vals)
+	appendDict(e, w.facD.vals)
 
 	postingsOff := len(e.b)
-	for _, ords := range srcOrds {
-		appendPostings(&e, ords, len(entries))
+	for _, ords := range w.srcOrds {
+		appendPostings(e, ords, w.n)
 	}
-	for _, ords := range catOrds {
-		appendPostings(&e, ords, len(entries))
+	for _, ords := range w.catOrds {
+		appendPostings(e, ords, w.n)
 	}
-	sevs := make([]logrec.Severity, 0, len(sevOrds))
-	for s := range sevOrds {
+	sevs := make([]logrec.Severity, 0, len(w.sevOrds))
+	for s := range w.sevOrds {
 		sevs = append(sevs, s)
 	}
-	sort.Slice(sevs, func(i, j int) bool { return sevs[i] < sevs[j] })
+	slices.Sort(sevs)
 	e.uvarint(uint64(len(sevs)))
 	for _, s := range sevs {
 		e.uvarint(uint64(s))
-		appendPostings(&e, sevOrds[s], len(entries))
+		appendPostings(e, w.sevOrds[s], w.n)
 	}
 
 	indexOff := len(e.b)
-	e.uvarint(uint64(len(indexOffs)))
-	for i := range indexOffs {
-		e.uvarint(uint64(indexOffs[i]))
-		e.uvarint(uint64(indexNanos[i] - minN))
+	e.uvarint(uint64(len(w.indexOffs)))
+	for i := range w.indexOffs {
+		e.uvarint(uint64(w.indexOffs[i]))
+		e.uvarint(uint64(w.indexNanos[i] - w.minN))
 	}
 
-	e.u64(uint64(recordsOff))
+	e.u64(uint64(w.recordsOff))
 	e.u64(uint64(dictsOff))
 	e.u64(uint64(postingsOff))
 	e.u64(uint64(indexOff))
-	e.u64(uint64(len(entries)))
-	e.u64(uint64(minN))
-	e.u64(uint64(maxN))
+	e.u64(uint64(w.n))
+	e.u64(uint64(w.minN))
+	e.u64(uint64(w.maxN))
 	e.u32(crc32.ChecksumIEEE(e.b))
 	e.b = append(e.b, segEndMagic...)
 	return e.b
+}
+
+// encodeEntries encodes n entries, at(0) .. at(n-1), which must be in
+// canonical order, into the segment wire form.
+func encodeEntries(sys logrec.System, n int, at func(int) *Entry) []byte {
+	size := 1024
+	for i := 0; i < n; i++ {
+		size += entrySizeHint + len(at(i).Record.Body)
+	}
+	w := newSegWriter(sys, size)
+	for i := 0; i < n; i++ {
+		w.addEntry(at(i))
+	}
+	return w.finish()
+}
+
+// entrySizeHint is the bytes, body aside, one entry is budgeted in its
+// segment: its fixed fields (a wide timestamp delta included) and its
+// share of the postings and sparse index.
+const entrySizeHint = 32
+
+// buildSegment encodes entries (which must be sorted) into the segment
+// wire form.
+func buildSegment(sys logrec.System, entries []Entry) []byte {
+	return encodeEntries(sys, len(entries), func(i int) *Entry { return &entries[i] })
 }
 
 // parseSegment validates blob (magic, version, footer checksum) and
@@ -405,8 +461,9 @@ func (g *segment) decodeAt(off int) (Entry, int, error) {
 }
 
 // entries decodes every record in the segment, in stored (canonical)
-// order — the bulk path compaction and Open's dup-window subtraction
-// use, where postings planning would only add overhead.
+// order. Its one caller is Open's seal dup window, which compares whole
+// entries against the wal's; compaction merges records in encoded form
+// (mergeSegments) and builds none.
 func (g *segment) entries() ([]Entry, error) {
 	out := make([]Entry, 0, g.count)
 	off := g.recordsOff

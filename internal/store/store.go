@@ -157,9 +157,10 @@ type Store struct {
 	mu   sync.RWMutex
 	segs []*segment
 	// tail is append-only between seals: its elements are never written
-	// in place (a seal reads it as it stands when it is already sorted,
-	// and sorts a copy otherwise), so a scan reads the prefix it
-	// snapshotted without copying it.
+	// in place (a seal reads an out-of-order tail through a sorted index
+	// permutation and gathers only the remainder into a new slice), so a
+	// scan reads the prefix it snapshotted without copying it. It grows
+	// by doubling, in Append.
 	tail    []Entry
 	wal     *os.File
 	nextSeg int
@@ -488,6 +489,11 @@ func (s *Store) Append(entries ...Entry) error {
 				return 0, 0, err
 			}
 		}
+		// The tail grows by doubling: append's ~1.25× for large slices
+		// would copy a FlushEvery-sized tail many times over.
+		if len(s.tail)+len(batch) > cap(s.tail) {
+			s.tail = slices.Grow(s.tail, max(len(s.tail), len(batch)))
+		}
 		s.tail = append(s.tail, batch...)
 		// Seq assignment happens here, after the effects and under mu —
 		// the ordering ScanStats.Seq relies on. Each committed segment
@@ -552,14 +558,17 @@ func (s *Store) Seal() error {
 // sealLocked seals the tail's canonical-order prefix into consecutive
 // segments of size entries, as many as the tail fills (Append passes
 // FlushEvery; Seal the whole tail, one segment), and returns how many
-// committed. The tail is sorted once, and only when it is out of order;
-// each segment is encoded, written to a temp file, fsynced, renamed
-// into place and the directory fsynced, and after the last one the wal
-// is rewritten once, to the remainder. The durability steps are ordered
-// segments-first: a kill after the k-th rename leaves a wal whose epoch
-// trails the inventory by k, which Open detects and dedupes, so a crash
-// anywhere in the seal neither loses nor double-serves an acknowledged
-// entry.
+// committed. Scans may be reading the tail in place, so it is never
+// reordered: an out-of-order tail is stable-sorted as an int32
+// permutation of its indexes (a merge sort, cheap on a tail of sorted
+// batches), the segments are encoded through it, and only the remainder
+// is gathered, in that order, into a new tail. Each segment is encoded,
+// written to a temp file, fsynced, renamed into place and the directory
+// fsynced, and after the last one the wal is rewritten once, to the
+// remainder. The durability steps are ordered segments-first: a kill
+// after the k-th rename leaves a wal whose epoch trails the inventory
+// by k, which Open detects and dedupes, so a crash anywhere in the seal
+// neither loses nor double-serves an acknowledged entry.
 func (s *Store) sealLocked(size int) (int, error) {
 	if size <= 0 || len(s.tail) < size {
 		return 0, nil
@@ -567,23 +576,29 @@ func (s *Store) sealLocked(size int) (int, error) {
 	sp := obs.Default.StartSpan("store_seal")
 	defer sp.End()
 
-	// Scans may be reading the tail in place, so it is never sorted in
-	// place: an out-of-order tail is sorted in a copy, which then keeps
-	// the remainder.
-	rest := s.tail
-	if !entriesSorted(rest) {
-		rest = slices.Clone(rest)
-		sortEntries(rest)
+	tail := s.tail
+	at := func(k int) *Entry { return &tail[k] }
+	var perm []int32
+	if !entriesSorted(tail) {
+		perm = make([]int32, len(tail))
+		for i := range perm {
+			perm[i] = int32(i)
+		}
+		slices.SortStableFunc(perm, func(a, b int32) int {
+			return logrec.Compare(&tail[a].Record, &tail[b].Record)
+		})
+		at = func(k int) *Entry { return &tail[perm[k]] }
 	}
-	n := 0
+	n, done := 0, 0
 	var err error
-	for len(rest) >= size {
+	for len(tail)-done >= size {
 		if err = s.crashPoint(crashSealBeforeSegment); err != nil {
 			break
 		}
 		name := fmt.Sprintf(segPattern, s.nextSeg)
 		path := filepath.Join(s.dir, name)
-		if err = AtomicWriteFile(path, buildSegment(s.sys, rest[:size])); err != nil {
+		blob := encodeEntries(s.sys, size, func(i int) *Entry { return at(done + i) })
+		if err = AtomicWriteFile(path, blob); err != nil {
 			err = fmt.Errorf("store: seal %s: %w", name, err)
 			break
 		}
@@ -603,7 +618,7 @@ func (s *Store) sealLocked(size int) (int, error) {
 		sortSegments(s.segs)
 		s.nextSeg++
 		mSealEntries.Add(int64(size))
-		rest = rest[size:]
+		done += size
 		n++
 	}
 	if n == 0 {
@@ -611,9 +626,17 @@ func (s *Store) sealLocked(size int) (int, error) {
 	}
 	// The tail drops what committed (an emptied one lets its backing
 	// array go); the wal then only needs to cover the remainder.
-	s.tail = rest
-	if len(rest) == 0 {
+	switch {
+	case done == len(tail):
 		s.tail = nil
+	case perm == nil:
+		s.tail = tail[done:]
+	default:
+		rest := make([]Entry, len(tail)-done)
+		for i := range rest {
+			rest[i] = *at(done + i)
+		}
+		s.tail = rest
 	}
 	if err != nil {
 		return n, err

@@ -52,6 +52,12 @@ func makeEntries(t *testing.T, n int, seed int64) []Entry {
 	return out
 }
 
+// sortEntries sorts entries into canonical order, stably: the order a
+// seal and a compaction write their records in.
+func sortEntries(entries []Entry) {
+	sort.SliceStable(entries, func(i, j int) bool { return entryBefore(&entries[i], &entries[j]) })
+}
+
 // collect scans the store with f and returns the matches in canonical
 // order (the engine's contract, replicated here for direct store tests).
 func collect(t *testing.T, s *Store, f Filter) []Entry {
@@ -287,8 +293,10 @@ func TestSealIsAtomicOnDisk(t *testing.T) {
 // once writes exactly the files a seal per FlushEvery would have — each
 // segment a FlushEvery cut of the canonically sorted tail, in order —
 // and leaves the wal at the new epoch holding the remainder's frames in
-// canonical order. The cases cover a tail sorted in a copy (shuffled,
-// or out of order across two appends) and one sealed as it stands.
+// canonical order. The cases cover an out-of-order tail (shuffled, out
+// of order across two appends, or holding equal (time, seq) keys in
+// different batches, which must keep their append order) and one sealed
+// as it stands.
 func TestMultiSealAppendLayout(t *testing.T) {
 	const flush = 100
 	shuffled := func(seed int64) []Entry {
@@ -303,6 +311,26 @@ func TestMultiSealAppendLayout(t *testing.T) {
 		{"shuffled", [][]Entry{shuffled(71)}},
 		{"sorted", [][]Entry{makeEntries(t, 350, 72)}},
 		{"tail-then-batch", func() [][]Entry { en := shuffled(73); return [][]Entry{en[:30], en[30:]} }()},
+		// Equal (time, seq) in different batches of an out-of-order tail:
+		// each of 175 entries twice, the copy with its own body and flags.
+		// Two short batches (no seal yet) hold some originals and some
+		// copies, the last batch the rest of both, so either copy of a
+		// pair can be the one appended first.
+		{"ties-across-batches", func() [][]Entry {
+			orig := makeEntries(t, 175, 75)
+			dup := slices.Clone(orig)
+			for i := range dup {
+				dup[i].Record.Body = "copy of " + dup[i].Record.Body
+				dup[i].Record.Corrupted = true
+				dup[i].Kept = !dup[i].Kept
+			}
+			rng := rand.New(rand.NewSource(75))
+			rng.Shuffle(len(orig), func(i, j int) { orig[i], orig[j] = orig[j], orig[i] })
+			rng.Shuffle(len(dup), func(i, j int) { dup[i], dup[j] = dup[j], dup[i] })
+			last := append(slices.Clone(orig[40:]), dup[50:]...)
+			rng.Shuffle(len(last), func(i, j int) { last[i], last[j] = last[j], last[i] })
+			return [][]Entry{orig[:40], dup[:50], last}
+		}()},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -237,17 +237,26 @@ func AwkSource(c *catalog.Category) string {
 	}
 }
 
-// SortAlerts sorts alerts into canonical record order (time, then
-// sequence), which the filtering algorithms require. TagAll over
+// SortAlerts sorts alerts stably into canonical record order (time,
+// then sequence), which the filtering algorithms require. TagAll over
 // canonical records already returns this order, so that input costs one
-// pass of comparisons, made in place: the sort's comparator takes its
-// 144-byte alerts by value.
+// pass of comparisons, made in place. Other input is stable-sorted as
+// a permutation of its indexes, so the sort moves ints, not alerts, and
+// the alerts are then moved once each.
 func SortAlerts(alerts []Alert) {
 	for i := 1; i < len(alerts); i++ {
 		if alerts[i].Record.Before(&alerts[i-1].Record) {
-			slices.SortStableFunc(alerts, func(a, b Alert) int {
-				return logrec.Compare(&a.Record, &b.Record)
+			perm := make([]int, len(alerts))
+			for k := range perm {
+				perm[k] = k
+			}
+			slices.SortStableFunc(perm, func(a, b int) int {
+				return logrec.Compare(&alerts[a].Record, &alerts[b].Record)
 			})
+			src := slices.Clone(alerts)
+			for k, p := range perm {
+				alerts[k] = src[p]
+			}
 			return
 		}
 	}
