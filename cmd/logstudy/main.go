@@ -248,7 +248,7 @@ subcommands:
   mine             discover message templates (SLCT-style) and score vs expert tags
   jobs             workload overlay: killed jobs, lost node-hours, RAS metrics
   sweep            filtering-threshold sensitivity (the paper fixes T=5s)
-  rules            print the expert tagging rules (awk-style or file format)
+  rules            print the expert tagging rules (listing or loadable file)
   build-store      run the pipeline once and persist tagged + filtered
                    alerts as a segment-indexed store (-dir)
   serve            answer /api/query, /api/aggregate, /api/segments, and
@@ -580,7 +580,7 @@ func runCompareFilters(args []string, w io.Writer) error {
 func runRules(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("rules", flag.ContinueOnError)
 	sysName := fs.String("system", "all", "system whose rules to print")
-	export := fs.Bool("export", false, "emit the loadable rule-file format instead of the awk view")
+	export := fs.Bool("export", false, "emit the loadable rule-file layout (a header comment, then TYPE NAME expression) instead of the listing")
 	if help, err := parseFlags(fs, args); help || err != nil {
 		return err
 	}
@@ -600,9 +600,10 @@ func runRules(args []string, w io.Writer) error {
 			fmt.Fprintln(w)
 			continue
 		}
-		fmt.Fprintf(w, "%s (%d categories):\n", sys, len(catalog.BySystem(sys)))
-		for _, c := range tag.NewTagger(sys).Rules() {
-			fmt.Fprintf(w, "  %s/%-10s %s\n", c.Type.Code(), c.Name, tag.AwkSource(c))
+		cats := catalog.BySystem(sys)
+		fmt.Fprintf(w, "%s (%d categories):\n", sys, len(cats))
+		for _, c := range cats {
+			fmt.Fprintf(w, "  %s/%-10s %s\n", c.Type.Code(), c.Name, rules.Expr(c))
 		}
 		fmt.Fprintln(w)
 	}
@@ -624,6 +625,20 @@ func runAnalyze(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
+	// The rules load before the log, so a malformed rule file fails
+	// before any ingest work.
+	tg := tag.NewTagger(sys)
+	if *rulesPath != "" {
+		rf, err := os.Open(*rulesPath)
+		if err != nil {
+			return err
+		}
+		tg, err = rules.Load(rf, sys)
+		rf.Close()
+		if err != nil {
+			return err
+		}
+	}
 	f, err := ingest.Open(*inPath)
 	if err != nil {
 		return err
@@ -639,24 +654,12 @@ func runAnalyze(args []string, w io.Writer) error {
 	}
 	fmt.Fprintf(w, "ingested %s lines (%d parse errors; %d syslog, %d RAS, %d event)\n",
 		report.Comma(int64(stats.Lines)), stats.ParseErrors, stats.Syslog, stats.RAS, stats.Event)
-
-	var alerts []tag.Alert
 	if *rulesPath != "" {
-		rf, err := os.Open(*rulesPath)
-		if err != nil {
-			return err
-		}
-		set, lerr := rules.Load(rf)
-		rf.Close()
-		if lerr != nil {
-			return lerr
-		}
-		alerts = tagWithSet(recs, set)
-		fmt.Fprintf(w, "tagged with %d custom rules from %s\n", len(set.Rules), *rulesPath)
-	} else {
-		alerts = tag.NewTagger(sys).TagAll(recs)
+		fmt.Fprintf(w, "tagged with %d custom rules from %s\n", len(tg.Rules()), *rulesPath)
 	}
-	// Both taggers keep ReadAll's canonical record order.
+
+	// TagAll keeps ReadAll's canonical record order.
+	alerts := tg.TagAll(recs)
 	filtered := filter.Simultaneous{T: filter.DefaultThreshold}.Filter(alerts)
 	fmt.Fprintf(w, "alerts: %s raw, %s after Algorithm 3.1 (T=5s), %d categories observed\n\n",
 		report.Comma(int64(len(alerts))), report.Comma(int64(len(filtered))), tag.CategoriesObserved(alerts))
@@ -664,38 +667,15 @@ func runAnalyze(args []string, w io.Writer) error {
 	t := report.NewTable("alerts by category", "Type/Cat.", "Raw", "Filtered")
 	raw := tag.CountByCategory(alerts)
 	filt := tag.CountByCategory(filtered)
-	for _, c := range catalog.BySystem(sys) {
+	for _, c := range tg.Rules() {
 		if raw[c.Name] == 0 {
 			continue
 		}
 		t.AddRow(c.Type.Code()+" / "+c.Name, report.Comma(int64(raw[c.Name])), report.Comma(int64(filt[c.Name])))
+		delete(raw, c.Name) // a rule file may repeat a name: one row each
 	}
 	t.Render(w)
 	return nil
-}
-
-// tagWithSet tags records using a custom rule set, mapping rule names
-// back to catalog categories when they exist (so downstream type
-// accounting still works) and synthesizing ad-hoc categories otherwise.
-func tagWithSet(recs []logrec.Record, set *rules.Set) []tag.Alert {
-	adHoc := map[string]*catalog.Category{}
-	var alerts []tag.Alert
-	for _, r := range recs {
-		rule, ok := set.Tag(r)
-		if !ok {
-			continue
-		}
-		c, ok := catalog.Lookup(r.System, rule.Name)
-		if !ok {
-			c = adHoc[rule.Name]
-			if c == nil {
-				c = &catalog.Category{System: r.System, Name: rule.Name, Type: rule.Type, Raw: 1, Filtered: 1, Pattern: rule.Source}
-				adHoc[rule.Name] = c
-			}
-		}
-		alerts = append(alerts, tag.Alert{Record: r, Category: c})
-	}
-	return alerts
 }
 
 func runDiscover(args []string, w io.Writer) error {

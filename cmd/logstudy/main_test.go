@@ -77,7 +77,7 @@ func TestRulesCommand(t *testing.T) {
 	if !strings.Contains(out, "41 categories") {
 		t.Errorf("BG/L rule count missing: %s", out)
 	}
-	if !strings.Contains(out, "$5 ~ /KERNEL/") {
+	if !strings.Contains(out, `$5 == "KERNEL"`) {
 		t.Error("awk-style rule missing")
 	}
 	b.Reset()
@@ -240,6 +240,30 @@ func TestAnalyzeCommand(t *testing.T) {
 	}
 	if !strings.Contains(b.String(), "custom rules") {
 		t.Error("custom-rules path not used")
+	}
+
+	// A category that exists only in the rule file gets its own row.
+	if err := os.WriteFile(rulePath, []byte("S PBS_CHK program == \"pbs_mom\" && /task_check, cannot tm_reply/\nI SSHD_ANY program == \"sshd\" && /session opened/\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	b.Reset()
+	if err := run([]string{"analyze", "-in", path, "-system", "liberty", "-rules", rulePath}, &b); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(b.String(), "2 categories observed") || !strings.Contains(b.String(), "I / SSHD_ANY") {
+		t.Errorf("rule-file-only category missing from the table:\n%s", b.String())
+	}
+
+	// A malformed rule file fails before the log is read.
+	if err := os.WriteFile(rulePath, []byte("H BAD /unterminated\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	b.Reset()
+	if err := run([]string{"analyze", "-in", path, "-system", "liberty", "-rules", rulePath}, &b); err == nil {
+		t.Error("malformed rule file must error")
+	}
+	if strings.Contains(b.String(), "ingested") {
+		t.Errorf("log read before the rule file was parsed:\n%s", b.String())
 	}
 	if err := run([]string{"analyze"}, &b); err == nil {
 		t.Error("missing -in must error")

@@ -19,7 +19,6 @@ import (
 	"whatsupersay/internal/report"
 	"whatsupersay/internal/rules"
 	"whatsupersay/internal/simulate"
-	"whatsupersay/internal/tag"
 )
 
 func main() {
@@ -60,20 +59,12 @@ func run() error {
 		report.Comma(int64(stats.Lines)), stats.ParseErrors, stats.Syslog)
 
 	// 3. Tag with rules loaded from the external rule-file format.
-	set, err := rules.LoadSystem(logrec.Liberty)
+	expert, err := rules.LoadSystem(logrec.Liberty)
 	if err != nil {
 		return err
 	}
-	var alerts []tag.Alert
-	expert := tag.NewTagger(logrec.Liberty)
-	for _, r := range recs {
-		if _, ok := set.Tag(r); ok {
-			if c, ok2 := expert.Tag(&r); ok2 {
-				alerts = append(alerts, tag.Alert{Record: r, Category: c})
-			}
-		}
-	}
 	// ReadAll's records are canonical, so the alerts are too.
+	alerts := expert.TagAll(recs)
 	filtered := filter.Simultaneous{}.Filter(alerts)
 	fmt.Printf("external rules tagged %s alerts; %s after filtering\n",
 		report.Comma(int64(len(alerts))), report.Comma(int64(len(filtered))))

@@ -93,9 +93,8 @@ type Category struct {
 	// Pattern is the expert rule's body regexp (logsurfer-style). It is
 	// matched against the message body.
 	Pattern string
-	// Facility, when non-empty, additionally constrains the record's
-	// facility field — the awk-style "$5 ~ /KERNEL/" conjunct of the
-	// BG/L rules.
+	// Facility, when non-empty, is the facility field the record must
+	// carry exactly: the awk-style $5 conjunct of the BG/L rules.
 	Facility string
 	// Program, when non-empty, is the syslog program tag the category's
 	// messages carry (and which the rule requires).
@@ -112,12 +111,78 @@ type Category struct {
 	// fields randomized.
 	Gen func(rng *rand.Rand) string
 
-	re  *regexp.Regexp
-	pre prefilter
+	re    *regexp.Regexp
+	pre   prefilter
+	terms []Term
 }
 
-// Regexp returns the compiled pattern. Compilation happens once, at
-// catalog construction.
+// Field names the record field a Term tests.
+type Field int
+
+// The record fields a rule term can test.
+const (
+	FieldBody Field = iota
+	FieldProgram
+	FieldFacility
+	FieldSource
+	FieldSeverity
+)
+
+// Term is one conjunct of a rule that the category's Facility, Program
+// and Pattern cannot express, such as a source or severity test, a
+// facility regexp or a second body regexp. The field must equal Value
+// or, when Regexp is set, match it. A severity is compared by its name.
+type Term struct {
+	Field  Field
+	Value  string
+	Regexp *regexp.Regexp
+}
+
+func (t *Term) holds(r *logrec.Record) bool {
+	var v string
+	switch t.Field {
+	case FieldBody:
+		v = r.Body
+	case FieldProgram:
+		v = r.Program
+	case FieldFacility:
+		v = r.Facility
+	case FieldSource:
+		v = r.Source
+	case FieldSeverity:
+		v = r.Severity.String()
+	}
+	if t.Regexp != nil {
+		return t.Regexp.MatchString(v)
+	}
+	return v == t.Value
+}
+
+// NewRule compiles a rule that is not in the catalog, such as one read
+// from a rule file, into the same type the built-in rules have: pattern
+// is the body regexp, facility and program (when non-empty) must match
+// exactly, and every term of extra must hold as well.
+func NewRule(sys logrec.System, name string, typ Type, pattern, facility, program string, extra []Term) (*Category, error) {
+	c := &Category{System: sys, Name: name, Type: typ, Pattern: pattern, Facility: facility, Program: program, terms: extra}
+	if err := c.compile(); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// compile prepares Pattern for matching: the regexp and its literal
+// prefilter.
+func (c *Category) compile() error {
+	re, err := regexp.Compile(c.Pattern)
+	if err != nil {
+		return err
+	}
+	c.re, c.pre = re, compilePrefilter(c.Pattern)
+	return nil
+}
+
+// Regexp returns the compiled pattern. Compilation happens once, when
+// the rule is built (at catalog construction or by NewRule).
 func (c *Category) Regexp() *regexp.Regexp { return c.re }
 
 // PrefilterLiterals returns the required literal substrings extracted
@@ -131,10 +196,11 @@ func (c *Category) PrefilterLiterals() (lits []string, exact bool) {
 }
 
 // Matches reports whether the category's rule tags the record: the body
-// must match Pattern, and the facility/program constraints (when set) must
-// hold. The body check short-circuits through the literal prefilter —
-// a record that lacks the rule's mandatory substrings is rejected
-// without any regexp execution.
+// must match Pattern, the facility/program constraints (when set) must
+// hold, and so must the extra terms of a rule built by NewRule. The body
+// check short-circuits through the literal prefilter — a record that
+// lacks the rule's mandatory substrings is rejected without any regexp
+// execution — and the terms are tried only on a record that passed it.
 func (c *Category) Matches(r *logrec.Record) bool {
 	if c.Facility != "" && r.Facility != c.Facility {
 		return false
@@ -142,7 +208,15 @@ func (c *Category) Matches(r *logrec.Record) bool {
 	if c.Program != "" && r.Program != c.Program {
 		return false
 	}
-	return c.matchBody(r.Body)
+	if !c.matchBody(r.Body) {
+		return false
+	}
+	for i := range c.terms {
+		if !c.terms[i].holds(r) {
+			return false
+		}
+	}
+	return true
 }
 
 // Key returns the per-study unique key "system/name".
@@ -161,8 +235,9 @@ func build() []*Category {
 	all = append(all, spiritCategories()...)
 	all = append(all, libertyCategories()...)
 	for _, c := range all {
-		c.re = regexp.MustCompile(c.Pattern)
-		c.pre = compilePrefilter(c.Pattern)
+		if err := c.compile(); err != nil {
+			panic("catalog: " + c.Key() + ": " + err.Error())
+		}
 		if c.System == logrec.BlueGeneL {
 			c.Dialect = DialectRAS
 		}

@@ -38,8 +38,10 @@ func compilePrefilter(pattern string) prefilter {
 	var lits []string
 	collectLiterals(re, &lits)
 	// An unanchored pure-literal pattern matches a body iff the body
-	// contains the literal; Contains fully decides it.
-	exact := re.Op == syntax.OpLiteral && re.Flags&syntax.FoldCase == 0
+	// contains the literal; Contains fully decides it. That holds only
+	// when the literal was harvested: a one-rune pattern such as /a/
+	// yields none, and must then go to the regexp.
+	exact := len(lits) > 0 && re.Op == syntax.OpLiteral && re.Flags&syntax.FoldCase == 0
 	sort.SliceStable(lits, func(i, j int) bool { return len(lits[i]) > len(lits[j]) })
 	if len(lits) > 3 {
 		lits = lits[:3] // diminishing returns past the few longest runs

@@ -45,6 +45,26 @@ func TestPrefilterExtraction(t *testing.T) {
 	}
 }
 
+// TestPrefilterOneRunePattern: a pattern that reduces to one rune (/a/,
+// /\./, /[x]/) yields no harvested literal, so the prefilter cannot
+// decide it alone and the regexp must run.
+func TestPrefilterOneRunePattern(t *testing.T) {
+	for _, pattern := range []string{"a", ":", `\.`, "[x]"} {
+		c, err := NewRule(0, "ONE", Hardware, pattern, "", "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.pre.exact {
+			t.Errorf("%q: exact with literals %q", pattern, c.pre.lits)
+		}
+		for _, body := range []string{"zzz", "", "a:.x", "xa", "b.c"} {
+			if got, want := c.matchBody(body), c.re.MatchString(body); got != want {
+				t.Errorf("%q: matchBody(%q) = %v, regexp says %v", pattern, body, got, want)
+			}
+		}
+	}
+}
+
 // TestPrefilterSoundOnCatalog: for every category, every generated body
 // (which matches by construction) passes the prefilter — i.e. the
 // extracted literals really are required — and matchBody agrees with

@@ -16,7 +16,7 @@ func ExampleLoad() {
 H EXT_FS   program == "kernel" && /EXT3-fs error/
 S PBS_CHK  program == "pbs_mom" && /task_check, cannot tm_reply/
 `
-	set, err := rules.Load(strings.NewReader(file))
+	tg, err := rules.Load(strings.NewReader(file), logrec.Spirit)
 	if err != nil {
 		fmt.Println("load:", err)
 		return
@@ -25,7 +25,7 @@ S PBS_CHK  program == "pbs_mom" && /task_check, cannot tm_reply/
 		Program: "kernel",
 		Body:    "EXT3-fs error (device cciss/c0d0p5) in ext3_reserve_inode_write: IO failure",
 	}
-	if r, ok := set.Tag(rec); ok {
+	if r, ok := tg.Tag(&rec); ok {
 		fmt.Printf("%s %s\n", r.Type.Code(), r.Name)
 	}
 	// Output:

@@ -11,7 +11,7 @@
 //	# Spirit disk errors
 //	H EXT_FS   /kernel: EXT3-fs error/
 //	S PBS_CHK  program == "pbs_mom" && /task_check, cannot tm_reply/
-//	I KERNPAN  ($5 ~ /KERNEL/ && /kernel panic/)
+//	I KERNPAN  ($5 == "KERNEL" && /kernel panic/)
 //
 // An expression is a conjunction of terms:
 //
@@ -20,10 +20,18 @@
 //	program == "s"    program tag equals s
 //	facility ~ /re/   facility matches re
 //	severity == NAME  native severity equals NAME (either scale)
-//	$5 ~ /re/         awk-style alias for facility (the paper's BG/L form)
+//	$5 == "s"         awk-style alias for facility (the paper's BG/L column)
 //
-// Terms may be parenthesized; `&&` is the only connective, matching the
-// shape of every rule in the study.
+// Every field (body, program, facility or $5, source or host, severity)
+// takes both operators: == compares exactly, ~ matches a regexp anywhere
+// in the field. Terms may be parenthesized; `&&` is the only connective,
+// matching the shape of every rule in the study.
+//
+// A rule compiles into a *catalog.Category, the type of the built-in
+// rules, so a loaded rule file tags through the same tag.Tagger: its
+// first body regexp and exact facility and program tests take the
+// category's Pattern, Facility and Program, and every other term
+// becomes one of the category's extra catalog.Terms.
 package rules
 
 import (
@@ -32,40 +40,12 @@ import (
 	"io"
 	"regexp"
 	"strings"
+	"unicode"
 
 	"whatsupersay/internal/catalog"
 	"whatsupersay/internal/logrec"
+	"whatsupersay/internal/tag"
 )
-
-// Matcher is a compiled rule predicate.
-type Matcher func(logrec.Record) bool
-
-// Rule is one parsed tagging rule.
-type Rule struct {
-	// Name is the alert category the rule tags.
-	Name string
-	// Type is the administrator's H/S/I assignment.
-	Type catalog.Type
-	// Source is the rule's expression text, as written.
-	Source string
-	// Match is the compiled predicate.
-	Match Matcher
-}
-
-// Set is an ordered rule list; first match wins, as in package tag.
-type Set struct {
-	Rules []Rule
-}
-
-// Tag returns the first matching rule.
-func (s *Set) Tag(rec logrec.Record) (Rule, bool) {
-	for _, r := range s.Rules {
-		if r.Match(rec) {
-			return r, true
-		}
-	}
-	return Rule{}, false
-}
 
 // ParseError reports where a rule file failed to parse.
 type ParseError struct {
@@ -79,9 +59,10 @@ func (e *ParseError) Error() string {
 	return fmt.Sprintf("rules: line %d: %s (in %q)", e.Line, e.Reason, e.Text)
 }
 
-// Load parses a rule file.
-func Load(r io.Reader) (*Set, error) {
-	var set Set
+// Load parses a rule file for one system into a tagger that tries its
+// rules in file order.
+func Load(r io.Reader, sys logrec.System) (*tag.Tagger, error) {
+	var rules []*catalog.Category
 	sc := bufio.NewScanner(r)
 	lineNo := 0
 	for sc.Scan() {
@@ -90,7 +71,7 @@ func Load(r io.Reader) (*Set, error) {
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		rule, err := ParseRule(line)
+		rule, err := ParseRule(sys, line)
 		if err != nil {
 			if pe, ok := err.(*ParseError); ok {
 				pe.Line = lineNo
@@ -98,19 +79,19 @@ func Load(r io.Reader) (*Set, error) {
 			}
 			return nil, fmt.Errorf("rules: line %d: %w", lineNo, err)
 		}
-		set.Rules = append(set.Rules, rule)
+		rules = append(rules, rule)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("rules: %w", err)
 	}
-	return &set, nil
+	return tag.New(rules), nil
 }
 
-// ParseRule parses one "TYPE NAME expr" line.
-func ParseRule(line string) (Rule, error) {
+// ParseRule parses one "TYPE NAME expr" line into a rule of system sys.
+func ParseRule(sys logrec.System, line string) (*catalog.Category, error) {
 	fields := strings.Fields(line)
 	if len(fields) < 3 {
-		return Rule{}, &ParseError{Text: line, Reason: "want: TYPE NAME expression"}
+		return nil, &ParseError{Text: line, Reason: "want: TYPE NAME expression"}
 	}
 	var ty catalog.Type
 	switch fields[0] {
@@ -121,29 +102,37 @@ func ParseRule(line string) (Rule, error) {
 	case "I":
 		ty = catalog.Indeterminate
 	default:
-		return Rule{}, &ParseError{Text: line, Reason: fmt.Sprintf("unknown type %q (want H, S, or I)", fields[0])}
+		return nil, &ParseError{Text: line, Reason: fmt.Sprintf("unknown type %q (want H, S, or I)", fields[0])}
 	}
-	name := fields[1]
-	exprText := strings.TrimSpace(line[strings.Index(line, name)+len(name):])
-	m, err := CompileExpr(exprText)
-	if err != nil {
-		return Rule{}, &ParseError{Text: line, Reason: err.Error()}
+	// The expression is what follows the second field, cut by position:
+	// the name may also occur earlier in the line, as in "S S ...".
+	expr := strings.TrimSpace(line)
+	for range 2 {
+		expr = strings.TrimLeftFunc(expr[strings.IndexFunc(expr, unicode.IsSpace):], unicode.IsSpace)
 	}
-	return Rule{Name: name, Type: ty, Source: exprText, Match: m}, nil
-}
-
-// CompileExpr compiles a rule expression into a Matcher.
-func CompileExpr(expr string) (Matcher, error) {
 	p := &exprParser{input: expr}
-	m, err := p.parseConjunction()
+	if err := p.parse(); err != nil {
+		return nil, &ParseError{Text: line, Reason: err.Error()}
+	}
+	var pattern, facility, program string
+	var extra []catalog.Term
+	for _, t := range p.terms {
+		switch {
+		case t.Field == catalog.FieldBody && t.Regexp != nil && pattern == "":
+			pattern = t.Regexp.String()
+		case t.Field == catalog.FieldFacility && t.Regexp == nil && facility == "" && t.Value != "":
+			facility = t.Value
+		case t.Field == catalog.FieldProgram && t.Regexp == nil && program == "" && t.Value != "":
+			program = t.Value
+		default:
+			extra = append(extra, t)
+		}
+	}
+	c, err := catalog.NewRule(sys, fields[1], ty, pattern, facility, program, extra)
 	if err != nil {
-		return nil, err
+		return nil, &ParseError{Text: line, Reason: err.Error()}
 	}
-	p.skipSpace()
-	if p.pos != len(p.input) {
-		return nil, fmt.Errorf("trailing input at byte %d: %q", p.pos, p.input[p.pos:])
-	}
-	return m, nil
+	return c, nil
 }
 
 // exprParser is a tiny recursive-descent parser over the expression
@@ -151,6 +140,7 @@ func CompileExpr(expr string) (Matcher, error) {
 type exprParser struct {
 	input string
 	pos   int
+	terms []catalog.Term
 }
 
 func (p *exprParser) skipSpace() {
@@ -166,57 +156,54 @@ func (p *exprParser) peek() byte {
 	return p.input[p.pos]
 }
 
+// parse := conjunction, with nothing after it
+func (p *exprParser) parse() error {
+	if err := p.parseConjunction(); err != nil {
+		return err
+	}
+	p.skipSpace()
+	if p.pos != len(p.input) {
+		return fmt.Errorf("trailing input at byte %d: %q", p.pos, p.input[p.pos:])
+	}
+	return nil
+}
+
 // parseConjunction := term ('&&' term)*
-func (p *exprParser) parseConjunction() (Matcher, error) {
-	terms := []Matcher{}
+func (p *exprParser) parseConjunction() error {
 	for {
-		t, err := p.parseTerm()
-		if err != nil {
-			return nil, err
+		if err := p.parseTerm(); err != nil {
+			return err
 		}
-		terms = append(terms, t)
 		p.skipSpace()
-		if strings.HasPrefix(p.input[p.pos:], "&&") {
-			p.pos += 2
-			continue
+		if !strings.HasPrefix(p.input[p.pos:], "&&") {
+			return nil
 		}
-		break
+		p.pos += 2
 	}
-	if len(terms) == 1 {
-		return terms[0], nil
-	}
-	return func(rec logrec.Record) bool {
-		for _, t := range terms {
-			if !t(rec) {
-				return false
-			}
-		}
-		return true
-	}, nil
 }
 
 // parseTerm := '(' conjunction ')' | '/'re'/' | field op value
-func (p *exprParser) parseTerm() (Matcher, error) {
+func (p *exprParser) parseTerm() error {
 	p.skipSpace()
-	switch {
-	case p.peek() == '(':
+	switch p.peek() {
+	case '(':
 		p.pos++
-		m, err := p.parseConjunction()
-		if err != nil {
-			return nil, err
+		if err := p.parseConjunction(); err != nil {
+			return err
 		}
 		p.skipSpace()
 		if p.peek() != ')' {
-			return nil, fmt.Errorf("missing ) at byte %d", p.pos)
+			return fmt.Errorf("missing ) at byte %d", p.pos)
 		}
 		p.pos++
-		return m, nil
-	case p.peek() == '/':
+		return nil
+	case '/':
 		re, err := p.parseRegex()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		return bodyMatcher(re), nil
+		p.terms = append(p.terms, catalog.Term{Field: catalog.FieldBody, Regexp: re})
+		return nil
 	default:
 		return p.parseFieldTerm()
 	}
@@ -256,8 +243,20 @@ func (p *exprParser) parseRegex() (*regexp.Regexp, error) {
 	return nil, fmt.Errorf("unterminated regexp")
 }
 
+// fieldNames maps a field name to the record field it tests. $5 is the
+// paper's awk alias for the BG/L facility column.
+var fieldNames = map[string]catalog.Field{
+	"body":     catalog.FieldBody,
+	"program":  catalog.FieldProgram,
+	"facility": catalog.FieldFacility,
+	"$5":       catalog.FieldFacility,
+	"source":   catalog.FieldSource,
+	"host":     catalog.FieldSource,
+	"severity": catalog.FieldSeverity,
+}
+
 // parseFieldTerm := field ('~' regex | '==' value)
-func (p *exprParser) parseFieldTerm() (Matcher, error) {
+func (p *exprParser) parseFieldTerm() error {
 	p.skipSpace()
 	start := p.pos
 	for p.pos < len(p.input) {
@@ -267,31 +266,34 @@ func (p *exprParser) parseFieldTerm() (Matcher, error) {
 		}
 		p.pos++
 	}
-	field := p.input[start:p.pos]
-	if field == "" {
-		return nil, fmt.Errorf("expected a term at byte %d", start)
+	name := p.input[start:p.pos]
+	if name == "" {
+		return fmt.Errorf("expected a term at byte %d", start)
+	}
+	field, ok := fieldNames[name]
+	if !ok {
+		return fmt.Errorf("unknown field %q", name)
 	}
 	p.skipSpace()
+	t := catalog.Term{Field: field}
+	var err error
 	switch {
 	case p.peek() == '~':
 		p.pos++
 		p.skipSpace()
-		re, err := p.parseRegex()
-		if err != nil {
-			return nil, err
-		}
-		return fieldRegexMatcher(field, re)
+		t.Regexp, err = p.parseRegex()
 	case strings.HasPrefix(p.input[p.pos:], "=="):
 		p.pos += 2
 		p.skipSpace()
-		val, err := p.parseValue()
-		if err != nil {
-			return nil, err
-		}
-		return fieldEqualsMatcher(field, val)
+		t.Value, err = p.parseValue()
 	default:
-		return nil, fmt.Errorf("expected ~ or == after field %q", field)
+		return fmt.Errorf("expected ~ or == after field %q", name)
 	}
+	if err != nil {
+		return err
+	}
+	p.terms = append(p.terms, t)
+	return nil
 }
 
 // parseValue := '"' string '"' | bare word
@@ -319,90 +321,41 @@ func (p *exprParser) parseValue() (string, error) {
 	return p.input[start:p.pos], nil
 }
 
-func bodyMatcher(re *regexp.Regexp) Matcher {
-	return func(rec logrec.Record) bool { return re.MatchString(rec.Body) }
-}
-
-// fieldRegexMatcher resolves field names (and awk positional aliases) to
-// record fields.
-func fieldRegexMatcher(field string, re *regexp.Regexp) (Matcher, error) {
-	get, err := fieldGetter(field)
-	if err != nil {
-		return nil, err
-	}
-	return func(rec logrec.Record) bool { return re.MatchString(get(rec)) }, nil
-}
-
-func fieldEqualsMatcher(field, val string) (Matcher, error) {
-	if field == "severity" {
-		// Accept either scale's severity name.
-		return func(rec logrec.Record) bool { return rec.Severity.String() == val }, nil
-	}
-	get, err := fieldGetter(field)
-	if err != nil {
-		return nil, err
-	}
-	return func(rec logrec.Record) bool { return get(rec) == val }, nil
-}
-
-// fieldGetter maps a field name to a record accessor. $5 is the paper's
-// awk alias for the BG/L facility column.
-func fieldGetter(field string) (func(logrec.Record) string, error) {
-	switch field {
-	case "body":
-		return func(r logrec.Record) string { return r.Body }, nil
-	case "program":
-		return func(r logrec.Record) string { return r.Program }, nil
-	case "facility", "$5":
-		return func(r logrec.Record) string { return r.Facility }, nil
-	case "source", "host":
-		return func(r logrec.Record) string { return r.Source }, nil
-	case "severity":
-		return func(r logrec.Record) string { return r.Severity.String() }, nil
-	default:
-		return nil, fmt.Errorf("unknown field %q", field)
-	}
-}
-
 // Export renders a system's catalog rules in the file format, so the
 // built-in rule sets can be externalized, reviewed, and re-loaded.
 func Export(w io.Writer, sys logrec.System) error {
-	if _, err := fmt.Fprintf(w, "# %s expert rules (%d categories), Table 4 order\n", sys, len(catalog.BySystem(sys))); err != nil {
+	cats := catalog.BySystem(sys)
+	if _, err := fmt.Fprintf(w, "# %s expert rules (%d categories), Table 4 order\n", sys, len(cats)); err != nil {
 		return err
 	}
-	for _, c := range catalog.BySystem(sys) {
-		expr := exportExpr(c)
-		if _, err := fmt.Fprintf(w, "%s %-10s %s\n", c.Type.Code(), c.Name, expr); err != nil {
+	for _, c := range cats {
+		if _, err := fmt.Fprintf(w, "%s %-10s %s\n", c.Type.Code(), c.Name, Expr(c)); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// exportExpr renders a catalog rule as an expression.
-func exportExpr(c *catalog.Category) string {
+// Expr renders a built-in rule's expression in the file format: the
+// exact facility and program tests, then the body regexp.
+func Expr(c *catalog.Category) string {
 	var terms []string
 	if c.Facility != "" {
-		terms = append(terms, fmt.Sprintf("$5 ~ /%s/", escapeRegexDelim(c.Facility)))
+		terms = append(terms, fmt.Sprintf("$5 == %q", c.Facility))
 	}
 	if c.Program != "" {
 		terms = append(terms, fmt.Sprintf("program == %q", c.Program))
 	}
-	terms = append(terms, "/"+escapeRegexDelim(c.Pattern)+"/")
+	terms = append(terms, "/"+strings.ReplaceAll(c.Pattern, "/", `\/`)+"/")
 	return strings.Join(terms, " && ")
 }
 
-// escapeRegexDelim escapes the / delimiter inside a pattern.
-func escapeRegexDelim(p string) string {
-	return strings.ReplaceAll(p, "/", `\/`)
-}
-
 // LoadSystem round-trips a system's built-in rules through the file
-// format, returning a Set equivalent to the catalog's tagger.
-func LoadSystem(sys logrec.System) (*Set, error) {
+// format, returning a tagger equivalent to tag.NewTagger(sys).
+func LoadSystem(sys logrec.System) (*tag.Tagger, error) {
 	var b strings.Builder
 	if err := Export(&b, sys); err != nil {
 		return nil, err
 	}
-	return Load(strings.NewReader(b.String()))
+	return Load(strings.NewReader(b.String()), sys)
 }

@@ -32,11 +32,3 @@ func ExampleTagger() {
 	// S/PBS_CHK: task_check, cannot tm_reply to 118552.ladmin2 task 1
 	// not an alert: session opened for user u7 by (uid=0)
 }
-
-// ExampleAwkSource renders a rule in the paper's awk-like form.
-func ExampleAwkSource() {
-	tg := tag.NewTagger(logrec.BlueGeneL)
-	fmt.Println(tag.AwkSource(tg.Rules()[0]))
-	// Output:
-	// ($5 ~ /KERNEL/ && /data TLB error interrupt/)
-}

@@ -10,7 +10,6 @@
 package tag
 
 import (
-	"fmt"
 	"slices"
 
 	"whatsupersay/internal/catalog"
@@ -34,19 +33,21 @@ type Alert struct {
 // Time returns the alert's timestamp.
 func (a Alert) Time() int64 { return a.Record.Time.Unix() }
 
-// Tagger applies a system's expert rule set to records. Rules are tried
-// in Table 4 order (descending raw count), and the first match wins — the
-// same one-tag-per-message discipline the paper uses ("Two alerts are in
-// the same category if they were both tagged by the same expert rule").
+// Tagger applies an ordered rule list to records, and the first match
+// wins — the same one-tag-per-message discipline the paper uses ("Two
+// alerts are in the same category if they were both tagged by the same
+// expert rule"). The rules are catalog categories, whether built in or
+// compiled from a rule file (package rules).
 type Tagger struct {
-	system logrec.System
-	rules  []*catalog.Category
+	rules []*catalog.Category
 }
 
-// NewTagger builds the tagger for one system from the category catalog.
-func NewTagger(sys logrec.System) *Tagger {
-	return &Tagger{system: sys, rules: catalog.BySystem(sys)}
-}
+// New returns a tagger that tries rules in the order given.
+func New(rules []*catalog.Category) *Tagger { return &Tagger{rules: rules} }
+
+// NewTagger builds the tagger for one system from the category catalog:
+// its rules are tried in Table 4 order (descending raw count).
+func NewTagger(sys logrec.System) *Tagger { return New(catalog.BySystem(sys)) }
 
 // Rules returns the tagger's rule list in application order.
 func (t *Tagger) Rules() []*catalog.Category { return t.rules }
@@ -217,24 +218,6 @@ func BreakdownBySeverity(recs []logrec.Record, expert *Tagger) SeverityBreakdown
 		}
 	}
 	return b
-}
-
-// AwkSource renders a category's rule in the awk-like syntax of Section
-// 3.2, e.g.
-//
-//	($5 ~ /KERNEL/ && /data TLB error interrupt/)
-//
-// for a facility-constrained BG/L rule, or /kernel: EXT3-fs error/ for a
-// plain body rule with a program tag.
-func AwkSource(c *catalog.Category) string {
-	switch {
-	case c.Facility != "":
-		return fmt.Sprintf("($5 ~ /%s/ && /%s/)", c.Facility, c.Pattern)
-	case c.Program != "":
-		return fmt.Sprintf("/%s: %s/", c.Program, c.Pattern)
-	default:
-		return fmt.Sprintf("/%s/", c.Pattern)
-	}
 }
 
 // SortAlerts sorts alerts stably into canonical record order (time,

@@ -159,21 +159,6 @@ func TestBreakdownBySeverity(t *testing.T) {
 	}
 }
 
-func TestAwkSource(t *testing.T) {
-	dtlb, _ := catalog.Lookup(logrec.BlueGeneL, "KERNDTLB")
-	if got := AwkSource(dtlb); got != "($5 ~ /KERNEL/ && /data TLB error interrupt/)" {
-		t.Errorf("AwkSource(KERNDTLB) = %q", got)
-	}
-	chk, _ := catalog.Lookup(logrec.Spirit, "PBS_CHK")
-	if got := AwkSource(chk); got != "/pbs_mom: task_check, cannot tm_reply/" {
-		t.Errorf("AwkSource(PBS_CHK) = %q", got)
-	}
-	ecc, _ := catalog.Lookup(logrec.Thunderbird, "ECC")
-	if got := AwkSource(ecc); got != "/EventID: 1404/" {
-		t.Errorf("AwkSource(ECC) = %q", got)
-	}
-}
-
 func TestSortAlerts(t *testing.T) {
 	at := time.Date(2005, 1, 1, 0, 0, 0, 0, time.UTC)
 	c, _ := catalog.Lookup(logrec.Liberty, "PBS_CHK")
